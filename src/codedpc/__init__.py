@@ -11,7 +11,6 @@ simulator.
 from .probability import (
     CANONICAL_AXES,
     AlphabetError,
-    AlphabetSpec,
     DistributionError,
     JointDistribution,
     ObservationChannel,
@@ -27,7 +26,6 @@ from .constraint import (
     FEASIBILITY_TOL,
     ImplementabilityResult,
     info_constraint_gap,
-    info_constraint_gap_entropy_path,
     is_implementable,
 )
 from .optimizer import (
@@ -53,7 +51,6 @@ __all__ = [
     "CANONICAL_AXES",
     "FEASIBILITY_TOL",
     "AlphabetError",
-    "AlphabetSpec",
     "CodingConfig",
     "CodingConfigError",
     "ConvergenceError",
@@ -75,7 +72,6 @@ __all__ = [
     "expected_payoff",
     "icmodel",
     "info_constraint_gap",
-    "info_constraint_gap_entropy_path",
     "is_implementable",
     "marginal",
     "run",

@@ -144,11 +144,14 @@ def _ic_config(settings: dict, snr_db: float) -> icmodel.ICConfig:
 
 
 def _solver_options(settings: dict) -> SolverOptions:
-    return SolverOptions(
-        tol_payoff=settings["tol_payoff"],
-        outer_steps=settings["outer_steps"],
-        max_inner_iter=settings["max_inner_iter"],
-    )
+    try:
+        return SolverOptions(
+            tol_payoff=settings["tol_payoff"],
+            outer_steps=settings["outer_steps"],
+            max_inner_iter=settings["max_inner_iter"],
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _fmt(value: float) -> str:
@@ -246,13 +249,14 @@ def cmd_simulate(args: argparse.Namespace, out) -> int:
     elif settings["target"] == "spc":
         target = icmodel.spc_distribution(cfg)
     else:
-        target = solve(
-            prior,
-            channel,
-            payoff,
-            min_slack=settings["min_slack"],
-            options=_solver_options(settings),
-        ).qbar
+        opts = _solver_options(settings)
+        try:
+            target = solve(
+                prior, channel, payoff, min_slack=settings["min_slack"], options=opts
+            ).qbar
+        except ValueError as exc:
+            # the alphabets come from icmodel and match; a bad min_slack remains
+            raise UsageError(str(exc)) from exc
     sim_cfg = CodingConfig(
         target=target,
         channel=channel,

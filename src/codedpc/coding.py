@@ -147,9 +147,9 @@ class CodingConfig:
     ``rate`` (bits per stage) defaults to the midpoint of the admissible
     interval (I(X0;X2), I(X1;Y|X0,X2)) computed under ``target``; an explicit
     value must lie strictly inside that interval.  When the coordination
-    information is zero there is nothing to convey and any positive rate is
-    accepted.  The codebook holds ceil(2**(n*rate)) sequences, capped at
-    ``MAX_CODEBOOK``.
+    information is zero there is nothing to convey and any finite positive
+    rate is accepted.  The codebook holds ceil(2**(n*rate)) sequences,
+    capped at ``MAX_CODEBOOK``.
     """
 
     target: JointDistribution
@@ -187,14 +187,14 @@ class CodingConfig:
             raise CodingConfigError(f"num_blocks must be >= 2, got {self.num_blocks}")
         if not 0.0 < self.epsilon:
             raise CodingConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if self.rate is not None and not (math.isfinite(self.rate) and self.rate > 0.0):
+            raise CodingConfigError(f"rate must be finite and positive, got {self.rate!r}")
 
         reference = compose(self.target, self.channel)
         i_coord = conditional_mutual_information(reference, "x0", "x2")
         i_chan = conditional_mutual_information(reference, "x1", "y", ("x0", "x2"))
         if i_coord <= _DEGENERATE_INFO:
             rate = self.rate if self.rate is not None else 1.0 / self.block_length
-            if rate <= 0.0:
-                raise CodingConfigError(f"rate must be positive, got {rate!r}")
         else:
             if i_coord >= i_chan:
                 raise CodingConfigError(
@@ -208,11 +208,14 @@ class CodingConfig:
                     f"rate {rate!r} outside the admissible interval "
                     f"({i_coord:.6f}, {i_chan:.6f}) bits"
                 )
-        size = math.ceil(2.0 ** (self.block_length * rate))
-        if size > MAX_CODEBOOK:
+        bits = self.block_length * rate
+        # 2.0**bits overflows a float long before it matters: past 64 bits
+        # the codebook is over the cap anyway.
+        size = math.ceil(2.0**bits) if bits < 64 else None
+        if size is None or size > MAX_CODEBOOK:
             raise CodingConfigError(
-                f"codebook of {size} sequences exceeds the cap {MAX_CODEBOOK}; "
-                "lower the rate or the block length"
+                f"codebook of ceil(2**{bits:.6g}) sequences exceeds the cap "
+                f"{MAX_CODEBOOK}; lower the rate or the block length"
             )
         object.__setattr__(self, "info_coordination", float(i_coord))
         object.__setattr__(self, "info_channel", float(i_chan))

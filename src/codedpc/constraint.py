@@ -27,9 +27,7 @@ from .probability import (
     ObservationChannel,
     StatePrior,
     compose,
-    conditional_entropy,
     conditional_mutual_information,
-    entropy,
 )
 
 #: Default boundary tolerance (bits) for feasibility decisions.  Optimizer
@@ -60,20 +58,6 @@ def info_constraint_gap(q: JointDistribution, stages: int = 1) -> float:
     i_coord = conditional_mutual_information(q, "x0", "x2")
     i_channel = conditional_mutual_information(q, "x1", "y", ("x0", "x2"))
     return i_coord / stages - i_channel
-
-
-def info_constraint_gap_entropy_path(q: JointDistribution) -> float:
-    """The same gap via H(X0) - H(Y, X0 | X2) + H(Y | X0, X1, X2).
-
-    Algebraically identical to ``info_constraint_gap`` (stages = 1); kept as
-    an independent computation path so the two can cross-check each other.
-    """
-    _check_four_axes(q)
-    return (
-        entropy(q, "x0")
-        - conditional_entropy(q, ("x0", "y"), ("x2",))
-        + conditional_entropy(q, ("y",), ("x0", "x1", "x2"))
-    )
 
 
 class ImplementabilityResult(NamedTuple):

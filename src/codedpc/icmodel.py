@@ -106,16 +106,6 @@ def build_state_prior(cfg: ICConfig) -> StatePrior:
     return StatePrior(probs)
 
 
-def sinr(cfg: ICConfig, state: ChannelGainState, power_tx1: float, power_tx2: float, receiver: int) -> float:
-    """SINR at the requested receiver: own gain times own power over noise
-    plus the cross gain times the interferer's power."""
-    if receiver == 1:
-        return state.g11 * power_tx1 / (cfg.sigma2 + state.g21 * power_tx2)
-    if receiver == 2:
-        return state.g22 * power_tx2 / (cfg.sigma2 + state.g12 * power_tx1)
-    raise ValueError(f"receiver must be 1 or 2, got {receiver!r}")
-
-
 def _utility(cfg: ICConfig, a: np.ndarray) -> np.ndarray:
     if cfg.payoff_form == "log":
         return np.log2(1.0 + a)

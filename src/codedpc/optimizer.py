@@ -16,17 +16,21 @@ fixed multiplier the inner problem is concave (the gap functional is convex)
 and is solved by entropic mirror ascent restricted to each state's mass
 slice, with backtracking on the objective.  The outer bisection drives the
 gap to zero from the feasible side; when the constraint is inactive the
-per-state payoff argmax is returned directly.  A small pool of always
-feasible candidate policies (constant partner action with best response)
-is kept so the returned point never falls below those baselines.
+per-state payoff argmax is returned directly.  The returned point is the
+best feasible one among the inner iterates, always feasible candidates
+(uniform; constant partner with best response) and blends across the
+constraint boundary; the dual bound is the least Lagrangian value plus
+Frank-Wolfe gap over the multipliers tried.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .constraint import FEASIBILITY_TOL
 from .probability import (
     AlphabetError,
     JointDistribution,
@@ -39,6 +43,10 @@ _LN2 = float(np.log(2.0))
 # the gradient stays finite.
 _FLOOR = 1e-14
 _MAX_MULTIPLIER = 2.0**40
+# An inner step that gains at most _INNER_TOL * (1 + |value|) counts as a
+# stall; _PATIENCE stalls in a row end the inner ascent.
+_INNER_TOL = 1e-11
+_PATIENCE = 6
 
 
 class ConvergenceError(RuntimeError):
@@ -72,12 +80,21 @@ class PayoffTable:
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Certified payoff tolerance; mirror-ascent iterations per inner solve;
+    bisection steps on the multiplier."""
+
     tol_payoff: float = 1e-5
     max_inner_iter: int = 50_000
     outer_steps: int = 60
-    feasibility_tol: float = 1e-9
-    inner_tol: float = 1e-11
-    patience: int = 6
+
+    def __post_init__(self):
+        tol = self.tol_payoff
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"tol_payoff must be finite and positive, got {tol!r}")
+        for name in ("max_inner_iter", "outer_steps"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,13 +169,19 @@ def _sum_plogp(a: np.ndarray) -> float:
     return float(t.sum())
 
 
-def _gap_bits(qbar: np.ndarray, gamma: np.ndarray, inv_stages: float) -> float:
-    """(1/stages) I(X0;X2) - I(X1;Y|X0,X2) in bits, without composing in y."""
+def _marginals(qbar: np.ndarray, gamma: np.ndarray):
+    """q(x0, x2), q(x0), q(x2) and q(x0, x2, y): what the gap and its gradient share."""
     m02 = qbar.sum(axis=1)
     m0 = m02.sum(axis=1)
     m2 = m02.sum(axis=0)
-    i_coord = _sum_plogp(m02) - _sum_plogp(m0) - _sum_plogp(m2)
     s = np.einsum("abc,by->acy", qbar, gamma)
+    return m02, m0, m2, s
+
+
+def _gap_bits(qbar: np.ndarray, gamma: np.ndarray, inv_stages: float, marg=None) -> float:
+    """(1/stages) I(X0;X2) - I(X1;Y|X0,X2) in bits, without composing in y."""
+    m02, m0, m2, s = marg if marg is not None else _marginals(qbar, gamma)
+    i_coord = _sum_plogp(m02) - _sum_plogp(m0) - _sum_plogp(m2)
     h_y_given_02 = -(_sum_plogp(s) - _sum_plogp(m02))
     occupancy1 = qbar.sum(axis=(0, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -168,14 +191,11 @@ def _gap_bits(qbar: np.ndarray, gamma: np.ndarray, inv_stages: float) -> float:
     return (inv_stages * i_coord - i_channel) / _LN2
 
 
-def _gap_grad_bits(qbar: np.ndarray, gamma: np.ndarray, inv_stages: float) -> np.ndarray:
+def _gap_grad_bits(qbar: np.ndarray, gamma: np.ndarray, inv_stages: float, marg=None):
     """Gradient of ``_gap_bits`` w.r.t. qbar; requires strictly positive qbar."""
-    m02 = qbar.sum(axis=1)
-    m0 = m02.sum(axis=1)
-    m2 = m02.sum(axis=0)
+    m02, m0, m2, s = marg if marg is not None else _marginals(qbar, gamma)
     log_ratio = np.log(m02) - np.log(m0)[:, None] - np.log(m2)[None, :]
     g_coord = np.broadcast_to(log_ratio[:, None, :], qbar.shape)
-    s = np.einsum("abc,by->acy", qbar, gamma)
     p_y = s / m02[:, :, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         log_gamma = np.where(gamma > 0.0, np.log(gamma), 0.0)
@@ -189,9 +209,11 @@ def _gap_grad_bits(qbar: np.ndarray, gamma: np.ndarray, inv_stages: float) -> np
 
 
 def _objective(qbar, gamma, w, lam, inv_stages, offset):
+    """Lagrangian value, constraint gap and the marginals they were built from."""
+    marg = _marginals(qbar, gamma)
     pay = float((qbar * w).sum())
-    gap = _gap_bits(qbar, gamma, inv_stages)
-    return pay - lam * (gap + offset), pay, gap
+    gap = _gap_bits(qbar, gamma, inv_stages, marg)
+    return pay - lam * (gap + offset), gap, marg
 
 
 def _fw_gap(grad: np.ndarray, p: np.ndarray, rho: np.ndarray) -> float:
@@ -205,53 +227,47 @@ def _fw_gap(grad: np.ndarray, p: np.ndarray, rho: np.ndarray) -> float:
     return float((rho * grad.max(axis=(1, 2))).sum() - (grad * p).sum())
 
 
-def _inner_maximize(start, rho, gamma, w, lam, inv_stages, offset, opts, fw_target):
+def _inner_maximize(start, rho, gamma, w, lam, inv_stages, offset, max_iter, fw_target):
     """Entropic mirror ascent of E[w] - lam * (gap + offset) on the slices.
 
     Stops once the linearized gap certifies the inner maximum within
     ``fw_target``, or on stalled progress, or on the iteration budget.
-    Returns the iterate, its objective value, payoff, constraint gap,
-    certified inner gap, and the iteration count.
+    Returns the iterate, its objective value, constraint gap, certified
+    inner gap, and the iteration count.
     """
     p = start
-    value, pay, gap = _objective(p, gamma, w, lam, inv_stages, offset)
+    value, gap, marg = _objective(p, gamma, w, lam, inv_stages, offset)
     step = 1.0
     iters = 0
     stall = 0
+    accepted = True
     while True:
-        grad = w - lam * _gap_grad_bits(p, gamma, inv_stages)
-        shift = grad.max(axis=(1, 2), keepdims=True)
-        if _fw_gap(grad, p, rho) <= fw_target or iters >= opts.max_inner_iter:
+        grad = w - lam * _gap_grad_bits(p, gamma, inv_stages, marg)
+        fw = _fw_gap(grad, p, rho)
+        if fw <= fw_target or iters >= max_iter or stall >= _PATIENCE or not accepted:
             break
+        shift = grad.max(axis=(1, 2), keepdims=True)
         accepted = False
-        while iters < opts.max_inner_iter:
+        while iters < max_iter:
             iters += 1
             cand = p * np.exp(step * (grad - shift))
             cand = np.maximum(cand, _FLOOR)
             cand *= (rho / cand.sum(axis=(1, 2)))[:, None, None]
-            cand_value, cand_pay, cand_gap = _objective(
+            cand_value, cand_gap, cand_marg = _objective(
                 cand, gamma, w, lam, inv_stages, offset
             )
             if cand_value >= value:
                 gain = cand_value - value
-                p, value, pay, gap = cand, cand_value, cand_pay, cand_gap
+                p, value, gap, marg = cand, cand_value, cand_gap, cand_marg
                 step = min(step * 1.3, 1e8)
                 accepted = True
                 break
             step *= 0.5
             if step < 1e-14:
                 break
-        if not accepted:
-            break
-        if gain <= opts.inner_tol * (1.0 + abs(value)):
-            stall += 1
-            if stall >= opts.patience:
-                break
-        else:
-            stall = 0
-    grad = w - lam * _gap_grad_bits(p, gamma, inv_stages)
-    certified = max(_fw_gap(grad, p, rho), 0.0)
-    return p, value, pay, gap, certified, iters
+        if accepted:
+            stall = stall + 1 if gain <= _INNER_TOL * (1.0 + abs(value)) else 0
+    return p, value, gap, max(fw, 0.0), iters
 
 
 def _per_state_argmax(rho: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -298,8 +314,8 @@ def solve(
     opts = options or SolverOptions()
     if not isinstance(stages, (int, np.integer)) or stages < 1:
         raise ValueError(f"stages must be a positive integer, got {stages!r}")
-    if min_slack < 0.0:
-        raise ValueError(f"min_slack must be nonnegative, got {min_slack!r}")
+    if not (math.isfinite(min_slack) and min_slack >= 0.0):
+        raise ValueError(f"min_slack must be finite and nonnegative, got {min_slack!r}")
     w_full = payoff.values
     n0, n1, n2 = w_full.shape
     if prior.n_states != n0:
@@ -313,7 +329,6 @@ def solve(
     gamma = channel.matrix
     inv_stages = 1.0 / stages
     offset = float(min_slack)
-    feas = opts.feasibility_tol
 
     # Work on the states with positive mass; zero-probability slices stay
     # identically zero and contribute nothing to payoff or informations.
@@ -321,16 +336,14 @@ def solve(
     rho = prior.probs[active]
     w = w_full[active]
 
-    def expand(q_active: np.ndarray) -> np.ndarray:
-        full = np.zeros((n0, n1, n2))
-        full[active] = q_active
-        return full
-
-    def finish(q_active, multiplier, dual_bound, iterations, converged):
+    def finish(q_active, multiplier, dual_bound, iterations):
         gap = _gap_bits(q_active, gamma, inv_stages)
         pay = float((q_active * w).sum())
+        converged = dual_bound - pay <= opts.tol_payoff
+        full = np.zeros((n0, n1, n2))
+        full[active] = q_active
         result = OptimizationResult(
-            qbar=JointDistribution(expand(q_active), ("x0", "x1", "x2")),
+            qbar=JointDistribution(full, ("x0", "x1", "x2")),
             payoff=pay,
             slack=float(-gap),
             multiplier=float(multiplier),
@@ -356,10 +369,13 @@ def solve(
     outside_excess = np.inf
     interior = rho[:, None, None] * np.full((1, n1, n2), 1.0 / (n1 * n2))
 
-    def consider(q_active: np.ndarray) -> float:
+    def consider(q_active: np.ndarray, gap: float | None = None) -> float:
+        """Offer a point to the pool; returns its excess gap + min_slack."""
         nonlocal best_pay, best_q, outside_q, outside_excess
-        excess = _gap_bits(q_active, gamma, inv_stages) + offset
-        if excess <= feas:
+        if gap is None:
+            gap = _gap_bits(q_active, gamma, inv_stages)
+        excess = gap + offset
+        if excess <= FEASIBILITY_TOL:
             pay = float((q_active * w).sum())
             if pay > best_pay:
                 best_pay, best_q = pay, q_active
@@ -368,7 +384,7 @@ def solve(
         return excess
 
     def consider_blend() -> None:
-        if best_q is None or outside_q is None or not np.isfinite(outside_excess):
+        if best_q is None or outside_q is None:
             return
         inside_excess = _gap_bits(best_q, gamma, inv_stages) + offset
         if inside_excess >= 0.0:
@@ -376,7 +392,7 @@ def solve(
         t = -inside_excess / (outside_excess - inside_excess)
         for _ in range(8):
             mix = (1.0 - t) * best_q + t * outside_q
-            if consider(mix) <= feas:
+            if consider(mix) <= FEASIBILITY_TOL:
                 return
             t *= 0.5
 
@@ -386,71 +402,47 @@ def solve(
 
     # Constraint inactive at multiplier zero: the unconstrained argmax wins.
     vertex = _per_state_argmax(rho, w)
-    vertex_pay = float((vertex * w).sum())
-    dual_bound = vertex_pay
-    if _gap_bits(vertex, gamma, inv_stages) + offset <= feas:
-        return finish(vertex, 0.0, dual_bound, 0, True)
+    dual_bound = float((vertex * w).sum())
+    if _gap_bits(vertex, gamma, inv_stages) + offset <= FEASIBILITY_TOL:
+        return finish(vertex, 0.0, dual_bound, 0)
 
     fw_target = 0.25 * opts.tol_payoff
     total_iters = 0
     warm = interior
-    lam_hi = 1.0
-    hi_found = False
-    while lam_hi <= _MAX_MULTIPLIER:
-        q, value, pay, gap, certified, it = _inner_maximize(
-            warm, rho, gamma, w, lam_hi, inv_stages, offset, opts, fw_target
+
+    def feasible_at(lam: float) -> bool:
+        """Inner solve at ``lam`` from the last iterate: tighten the dual
+        bound, offer the iterate to the pool, report whether it is feasible."""
+        nonlocal total_iters, dual_bound, warm
+        q, value, gap, certified, it = _inner_maximize(
+            warm, rho, gamma, w, lam, inv_stages, offset, opts.max_inner_iter, fw_target
         )
         total_iters += it
         dual_bound = min(dual_bound, value + certified)
         warm = q
-        consider(q)
-        if gap + offset <= feas:
-            hi_found = True
-            break
+        return consider(q, gap) <= FEASIBILITY_TOL
+
+    lam_hi = 1.0
+    while not feasible_at(lam_hi):
+        if lam_hi >= _MAX_MULTIPLIER:
+            # No multiplier makes the inner maximizer feasible (degenerate
+            # channel); certify against the best feasible candidate if possible.
+            if best_q is None:
+                raise ConvergenceError(
+                    "no feasible point found: the requested slack exceeds what "
+                    "the observation channel supports"
+                )
+            return finish(best_q, lam_hi, dual_bound, total_iters)
         lam_hi *= 2.0
-    if not hi_found:
-        # No multiplier makes the inner maximizer feasible (degenerate
-        # channel); certify against the best feasible candidate if possible.
-        if best_q is None:
-            raise ConvergenceError(
-                "no feasible point found: the requested slack exceeds what "
-                "the observation channel supports"
-            )
-        converged = dual_bound - best_pay <= opts.tol_payoff
-        return finish(best_q, lam_hi / 2.0, dual_bound, total_iters, converged)
 
     lam_lo = 0.0 if lam_hi == 1.0 else lam_hi / 2.0
-    multiplier = lam_hi
     for _ in range(opts.outer_steps):
         consider_blend()
         if dual_bound - best_pay <= opts.tol_payoff:
             break
         lam_mid = 0.5 * (lam_lo + lam_hi)
-        q, value, pay, gap, certified, it = _inner_maximize(
-            warm, rho, gamma, w, lam_mid, inv_stages, offset, opts, fw_target
-        )
-        total_iters += it
-        dual_bound = min(dual_bound, value + certified)
-        warm = q
-        consider(q)
-        if gap + offset <= feas:
+        if feasible_at(lam_mid):
             lam_hi = lam_mid
-            multiplier = lam_mid
         else:
             lam_lo = lam_mid
-
-    if dual_bound - best_pay > opts.tol_payoff:
-        # Polish on the feasible side of the final bracket and blend once
-        # more across the boundary.
-        start = np.maximum(best_q, _FLOOR)
-        start *= (rho / start.sum(axis=(1, 2)))[:, None, None]
-        q, value, pay, gap, certified, it = _inner_maximize(
-            start, rho, gamma, w, lam_hi, inv_stages, offset, opts, fw_target
-        )
-        total_iters += it
-        dual_bound = min(dual_bound, value + certified)
-        consider(q)
-        consider_blend()
-
-    converged = dual_bound - best_pay <= opts.tol_payoff
-    return finish(best_q, multiplier, dual_bound, total_iters, converged)
+    return finish(best_q, lam_hi, dual_bound, total_iters)

@@ -68,51 +68,6 @@ def _clean_probs(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class AlphabetSpec:
-    """Sizes of the four alphabets plus the flat index over quadruplets.
-
-    Cells (x0, x1, x2, y) are enumerated in row-major order over the shape
-    (n_x0, n_x1, n_x2, n_y); ``flat_index`` and ``cell`` are exact inverses
-    and range over {0, ..., size - 1}.
-    """
-
-    n_x0: int
-    n_x1: int
-    n_x2: int
-    n_y: int
-
-    def __post_init__(self):
-        for name, n in zip(("n_x0", "n_x1", "n_x2", "n_y"), self.shape):
-            if not isinstance(n, (int, np.integer)) or n < 1:
-                raise AlphabetError(f"{name} must be a positive integer, got {n!r}")
-
-    @property
-    def shape(self) -> tuple[int, int, int, int]:
-        return (self.n_x0, self.n_x1, self.n_x2, self.n_y)
-
-    @property
-    def size(self) -> int:
-        return self.n_x0 * self.n_x1 * self.n_x2 * self.n_y
-
-    def axis_size(self, axis: str) -> int:
-        return self.shape[CANONICAL_AXES.index(_as_axes(axis)[0])]
-
-    def flat_index(self, x0: int, x1: int, x2: int, y: int) -> int:
-        for v, n, name in zip((x0, x1, x2, y), self.shape, CANONICAL_AXES):
-            if not 0 <= v < n:
-                raise AlphabetError(f"{name}={v} out of range [0, {n})")
-        return ((x0 * self.n_x1 + x1) * self.n_x2 + x2) * self.n_y + y
-
-    def cell(self, index: int) -> tuple[int, int, int, int]:
-        if not 0 <= index < self.size:
-            raise AlphabetError(f"flat index {index} out of range [0, {self.size})")
-        index, y = divmod(index, self.n_y)
-        index, x2 = divmod(index, self.n_x2)
-        x0, x1 = divmod(index, self.n_x1)
-        return (x0, x1, x2, y)
-
-
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Probability mass function over a subset of the canonical axes.
@@ -172,15 +127,6 @@ class JointDistribution:
     def uniform(shape: tuple[int, ...], axes) -> "JointDistribution":
         arr = np.full(shape, 1.0 / int(np.prod(shape)))
         return JointDistribution(arr, axes)
-
-    @staticmethod
-    def from_flat(vector, spec: AlphabetSpec) -> "JointDistribution":
-        arr = np.asarray(vector, dtype=float)
-        if arr.shape != (spec.size,):
-            raise AlphabetError(
-                f"flat vector has shape {arr.shape}, expected ({spec.size},)"
-            )
-        return JointDistribution(arr.reshape(spec.shape), CANONICAL_AXES)
 
 
 @dataclass(frozen=True, eq=False)

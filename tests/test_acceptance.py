@@ -32,7 +32,6 @@ from codedpc import (
     entropy,
     expected_payoff,
     info_constraint_gap,
-    info_constraint_gap_entropy_path,
     run,
     solve,
 )
@@ -45,6 +44,7 @@ from codedpc.icmodel import (
     identity_observation_channel,
     spc_distribution,
 )
+from oracles import info_constraint_gap_entropy_path
 
 SNR_GRID = list(range(0, 41))
 

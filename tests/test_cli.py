@@ -115,6 +115,19 @@ class TestSweep:
         code, _, _ = run_cli(capsys, "sweep", "--snr-start", "fast")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tol-payoff", "nan"), ("--tol-payoff", "0"), ("--outer-steps", "0"),
+         ("--max-inner-iter", "0")],
+    )
+    def test_bad_solver_option_is_usage_error(self, capsys, flag, value):
+        code, out, err = run_cli(
+            capsys, "sweep", "--snr-start", "10", "--snr-stop", "10", flag, value
+        )
+        assert code == 1
+        assert out == ""
+        assert flag[2:].replace("-", "_") in err
+
 
 class TestPolicies:
     def test_sixteen_states(self, capsys):
@@ -174,6 +187,22 @@ class TestSimulate:
         )
         assert code == 2
         assert "interval" in err and "bits" in err
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_nonfinite_rate_exit_2(self, capsys, rate):
+        code, _, err = run_cli(
+            capsys, "simulate", "--target", "fpc", "--sim-rate", rate
+        )
+        assert code == 2
+        assert "finite" in err
+
+    @pytest.mark.parametrize("slack", ["nan", "inf", "-0.1"])
+    def test_bad_min_slack_is_usage_error(self, capsys, slack):
+        code, _, err = run_cli(
+            capsys, "simulate", "--target", "solver", "--min-slack", slack
+        )
+        assert code == 1
+        assert "min_slack" in err
 
     def test_codebook_cap_exit_2(self, capsys):
         code, _, err = run_cli(

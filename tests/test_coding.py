@@ -137,6 +137,24 @@ class TestCodingConfig:
                 block_length=10, num_blocks=5, rate=0.1,
             )
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_nonfinite_rate_rejected(self, rate):
+        # a zero-coordination target accepts any finite positive rate
+        cfg_ic = ICConfig.for_regime("hir", 10.0)
+        with pytest.raises(CodingConfigError, match="finite"):
+            CodingConfig(
+                target=fpc_distribution(cfg_ic),
+                channel=identity_observation_channel(),
+                prior=build_state_prior(cfg_ic),
+                payoff=build_payoff_table(cfg_ic),
+                block_length=10, num_blocks=5, rate=rate,
+            )
+
+    def test_huge_rate_hits_cap(self):
+        # 2**(n * rate) overflows a float here; the cap must still apply
+        with pytest.raises(CodingConfigError, match="cap"):
+            weak_config(n=2000, seed=0, rate=0.6)
+
     def test_block_count_minimum(self):
         with pytest.raises(CodingConfigError):
             weak_config(n=10, seed=0, blocks=1)

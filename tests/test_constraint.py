@@ -9,10 +9,10 @@ from codedpc import (
     compose,
     conditional_mutual_information,
     info_constraint_gap,
-    info_constraint_gap_entropy_path,
     is_implementable,
 )
 from codedpc.icmodel import ICConfig, fpc_distribution, spc_distribution
+from oracles import info_constraint_gap_entropy_path
 
 
 def random_composed(rng, shape3, gamma):

@@ -11,9 +11,9 @@ from codedpc.icmodel import (
     fpc_distribution,
     gain_states,
     identity_observation_channel,
-    sinr,
     spc_distribution,
 )
+from oracles import sinr
 
 
 def swap_state_index(s):

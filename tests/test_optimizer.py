@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,12 @@ class TestSolve:
         with pytest.raises(AlphabetError):
             solve(prior, ObservationChannel.identity(3), payoff)
 
+    @pytest.mark.parametrize("min_slack", [float("nan"), float("inf"), -0.1])
+    def test_bad_min_slack_rejected(self, min_slack):
+        prior, channel, payoff = tiny_instance()
+        with pytest.raises(ValueError, match="min_slack"):
+            solve(prior, channel, payoff, min_slack=min_slack)
+
     def test_non_convergence_raises_with_best_iterate(self):
         prior, channel, payoff = tiny_instance()
         opts = SolverOptions(tol_payoff=1e-13, outer_steps=2, max_inner_iter=40)
@@ -239,3 +247,21 @@ class TestSolveStages:
         prior, channel, payoff = tiny_instance()
         with pytest.raises(ValueError):
             solve(prior, channel, payoff, stages=0)
+
+
+class TestSolverOptions:
+    def test_three_fields(self):
+        assert [f.name for f in dataclasses.fields(SolverOptions)] == [
+            "tol_payoff", "max_inner_iter", "outer_steps",
+        ]
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-5])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol_payoff"):
+            SolverOptions(tol_payoff=tol)
+
+    @pytest.mark.parametrize("field", ["max_inner_iter", "outer_steps"])
+    @pytest.mark.parametrize("value", [0, -3, 2.5])
+    def test_bad_budget_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverOptions(**{field: value})

@@ -3,7 +3,6 @@ import pytest
 
 from codedpc import (
     AlphabetError,
-    AlphabetSpec,
     DistributionError,
     JointDistribution,
     ObservationChannel,
@@ -49,34 +48,6 @@ def cmi_bruteforce(dist, a_axes, b_axes, c_axes):
     return total
 
 
-class TestAlphabetSpec:
-    def test_size_is_product(self):
-        spec = AlphabetSpec(16, 2, 2, 2)
-        assert spec.size == 128
-        assert spec.shape == (16, 2, 2, 2)
-
-    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (16, 2, 2, 2), (3, 2, 4, 5)])
-    def test_index_roundtrip(self, shape):
-        spec = AlphabetSpec(*shape)
-        seen = set()
-        for flat in range(spec.size):
-            cell = spec.cell(flat)
-            assert spec.flat_index(*cell) == flat
-            seen.add(cell)
-        assert len(seen) == spec.size
-
-    def test_bad_sizes_rejected(self):
-        with pytest.raises(AlphabetError):
-            AlphabetSpec(0, 2, 2, 2)
-
-    def test_out_of_range(self):
-        spec = AlphabetSpec(2, 2, 2, 2)
-        with pytest.raises(AlphabetError):
-            spec.flat_index(2, 0, 0, 0)
-        with pytest.raises(AlphabetError):
-            spec.cell(16)
-
-
 class TestJointDistribution:
     def test_rejects_negative(self):
         with pytest.raises(DistributionError):
@@ -98,13 +69,6 @@ class TestJointDistribution:
     def test_axes_must_be_canonical_order(self):
         with pytest.raises(AlphabetError):
             JointDistribution(np.full((2, 2), 0.25), ("x1", "x0"))
-
-    def test_from_flat_roundtrip(self):
-        spec = AlphabetSpec(2, 2, 2, 2)
-        rng = np.random.default_rng(0)
-        vec = rng.dirichlet(np.ones(spec.size))
-        d = JointDistribution.from_flat(vec, spec)
-        assert np.allclose(d.flat, vec)
 
 
 class TestCompose:
