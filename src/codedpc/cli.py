@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -120,8 +121,6 @@ def _settings(args: argparse.Namespace) -> dict:
         raise UsageError(f"payoff must be 'log' or 'linear', got {merged['payoff']!r}")
     if merged["target"] not in ("solver", "spc", "fpc"):
         raise UsageError(f"target must be solver, spc or fpc, got {merged['target']!r}")
-    if merged["snr_step"] <= 0:
-        raise UsageError(f"snr_step must be positive, got {merged['snr_step']!r}")
     return merged
 
 
@@ -143,6 +142,19 @@ def _ic_config(settings: dict, snr_db: float) -> icmodel.ICConfig:
         raise UsageError(str(exc)) from exc
 
 
+def _solve_target(prior, channel, payoff, settings: dict):
+    """``solve`` with the settings' ``min_slack`` and solver options.
+
+    The alphabets come from icmodel and match, so a ``ValueError`` can only
+    mean a bad ``min_slack``: a usage error.
+    """
+    opts = _solver_options(settings)
+    try:
+        return solve(prior, channel, payoff, min_slack=settings["min_slack"], options=opts)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _solver_options(settings: dict) -> SolverOptions:
     try:
         return SolverOptions(
@@ -159,7 +171,12 @@ def _fmt(value: float) -> str:
 
 
 def _snr_grid(settings: dict) -> list[float]:
+    for key in ("snr_start", "snr_stop", "snr_step"):
+        if not math.isfinite(settings[key]):
+            raise UsageError(f"{key} must be finite, got {settings[key]!r}")
     start, stop, step = settings["snr_start"], settings["snr_stop"], settings["snr_step"]
+    if step <= 0:
+        raise UsageError(f"snr_step must be positive, got {step!r}")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
     if count < 1:
         raise UsageError(f"empty SNR grid: start {start}, stop {stop}, step {step}")
@@ -168,7 +185,6 @@ def _snr_grid(settings: dict) -> list[float]:
 
 def cmd_sweep(args: argparse.Namespace, out) -> int:
     settings = _settings(args)
-    opts = _solver_options(settings)
     rows = [",".join(SWEEP_COLUMNS)]
     for snr_db in _snr_grid(settings):
         cfg = _ic_config(settings, snr_db)
@@ -180,7 +196,7 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
         bound = costless_bound(prior, payoff)
         status = "ok"
         try:
-            ocpc = solve(prior, channel, payoff, options=opts).payoff
+            ocpc = _solve_target(prior, channel, payoff, settings).payoff
         except ConvergenceError as exc:
             status = "no_certificate"
             if exc.result is None:
@@ -249,14 +265,7 @@ def cmd_simulate(args: argparse.Namespace, out) -> int:
     elif settings["target"] == "spc":
         target = icmodel.spc_distribution(cfg)
     else:
-        opts = _solver_options(settings)
-        try:
-            target = solve(
-                prior, channel, payoff, min_slack=settings["min_slack"], options=opts
-            ).qbar
-        except ValueError as exc:
-            # the alphabets come from icmodel and match; a bad min_slack remains
-            raise UsageError(str(exc)) from exc
+        target = _solve_target(prior, channel, payoff, settings).qbar
     sim_cfg = CodingConfig(
         target=target,
         channel=channel,

@@ -28,6 +28,23 @@ produced at every stage.
 
 The empirical distribution of (state, action 1, action 2, observation) is
 counted over all n*B stages, block 0 included.
+
+Memory and time do not grow with M x n x |alphabet|:
+
+* The source codebook is drawn in chunks of ``_CHUNK_BYTES`` worth of
+  uniforms and stored as uint8, M*n bytes in all.  The decoder streams the
+  block's M candidate codewords in chunks of the same size, in the order of
+  one (M, n) draw.  The encoder needs only row m of that draw; it advances
+  the Philox counter past the m*n uniforms before it.
+* Every cell of the typicality test splits into a part fixed by the block
+  (the state for the encoder; state, partner action and observation for the
+  decoder) and a symbol that varies with the codeword.  The positions are
+  sorted by the fixed part once per block and counted per symbol.
+* A cell whose fixed part does not occur in the block counts 0 in every
+  codeword, so its verdict, |0 - n p| <= eps n p, is the same for all of
+  them.  It is evaluated once; when it fails (p > 0 and eps < 1), no
+  codeword is typical and the block's codebook is not generated at all.
+  This changes no outcome: it skips only work whose result is known.
 """
 
 from __future__ import annotations
@@ -59,6 +76,11 @@ _STREAM_SOURCE = 1
 _STREAM_CODEBOOK = 2
 _STREAM_OBSERVATION = 3
 
+#: Size of one codebook chunk, in bytes of float64 per codeword position:
+#: codewords are drawn and tested this many bytes at a time, so the
+#: temporaries do not grow with the codebook.
+_CHUNK_BYTES = 1 << 22
+
 
 class CodingConfigError(ValueError):
     """Simulation parameters violate a construction requirement."""
@@ -69,36 +91,41 @@ def _stream(seed: int, tag: int, block: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _sample_pmf(gen: np.random.Generator, pmf: np.ndarray, size) -> np.ndarray:
-    cdf = np.cumsum(pmf)
-    idx = np.searchsorted(cdf, gen.random(size), side="right")
-    return np.minimum(idx, pmf.shape[0] - 1)
+def _quantize(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Map uniforms through inverse CDFs: symbol ``#{j < K-1 : u >= cdf[..., j]}``.
 
-
-def _quantize_rows(cdf_rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Map uniforms through per-position inverse CDFs.
-
-    ``cdf_rows`` is (n, K) with each row a cumulative distribution;
-    ``uniforms`` is (..., n).  Returns integer symbols shaped like
-    ``uniforms``.
+    ``cdf`` is (..., K), each row nondecreasing, and broadcasts against
+    ``uniforms`` after dropping its last axis.  Because the rows are
+    nondecreasing, counting only the first K-1 thresholds equals
+    ``min(#{j : u >= cdf[..., j]}, K - 1)``, so a row whose last entry falls
+    short of 1.0 still yields a valid symbol.  Returns the smallest unsigned
+    dtype that holds K - 1.
     """
-    idx = (uniforms[..., None] >= cdf_rows).sum(axis=-1)
-    return np.minimum(idx, cdf_rows.shape[-1] - 1)
+    k = cdf.shape[-1]
+    shape = np.broadcast_shapes(uniforms.shape, cdf.shape[:-1])
+    idx = np.zeros(shape, dtype=np.min_scalar_type(k - 1))
+    for j in range(k - 1):
+        idx += uniforms >= cdf[..., j]
+    return idx
 
 
-def _row_counts(cells: np.ndarray, n_cells: int) -> np.ndarray:
-    """Occupancy counts per row of an (M, n) integer cell array."""
-    m, _ = cells.shape
-    out = np.empty((m, n_cells), dtype=np.int64)
-    chunk = max(1, (1 << 22) // max(n_cells, 1))
-    for lo in range(0, m, chunk):
-        part = cells[lo : lo + chunk]
-        offsets = np.arange(part.shape[0], dtype=np.int64)[:, None] * n_cells
-        flat = np.bincount(
-            (part + offsets).ravel(), minlength=part.shape[0] * n_cells
-        )
-        out[lo : lo + part.shape[0]] = flat.reshape(part.shape[0], n_cells)
-    return out
+def _chunk_rows(width: int) -> int:
+    """Codebook rows per chunk when a row's widest temporary is ``width`` floats."""
+    return max(1, _CHUNK_BYTES // (8 * width))
+
+
+def _codebook_row(seed: int, block: int, m: int, n: int) -> np.ndarray:
+    """Row ``m`` of the (M, n) uniforms of a block's channel stream.
+
+    Philox emits four 64-bit words per counter step and ``random`` uses one
+    word per double, so advancing the counter by m*n // 4 steps and
+    discarding m*n % 4 doubles skips exactly the rows before ``m``.
+    """
+    gen = _stream(seed, _STREAM_CODEBOOK, block)
+    skip = m * n
+    gen.bit_generator.advance(skip // 4)
+    gen.random(skip % 4)
+    return gen.random(n)
 
 
 def _typical_rows(counts: np.ndarray, ref: np.ndarray, n: int, eps: float) -> np.ndarray:
@@ -108,6 +135,54 @@ def _typical_rows(counts: np.ndarray, ref: np.ndarray, n: int, eps: float) -> np
     """
     target = n * ref
     return (np.abs(counts - target) <= eps * target).all(axis=-1)
+
+
+@dataclass(frozen=True)
+class _Groups:
+    """A block's positions sorted by the part of their cell all rows share.
+
+    A cell is (group, symbol): the group (state, partner action, observation
+    for the decoder; the state for the encoder) is fixed by the block, the
+    symbol varies with the codebook row.
+    """
+
+    order: np.ndarray  # positions, stably sorted by group
+    present: np.ndarray  # the groups that occur, ascending
+    starts: np.ndarray  # where each present group's run begins in ``order``
+    sizes: np.ndarray  # positions per present group
+
+    @classmethod
+    def of(cls, groups: np.ndarray) -> "_Groups":
+        order = np.argsort(groups, kind="stable")
+        ranked = groups[order]
+        starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+        sizes = np.diff(np.r_[starts, ranked.size])
+        return cls(order, ranked[starts], starts, sizes)
+
+    def absent_cells_typical(self, ref: np.ndarray, n: int, eps: float) -> bool:
+        """Typicality of the cells whose group does not occur.
+
+        ``ref`` is (groups, K).  Those cells count 0 in every row, so their
+        verdict, computed with ``_typical_rows``'s own expression, is the
+        same for all rows; when it fails, no row is typical.
+        """
+        absent = np.ones(ref.shape[0], dtype=bool)
+        absent[self.present] = False
+        zeros = np.zeros((1, int(absent.sum()) * ref.shape[1]))
+        return bool(_typical_rows(zeros, ref[absent].ravel(), n, eps)[0])
+
+    def counts(self, symbols: np.ndarray, k: int) -> np.ndarray:
+        """(rows, present groups, k) counts of each symbol of each row.
+
+        One ``reduceat`` per symbol below k - 1 over the sorted positions;
+        the last symbol takes the rest of each group.
+        """
+        ranked = symbols[:, self.order]
+        out = np.empty((symbols.shape[0], self.present.size, k), dtype=np.int64)
+        for v in range(k - 1):
+            out[:, :, v] = np.add.reduceat(ranked == v, self.starts, axis=1, dtype=np.int64)
+        out[:, :, k - 1] = self.sizes - out[:, :, : k - 1].sum(axis=2)
+        return out
 
 
 def typical_set_test(sequences, reference: JointDistribution, epsilon: float) -> bool:
@@ -270,6 +345,65 @@ class SimResult:
         }
 
 
+def _encode(
+    codebook: np.ndarray, groups: _Groups, pair_ref: np.ndarray, n: int, eps: float
+) -> int | None:
+    """Index of the typical source codeword whose (state, action) statistics
+    deviate least from ``pair_ref``, the first on ties; None when no
+    codeword is typical with the coming block's states."""
+    if not groups.absent_cells_typical(pair_ref, n, eps):
+        return None
+    n0, n2 = pair_ref.shape
+    pair_flat = pair_ref.ravel()
+    best, best_deviation = None, np.inf
+    step = _chunk_rows(max(n, n0 * n2))
+    for lo in range(0, codebook.shape[0], step):
+        part = codebook[lo : lo + step]
+        counts = np.zeros((part.shape[0], n0, n2), dtype=np.int64)
+        counts[:, groups.present] = groups.counts(part, n2)
+        counts = counts.reshape(part.shape[0], n0 * n2)
+        typical = np.flatnonzero(_typical_rows(counts, pair_flat, n, eps))
+        if typical.size:
+            deviation = np.abs(counts[typical] / n - pair_flat).sum(axis=1)
+            i = int(np.argmin(deviation))
+            if deviation[i] < best_deviation:
+                best, best_deviation = lo + int(typical[i]), deviation[i]
+    return best
+
+
+def _decode(
+    gen: np.random.Generator,
+    cdf: np.ndarray,
+    groups: _Groups,
+    ref: np.ndarray,
+    size: int,
+    n: int,
+    eps: float,
+) -> tuple[int, int]:
+    """Count the typical candidate codewords and find the first one.
+
+    Candidates are drawn from ``gen`` chunk by chunk, in the order of one
+    (size, n) draw, and mapped through ``cdf``; ``ref`` is (groups, |X1|).
+    Returns the number of typical rows and the smallest typical index (0
+    when there is none).
+    """
+    if not groups.absent_cells_typical(ref, n, eps):
+        return 0, 0
+    k = ref.shape[1]
+    ref_present = ref[groups.present].ravel()
+    n_typical, first = 0, None
+    step = _chunk_rows(max(n, ref.size))
+    for lo in range(0, size, step):
+        rows = min(step, size - lo)
+        counts = groups.counts(_quantize(cdf, gen.random((rows, n))), k)
+        typical = _typical_rows(counts.reshape(rows, -1), ref_present, n, eps)
+        hits = int(typical.sum())
+        if hits and first is None:
+            first = lo + int(np.argmax(typical))
+        n_typical += hits
+    return n_typical, first or 0
+
+
 def run(cfg: CodingConfig) -> SimResult:
     """Simulate ``cfg.num_blocks`` blocks and return the empirical outcome."""
     n = cfg.block_length
@@ -279,9 +413,9 @@ def run(cfg: CodingConfig) -> SimResult:
     n0, n1, n2 = cfg.target.pmf.shape
     ny = cfg.channel.n_outputs
     reference = cfg.reference()
-    ref_flat = reference.flat
-    pair_ref = reference.pmf.sum(axis=(1, 3))
-    pair_flat = pair_ref.reshape(-1)
+    pair_ref = reference.pmf.sum(axis=(1, 3))  # (n0, n2)
+    # cells (x0, x1, x2, y) grouped by what the decoder knows, (x0, x2, y)
+    decoder_ref = np.transpose(reference.pmf, (0, 2, 3, 1)).reshape(-1, n1)
 
     # Conditional of the informed side's action given (state, partner action);
     # unsupported (state, partner) pairs get a uniform placeholder that the
@@ -295,14 +429,17 @@ def run(cfg: CodingConfig) -> SimResult:
         )
     cond_cdf = np.cumsum(np.transpose(cond_x1, (0, 2, 1)), axis=-1)  # (n0, n2, n1)
     gamma_cdf = np.cumsum(cfg.channel.matrix, axis=-1)  # (n1, ny)
-    x2_marginal = cfg.target.pmf.sum(axis=(0, 1))
+    x2_cdf = np.cumsum(cfg.target.pmf.sum(axis=(0, 1)))
 
-    states = _sample_pmf(
-        _stream(cfg.seed, _STREAM_STATE), cfg.prior.probs, (blocks, n)
-    )
-    source_codebook = _sample_pmf(
-        _stream(cfg.seed, _STREAM_SOURCE), x2_marginal, (size, n)
-    )
+    states = _quantize(
+        np.cumsum(cfg.prior.probs), _stream(cfg.seed, _STREAM_STATE).random((blocks, n))
+    ).astype(np.intp)
+    source_gen = _stream(cfg.seed, _STREAM_SOURCE)
+    source_codebook = np.empty((size, n), dtype=np.min_scalar_type(n2 - 1))
+    step = _chunk_rows(n)
+    for lo in range(0, size, step):
+        part = source_codebook[lo : lo + step]
+        part[...] = _quantize(x2_cdf, source_gen.random(part.shape))
 
     quad_counts = np.zeros(n0 * n1 * n2 * ny, dtype=np.int64)
     diagnostics: list[BlockDiagnostics] = []
@@ -315,35 +452,25 @@ def run(cfg: CodingConfig) -> SimResult:
     for b in range(blocks):
         last = b == blocks - 1
         x0 = states[b]
-        chan_gen = _stream(cfg.seed, _STREAM_CODEBOOK, b)
 
         if last:
             m_next = None
             enc_failed = False
-            uniforms = chan_gen.random(n)
-            x1 = _quantize_rows(cond_cdf[x0, belief_x2], uniforms)
         else:
             # encoder looks at the coming block's states; among the typical
             # source codewords it keeps the one whose empirical pair
             # statistics sit closest to the target (larger codebooks then
             # cover the target ever more finely)
-            pair_cells = states[b + 1][None, :] * n2 + source_codebook
-            counts = _row_counts(pair_cells, n0 * n2)
-            typical = _typical_rows(counts, pair_flat, n, eps)
-            if typical.any():
-                deviation = np.abs(counts / n - pair_flat).sum(axis=1)
-                deviation[~typical] = np.inf
-                m_next = int(np.argmin(deviation))
-                enc_failed = False
-            else:
+            m_next = _encode(source_codebook, _Groups.of(states[b + 1]), pair_ref, n, eps)
+            enc_failed = m_next is None
+            if enc_failed:
                 m_next = 0
-                enc_failed = True
                 encoder_failures += 1
-            uniforms = chan_gen.random((size, n))
-            x1 = _quantize_rows(cond_cdf[x0, belief_x2], uniforms[m_next])
+        uniforms = _codebook_row(cfg.seed, b, 0 if last else m_next, n)
+        x1 = _quantize(cond_cdf[x0, belief_x2], uniforms)
 
         obs_gen = _stream(cfg.seed, _STREAM_OBSERVATION, b)
-        y = _quantize_rows(gamma_cdf[x1], obs_gen.random(n))
+        y = _quantize(gamma_cdf[x1], obs_gen.random(n))
 
         if last:
             diagnostics.append(
@@ -358,14 +485,15 @@ def run(cfg: CodingConfig) -> SimResult:
                 )
             )
         else:
-            candidates = _quantize_rows(cond_cdf[x0, play_x2], uniforms)
-            cells = ((x0[None, :] * n1 + candidates) * n2 + play_x2[None, :]) * ny + y[
-                None, :
-            ]
-            counts4 = _row_counts(cells, n0 * n1 * n2 * ny)
-            typical4 = _typical_rows(counts4, ref_flat, n, eps)
-            n_typical = int(typical4.sum())
-            m_hat = int(np.argmax(typical4)) if n_typical else 0
+            n_typical, m_hat = _decode(
+                _stream(cfg.seed, _STREAM_CODEBOOK, b),
+                cond_cdf[x0, play_x2],
+                _Groups.of((x0 * n2 + play_x2) * ny + y),
+                decoder_ref,
+                size,
+                n,
+                eps,
+            )
             error = m_hat != m_next
             if error:
                 decoder_errors += 1

@@ -15,6 +15,7 @@ Reference power-control policies:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
@@ -58,6 +59,8 @@ class ICConfig:
     payoff_form: Literal["log", "linear"] = "log"
 
     def __post_init__(self):
+        if not math.isfinite(self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db!r}")
         if len(self.p_gmin) != 4:
             raise ValueError(f"p_gmin needs 4 entries, got {self.p_gmin!r}")
         if any(not 0.0 <= p <= 1.0 for p in self.p_gmin):

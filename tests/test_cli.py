@@ -128,6 +128,52 @@ class TestSweep:
         assert out == ""
         assert flag[2:].replace("-", "_") in err
 
+    def test_min_slack_reaches_solver(self, tmp_path, capsys):
+        grid = ("sweep", "--snr-start", "10", "--snr-stop", "10")
+        outs = {}
+        for slack in ("0", "0.3"):
+            code, outs[slack], _ = run_cli(capsys, *grid, "--min-slack", slack)
+            assert code == 0
+        rows = {
+            slack: dict(zip(SWEEP_COLUMNS, out.strip().splitlines()[1].split(",")))
+            for slack, out in outs.items()
+        }
+        assert rows["0.3"]["status"] == "ok"
+        assert float(rows["0.3"]["ocpc"]) < float(rows["0"]["ocpc"])
+        # the config key reaches the solver as well
+        path = tmp_path / "run.cfg"
+        path.write_text("min_slack = 0.3\n")
+        code, out, _ = run_cli(capsys, *grid, "--config", str(path))
+        assert code == 0
+        assert out == outs["0.3"]
+
+    @pytest.mark.parametrize("slack", ["nan", "inf", "-0.1"])
+    def test_bad_min_slack_is_usage_error(self, capsys, slack):
+        code, out, err = run_cli(
+            capsys, "sweep", "--snr-start", "10", "--snr-stop", "10", "--min-slack", slack
+        )
+        assert code == 1
+        assert out == ""
+        assert "min_slack" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("policies", "--snr", "nan"),
+        ("simulate", "--target", "fpc", "--snr", "inf"),
+        ("sweep", "--snr-start", "nan"),
+        ("sweep", "--snr-step", "nan"),
+        ("sweep", "--snr-stop", "inf"),
+    ],
+    ids=" ".join,
+)
+def test_nonfinite_snr_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "must be finite" in err
+
 
 class TestPolicies:
     def test_sixteen_states(self, capsys):

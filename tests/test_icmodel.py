@@ -40,6 +40,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ICConfig.for_regime("mid", 10.0)
 
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_snr_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db must be finite"):
+            ICConfig(snr_db=snr_db, p_gmin=(0.5,) * 4)
+
     def test_state_ordering_lexicographic(self):
         cfg = ICConfig.for_regime("lir", 10.0)
         states = gain_states(cfg)
