@@ -35,6 +35,7 @@ from codedpc import (
     StatePrior,
     run,
 )
+from codedpc import coding
 from codedpc.cli import _settings, build_parser, main
 
 HERE = Path(__file__).parent
@@ -158,6 +159,11 @@ def test_matches_golden_file(run_once, name):
 @pytest.mark.parametrize("name", sorted(SIM_RUNS))
 def test_simulation_matches_golden_file(name):
     assert sim_report(SIM_RUNS[name]()) == (GOLDEN / name).read_bytes()
+
+
+def test_chunk_golden_spans_several_chunks():
+    cfg = SIM_RUNS["sim_binary_chunks_n100.json"]()
+    assert cfg.codebook_size * cfg.block_length * 8 > 4 * coding._CHUNK_BYTES
 
 
 def test_readme_lists_every_subcommand():
