@@ -77,10 +77,8 @@ _STREAM_CODEBOOK = 2
 _STREAM_OBSERVATION = 3
 
 #: Codewords are drawn and tested in chunks of about this many bytes of
-#: float64 uniforms, so memory does not grow with the codebook.  With 4 MiB
-#: chunks the n=400 binary instance ran 1.8x slower than with 1 MiB on a
-#: 2-core Xeon VM, 31% of it system time faulting in freshly mapped pages.
-_CHUNK_BYTES = 1 << 20
+#: float64 uniforms, so memory does not grow with the codebook.
+_CHUNK_BYTES = 1 << 19
 
 
 class CodingConfigError(ValueError):
@@ -378,25 +376,26 @@ def _decode(
     groups: _Groups,
     ref: np.ndarray,
     size: int,
-    n: int,
     eps: float,
+    chunk: np.ndarray,
 ) -> tuple[int, int]:
     """Count the typical candidate codewords and find the first one.
 
-    Candidates are drawn from ``gen`` chunk by chunk, in the order of one
-    (size, n) draw, and mapped through ``cdf``; ``ref`` is (groups, |X1|).
-    Returns the number of typical rows and the smallest typical index (0
-    when there is none).
+    Candidates are drawn from ``gen`` into ``chunk``, a reused (rows, n)
+    buffer, in the order of one (size, n) draw, and mapped through ``cdf``;
+    ``ref`` is (groups, |X1|).  Returns the number of typical rows and the
+    smallest typical index (0 when there is none).
     """
+    step, n = chunk.shape
     if not groups.absent_cells_typical(ref, n, eps):
         return 0, 0
     k = ref.shape[1]
     ref_present = ref[groups.present].ravel()
     n_typical, first = 0, None
-    step = _chunk_rows(max(n, ref.size))
     for lo in range(0, size, step):
         rows = min(step, size - lo)
-        counts = groups.counts(_quantize(cdf, gen.random((rows, n))), k)
+        uniforms = gen.random(out=chunk[:rows])
+        counts = groups.counts(_quantize(cdf, uniforms), k)
         typical = _typical_rows(counts.reshape(rows, -1), ref_present, n, eps)
         hits = int(typical.sum())
         if hits and first is None:
@@ -436,12 +435,15 @@ def run(cfg: CodingConfig) -> SimResult:
     states = _quantize(
         np.cumsum(cfg.prior.probs), _stream(cfg.seed, _STREAM_STATE).random((blocks, n))
     ).astype(np.intp)
+    # One buffer for every chunk of uniforms.  Allocating each chunk afresh
+    # let the allocator return the memory to the system and fault it back in:
+    # on a 2-core Xeon VM that was up to a third of a binary n=400 run.
+    chunk = np.empty((min(size, _chunk_rows(max(n, decoder_ref.size))), n))
     source_gen = _stream(cfg.seed, _STREAM_SOURCE)
     source_codebook = np.empty((size, n), dtype=np.min_scalar_type(n2 - 1))
-    step = _chunk_rows(n)
-    for lo in range(0, size, step):
-        part = source_codebook[lo : lo + step]
-        part[...] = _quantize(x2_cdf, source_gen.random(part.shape))
+    for lo in range(0, size, chunk.shape[0]):
+        part = source_codebook[lo : lo + chunk.shape[0]]
+        part[...] = _quantize(x2_cdf, source_gen.random(out=chunk[: part.shape[0]]))
 
     quad_counts = np.zeros(n0 * n1 * n2 * ny, dtype=np.int64)
     diagnostics: list[BlockDiagnostics] = []
@@ -493,8 +495,8 @@ def run(cfg: CodingConfig) -> SimResult:
                 _Groups.of((x0 * n2 + play_x2) * ny + y),
                 decoder_ref,
                 size,
-                n,
                 eps,
+                chunk,
             )
             error = m_hat != m_next
             if error:

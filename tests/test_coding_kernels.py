@@ -27,6 +27,8 @@ from oracles import quantize_rows, row_counts
 from test_golden import _BSC, _binary_config, sim_report
 
 unit = st.floats(0.0, 1.0, exclude_max=True)
+# a slow shared machine must not turn a correct example into a failure
+slow_ok = settings(deadline=None)
 
 
 @st.composite
@@ -49,6 +51,7 @@ def cdfs_and_uniforms(draw, per_position: bool):
     return cdf, u
 
 
+@slow_ok
 @given(cdfs_and_uniforms(per_position=True))
 def test_quantize_matches_oracle_per_position(case):
     cdf, u = case
@@ -56,6 +59,7 @@ def test_quantize_matches_oracle_per_position(case):
     assert np.array_equal(_quantize(cdf, u[0]), quantize_rows(cdf, u[0]))
 
 
+@slow_ok
 @given(cdfs_and_uniforms(per_position=False))
 def test_quantize_matches_oracle_one_cdf(case):
     cdf, u = case
@@ -81,7 +85,7 @@ def grouped_blocks(draw):
         # nearly the first row's frequencies plus some mass on the cells of
         # absent groups, which then decide the verdict unless epsilon >= 1
         absent = ~np.isin(np.arange(n_groups), groups).repeat(k)
-        ref = own.copy()
+        ref = own
         if absent.any():
             ref = 0.95 * own
             ref[absent] += 0.05 / absent.sum()
@@ -92,6 +96,7 @@ def grouped_blocks(draw):
     return groups, symbols, ref.reshape(n_groups, k), eps
 
 
+@slow_ok
 @given(grouped_blocks())
 def test_grouped_counts_match_oracle(block):
     groups, symbols, ref, _ = block
@@ -104,6 +109,7 @@ def test_grouped_counts_match_oracle(block):
     assert not oracle[:, absent].any()
 
 
+@slow_ok
 @given(grouped_blocks())
 def test_absent_cell_shortcut_keeps_the_verdict(block):
     groups, symbols, ref, eps = block
@@ -121,7 +127,7 @@ def test_absent_cell_shortcut_keeps_the_verdict(block):
     assert np.array_equal(verdict, oracle)
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
     block=st.integers(0, 2**32 - 1),
