@@ -136,7 +136,6 @@ def _typical_rows(counts: np.ndarray, ref: np.ndarray, n: int, eps: float) -> np
     return (np.abs(counts - target) <= eps * target).all(axis=-1)
 
 
-@dataclass(frozen=True)
 class _Groups:
     """A block's positions sorted by the part of their cell all rows share.
 
@@ -145,18 +144,15 @@ class _Groups:
     symbol varies with the codebook row.
     """
 
-    order: np.ndarray  # positions, stably sorted by group
-    present: np.ndarray  # the groups that occur, ascending
-    starts: np.ndarray  # where each present group's run begins in ``order``
-    sizes: np.ndarray  # positions per present group
-
-    @classmethod
-    def of(cls, groups: np.ndarray) -> "_Groups":
-        order = np.argsort(groups, kind="stable")
-        ranked = groups[order]
-        starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
-        sizes = np.diff(np.r_[starts, ranked.size])
-        return cls(order, ranked[starts], starts, sizes)
+    def __init__(self, groups: np.ndarray):
+        #: positions, stably sorted by group
+        self.order = np.argsort(groups, kind="stable")
+        ranked = groups[self.order]
+        #: where each present group's run begins in ``order``
+        self.starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+        #: the groups that occur, ascending, and their numbers of positions
+        self.present = ranked[self.starts]
+        self.sizes = np.diff(np.r_[self.starts, ranked.size])
 
     def absent_cells_typical(self, ref: np.ndarray, n: int, eps: float) -> bool:
         """Typicality of the cells whose group does not occur.
@@ -466,7 +462,7 @@ def run(cfg: CodingConfig) -> SimResult:
             # source codewords it keeps the one whose empirical pair
             # statistics sit closest to the target (larger codebooks then
             # cover the target ever more finely)
-            m_next = _encode(source_codebook, _Groups.of(states[b + 1]), pair_ref, n, eps)
+            m_next = _encode(source_codebook, _Groups(states[b + 1]), pair_ref, n, eps)
             enc_failed = m_next is None
             if enc_failed:
                 m_next = 0
@@ -492,7 +488,7 @@ def run(cfg: CodingConfig) -> SimResult:
             n_typical, m_hat = _decode(
                 _stream(cfg.seed, _STREAM_CODEBOOK, b),
                 cond_cdf[x0, play_x2],
-                _Groups.of((x0 * n2 + play_x2) * ny + y),
+                _Groups((x0 * n2 + play_x2) * ny + y),
                 decoder_ref,
                 size,
                 eps,

@@ -103,7 +103,7 @@ def test_grouped_counts_match_oracle(block):
     n_groups, k = ref.shape
     oracle = row_counts(groups[None, :] * k + symbols, n_groups * k)
     oracle = oracle.reshape(-1, n_groups, k)
-    g = _Groups.of(groups)
+    g = _Groups(groups)
     assert np.array_equal(g.counts(symbols, k), oracle[:, g.present])
     absent = np.setdiff1d(np.arange(n_groups), g.present)
     assert not oracle[:, absent].any()
@@ -118,7 +118,7 @@ def test_absent_cell_shortcut_keeps_the_verdict(block):
     oracle = _typical_rows(
         row_counts(groups[None, :] * k + symbols, n_groups * k), ref.ravel(), n, eps
     )
-    g = _Groups.of(groups)
+    g = _Groups(groups)
     if g.absent_cells_typical(ref, n, eps):
         present = g.counts(symbols, k).reshape(symbols.shape[0], -1)
         verdict = _typical_rows(present, ref[g.present].ravel(), n, eps)
