@@ -43,7 +43,6 @@ from .coding import (
     CodingConfigError,
     SimResult,
     run,
-    typical_set_test,
 )
 from . import icmodel
 
@@ -77,7 +76,6 @@ __all__ = [
     "run",
     "solve",
     "total_variation",
-    "typical_set_test",
 ]
 
 __version__ = "0.1.0"

@@ -228,12 +228,11 @@ def cmd_policies(args: argparse.Namespace, out) -> int:
     prior = icmodel.build_state_prior(cfg)
     payoff = icmodel.build_payoff_table(cfg)
     pairs = best_actions(payoff)
-    spc = icmodel.spc_distribution(cfg)
+    spc_x1 = icmodel.spc_best_x1(cfg)
     levels = cfg.power_levels
     rows = ["state,g11,g12,g21,g22,prob,best_x1,best_x2,best_payoff,spc_x1"]
     for s, gains in enumerate(icmodel.gain_states(cfg)):
         b1, b2 = pairs[s]
-        spc_x1 = int(np.argmax(spc.pmf[s].sum(axis=1)))
         rows.append(
             ",".join(
                 (
@@ -246,7 +245,7 @@ def cmd_policies(args: argparse.Namespace, out) -> int:
                     _fmt(levels[b1]),
                     _fmt(levels[b2]),
                     _fmt(payoff.values[s, b1, b2]),
-                    _fmt(levels[spc_x1]),
+                    _fmt(levels[spc_x1[s]]),
                 )
             )
         )

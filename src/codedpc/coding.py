@@ -38,8 +38,9 @@ Memory and time do not grow with M x n x |alphabet|:
   the Philox counter past the m*n uniforms before it.
 * Every cell of the typicality test splits into a part fixed by the block
   (the state for the encoder; state, partner action and observation for the
-  decoder) and a symbol that varies with the codeword.  The positions are
-  sorted by the fixed part once per block and counted per symbol.
+  decoder) and a symbol that varies with the codeword.  Each block builds an
+  (n, fixed parts) one-hot matrix once, and the counts of symbol v are the
+  product of the codewords' ``== v`` mask with it.
 * A cell whose fixed part does not occur in the block counts 0 in every
   codeword, so its verdict, |0 - n p| <= eps n p, is the same for all of
   them.  It is evaluated once; when it fails (p > 0 and eps < 1), no
@@ -56,7 +57,6 @@ import numpy as np
 
 from .optimizer import PayoffTable
 from .probability import (
-    AlphabetError,
     JointDistribution,
     ObservationChannel,
     StatePrior,
@@ -136,78 +136,40 @@ def _typical_rows(counts: np.ndarray, ref: np.ndarray, n: int, eps: float) -> np
     return (np.abs(counts - target) <= eps * target).all(axis=-1)
 
 
-class _Groups:
-    """A block's positions sorted by the part of their cell all rows share.
+def _indicator(groups: np.ndarray, n_groups: int) -> np.ndarray:
+    """A block's (n, n_groups) one-hot matrix of each position's group.
 
     A cell is (group, symbol): the group (state, partner action, observation
     for the decoder; the state for the encoder) is fixed by the block, the
     symbol varies with the codebook row.
     """
-
-    def __init__(self, groups: np.ndarray):
-        #: positions, stably sorted by group
-        self.order = np.argsort(groups, kind="stable")
-        ranked = groups[self.order]
-        #: where each present group's run begins in ``order``
-        self.starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
-        #: the groups that occur, ascending, and their numbers of positions
-        self.present = ranked[self.starts]
-        self.sizes = np.diff(np.r_[self.starts, ranked.size])
-
-    def absent_cells_typical(self, ref: np.ndarray, n: int, eps: float) -> bool:
-        """Typicality of the cells whose group does not occur.
-
-        ``ref`` is (groups, K).  Those cells count 0 in every row, so their
-        verdict, computed with ``_typical_rows``'s own expression, is the
-        same for all rows; when it fails, no row is typical.
-        """
-        absent = np.ones(ref.shape[0], dtype=bool)
-        absent[self.present] = False
-        zeros = np.zeros((1, int(absent.sum()) * ref.shape[1]))
-        return bool(_typical_rows(zeros, ref[absent].ravel(), n, eps)[0])
-
-    def counts(self, symbols: np.ndarray, k: int) -> np.ndarray:
-        """(rows, present groups, k) counts of each symbol of each row.
-
-        One ``reduceat`` per symbol below k - 1 over the sorted positions;
-        the last symbol takes the rest of each group.
-        """
-        ranked = symbols[:, self.order]
-        out = np.empty((symbols.shape[0], self.present.size, k), dtype=np.int64)
-        for v in range(k - 1):
-            out[:, :, v] = np.add.reduceat(ranked == v, self.starts, axis=1, dtype=np.int64)
-        out[:, :, k - 1] = self.sizes - out[:, :, : k - 1].sum(axis=2)
-        return out
+    out = np.zeros((groups.size, n_groups))
+    out[np.arange(groups.size), groups] = 1.0
+    return out
 
 
-def typical_set_test(sequences, reference: JointDistribution, epsilon: float) -> bool:
-    """Joint robust typicality of a tuple of symbol sequences.
+def _cell_counts(symbols: np.ndarray, indicator: np.ndarray, k: int) -> np.ndarray:
+    """(rows, groups * k) counts of each (group, symbol) cell of each row.
 
-    ``sequences`` holds one integer sequence per axis of ``reference``, all
-    of the same length.  True iff every cell's empirical frequency is within
-    ``epsilon`` (relatively) of the reference probability; occupying a
-    zero-probability cell fails the test.
+    One ``(symbols == v) @ indicator`` per symbol.  The sums are of 0s and
+    1s, so float64 holds them exactly up to 2**53 positions.
     """
-    arrays = [np.asarray(s, dtype=np.int64) for s in sequences]
-    if len(arrays) != len(reference.axes):
-        raise AlphabetError(
-            f"got {len(arrays)} sequences for {len(reference.axes)} axes"
-        )
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    n = arrays[0].shape[0]
-    for a in arrays:
-        if a.ndim != 1 or a.shape[0] != n:
-            raise ValueError("sequences must be 1-D and of equal length")
-    shape = reference.pmf.shape
-    for a, size, name in zip(arrays, shape, reference.axes):
-        if a.min() < 0 or a.max() >= size:
-            raise ValueError(f"sequence for axis {name!r} leaves [0, {size})")
-    cells = np.zeros(n, dtype=np.int64)
-    for a, size in zip(arrays, shape):
-        cells = cells * size + a
-    counts = np.bincount(cells, minlength=int(np.prod(shape)))
-    return bool(_typical_rows(counts[None, :], reference.flat, n, epsilon)[0])
+    out = np.empty((symbols.shape[0], indicator.shape[1], k))
+    for v in range(k):
+        out[:, :, v] = (symbols == v) @ indicator
+    return out.reshape(symbols.shape[0], -1)
+
+
+def _absent_cells_typical(indicator: np.ndarray, ref: np.ndarray, n: int, eps: float) -> bool:
+    """Typicality of the cells whose group does not occur in the block.
+
+    ``ref`` is (groups, K).  Those cells count 0 in every row, so their
+    verdict, computed with ``_typical_rows``'s own expression, is the same
+    for all rows; when it fails, no row is typical.
+    """
+    absent = ~indicator.any(axis=0)
+    zeros = np.zeros((1, int(absent.sum()) * ref.shape[1]))
+    return bool(_typical_rows(zeros, ref[absent].ravel(), n, eps)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,8 +217,8 @@ class CodingConfig:
             raise CodingConfigError(f"block_length must be >= 1, got {self.block_length}")
         if self.num_blocks < 2:
             raise CodingConfigError(f"num_blocks must be >= 2, got {self.num_blocks}")
-        if not 0.0 < self.epsilon:
-            raise CodingConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise CodingConfigError(f"epsilon must be finite and positive, got {self.epsilon!r}")
         if self.rate is not None and not (math.isfinite(self.rate) and self.rate > 0.0):
             raise CodingConfigError(f"rate must be finite and positive, got {self.rate!r}")
 
@@ -341,22 +303,19 @@ class SimResult:
 
 
 def _encode(
-    codebook: np.ndarray, groups: _Groups, pair_ref: np.ndarray, n: int, eps: float
+    codebook: np.ndarray, indicator: np.ndarray, pair_ref: np.ndarray, n: int, eps: float
 ) -> int | None:
     """Index of the typical source codeword whose (state, action) statistics
     deviate least from ``pair_ref``, the first on ties; None when no
     codeword is typical with the coming block's states."""
-    if not groups.absent_cells_typical(pair_ref, n, eps):
+    if not _absent_cells_typical(indicator, pair_ref, n, eps):
         return None
     n0, n2 = pair_ref.shape
     pair_flat = pair_ref.ravel()
     best, best_deviation = None, np.inf
     step = _chunk_rows(max(n, n0 * n2))
     for lo in range(0, codebook.shape[0], step):
-        part = codebook[lo : lo + step]
-        counts = np.zeros((part.shape[0], n0, n2), dtype=np.int64)
-        counts[:, groups.present] = groups.counts(part, n2)
-        counts = counts.reshape(part.shape[0], n0 * n2)
+        counts = _cell_counts(codebook[lo : lo + step], indicator, n2)
         typical = np.flatnonzero(_typical_rows(counts, pair_flat, n, eps))
         if typical.size:
             deviation = np.abs(counts[typical] / n - pair_flat).sum(axis=1)
@@ -369,7 +328,7 @@ def _encode(
 def _decode(
     gen: np.random.Generator,
     cdf: np.ndarray,
-    groups: _Groups,
+    indicator: np.ndarray,
     ref: np.ndarray,
     size: int,
     eps: float,
@@ -383,16 +342,16 @@ def _decode(
     smallest typical index (0 when there is none).
     """
     step, n = chunk.shape
-    if not groups.absent_cells_typical(ref, n, eps):
+    if not _absent_cells_typical(indicator, ref, n, eps):
         return 0, 0
     k = ref.shape[1]
-    ref_present = ref[groups.present].ravel()
+    ref_flat = ref.ravel()
     n_typical, first = 0, None
     for lo in range(0, size, step):
         rows = min(step, size - lo)
         uniforms = gen.random(out=chunk[:rows])
-        counts = groups.counts(_quantize(cdf, uniforms), k)
-        typical = _typical_rows(counts.reshape(rows, -1), ref_present, n, eps)
+        counts = _cell_counts(_quantize(cdf, uniforms), indicator, k)
+        typical = _typical_rows(counts, ref_flat, n, eps)
         hits = int(typical.sum())
         if hits and first is None:
             first = lo + int(np.argmax(typical))
@@ -462,7 +421,7 @@ def run(cfg: CodingConfig) -> SimResult:
             # source codewords it keeps the one whose empirical pair
             # statistics sit closest to the target (larger codebooks then
             # cover the target ever more finely)
-            m_next = _encode(source_codebook, _Groups(states[b + 1]), pair_ref, n, eps)
+            m_next = _encode(source_codebook, _indicator(states[b + 1], n0), pair_ref, n, eps)
             enc_failed = m_next is None
             if enc_failed:
                 m_next = 0
@@ -488,7 +447,7 @@ def run(cfg: CodingConfig) -> SimResult:
             n_typical, m_hat = _decode(
                 _stream(cfg.seed, _STREAM_CODEBOOK, b),
                 cond_cdf[x0, play_x2],
-                _Groups((x0 * n2 + play_x2) * ny + y),
+                _indicator((x0 * n2 + play_x2) * ny + y, decoder_ref.shape[0]),
                 decoder_ref,
                 size,
                 eps,

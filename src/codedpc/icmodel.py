@@ -145,14 +145,18 @@ def fpc_distribution(cfg: ICConfig) -> JointDistribution:
     return JointDistribution(qbar, ("x0", "x1", "x2"))
 
 
-def spc_distribution(cfg: ICConfig) -> JointDistribution:
-    """Transmitter 2 at full power, transmitter 1 best-responding per state.
+def spc_best_x1(cfg: ICConfig) -> np.ndarray:
+    """Transmitter 1's per-state best response to full power, as action indices.
 
-    Argmax ties go to full power, which keeps runs reproducible.
+    Ties go to full power, which keeps runs reproducible.
     """
-    prior = build_state_prior(cfg)
     w = build_payoff_table(cfg).values
-    best_x1 = np.where(w[:, 1, 1] >= w[:, 0, 1], 1, 0)
+    return np.where(w[:, 1, 1] >= w[:, 0, 1], 1, 0)
+
+
+def spc_distribution(cfg: ICConfig) -> JointDistribution:
+    """Transmitter 2 at full power, transmitter 1 best-responding per state."""
+    prior = build_state_prior(cfg)
     qbar = np.zeros((N_STATES, 2, 2))
-    qbar[np.arange(N_STATES), best_x1, 1] = prior.probs
+    qbar[np.arange(N_STATES), spc_best_x1(cfg), 1] = prior.probs
     return JointDistribution(qbar, ("x0", "x1", "x2"))

@@ -186,9 +186,6 @@ class StatePrior:
     def n_states(self) -> int:
         return self.probs.shape[0]
 
-    def as_distribution(self) -> JointDistribution:
-        return JointDistribution(self.probs, ("x0",))
-
 
 def compose(qbar: JointDistribution, channel: ObservationChannel) -> JointDistribution:
     """Extend a (state, action, action) distribution with the observation.

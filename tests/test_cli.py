@@ -200,6 +200,20 @@ class TestPolicies:
         assert (best_x1 == 0.0) != (best_x2 == 0.0)
         assert best_x1 == 0.0
 
+    def test_spc_column_ignores_state_probability(self, capsys):
+        # the best response to full power does not depend on how likely the
+        # state is: with p11 = 0 the eight g11 = g_min states have
+        # probability 0 and must still report it
+        def spc_column(*flags):
+            _, out, _ = run_cli(capsys, "policies", "--snr", "10", *flags)
+            rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+            return [(float(r[5]), r[9]) for r in rows]
+
+        zero = spc_column("--p11", "0")
+        assert [p for p, _ in zero[:8]] == [0.0] * 8
+        assert zero[0][1] == "10"
+        assert [x for _, x in zero] == [x for _, x in spc_column()]
+
 
 class TestSimulate:
     def test_fpc_target_no_decoder_errors(self, capsys):

@@ -11,8 +11,8 @@ from codedpc import (
     expected_payoff,
     run,
     total_variation,
-    typical_set_test,
 )
+from codedpc.coding import _cell_counts, _indicator, _typical_rows
 from codedpc.icmodel import (
     ICConfig,
     build_payoff_table,
@@ -53,40 +53,36 @@ def weak_config(n, seed, blocks=40, eps=0.5, rate=0.025):
     )
 
 
+def typical(groups, symbols, ref, eps):
+    """The simulator's typicality verdict on one sequence of (group, symbol)
+    cells; ``ref`` is (groups, symbols)."""
+    n_groups, k = ref.shape
+    counts = _cell_counts(symbols[None, :], _indicator(groups, n_groups), k)
+    return bool(_typical_rows(counts, ref.ravel(), groups.size, eps)[0])
+
+
 class TestTypicalSetTest:
     def test_exact_frequencies_pass_any_epsilon(self):
-        ref = JointDistribution(np.array([[0.25, 0.25], [0.25, 0.25]]), ("x0", "x1"))
+        ref = np.array([[0.25, 0.25], [0.25, 0.25]])
         a = np.array([0, 0, 1, 1])
         b = np.array([0, 1, 0, 1])
-        assert typical_set_test((a, b), ref, 1e-9)
+        assert typical(a, b, ref, 1e-9)
 
     def test_zero_probability_cell_fails(self):
-        ref = JointDistribution(np.array([[0.5, 0.0], [0.0, 0.5]]), ("x0", "x1"))
+        ref = np.array([[0.5, 0.0], [0.0, 0.5]])
         a = np.array([0, 1, 0, 1])
         b = np.array([0, 1, 1, 0])  # visits the forbidden (0, 1) cell
-        assert not typical_set_test((a, b), ref, 10.0)
+        assert not typical(a, b, ref, 10.0)
 
     def test_iid_samples_typical_with_high_frequency(self):
         # Monte-Carlo estimate: 1000-symbol i.i.d. draws, tolerance 0.2
-        ref = JointDistribution(np.array([0.3, 0.45, 0.25]), ("x0",))
+        pmf = np.array([0.3, 0.45, 0.25])
         hits = 0
         for seed in range(100):
             rng = np.random.default_rng(seed)
-            seq = rng.choice(3, size=1000, p=ref.pmf)
-            hits += typical_set_test((seq,), ref, 0.2)
+            seq = rng.choice(3, size=1000, p=pmf)
+            hits += typical(np.zeros(1000, dtype=int), seq, pmf[None, :], 0.2)
         assert hits >= 95
-
-    def test_length_mismatch(self):
-        ref = JointDistribution(np.array([[0.25, 0.25], [0.25, 0.25]]), ("x0", "x1"))
-        with pytest.raises(ValueError):
-            typical_set_test((np.zeros(3, int), np.zeros(4, int)), ref, 0.1)
-
-    def test_wrong_sequence_count(self):
-        ref = JointDistribution(np.array([0.5, 0.5]), ("x0",))
-        from codedpc import AlphabetError
-
-        with pytest.raises(AlphabetError):
-            typical_set_test((np.zeros(3, int), np.zeros(3, int)), ref, 0.1)
 
 
 class TestCodingConfig:
@@ -149,6 +145,13 @@ class TestCodingConfig:
                 payoff=build_payoff_table(cfg_ic),
                 block_length=10, num_blocks=5, rate=rate,
             )
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_nonfinite_epsilon_rejected(self, eps):
+        # inf * 0 is NaN, so an infinite tolerance used to fail every
+        # zero-probability cell instead of accepting everything
+        with pytest.raises(CodingConfigError, match="finite"):
+            weak_config(n=10, seed=0, eps=eps)
 
     def test_huge_rate_hits_cap(self):
         # 2**(n * rate) overflows a float here; the cap must still apply

@@ -252,9 +252,3 @@ class TestStatePrior:
     def test_validates(self):
         with pytest.raises(DistributionError):
             StatePrior(np.array([0.5, 0.6]))
-
-    def test_as_distribution(self):
-        prior = StatePrior(np.array([0.25, 0.75]))
-        d = prior.as_distribution()
-        assert d.axes == ("x0",)
-        assert np.allclose(d.pmf, prior.probs)
