@@ -51,7 +51,7 @@ Memory and time do not grow with M x n x |alphabet|:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -287,18 +287,7 @@ class SimResult:
             "encoder_failures": self.encoder_failures,
             "decoder_errors": self.decoder_errors,
             "average_payoff": self.average_payoff,
-            "blocks": [
-                {
-                    "block": d.block,
-                    "encoded_index": d.encoded_index,
-                    "decoded_index": d.decoded_index,
-                    "encoder_failed": d.encoder_failed,
-                    "typical_candidates": d.typical_candidates,
-                    "decode_error": d.decode_error,
-                    "payoff_only": d.payoff_only,
-                }
-                for d in self.blocks
-            ],
+            "blocks": [asdict(d) for d in self.blocks],
         }
 
 

@@ -65,12 +65,22 @@ class ICConfig:
             raise ValueError(f"p_gmin needs 4 entries, got {self.p_gmin!r}")
         if any(not 0.0 <= p <= 1.0 for p in self.p_gmin):
             raise ValueError(f"p_gmin entries must lie in [0, 1]: {self.p_gmin!r}")
-        if not self.g_min < self.g_max:
-            raise ValueError(f"need g_min < g_max, got {self.g_min} >= {self.g_max}")
-        if self.sigma2 <= 0.0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+        if not (0.0 <= self.g_min < self.g_max and math.isfinite(self.g_max)):
+            raise ValueError(
+                f"need finite 0 <= g_min < g_max, got {self.g_min!r} and {self.g_max!r}"
+            )
+        if not (math.isfinite(self.sigma2) and self.sigma2 > 0.0):
+            raise ValueError(f"sigma2 must be finite and positive, got {self.sigma2!r}")
         if self.payoff_form not in ("log", "linear"):
             raise ValueError(f"payoff_form must be 'log' or 'linear', got {self.payoff_form!r}")
+        # Every SINR is at most peak / sigma2 with a denominator of at most
+        # sigma2 + peak, and the linear payoff adds two SINRs.
+        try:
+            peak = self.g_max * self.p_max
+        except OverflowError:
+            peak = math.inf
+        if not (math.isfinite(self.sigma2 + peak) and math.isfinite(2.0 * (peak / self.sigma2))):
+            raise ValueError(f"snr_db {self.snr_db!r} overflows the received power or the SINR")
 
     @property
     def p_max(self) -> float:

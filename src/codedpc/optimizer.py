@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraint import FEASIBILITY_TOL
+from .constraint import FEASIBILITY_TOL, _check_stages
 from .probability import (
     AlphabetError,
     JointDistribution,
@@ -117,13 +117,7 @@ class OptimizationResult:
 
 
 def expected_payoff(dist: JointDistribution, payoff: PayoffTable) -> float:
-    """E[w] under a distribution over (x0, x1, x2), or over all four axes.
-
-    The payoff does not depend on the observation, so a four-variable
-    distribution is first marginalized onto (x0, x1, x2).
-    """
-    if dist.axes == ("x0", "x1", "x2", "y"):
-        dist = dist.marginal(("x0", "x1", "x2"))
+    """E[w] under a distribution over (x0, x1, x2)."""
     if dist.axes != ("x0", "x1", "x2"):
         raise AlphabetError(
             f"expected_payoff needs axes ('x0', 'x1', 'x2'), got {dist.axes}"
@@ -163,10 +157,9 @@ def costless_bound(prior: StatePrior, payoff: PayoffTable) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sum_plogp(a: np.ndarray) -> float:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(a > 0.0, a * np.log(a), 0.0)
-    return float(t.sum())
+def _xlogx(a: np.ndarray) -> np.ndarray:
+    """Elementwise a * ln a, with 0 * ln 0 = 0."""
+    return a * np.log(np.where(a > 0.0, a, 1.0))
 
 
 def _marginals(qbar: np.ndarray, gamma: np.ndarray):
@@ -181,12 +174,11 @@ def _marginals(qbar: np.ndarray, gamma: np.ndarray):
 def _gap_bits(qbar: np.ndarray, gamma: np.ndarray, inv_stages: float, marg=None) -> float:
     """(1/stages) I(X0;X2) - I(X1;Y|X0,X2) in bits, without composing in y."""
     m02, m0, m2, s = marg if marg is not None else _marginals(qbar, gamma)
-    i_coord = _sum_plogp(m02) - _sum_plogp(m0) - _sum_plogp(m2)
-    h_y_given_02 = -(_sum_plogp(s) - _sum_plogp(m02))
+    plogp02 = float(_xlogx(m02).sum())
+    i_coord = plogp02 - float(_xlogx(m0).sum()) - float(_xlogx(m2).sum())
+    h_y_given_02 = -(float(_xlogx(s).sum()) - plogp02)
     occupancy1 = qbar.sum(axis=(0, 2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        row_ent = -np.where(gamma > 0.0, gamma * np.log(gamma), 0.0).sum(axis=1)
-    h_y_given_012 = float(occupancy1 @ row_ent)
+    h_y_given_012 = float(occupancy1 @ -_xlogx(gamma).sum(axis=1))
     i_channel = h_y_given_02 - h_y_given_012
     return (inv_stages * i_coord - i_channel) / _LN2
 
@@ -195,17 +187,13 @@ def _gap_grad_bits(qbar: np.ndarray, gamma: np.ndarray, inv_stages: float, marg=
     """Gradient of ``_gap_bits`` w.r.t. qbar; requires strictly positive qbar."""
     m02, m0, m2, s = marg if marg is not None else _marginals(qbar, gamma)
     log_ratio = np.log(m02) - np.log(m0)[:, None] - np.log(m2)[None, :]
-    g_coord = np.broadcast_to(log_ratio[:, None, :], qbar.shape)
     p_y = s / m02[:, :, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_gamma = np.where(gamma > 0.0, np.log(gamma), 0.0)
-        # p_y(a, c, y) = 0 forces gamma(., y) = 0, whose coefficient below
-        # is zero, so the substituted log never contributes.
-        log_p = np.where(p_y > 0.0, np.log(p_y), 0.0)
-    row_term = (gamma * log_gamma).sum(axis=1)
+    # p_y(a, c, y) = 0 forces gamma(., y) = 0, whose coefficient below is
+    # zero, so the log substituted there never contributes.
+    log_p = np.log(np.where(p_y > 0.0, p_y, 1.0))
     cross = np.einsum("by,acy->abc", gamma, log_p)
-    g_channel = row_term[None, :, None] - cross
-    return (inv_stages * g_coord - g_channel) / _LN2
+    g_channel = _xlogx(gamma).sum(axis=1)[None, :, None] - cross
+    return (inv_stages * log_ratio[:, None, :] - g_channel) / _LN2
 
 
 def _objective(qbar, gamma, w, lam, inv_stages, offset):
@@ -312,8 +300,7 @@ def solve(
     certificate cannot be established within the iteration budget.
     """
     opts = options or SolverOptions()
-    if not isinstance(stages, (int, np.integer)) or stages < 1:
-        raise ValueError(f"stages must be a positive integer, got {stages!r}")
+    _check_stages(stages)
     if not (math.isfinite(min_slack) and min_slack >= 0.0):
         raise ValueError(f"min_slack must be finite and nonnegative, got {min_slack!r}")
     w_full = payoff.values

@@ -110,10 +110,6 @@ class JointDistribution:
         object.__setattr__(self, "pmf", arr)
         object.__setattr__(self, "axes", axes)
 
-    @property
-    def flat(self) -> np.ndarray:
-        return self.pmf.reshape(-1)
-
     def axis_size(self, axis: str) -> int:
         name = _as_axes(axis)[0]
         if name not in self.axes:
@@ -122,11 +118,6 @@ class JointDistribution:
 
     def marginal(self, axes) -> "JointDistribution":
         return marginal(self, axes)
-
-    @staticmethod
-    def uniform(shape: tuple[int, ...], axes) -> "JointDistribution":
-        arr = np.full(shape, 1.0 / int(np.prod(shape)))
-        return JointDistribution(arr, axes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,7 +220,7 @@ def entropy(dist: JointDistribution, axes=None) -> float:
     """Shannon entropy (bits) of ``dist`` or of one of its marginals."""
     if axes is not None:
         dist = marginal(dist, axes)
-    p = dist.flat
+    p = dist.pmf.ravel()
     nz = p[p > 0.0]
     return float(-(nz * np.log2(nz)).sum())
 

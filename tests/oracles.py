@@ -11,6 +11,11 @@ import numpy as np
 from codedpc import JointDistribution, conditional_entropy, entropy
 
 
+def uniform_distribution(shape: tuple[int, ...], axes) -> JointDistribution:
+    """The uniform distribution on an alphabet of the given shape."""
+    return JointDistribution(np.full(shape, 1.0 / int(np.prod(shape))), axes)
+
+
 def info_constraint_gap_entropy_path(q: JointDistribution) -> float:
     """The constraint gap via H(X0) - H(Y, X0 | X2) + H(Y | X0, X1, X2).
 

@@ -77,6 +77,18 @@ class TestSweep:
             100.0 * (ocpc / fpc - 1.0), abs=1e-9
         )
 
+    def test_uncertified_point_reports_best_feasible_payoff(self, capsys):
+        # one bisection step cannot certify; the row still carries the best
+        # feasible payoff found, which beats SPC and stays below the bound
+        code, out, _ = run_cli(
+            capsys, "sweep", "--snr-start", "10", "--snr-stop", "10", "--outer-steps", "1"
+        )
+        assert code == 0
+        row = dict(zip(SWEEP_COLUMNS, out.strip().splitlines()[1].split(",")))
+        assert row["status"] == "no_certificate"
+        spc, ocpc, cb = (float(row[k]) for k in ("spc", "ocpc", "costless"))
+        assert spc < ocpc < cb
+
     def test_deterministic_output(self, capsys):
         args = ("sweep", "--regime", "lir", "--snr-start", "3", "--snr-stop", "5")
         _, first, _ = run_cli(capsys, *args)
@@ -173,6 +185,26 @@ def test_nonfinite_snr_is_usage_error(capsys, argv):
     assert code == 1
     assert out == ""
     assert "must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("policies", "--sigma2", "nan"),
+        ("policies", "--sigma2", "inf"),
+        ("policies", "--gmax", "inf"),
+        ("policies", "--gmin", "-1"),
+        ("policies", "--snr", "4000"),
+        ("sweep", "--snr-start", "4000", "--snr-stop", "4000"),
+    ],
+    ids=" ".join,
+)
+def test_unusable_channel_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 class TestPolicies:

@@ -12,7 +12,7 @@ from codedpc import (
     is_implementable,
 )
 from codedpc.icmodel import ICConfig, fpc_distribution, spc_distribution
-from oracles import info_constraint_gap_entropy_path
+from oracles import info_constraint_gap_entropy_path, uniform_distribution
 
 
 def random_composed(rng, shape3, gamma):
@@ -25,7 +25,7 @@ def random_composed(rng, shape3, gamma):
 def test_independent_actions_identity_channel():
     # independence kills the coordination term, perfect observation of a
     # uniform binary action contributes a full bit
-    qbar = JointDistribution.uniform((2, 2, 2), ("x0", "x1", "x2"))
+    qbar = uniform_distribution((2, 2, 2), ("x0", "x1", "x2"))
     q = compose(qbar, ObservationChannel.identity(2))
     assert info_constraint_gap(q) == pytest.approx(-1.0, abs=1e-12)
 
@@ -121,7 +121,7 @@ class TestStages:
 
     def test_zero_stages_rejected(self):
         q = compose(
-            JointDistribution.uniform((2, 2, 2), ("x0", "x1", "x2")),
+            uniform_distribution((2, 2, 2), ("x0", "x1", "x2")),
             ObservationChannel.identity(2),
         )
         with pytest.raises(ValueError):
@@ -164,7 +164,7 @@ class TestIsImplementable:
         assert verdict.slack == pytest.approx(0.0, abs=1e-12)
 
     def test_marginal_mismatch_names_state(self):
-        qbar = JointDistribution.uniform((2, 2, 2), ("x0", "x1", "x2"))
+        qbar = uniform_distribution((2, 2, 2), ("x0", "x1", "x2"))
         prior = StatePrior(np.array([0.25, 0.75]))
         with pytest.raises(DistributionError, match="x0=0"):
             is_implementable(qbar, ObservationChannel.identity(2), prior)

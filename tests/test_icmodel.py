@@ -1,5 +1,10 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedpc import costless_bound, expected_payoff, is_implementable
 from codedpc.icmodel import (
@@ -44,6 +49,45 @@ class TestConfig:
     def test_nonfinite_snr_rejected(self, snr_db):
         with pytest.raises(ValueError, match="snr_db must be finite"):
             ICConfig(snr_db=snr_db, p_gmin=(0.5,) * 4)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"sigma2": math.nan},
+            {"sigma2": math.inf},
+            {"g_max": math.inf},
+            {"g_min": -1.0},
+            {"snr_db": 4000.0},
+            {"snr_db": 3079.0},
+            {"snr_db": 3000.0, "sigma2": 1e300},
+        ],
+        ids=repr,
+    )
+    def test_unusable_physics_rejected(self, kwargs):
+        # each of these used to build an infinite or NaN payoff table, or
+        # overflow computing the full power
+        fields = {"snr_db": 10.0, "p_gmin": (0.5,) * 4, **kwargs}
+        with pytest.raises(ValueError):
+            ICConfig(**fields)
+
+    @settings(deadline=None)
+    @given(
+        snr_db=st.floats(-4000.0, 4000.0),
+        sigma2_exp=st.floats(-320.0, 308.0),
+        g_min=st.floats(0.0, 10.0),
+        g_span=st.floats(0.0, 1e6, exclude_min=True),
+    )
+    def test_accepted_config_has_finite_payoffs(self, snr_db, sigma2_exp, g_min, g_span):
+        try:
+            cfg = ICConfig(
+                snr_db=snr_db, p_gmin=(0.5,) * 4, sigma2=10.0**sigma2_exp,
+                g_min=g_min, g_max=g_min + g_span,
+            )
+        except ValueError:
+            return
+        for form in ("log", "linear"):
+            table = build_payoff_table(dataclasses.replace(cfg, payoff_form=form))
+            assert np.isfinite(table.values).all()
 
     def test_state_ordering_lexicographic(self):
         cfg = ICConfig.for_regime("lir", 10.0)

@@ -2,6 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from codedpc import (
     AlphabetError,
@@ -27,6 +30,7 @@ from codedpc.icmodel import (
     identity_observation_channel,
     spc_distribution,
 )
+from oracles import uniform_distribution
 
 
 def tiny_instance():
@@ -53,13 +57,6 @@ class TestExpectedPayoff:
         d = JointDistribution(arr, ("x0", "x1", "x2"))
         assert expected_payoff(d, PayoffTable(w)) == w[1, 0, 1]
 
-    def test_four_axis_distribution_accepted(self):
-        cfg = ICConfig.for_regime("lir", 10.0)
-        qbar = fpc_distribution(cfg)
-        q = compose(qbar, identity_observation_channel())
-        w = build_payoff_table(cfg)
-        assert expected_payoff(q, w) == pytest.approx(expected_payoff(qbar, w), abs=1e-12)
-
     def test_fpc_matches_enumeration_oracle(self):
         # oracle: 16-term weighted sum with product two-point weights
         cfg = ICConfig.for_regime("lir", 10.0)
@@ -67,7 +64,7 @@ class TestExpectedPayoff:
         assert value == pytest.approx(3.6829382763365532, abs=1e-12)
 
     def test_shape_mismatch(self):
-        d = JointDistribution.uniform((2, 2, 2), ("x0", "x1", "x2"))
+        d = uniform_distribution((2, 2, 2), ("x0", "x1", "x2"))
         with pytest.raises(AlphabetError):
             expected_payoff(d, PayoffTable(np.zeros((2, 2, 3))))
 
@@ -113,6 +110,31 @@ class TestGapGradient:
                 numeric = (hi - lo) / (2 * eps)
                 analytic = float((grad * direction).sum())
                 assert analytic == pytest.approx(numeric, abs=1e-6, rel=1e-5)
+
+
+@st.composite
+def sparse_problems(draw):
+    """A joint qbar and a channel matrix, both with some zero entries, and S."""
+    n0, n1, n2, ny = (draw(st.integers(1, 4)) for _ in range(4))
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    q = draw(hnp.arrays(np.float64, (n0, n1, n2), elements=weight))
+    if q.sum() == 0.0:
+        q[0, 0, 0] = 1.0
+    gamma = draw(hnp.arrays(np.float64, (n1, ny), elements=weight))
+    gamma[gamma.sum(axis=1) == 0.0, 0] = 1.0
+    qbar = JointDistribution(q / q.sum(), ("x0", "x1", "x2"))
+    channel = ObservationChannel(gamma / gamma.sum(axis=1, keepdims=True))
+    return qbar, channel, draw(st.integers(1, 64))
+
+
+@settings(deadline=None)
+@given(sparse_problems())
+def test_gap_kernel_matches_generic_path(problem):
+    # zero cells in qbar, its marginals and the channel all take 0 ln 0 = 0
+    qbar, channel, stages = problem
+    fast = _gap_bits(qbar.pmf, channel.matrix, 1.0 / stages)
+    generic = info_constraint_gap(compose(qbar, channel), stages=stages)
+    assert fast == pytest.approx(generic, abs=1e-12, rel=0.0)
 
 
 class TestSolve:
@@ -208,6 +230,15 @@ class TestSolve:
         prior, channel, payoff = tiny_instance()
         with pytest.raises(ValueError, match="min_slack"):
             solve(prior, channel, payoff, min_slack=min_slack)
+
+    def test_no_feasible_point_raises_without_result(self):
+        # equal channel rows carry no information, so no point has slack 0.1
+        prior, _, payoff = tiny_instance()
+        blind = ObservationChannel(np.full((2, 2), 0.5))
+        with pytest.raises(ConvergenceError, match="no feasible point") as err:
+            solve(prior, blind, payoff, min_slack=0.1,
+                  options=SolverOptions(max_inner_iter=50))
+        assert err.value.result is None
 
     def test_non_convergence_raises_with_best_iterate(self):
         prior, channel, payoff = tiny_instance()

@@ -15,6 +15,7 @@ from codedpc import (
     total_variation,
 )
 from codedpc.icmodel import ICConfig, spc_distribution
+from oracles import uniform_distribution
 
 
 def dirichlet_joint(rng, shape, axes):
@@ -62,7 +63,7 @@ class TestJointDistribution:
         assert d.pmf.sum() == 1.0
 
     def test_immutable(self):
-        d = JointDistribution.uniform((2, 2), ("x0", "x1"))
+        d = uniform_distribution((2, 2), ("x0", "x1"))
         with pytest.raises(ValueError):
             d.pmf[0, 0] = 1.0
 
@@ -73,7 +74,7 @@ class TestJointDistribution:
 
 class TestCompose:
     def test_identity_channel_uniform(self):
-        qbar = JointDistribution.uniform((2, 2, 2), ("x0", "x1", "x2"))
+        qbar = uniform_distribution((2, 2, 2), ("x0", "x1", "x2"))
         q = compose(qbar, ObservationChannel.identity(2))
         for x0 in range(2):
             for x1 in range(2):
@@ -111,14 +112,14 @@ class TestCompose:
         assert np.abs(back.pmf - qbar.pmf).max() < 1e-15
 
     def test_dimension_mismatch(self):
-        qbar = JointDistribution.uniform((2, 3, 2), ("x0", "x1", "x2"))
+        qbar = uniform_distribution((2, 3, 2), ("x0", "x1", "x2"))
         with pytest.raises(AlphabetError):
             compose(qbar, ObservationChannel.identity(2))
 
 
 class TestMarginal:
     def test_uniform_stays_uniform(self):
-        d = JointDistribution.uniform((2, 2, 2, 2), None)
+        d = uniform_distribution((2, 2, 2, 2), None)
         m = marginal(d, ("x1",))
         assert np.allclose(m.pmf, [0.5, 0.5])
 
@@ -131,12 +132,12 @@ class TestMarginal:
         assert np.array_equal(m.pmf, expect)
 
     def test_empty_subset_rejected(self):
-        d = JointDistribution.uniform((2, 2), ("x0", "x1"))
+        d = uniform_distribution((2, 2), ("x0", "x1"))
         with pytest.raises(ValueError):
             marginal(d, ())
 
     def test_unknown_axis_rejected(self):
-        d = JointDistribution.uniform((2, 2), ("x0", "x1"))
+        d = uniform_distribution((2, 2), ("x0", "x1"))
         with pytest.raises(AlphabetError):
             marginal(d, ("y",))
 
@@ -186,7 +187,7 @@ class TestConditionalMutualInformation:
 
     def test_identity_observation_gives_action_entropy(self):
         # uniform independent binary X1 observed perfectly: I = H(X1) = 1
-        qbar = JointDistribution.uniform((2, 2, 2), ("x0", "x1", "x2"))
+        qbar = uniform_distribution((2, 2, 2), ("x0", "x1", "x2"))
         q = compose(qbar, ObservationChannel.identity(2))
         value = conditional_mutual_information(q, "x1", "y", ("x0", "x2"))
         assert value == pytest.approx(1.0, abs=1e-12)
@@ -209,7 +210,7 @@ class TestConditionalMutualInformation:
             assert conditional_mutual_information(d, "x0", "x2", ("x1",)) >= -1e-9
 
     def test_overlapping_groups_rejected(self):
-        d = JointDistribution.uniform((2, 2, 2, 2), None)
+        d = uniform_distribution((2, 2, 2, 2), None)
         with pytest.raises(AlphabetError):
             conditional_mutual_information(d, "x0", "x0")
         with pytest.raises(AlphabetError):
@@ -218,7 +219,7 @@ class TestConditionalMutualInformation:
 
 class TestTotalVariation:
     def test_identical_is_zero(self):
-        d = JointDistribution.uniform((2, 2), ("x0", "x1"))
+        d = uniform_distribution((2, 2), ("x0", "x1"))
         assert total_variation(d, d) == 0.0
 
     def test_disjoint_point_masses(self):
@@ -232,8 +233,8 @@ class TestTotalVariation:
         assert total_variation(u, p) == 0.75
 
     def test_alphabet_mismatch(self):
-        a = JointDistribution.uniform((2,), ("x0",))
-        b = JointDistribution.uniform((3,), ("x0",))
+        a = uniform_distribution((2,), ("x0",))
+        b = uniform_distribution((3,), ("x0",))
         with pytest.raises(AlphabetError):
             total_variation(a, b)
 
