@@ -34,6 +34,8 @@ from .probability import compose
 
 USAGE_ERROR = 1
 RUN_ERROR = 2
+#: Largest SNR grid ``sweep`` accepts; each point is one certified solve.
+MAX_SNR_POINTS = 100_000
 
 SWEEP_COLUMNS = (
     "snr_db",
@@ -177,10 +179,12 @@ def _snr_grid(settings: dict) -> list[float]:
     start, stop, step = settings["snr_start"], settings["snr_stop"], settings["snr_step"]
     if step <= 0:
         raise UsageError(f"snr_step must be positive, got {step!r}")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    count = np.floor((stop - start) / step + 1e-9) + 1
+    if count > MAX_SNR_POINTS:
+        raise UsageError(f"SNR grid has {count:.4g} points, more than {MAX_SNR_POINTS}")
     if count < 1:
         raise UsageError(f"empty SNR grid: start {start}, stop {stop}, step {step}")
-    return [start + k * step for k in range(count)]
+    return [start + k * step for k in range(int(count))]
 
 
 def cmd_sweep(args: argparse.Namespace, out) -> int:

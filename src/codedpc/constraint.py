@@ -43,7 +43,7 @@ def _check_four_axes(q: JointDistribution) -> None:
 
 
 def _check_stages(stages: int) -> None:
-    if not isinstance(stages, (int, np.integer)) or stages < 1:
+    if isinstance(stages, bool) or not isinstance(stages, (int, np.integer)) or stages < 1:
         raise ValueError(f"stages must be a positive integer, got {stages!r}")
 
 

@@ -93,7 +93,7 @@ class SolverOptions:
             raise ValueError(f"tol_payoff must be finite and positive, got {tol!r}")
         for name in ("max_inner_iter", "outer_steps"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
@@ -157,51 +157,71 @@ def costless_bound(prior: StatePrior, payoff: PayoffTable) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _log_pos(a: np.ndarray) -> np.ndarray:
+    """Elementwise ln a where a > 0, and 0 elsewhere."""
+    return np.log(np.where(a > 0.0, a, 1.0))
+
+
 def _xlogx(a: np.ndarray) -> np.ndarray:
     """Elementwise a * ln a, with 0 * ln 0 = 0."""
-    return a * np.log(np.where(a > 0.0, a, 1.0))
+    return a * _log_pos(a)
 
 
-def _marginals(qbar: np.ndarray, gamma: np.ndarray):
-    """q(x0, x2), q(x0), q(x2) and q(x0, x2, y): what the gap and its gradient share."""
-    m02 = qbar.sum(axis=1)
-    m0 = m02.sum(axis=1)
-    m2 = m02.sum(axis=0)
-    s = np.einsum("abc,by->acy", qbar, gamma)
-    return m02, m0, m2, s
+class _InfoKernel:
+    """(1/stages) I(X0;X2) - I(X1;Y|X0,X2) in bits and its gradient, for one
+    channel and stage count; the channel's row terms are computed once.
+
+    An exact identity channel (perfect monitoring) takes a path with no sum
+    over y: there I(X1;Y|X0,X2) = H(X1|X0,X2), q(x0, x2, y) is qbar with its
+    last two axes swapped and every channel row has zero entropy.  Both paths
+    give the same bits.
+    """
+
+    def __init__(self, gamma: np.ndarray, inv_stages: float):
+        self.gamma = gamma
+        self.inv_stages = inv_stages
+        self.perfect = np.array_equal(gamma, np.eye(gamma.shape[0]))
+        self.row_plogp = _xlogx(gamma).sum(axis=1)
+        self.row_entropy = -self.row_plogp
+
+    def gap(self, qbar: np.ndarray):
+        """The gap at qbar, and the terms ``gap_grad`` reuses: q(x0, x2),
+        q(x0, x2, y) and the logs of q(x0, x2), q(x0) and q(x2)."""
+        m02 = qbar.sum(axis=1)
+        m0 = m02.sum(axis=1)
+        m2 = m02.sum(axis=0)
+        log02, log0, log2 = _log_pos(m02), _log_pos(m0), _log_pos(m2)
+        plogp02 = float((m02 * log02).sum())
+        i_coord = plogp02 - float((m0 * log0).sum()) - float((m2 * log2).sum())
+        if self.perfect:
+            s = np.ascontiguousarray(qbar.transpose(0, 2, 1))
+            i_channel = -(float(_xlogx(s).sum()) - plogp02)
+        else:
+            s = np.einsum("abc,by->acy", qbar, self.gamma)
+            h_y_given_02 = -(float(_xlogx(s).sum()) - plogp02)
+            i_channel = h_y_given_02 - float(qbar.sum(axis=(0, 2)) @ self.row_entropy)
+        gap = (self.inv_stages * i_coord - i_channel) / _LN2
+        return gap, (m02, s, log02, log0, log2)
+
+    def gap_grad(self, terms) -> np.ndarray:
+        """Gradient of the gap w.r.t. qbar from the terms ``gap`` returned;
+        requires strictly positive qbar, where every log above is ln."""
+        m02, s, log02, log0, log2 = terms
+        coord = self.inv_stages * (log02 - log0[:, None] - log2[None, :])[:, None, :]
+        # p_y(a, c, y) = 0 forces gamma(., y) = 0, whose coefficient below is
+        # zero, so the log substituted there never contributes.
+        log_p = _log_pos(s / m02[:, :, None])
+        if self.perfect:
+            return (coord + log_p.transpose(0, 2, 1)) / _LN2
+        cross = np.einsum("by,acy->abc", self.gamma, log_p)
+        return (coord - (self.row_plogp[None, :, None] - cross)) / _LN2
 
 
-def _gap_bits(qbar: np.ndarray, gamma: np.ndarray, inv_stages: float, marg=None) -> float:
-    """(1/stages) I(X0;X2) - I(X1;Y|X0,X2) in bits, without composing in y."""
-    m02, m0, m2, s = marg if marg is not None else _marginals(qbar, gamma)
-    plogp02 = float(_xlogx(m02).sum())
-    i_coord = plogp02 - float(_xlogx(m0).sum()) - float(_xlogx(m2).sum())
-    h_y_given_02 = -(float(_xlogx(s).sum()) - plogp02)
-    occupancy1 = qbar.sum(axis=(0, 2))
-    h_y_given_012 = float(occupancy1 @ -_xlogx(gamma).sum(axis=1))
-    i_channel = h_y_given_02 - h_y_given_012
-    return (inv_stages * i_coord - i_channel) / _LN2
-
-
-def _gap_grad_bits(qbar: np.ndarray, gamma: np.ndarray, inv_stages: float, marg=None):
-    """Gradient of ``_gap_bits`` w.r.t. qbar; requires strictly positive qbar."""
-    m02, m0, m2, s = marg if marg is not None else _marginals(qbar, gamma)
-    log_ratio = np.log(m02) - np.log(m0)[:, None] - np.log(m2)[None, :]
-    p_y = s / m02[:, :, None]
-    # p_y(a, c, y) = 0 forces gamma(., y) = 0, whose coefficient below is
-    # zero, so the log substituted there never contributes.
-    log_p = np.log(np.where(p_y > 0.0, p_y, 1.0))
-    cross = np.einsum("by,acy->abc", gamma, log_p)
-    g_channel = _xlogx(gamma).sum(axis=1)[None, :, None] - cross
-    return (inv_stages * log_ratio[:, None, :] - g_channel) / _LN2
-
-
-def _objective(qbar, gamma, w, lam, inv_stages, offset):
-    """Lagrangian value, constraint gap and the marginals they were built from."""
-    marg = _marginals(qbar, gamma)
+def _objective(qbar, kernel, w, lam, offset):
+    """Lagrangian value, constraint gap and the kernel terms behind them."""
     pay = float((qbar * w).sum())
-    gap = _gap_bits(qbar, gamma, inv_stages, marg)
-    return pay - lam * (gap + offset), gap, marg
+    gap, terms = kernel.gap(qbar)
+    return pay - lam * (gap + offset), gap, terms
 
 
 def _fw_gap(grad: np.ndarray, p: np.ndarray, rho: np.ndarray) -> float:
@@ -215,7 +235,7 @@ def _fw_gap(grad: np.ndarray, p: np.ndarray, rho: np.ndarray) -> float:
     return float((rho * grad.max(axis=(1, 2))).sum() - (grad * p).sum())
 
 
-def _inner_maximize(start, rho, gamma, w, lam, inv_stages, offset, max_iter, fw_target):
+def _inner_maximize(start, rho, kernel, w, lam, offset, max_iter, fw_target):
     """Entropic mirror ascent of E[w] - lam * (gap + offset) on the slices.
 
     Stops once the linearized gap certifies the inner maximum within
@@ -224,13 +244,13 @@ def _inner_maximize(start, rho, gamma, w, lam, inv_stages, offset, max_iter, fw_
     inner gap, and the iteration count.
     """
     p = start
-    value, gap, marg = _objective(p, gamma, w, lam, inv_stages, offset)
+    value, gap, terms = _objective(p, kernel, w, lam, offset)
     step = 1.0
     iters = 0
     stall = 0
     accepted = True
     while True:
-        grad = w - lam * _gap_grad_bits(p, gamma, inv_stages, marg)
+        grad = w - lam * kernel.gap_grad(terms)
         fw = _fw_gap(grad, p, rho)
         if fw <= fw_target or iters >= max_iter or stall >= _PATIENCE or not accepted:
             break
@@ -241,12 +261,10 @@ def _inner_maximize(start, rho, gamma, w, lam, inv_stages, offset, max_iter, fw_
             cand = p * np.exp(step * (grad - shift))
             cand = np.maximum(cand, _FLOOR)
             cand *= (rho / cand.sum(axis=(1, 2)))[:, None, None]
-            cand_value, cand_gap, cand_marg = _objective(
-                cand, gamma, w, lam, inv_stages, offset
-            )
+            cand_value, cand_gap, cand_terms = _objective(cand, kernel, w, lam, offset)
             if cand_value >= value:
                 gain = cand_value - value
-                p, value, gap, marg = cand, cand_value, cand_gap, cand_marg
+                p, value, gap, terms = cand, cand_value, cand_gap, cand_terms
                 step = min(step * 1.3, 1e8)
                 accepted = True
                 break
@@ -313,8 +331,7 @@ def solve(
         raise AlphabetError(
             f"channel has {channel.n_inputs} input rows but |X1| = {n1}"
         )
-    gamma = channel.matrix
-    inv_stages = 1.0 / stages
+    kernel = _InfoKernel(channel.matrix, 1.0 / stages)
     offset = float(min_slack)
 
     # Work on the states with positive mass; zero-probability slices stay
@@ -324,7 +341,7 @@ def solve(
     w = w_full[active]
 
     def finish(q_active, multiplier, dual_bound, iterations):
-        gap = _gap_bits(q_active, gamma, inv_stages)
+        gap = kernel.gap(q_active)[0]
         pay = float((q_active * w).sum())
         converged = dual_bound - pay <= opts.tol_payoff
         full = np.zeros((n0, n1, n2))
@@ -360,7 +377,7 @@ def solve(
         """Offer a point to the pool; returns its excess gap + min_slack."""
         nonlocal best_pay, best_q, outside_q, outside_excess
         if gap is None:
-            gap = _gap_bits(q_active, gamma, inv_stages)
+            gap = kernel.gap(q_active)[0]
         excess = gap + offset
         if excess <= FEASIBILITY_TOL:
             pay = float((q_active * w).sum())
@@ -373,7 +390,7 @@ def solve(
     def consider_blend() -> None:
         if best_q is None or outside_q is None:
             return
-        inside_excess = _gap_bits(best_q, gamma, inv_stages) + offset
+        inside_excess = kernel.gap(best_q)[0] + offset
         if inside_excess >= 0.0:
             return
         t = -inside_excess / (outside_excess - inside_excess)
@@ -390,7 +407,7 @@ def solve(
     # Constraint inactive at multiplier zero: the unconstrained argmax wins.
     vertex = _per_state_argmax(rho, w)
     dual_bound = float((vertex * w).sum())
-    if _gap_bits(vertex, gamma, inv_stages) + offset <= FEASIBILITY_TOL:
+    if kernel.gap(vertex)[0] + offset <= FEASIBILITY_TOL:
         return finish(vertex, 0.0, dual_bound, 0)
 
     fw_target = 0.25 * opts.tol_payoff
@@ -402,7 +419,7 @@ def solve(
         bound, offer the iterate to the pool, report whether it is feasible."""
         nonlocal total_iters, dual_bound, warm
         q, value, gap, certified, it = _inner_maximize(
-            warm, rho, gamma, w, lam, inv_stages, offset, opts.max_inner_iter, fw_target
+            warm, rho, kernel, w, lam, offset, opts.max_inner_iter, fw_target
         )
         total_iters += it
         dual_bound = min(dual_bound, value + certified)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from codedpc.cli import SWEEP_COLUMNS, UsageError, main, read_config
+from codedpc.cli import (
+    MAX_SNR_POINTS, SWEEP_COLUMNS, UsageError, _snr_grid, main, read_config,
+)
 
 
 def run_cli(capsys, *argv):
@@ -167,6 +169,22 @@ class TestSweep:
         assert code == 1
         assert out == ""
         assert "min_slack" in err
+
+    @pytest.mark.parametrize("step", ["1e-9", "1e-310"])
+    def test_oversized_grid_is_usage_error(self, capsys, step):
+        # 0 to 40 dB in steps of 1e-9 is 4e10 points; the grid is rejected
+        # before its list is built (a step of 1e-310 overflows the count)
+        code, out, err = run_cli(capsys, "sweep", "--snr-step", step)
+        assert code == 1
+        assert out == ""
+        assert "more than 100000" in err
+
+    def test_largest_grid_is_accepted(self):
+        settings = {"snr_start": 0.0, "snr_stop": 99_999.0, "snr_step": 1.0}
+        assert len(_snr_grid(settings)) == MAX_SNR_POINTS
+        settings["snr_stop"] = 100_000.0
+        with pytest.raises(UsageError, match="more than"):
+            _snr_grid(settings)
 
 
 @pytest.mark.parametrize(

@@ -127,6 +127,14 @@ class TestStages:
         with pytest.raises(ValueError):
             info_constraint_gap(q, stages=0)
 
+    def test_boolean_stages_rejected(self):
+        q = compose(
+            uniform_distribution((2, 2, 2), ("x0", "x1", "x2")),
+            ObservationChannel.identity(2),
+        )
+        with pytest.raises(ValueError, match="stages"):
+            info_constraint_gap(q, stages=True)
+
 
 class TestIsImplementable:
     def test_fpc_feasible_with_zero_slack(self):

@@ -21,7 +21,7 @@ from codedpc import (
     info_constraint_gap,
     solve,
 )
-from codedpc.optimizer import _gap_bits, _gap_grad_bits
+from codedpc.optimizer import _InfoKernel
 from codedpc.icmodel import (
     ICConfig,
     build_payoff_table,
@@ -91,37 +91,85 @@ class TestCostlessBound:
         assert best_actions(PayoffTable(w)) == [(0, 1)]
 
 
+def gap_bits(qbar, gamma, inv_stages):
+    return _InfoKernel(gamma, inv_stages).gap(qbar)[0]
+
+
+def gap_grad_bits(qbar, gamma, inv_stages):
+    kernel = _InfoKernel(gamma, inv_stages)
+    return kernel.gap_grad(kernel.gap(qbar)[1])
+
+
 class TestGapGradient:
     def test_matches_finite_differences(self):
-        # directional finite differences along slice-preserving directions
+        # directional finite differences along slice-preserving directions,
+        # on a noisy channel and on the identity channel (perfect monitoring)
         rng = np.random.default_rng(1)
-        gamma = rng.dirichlet(np.ones(3), size=2)
         rho = rng.dirichlet(np.ones(4))
         cond = rng.dirichlet(np.ones(4), size=4).reshape(4, 2, 2)
         qbar = rho[:, None, None] * cond
-        for inv_stages in (1.0, 0.25):
-            grad = _gap_grad_bits(qbar, gamma, inv_stages)
-            for _ in range(10):
-                direction = rng.normal(size=qbar.shape)
-                direction -= direction.mean(axis=(1, 2), keepdims=True)
-                eps = 1e-6
-                hi = _gap_bits(qbar + eps * direction, gamma, inv_stages)
-                lo = _gap_bits(qbar - eps * direction, gamma, inv_stages)
-                numeric = (hi - lo) / (2 * eps)
-                analytic = float((grad * direction).sum())
-                assert analytic == pytest.approx(numeric, abs=1e-6, rel=1e-5)
+        for gamma in (rng.dirichlet(np.ones(3), size=2), np.eye(2)):
+            for inv_stages in (1.0, 0.25):
+                grad = gap_grad_bits(qbar, gamma, inv_stages)
+                for _ in range(10):
+                    direction = rng.normal(size=qbar.shape)
+                    direction -= direction.mean(axis=(1, 2), keepdims=True)
+                    eps = 1e-6
+                    hi = gap_bits(qbar + eps * direction, gamma, inv_stages)
+                    lo = gap_bits(qbar - eps * direction, gamma, inv_stages)
+                    numeric = (hi - lo) / (2 * eps)
+                    analytic = float((grad * direction).sum())
+                    assert analytic == pytest.approx(numeric, abs=1e-6, rel=1e-5)
+
+    def test_identity_channel_takes_the_perfect_monitoring_path(self):
+        assert _InfoKernel(np.eye(3), 1.0).perfect
+        assert _InfoKernel(ObservationChannel.identity(2).matrix, 0.5).perfect
+        assert not _InfoKernel(np.eye(2, 3), 1.0).perfect
+        assert not _InfoKernel(np.eye(2)[::-1], 1.0).perfect
+        assert not _InfoKernel(np.array([[0.9, 0.1], [0.1, 0.9]]), 1.0).perfect
+
+
+@settings(deadline=None)
+@given(
+    st.tuples(*(st.integers(1, 4) for _ in range(3))).flatmap(
+        lambda shape: hnp.arrays(
+            np.float64, shape, elements=st.floats(1e-6, 1.0)
+        )
+    ),
+    st.integers(1, 64),
+)
+def test_perfect_monitoring_path_is_bit_identical(q, stages):
+    # on strictly positive qbar the identity channel's shortcut (no sum over
+    # y) gives the general einsum path's gap and gradient bit for bit
+    qbar = q / q.sum()
+    fast = _InfoKernel(np.eye(q.shape[1]), 1.0 / stages)
+    general = _InfoKernel(np.eye(q.shape[1]), 1.0 / stages)
+    general.perfect = False
+    assert fast.perfect
+    fast_gap, fast_terms = fast.gap(qbar)
+    general_gap, general_terms = general.gap(qbar)
+    assert fast_gap.hex() == general_gap.hex()
+    fast_grad = fast.gap_grad(fast_terms)
+    general_grad = general.gap_grad(general_terms)
+    assert fast_grad.tobytes() == general_grad.tobytes()
 
 
 @st.composite
 def sparse_problems(draw):
-    """A joint qbar and a channel matrix, both with some zero entries, and S."""
+    """A joint qbar and a channel matrix, both with some zero entries, and S.
+
+    Some draws use the identity channel, which takes the perfect-monitoring
+    path."""
     n0, n1, n2, ny = (draw(st.integers(1, 4)) for _ in range(4))
     weight = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
     q = draw(hnp.arrays(np.float64, (n0, n1, n2), elements=weight))
     if q.sum() == 0.0:
         q[0, 0, 0] = 1.0
-    gamma = draw(hnp.arrays(np.float64, (n1, ny), elements=weight))
-    gamma[gamma.sum(axis=1) == 0.0, 0] = 1.0
+    if draw(st.booleans()):
+        gamma = np.eye(n1)
+    else:
+        gamma = draw(hnp.arrays(np.float64, (n1, ny), elements=weight))
+        gamma[gamma.sum(axis=1) == 0.0, 0] = 1.0
     qbar = JointDistribution(q / q.sum(), ("x0", "x1", "x2"))
     channel = ObservationChannel(gamma / gamma.sum(axis=1, keepdims=True))
     return qbar, channel, draw(st.integers(1, 64))
@@ -132,7 +180,7 @@ def sparse_problems(draw):
 def test_gap_kernel_matches_generic_path(problem):
     # zero cells in qbar, its marginals and the channel all take 0 ln 0 = 0
     qbar, channel, stages = problem
-    fast = _gap_bits(qbar.pmf, channel.matrix, 1.0 / stages)
+    fast = gap_bits(qbar.pmf, channel.matrix, 1.0 / stages)
     generic = info_constraint_gap(compose(qbar, channel), stages=stages)
     assert fast == pytest.approx(generic, abs=1e-12, rel=0.0)
 
@@ -279,6 +327,13 @@ class TestSolveStages:
         with pytest.raises(ValueError):
             solve(prior, channel, payoff, stages=0)
 
+    @pytest.mark.parametrize("stages", [True, False])
+    def test_boolean_stages_rejected(self, stages):
+        # bool is an int subclass; stages=True used to run as stages=1
+        prior, channel, payoff = tiny_instance()
+        with pytest.raises(ValueError, match="stages"):
+            solve(prior, channel, payoff, stages=stages)
+
 
 class TestSolverOptions:
     def test_three_fields(self):
@@ -294,5 +349,12 @@ class TestSolverOptions:
     @pytest.mark.parametrize("field", ["max_inner_iter", "outer_steps"])
     @pytest.mark.parametrize("value", [0, -3, 2.5])
     def test_bad_budget_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverOptions(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value", [("max_inner_iter", True), ("outer_steps", False)]
+    )
+    def test_boolean_budget_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             SolverOptions(**{field: value})
