@@ -1,16 +1,37 @@
-"""Bit-level golden of ``solve`` on the interference model and noisy problems.
+"""Bit-level goldens of ``solve`` on the interference model and noisy problems.
 
-``golden/solver_bits.json`` records, for every solve below, the certified
-flag, the payoff, dual bound, slack and multiplier as ``float.hex()``, the
-inner-iteration count and a sha256 of the returned qbar bytes.  A change to
-the solver's arithmetic that moves any certified answer by one ulp shows up
-here.  Regenerate the file only when such a change is intended:
+``golden/solver_bits.json`` and ``golden/solver_exits.json`` record, for
+every solve below, the certified flag, the payoff, dual bound, slack and
+multiplier as ``float.hex()``, the inner-iteration count and a sha256 of the
+returned qbar bytes.  A change to the solver's arithmetic that moves any
+answer by one ulp shows up here.  Regenerate both files only when such a
+change is intended:
 
     PYTHONPATH=src python tests/test_solver_bits.py
 
-The solves are the interference model (HIR/LIR, log/linear payoff, perfect
-monitoring) at 0, 10, 20, 30 and 40 dB, one ``min_slack=0.1`` point, and the
-first 15 problems of the ``default_rng(1)`` noisy-channel corpus.
+``solver_bits.json`` holds the interference model (HIR/LIR, log/linear
+payoff, perfect monitoring) at 0, 10, 20, 30 and 40 dB, one
+``min_slack=0.1`` point, and the first 15 problems of the ``default_rng(1)``
+noisy-channel corpus.
+
+``solver_exits.json`` drives each way out of the solver at least once:
+
+* the outer budget, raising ``ConvergenceError`` with a result (binary
+  instance, ``tol_payoff=1e-13``, 2 outer steps, 40 inner iterations);
+* the inner budget, reached both between steps and inside backtracking
+  (``max_inner_iter`` 50 and 200 on noisy problem 0);
+* the relaxed constraint of ``stages=4`` (HIR, log payoff, 10 dB);
+* ``min_slack=0.05`` on noisy problem 1;
+* an equal-row (blind) channel, whose inner ascents also stop on the step
+  floor;
+* a noisy problem whose constraint is inactive (problem 18), which returns
+  the per-state argmax;
+* the multiplier cap, raising ``ConvergenceError`` with the best feasible
+  candidate (binary instance, a flip-0.45 channel, ``min_slack`` just below
+  the channel's capacity, 10 inner iterations).
+
+The one exit neither file reaches is ``ConvergenceError`` without a result
+(no feasible point at all); ``test_optimizer.py`` covers it.
 """
 
 from __future__ import annotations
@@ -21,10 +42,18 @@ from pathlib import Path
 
 import numpy as np
 
-from codedpc import ConvergenceError, ObservationChannel, PayoffTable, StatePrior, solve
+from codedpc import (
+    ConvergenceError,
+    ObservationChannel,
+    PayoffTable,
+    SolverOptions,
+    StatePrior,
+    solve,
+)
 from codedpc import icmodel
 
 GOLDEN = Path(__file__).parent / "golden" / "solver_bits.json"
+EXITS_GOLDEN = Path(__file__).parent / "golden" / "solver_exits.json"
 IC_SNRS_DB = (0.0, 10.0, 20.0, 30.0, 40.0)
 NOISY_SEED = 1
 NOISY_COUNT = 15
@@ -53,6 +82,14 @@ def noisy_problems(seed: int, count: int):
         yield prior, channel, PayoffTable(rng.normal(size=(n0, n1, n2)))
 
 
+def binary_problem(channel=None):
+    """Binary state and actions, uniform prior, payoff 1 when x1 = x2 = x0."""
+    w = np.zeros((2, 2, 2))
+    w[0, 0, 0] = w[1, 1, 1] = 1.0
+    channel = channel if channel is not None else ObservationChannel.identity(2)
+    return StatePrior(np.array([0.5, 0.5])), channel, PayoffTable(w)
+
+
 def cases():
     for regime in ("hir", "lir"):
         for form in ("log", "linear"):
@@ -61,6 +98,27 @@ def cases():
     yield "ic-hir-log-10dB-min-slack-0.1", ic_problem("hir", "log", 10.0), {"min_slack": 0.1}
     for i, problem in enumerate(noisy_problems(NOISY_SEED, NOISY_COUNT)):
         yield f"noisy-{NOISY_SEED}-{i}", problem, {}
+
+
+def exit_cases():
+    noisy = list(noisy_problems(NOISY_SEED, 19))
+    yield "binary-outer-budget", binary_problem(), {
+        "options": SolverOptions(tol_payoff=1e-13, outer_steps=2, max_inner_iter=40)
+    }
+    for budget in (50, 200):
+        yield f"noisy-1-0-inner-budget-{budget}", noisy[0], {
+            "options": SolverOptions(max_inner_iter=budget)
+        }
+    yield "ic-hir-log-10dB-stages-4", ic_problem("hir", "log", 10.0), {"stages": 4}
+    yield "noisy-1-1-min-slack-0.05", noisy[1], {"min_slack": 0.05}
+    blind = ObservationChannel(np.full((2, 2), 0.5))
+    yield "binary-blind-channel", binary_problem(blind), {}
+    yield "noisy-1-18-inactive", noisy[18], {}
+    flip = ObservationChannel(np.array([[0.55, 0.45], [0.45, 0.55]]))
+    yield "binary-flip-0.45-multiplier-cap", binary_problem(flip), {
+        "min_slack": 0.0065,
+        "options": SolverOptions(max_inner_iter=10),
+    }
 
 
 def bits(problem, kwargs) -> dict:
@@ -79,17 +137,26 @@ def bits(problem, kwargs) -> dict:
     }
 
 
-def solver_bits() -> dict:
-    return {label: bits(problem, kwargs) for label, problem, kwargs in cases()}
+def solver_bits(case_list) -> dict:
+    return {label: bits(problem, kwargs) for label, problem, kwargs in case_list}
 
 
-def test_solver_bits_match_golden():
-    expected = json.loads(GOLDEN.read_text())
-    actual = solver_bits()
+def assert_matches(golden: Path, case_list) -> None:
+    expected = json.loads(golden.read_text())
+    actual = solver_bits(case_list)
     assert list(actual) == list(expected)
     for label, record in expected.items():
         assert actual[label] == record, label
 
 
+def test_solver_bits_match_golden():
+    assert_matches(GOLDEN, cases())
+
+
+def test_solver_exits_match_golden():
+    assert_matches(EXITS_GOLDEN, exit_cases())
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(solver_bits(), indent=1) + "\n")
+    for golden, case_list in ((GOLDEN, cases()), (EXITS_GOLDEN, exit_cases())):
+        golden.write_text(json.dumps(solver_bits(case_list), indent=1) + "\n")
