@@ -88,7 +88,7 @@ def read_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path!r}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -148,22 +148,15 @@ def _solve_target(prior, channel, payoff, settings: dict):
     """``solve`` with the settings' ``min_slack`` and solver options.
 
     The alphabets come from icmodel and match, so a ``ValueError`` can only
-    mean a bad ``min_slack``: a usage error.
+    mean a bad option or ``min_slack``: a usage error.
     """
-    opts = _solver_options(settings)
     try:
-        return solve(prior, channel, payoff, min_slack=settings["min_slack"], options=opts)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _solver_options(settings: dict) -> SolverOptions:
-    try:
-        return SolverOptions(
+        opts = SolverOptions(
             tol_payoff=settings["tol_payoff"],
             outer_steps=settings["outer_steps"],
             max_inner_iter=settings["max_inner_iter"],
         )
+        return solve(prior, channel, payoff, min_slack=settings["min_slack"], options=opts)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -187,7 +180,7 @@ def _snr_grid(settings: dict) -> list[float]:
     return [start + k * step for k in range(int(count))]
 
 
-def cmd_sweep(args: argparse.Namespace, out) -> int:
+def cmd_sweep(args: argparse.Namespace) -> str:
     settings = _settings(args)
     rows = [",".join(SWEEP_COLUMNS)]
     for snr_db in _snr_grid(settings):
@@ -222,11 +215,10 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
                 )
             )
         )
-    out.write("\n".join(rows) + "\n")
-    return 0
+    return "\n".join(rows) + "\n"
 
 
-def cmd_policies(args: argparse.Namespace, out) -> int:
+def cmd_policies(args: argparse.Namespace) -> str:
     settings = _settings(args)
     cfg = _ic_config(settings, settings["snr"])
     prior = icmodel.build_state_prior(cfg)
@@ -253,11 +245,10 @@ def cmd_policies(args: argparse.Namespace, out) -> int:
                 )
             )
         )
-    out.write("\n".join(rows) + "\n")
-    return 0
+    return "\n".join(rows) + "\n"
 
 
-def cmd_simulate(args: argparse.Namespace, out) -> int:
+def cmd_simulate(args: argparse.Namespace) -> str:
     settings = _settings(args)
     cfg = _ic_config(settings, settings["snr"])
     prior = icmodel.build_state_prior(cfg)
@@ -301,8 +292,7 @@ def cmd_simulate(args: argparse.Namespace, out) -> int:
         "target_slack": -gap,
         "result": result.to_dict(),
     }
-    out.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    return 0
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,10 +325,17 @@ def main(argv=None) -> int:
         args.command
     ]
     try:
+        text = handler(args)
         if args.output:
-            with open(args.output, "w", encoding="utf-8", newline="") as out:
-                return handler(args, out)
-        return handler(args, sys.stdout)
+            # opened only after the run, so a failed run leaves no file behind
+            try:
+                with open(args.output, "w", encoding="utf-8", newline="") as out:
+                    out.write(text)
+            except OSError as exc:
+                raise UsageError(f"cannot write {args.output!r}: {exc}") from exc
+        else:
+            sys.stdout.write(text)
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

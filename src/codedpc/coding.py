@@ -60,6 +60,7 @@ from .probability import (
     JointDistribution,
     ObservationChannel,
     StatePrior,
+    _is_integer,
     compose,
     conditional_mutual_information,
     total_variation,
@@ -198,6 +199,8 @@ class CodingConfig:
     info_channel: float = field(init=False)
     resolved_rate: float = field(init=False)
     codebook_size: int = field(init=False)
+    #: The four-variable distribution the empirical counts should approach.
+    reference: JointDistribution = field(init=False)
 
     def __post_init__(self):
         if self.target.axes != ("x0", "x1", "x2"):
@@ -213,10 +216,14 @@ class CodingConfig:
         state_marginal = self.target.pmf.sum(axis=(1, 2))
         if np.abs(state_marginal - self.prior.probs).max() > 1e-9:
             raise CodingConfigError("target's state marginal disagrees with the prior")
-        if self.block_length < 1:
-            raise CodingConfigError(f"block_length must be >= 1, got {self.block_length}")
-        if self.num_blocks < 2:
-            raise CodingConfigError(f"num_blocks must be >= 2, got {self.num_blocks}")
+        for name, least in (("block_length", 1), ("num_blocks", 2), ("seed", None)):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise CodingConfigError(f"{name} must be an integer, got {value!r}")
+            if least is not None and value < least:
+                raise CodingConfigError(f"{name} must be >= {least}, got {value!r}")
+            # numpy integers overflow the Philox key and counter arithmetic
+            object.__setattr__(self, name, int(value))
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise CodingConfigError(f"epsilon must be finite and positive, got {self.epsilon!r}")
         if self.rate is not None and not (math.isfinite(self.rate) and self.rate > 0.0):
@@ -253,10 +260,7 @@ class CodingConfig:
         object.__setattr__(self, "info_channel", float(i_chan))
         object.__setattr__(self, "resolved_rate", float(rate))
         object.__setattr__(self, "codebook_size", int(size))
-
-    def reference(self) -> JointDistribution:
-        """The four-variable distribution the empirical counts should approach."""
-        return compose(self.target, self.channel)
+        object.__setattr__(self, "reference", reference)
 
 
 @dataclass(frozen=True)
@@ -356,21 +360,19 @@ def run(cfg: CodingConfig) -> SimResult:
     size = cfg.codebook_size
     n0, n1, n2 = cfg.target.pmf.shape
     ny = cfg.channel.n_outputs
-    reference = cfg.reference()
-    pair_ref = reference.pmf.sum(axis=(1, 3))  # (n0, n2)
+    pair_ref = cfg.reference.pmf.sum(axis=(1, 3))  # (n0, n2)
     # cells (x0, x1, x2, y) grouped by what the decoder knows, (x0, x2, y)
-    decoder_ref = np.transpose(reference.pmf, (0, 2, 3, 1)).reshape(-1, n1)
+    decoder_ref = np.transpose(cfg.reference.pmf, (0, 2, 3, 1)).reshape(-1, n1)
 
     # Conditional of the informed side's action given (state, partner action);
     # unsupported (state, partner) pairs get a uniform placeholder that the
     # dynamics never visit with matching statistics.
     m02 = cfg.target.pmf.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond_x1 = np.where(
-            m02[:, None, :] > 0.0,
-            cfg.target.pmf / np.where(m02[:, None, :] > 0.0, m02[:, None, :], 1.0),
-            1.0 / n1,
-        )
+    cond_x1 = np.where(
+        m02[:, None, :] > 0.0,
+        cfg.target.pmf / np.where(m02[:, None, :] > 0.0, m02[:, None, :], 1.0),
+        1.0 / n1,
+    )
     cond_cdf = np.cumsum(np.transpose(cond_x1, (0, 2, 1)), axis=-1)  # (n0, n2, n1)
     gamma_cdf = np.cumsum(cfg.channel.matrix, axis=-1)  # (n1, ny)
     x2_cdf = np.cumsum(cfg.target.pmf.sum(axis=(0, 1)))
@@ -391,8 +393,6 @@ def run(cfg: CodingConfig) -> SimResult:
 
     quad_counts = np.zeros(n0 * n1 * n2 * ny, dtype=np.int64)
     diagnostics: list[BlockDiagnostics] = []
-    encoder_failures = 0
-    decoder_errors = 0
 
     play_x2 = source_codebook[0]
     belief_x2 = source_codebook[0]
@@ -403,8 +403,7 @@ def run(cfg: CodingConfig) -> SimResult:
 
         if last:
             # no index to convey; the channel codeword is row 0
-            m_next = 0
-            enc_failed = False
+            m_next, enc_failed = 0, False
         else:
             # encoder looks at the coming block's states; among the typical
             # source codewords it keeps the one whose empirical pair
@@ -414,25 +413,16 @@ def run(cfg: CodingConfig) -> SimResult:
             enc_failed = m_next is None
             if enc_failed:
                 m_next = 0
-                encoder_failures += 1
         x1 = _quantize(cond_cdf[x0, belief_x2], _codebook_row(cfg.seed, b, m_next, n))
 
         obs_gen = _stream(cfg.seed, _STREAM_OBSERVATION, b)
         y = _quantize(gamma_cdf[x1], obs_gen.random(n))
 
-        if last:
-            diagnostics.append(
-                BlockDiagnostics(
-                    block=b,
-                    encoded_index=None,
-                    decoded_index=None,
-                    encoder_failed=False,
-                    typical_candidates=None,
-                    decode_error=None,
-                    payoff_only=True,
-                )
-            )
-        else:
+        played = ((x0 * n1 + x1) * n2 + play_x2) * ny + y
+        quad_counts += np.bincount(played, minlength=quad_counts.shape[0])
+
+        n_typical = m_hat = error = None
+        if not last:
             n_typical, m_hat = _decode(
                 _stream(cfg.seed, _STREAM_CODEBOOK, b),
                 cond_cdf[x0, play_x2],
@@ -443,26 +433,19 @@ def run(cfg: CodingConfig) -> SimResult:
                 chunk,
             )
             error = m_hat != m_next
-            if error:
-                decoder_errors += 1
-            diagnostics.append(
-                BlockDiagnostics(
-                    block=b,
-                    encoded_index=m_next,
-                    decoded_index=m_hat,
-                    encoder_failed=enc_failed,
-                    typical_candidates=n_typical,
-                    decode_error=error,
-                    payoff_only=False,
-                )
-            )
-
-        played = ((x0 * n1 + x1) * n2 + play_x2) * ny + y
-        quad_counts += np.bincount(played, minlength=quad_counts.shape[0])
-
-        if not last:
             play_x2 = source_codebook[m_hat]
             belief_x2 = source_codebook[m_next]
+        diagnostics.append(
+            BlockDiagnostics(
+                block=b,
+                encoded_index=None if last else m_next,
+                decoded_index=m_hat,
+                encoder_failed=enc_failed,
+                typical_candidates=n_typical,
+                decode_error=error,
+                payoff_only=last,
+            )
+        )
 
     total = n * blocks
     empirical = JointDistribution(
@@ -472,9 +455,9 @@ def run(cfg: CodingConfig) -> SimResult:
     average_payoff = float((action_marginal * cfg.payoff.values).sum())
     return SimResult(
         empirical=empirical,
-        tv_to_target=total_variation(empirical, reference),
-        encoder_failures=encoder_failures,
-        decoder_errors=decoder_errors,
+        tv_to_target=total_variation(empirical, cfg.reference),
+        encoder_failures=sum(d.encoder_failed for d in diagnostics),
+        decoder_errors=sum(bool(d.decode_error) for d in diagnostics),
         average_payoff=average_payoff,
         blocks=tuple(diagnostics),
     )

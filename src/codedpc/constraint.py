@@ -26,11 +26,12 @@ from .probability import (
     JointDistribution,
     ObservationChannel,
     StatePrior,
+    _is_integer,
     compose,
     conditional_mutual_information,
 )
 
-#: Default boundary tolerance (bits) for feasibility decisions.  Optimizer
+#: Boundary tolerance (bits) for feasibility decisions.  Optimizer
 #: iterates approach the boundary from inside, so exact zero is too strict.
 FEASIBILITY_TOL = 1e-9
 
@@ -43,7 +44,7 @@ def _check_four_axes(q: JointDistribution) -> None:
 
 
 def _check_stages(stages: int) -> None:
-    if isinstance(stages, bool) or not isinstance(stages, (int, np.integer)) or stages < 1:
+    if not _is_integer(stages) or stages < 1:
         raise ValueError(f"stages must be a positive integer, got {stages!r}")
 
 
@@ -69,11 +70,11 @@ def is_implementable(
     qbar: JointDistribution,
     channel: ObservationChannel,
     prior: StatePrior,
-    tol: float = FEASIBILITY_TOL,
 ) -> ImplementabilityResult:
     """Decide achievability of ``qbar`` under ``channel`` and ``prior``.
 
-    Requires the X0-marginal of ``qbar`` to match ``prior`` within ``tol``.
+    Requires the X0-marginal of ``qbar`` to match ``prior`` within
+    ``FEASIBILITY_TOL``, which is also the tolerance of the verdict.
     Returns the boolean verdict together with the slack (minus the gap);
     slack >= 0 means implementable.
     """
@@ -88,7 +89,7 @@ def is_implementable(
         )
     state_marginal = qbar.pmf.sum(axis=(1, 2))
     off = np.abs(state_marginal - prior.probs)
-    bad = np.nonzero(off > tol)[0]
+    bad = np.nonzero(off > FEASIBILITY_TOL)[0]
     if bad.size:
         i = int(bad[0])
         raise DistributionError(
@@ -96,4 +97,4 @@ def is_implementable(
             f"{state_marginal[i]!r} but the prior says {prior.probs[i]!r}"
         )
     gap = info_constraint_gap(compose(qbar, channel))
-    return ImplementabilityResult(bool(gap <= tol), float(-gap + 0.0))
+    return ImplementabilityResult(bool(gap <= FEASIBILITY_TOL), float(-gap + 0.0))

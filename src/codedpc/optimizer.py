@@ -36,6 +36,7 @@ from .probability import (
     JointDistribution,
     ObservationChannel,
     StatePrior,
+    _is_integer,
 )
 
 _LN2 = float(np.log(2.0))
@@ -93,7 +94,7 @@ class SolverOptions:
             raise ValueError(f"tol_payoff must be finite and positive, got {tol!r}")
         for name in ("max_inner_iter", "outer_steps"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            if not _is_integer(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
@@ -239,41 +240,35 @@ def _inner_maximize(start, rho, kernel, w, lam, offset, max_iter, fw_target):
     """Entropic mirror ascent of E[w] - lam * (gap + offset) on the slices.
 
     Stops once the linearized gap certifies the inner maximum within
-    ``fw_target``, or on stalled progress, or on the iteration budget.
-    Returns the iterate, its objective value, constraint gap, certified
-    inner gap, and the iteration count.
+    ``fw_target``, on the iteration budget, on stalled progress, or on the
+    step floor.  Returns the iterate, its objective value, constraint gap,
+    certified inner gap, and the iteration count.
     """
     p = start
     value, gap, terms = _objective(p, kernel, w, lam, offset)
     step = 1.0
     iters = 0
     stall = 0
-    accepted = True
     while True:
         grad = w - lam * kernel.gap_grad(terms)
-        fw = _fw_gap(grad, p, rho)
-        if fw <= fw_target or iters >= max_iter or stall >= _PATIENCE or not accepted:
-            break
+        fw = max(_fw_gap(grad, p, rho), 0.0)
+        if fw <= fw_target or iters >= max_iter or stall >= _PATIENCE:
+            return p, value, gap, fw, iters
         shift = grad.max(axis=(1, 2), keepdims=True)
-        accepted = False
-        while iters < max_iter:
+        while True:
             iters += 1
             cand = p * np.exp(step * (grad - shift))
             cand = np.maximum(cand, _FLOOR)
             cand *= (rho / cand.sum(axis=(1, 2)))[:, None, None]
             cand_value, cand_gap, cand_terms = _objective(cand, kernel, w, lam, offset)
             if cand_value >= value:
-                gain = cand_value - value
-                p, value, gap, terms = cand, cand_value, cand_gap, cand_terms
-                step = min(step * 1.3, 1e8)
-                accepted = True
                 break
             step *= 0.5
-            if step < 1e-14:
-                break
-        if accepted:
-            stall = stall + 1 if gain <= _INNER_TOL * (1.0 + abs(value)) else 0
-    return p, value, gap, max(fw, 0.0), iters
+            if step < 1e-14 or iters >= max_iter:
+                return p, value, gap, fw, iters
+        stall = stall + 1 if cand_value - value <= _INNER_TOL * (1.0 + abs(cand_value)) else 0
+        p, value, gap, terms = cand, cand_value, cand_gap, cand_terms
+        step = min(step * 1.3, 1e8)
 
 
 def _per_state_argmax(rho: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -340,8 +335,7 @@ def solve(
     rho = prior.probs[active]
     w = w_full[active]
 
-    def finish(q_active, multiplier, dual_bound, iterations):
-        gap = kernel.gap(q_active)[0]
+    def finish(q_active, gap, multiplier, dual_bound, iterations):
         pay = float((q_active * w).sum())
         converged = dual_bound - pay <= opts.tol_payoff
         full = np.zeros((n0, n1, n2))
@@ -364,7 +358,7 @@ def solve(
         return result
 
     best_pay = -np.inf
-    best_q = None
+    best_q = best_gap = None
     # Best iterate seen on the wrong side of the constraint, kept for
     # cross-boundary blending: a convex combination of a feasible and an
     # infeasible near-optimal point stays feasible (the gap functional is
@@ -375,14 +369,14 @@ def solve(
 
     def consider(q_active: np.ndarray, gap: float | None = None) -> float:
         """Offer a point to the pool; returns its excess gap + min_slack."""
-        nonlocal best_pay, best_q, outside_q, outside_excess
+        nonlocal best_pay, best_q, best_gap, outside_q, outside_excess
         if gap is None:
             gap = kernel.gap(q_active)[0]
         excess = gap + offset
         if excess <= FEASIBILITY_TOL:
             pay = float((q_active * w).sum())
             if pay > best_pay:
-                best_pay, best_q = pay, q_active
+                best_pay, best_q, best_gap = pay, q_active, gap
         elif excess < outside_excess:
             outside_q, outside_excess = q_active, excess
         return excess
@@ -390,7 +384,7 @@ def solve(
     def consider_blend() -> None:
         if best_q is None or outside_q is None:
             return
-        inside_excess = kernel.gap(best_q)[0] + offset
+        inside_excess = best_gap + offset
         if inside_excess >= 0.0:
             return
         t = -inside_excess / (outside_excess - inside_excess)
@@ -407,8 +401,9 @@ def solve(
     # Constraint inactive at multiplier zero: the unconstrained argmax wins.
     vertex = _per_state_argmax(rho, w)
     dual_bound = float((vertex * w).sum())
-    if kernel.gap(vertex)[0] + offset <= FEASIBILITY_TOL:
-        return finish(vertex, 0.0, dual_bound, 0)
+    vertex_gap = kernel.gap(vertex)[0]
+    if vertex_gap + offset <= FEASIBILITY_TOL:
+        return finish(vertex, vertex_gap, 0.0, dual_bound, 0)
 
     fw_target = 0.25 * opts.tol_payoff
     total_iters = 0
@@ -436,7 +431,7 @@ def solve(
                     "no feasible point found: the requested slack exceeds what "
                     "the observation channel supports"
                 )
-            return finish(best_q, lam_hi, dual_bound, total_iters)
+            return finish(best_q, best_gap, lam_hi, dual_bound, total_iters)
         lam_hi *= 2.0
 
     lam_lo = 0.0 if lam_hi == 1.0 else lam_hi / 2.0
@@ -449,4 +444,4 @@ def solve(
             lam_hi = lam_mid
         else:
             lam_lo = lam_mid
-    return finish(best_q, lam_hi, dual_bound, total_iters)
+    return finish(best_q, best_gap, lam_hi, dual_bound, total_iters)

@@ -49,6 +49,11 @@ def _as_axes(axes) -> tuple[str, ...]:
     return out
 
 
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers, False for bool and everything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _canonical_order(axes: Iterable[str]) -> tuple[str, ...]:
     present = set(axes)
     return tuple(a for a in CANONICAL_AXES if a in present)
@@ -115,9 +120,6 @@ class JointDistribution:
         if name not in self.axes:
             raise AlphabetError(f"distribution has no axis {name!r}")
         return self.pmf.shape[self.axes.index(name)]
-
-    def marginal(self, axes) -> "JointDistribution":
-        return marginal(self, axes)
 
 
 @dataclass(frozen=True, eq=False)

@@ -48,6 +48,13 @@ class TestConfigFile:
         assert code == 1
         assert "cannot read config" in err
 
+    def test_non_utf8_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"regime = hir\xff\n")
+        code, _, err = run_cli(capsys, "policies", "--config", str(path))
+        assert code == 1
+        assert "cannot read config" in err
+
     def test_flags_override_file(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text("snr = 4\n")
@@ -119,6 +126,19 @@ class TestSweep:
         assert code == 0
         assert out == ""
         assert out_path.read_text().startswith(SWEEP_COLUMNS[0])
+
+    def test_failed_run_leaves_no_output_file(self, tmp_path, capsys):
+        # no point has 5 bits of slack, so the solve fails without a result
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--snr-start", "10", "--snr-stop", "10", "--min-slack", "5",
+            "--output", str(out_path),
+        )
+        assert code == 2
+        assert "no feasible point" in err
+        assert out == ""
+        assert not out_path.exists()
 
     def test_bad_regime_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--regime", "mid")
@@ -226,6 +246,13 @@ def test_unusable_channel_is_usage_error(capsys, argv):
 
 
 class TestPolicies:
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "policies.csv"
+        code, out, err = run_cli(capsys, "policies", "--output", str(out_path))
+        assert code == 1
+        assert "cannot write" in err
+        assert out == ""
+
     def test_sixteen_states(self, capsys):
         code, out, _ = run_cli(capsys, "policies", "--regime", "hir", "--snr", "10")
         assert code == 0

@@ -9,6 +9,7 @@ from codedpc import (
     PayoffTable,
     StatePrior,
     expected_payoff,
+    marginal,
     run,
     total_variation,
 )
@@ -162,6 +163,22 @@ class TestCodingConfig:
         with pytest.raises(CodingConfigError):
             weak_config(n=10, seed=0, blocks=1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("block_length", True), ("block_length", 40.5), ("num_blocks", 2.5), ("seed", 1.5)],
+    )
+    def test_non_integer_rejected(self, field, value):
+        kwargs = {"n": 40, "seed": 0, "blocks": 5}
+        kwargs[{"block_length": "n", "num_blocks": "blocks"}.get(field, field)] = value
+        with pytest.raises(CodingConfigError, match=f"{field} must be an integer"):
+            weak_config(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        plain = run(weak_config(n=40, seed=3, blocks=5))
+        numpy = run(weak_config(n=np.int64(40), seed=np.int64(3), blocks=np.int32(5)))
+        assert numpy.to_dict() == plain.to_dict()
+        assert np.array_equal(numpy.empirical.pmf, plain.empirical.pmf)
+
 
 class TestRunDegenerate:
     def test_single_state_nothing_to_communicate(self):
@@ -182,7 +199,7 @@ class TestRunDegenerate:
         assert cfg.info_coordination == 0.0
         result = run(cfg)
         assert result.decoder_errors == 0
-        x2_emp = result.empirical.marginal(("x2",)).pmf
+        x2_emp = marginal(result.empirical, ("x2",)).pmf
         assert np.abs(x2_emp - [0.3, 0.7]).max() < 0.05
 
     def test_constant_action_target(self):
@@ -204,7 +221,7 @@ class TestRunDegenerate:
         assert actions[1, 1] == pytest.approx(1.0, abs=1e-12)
         # deviation from the target comes from state sampling alone
         state_tv = total_variation(
-            result.empirical.marginal(("x0",)), target.marginal(("x0",))
+            marginal(result.empirical, ("x0",)), marginal(target, ("x0",))
         )
         assert result.tv_to_target == pytest.approx(state_tv, abs=1e-12)
 
@@ -229,7 +246,7 @@ class TestRunStatistics:
     def test_payoff_matches_empirical_distribution(self):
         cfg = weak_config(n=200, seed=2)
         result = run(cfg)
-        emp3 = result.empirical.marginal(("x0", "x1", "x2"))
+        emp3 = marginal(result.empirical, ("x0", "x1", "x2"))
         assert result.average_payoff == pytest.approx(
             expected_payoff(emp3, cfg.payoff), abs=1e-12
         )

@@ -159,7 +159,7 @@ def test_chunked_draws_match_one_draw():
 )
 def test_report_independent_of_chunk_size(monkeypatch, make_config, rows_per_chunk):
     cfg = make_config()
-    width = max(cfg.block_length, cfg.reference().pmf.size)
+    width = max(cfg.block_length, cfg.reference.pmf.size)
     assert coding._chunk_rows(width) >= cfg.codebook_size
     whole = sim_report(cfg)
     monkeypatch.setattr(coding, "_CHUNK_BYTES", 8 * width * rows_per_chunk)
