@@ -168,16 +168,19 @@ class TestCodingConfig:
         [("block_length", True), ("block_length", 40.5), ("num_blocks", 2.5), ("seed", 1.5)],
     )
     def test_non_integer_rejected(self, field, value):
-        kwargs = {"n": 40, "seed": 0, "blocks": 5}
-        kwargs[{"block_length": "n", "num_blocks": "blocks"}.get(field, field)] = value
+        target, channel, prior, payoff = weakly_coordinated_target()
+        sizes = {"block_length": 40, "num_blocks": 5, "seed": 0, field: value}
         with pytest.raises(CodingConfigError, match=f"{field} must be an integer"):
-            weak_config(**kwargs)
+            CodingConfig(
+                target=target, channel=channel, prior=prior, payoff=payoff,
+                rate=0.025, **sizes,
+            )
 
     def test_numpy_integers_accepted(self):
         plain = run(weak_config(n=40, seed=3, blocks=5))
-        numpy = run(weak_config(n=np.int64(40), seed=np.int64(3), blocks=np.int32(5)))
-        assert numpy.to_dict() == plain.to_dict()
-        assert np.array_equal(numpy.empirical.pmf, plain.empirical.pmf)
+        numpy_ints = run(weak_config(n=np.int64(40), seed=np.int64(3), blocks=np.int32(5)))
+        assert numpy_ints.to_dict() == plain.to_dict()
+        assert np.array_equal(numpy_ints.empirical.pmf, plain.empirical.pmf)
 
 
 class TestRunDegenerate:
