@@ -185,6 +185,50 @@ def test_gap_kernel_matches_generic_path(problem):
     assert fast == pytest.approx(generic, abs=1e-12, rel=0.0)
 
 
+def coordination_payoff():
+    """Four states, three actions each: state x0 pays 1 + x0/10 for the pair
+    (a, a) with a = 0, 1, 2, 1, so the partner must learn the state."""
+    w = np.zeros((4, 3, 3))
+    for x0, a in enumerate((0, 1, 2, 1)):
+        w[x0, a, a] = 1.0 + 0.1 * x0
+    return PayoffTable(w)
+
+
+class TestLogGuard:
+    """Solves where q(x0, x2, y) has exact zeros or the iterates are tiny.
+
+    ``np.log`` without the guard warns on these, and RuntimeWarning is an
+    error; each solve must certify with the slack the generic path gives."""
+
+    @staticmethod
+    def certified_slack_matches(prior, channel):
+        res = solve(prior, channel, coordination_payoff())
+        assert res.converged and res.multiplier > 0.0
+        gap = info_constraint_gap(compose(res.qbar, channel))
+        assert res.slack == pytest.approx(-gap, abs=1e-9)
+
+    def test_noisy_channel_with_all_zero_output_column(self):
+        # no input produces y = 2, so q(x0, x2, 2) = 0 at every iterate
+        gamma = np.array([[0.8, 0.2, 0.0], [0.1, 0.9, 0.0], [0.5, 0.5, 0.0]])
+        prior = StatePrior(np.array([0.1, 0.2, 0.3, 0.4]))
+        self.certified_slack_matches(prior, ObservationChannel(gamma))
+
+    @pytest.mark.parametrize("monitoring", ["perfect", "noisy"])
+    def test_states_of_mass_1e300_and_1e310(self, monitoring):
+        # the 1e-310 state's iterates are subnormal, so the perfect path
+        # keeps the guard as well; on the noisy channel y = 2 has probability
+        # 1e-20 from every input, so q(x0, x2, 2) underflows to exactly 0
+        # in the two tiny states
+        prior = StatePrior(np.array([0.45, 1e-300, 1e-310, 0.55]))
+        if monitoring == "perfect":
+            channel = ObservationChannel.identity(3)
+        else:
+            gamma = np.array([[0.8, 0.2, 1e-20], [0.2, 0.8, 1e-20], [0.5, 0.5, 1e-20]])
+            gamma[:, 1] -= 1e-20
+            channel = ObservationChannel(gamma)
+        self.certified_slack_matches(prior, channel)
+
+
 class TestSolve:
     def test_partner_irrelevant_payoff_hits_costless_bound(self):
         # w does not depend on x2: the per-state argmax with a constant
