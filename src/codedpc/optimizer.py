@@ -163,11 +163,6 @@ def _log_pos(a: np.ndarray) -> np.ndarray:
     return np.log(np.where(a > 0.0, a, 1.0))
 
 
-def _xlogx(a: np.ndarray) -> np.ndarray:
-    """Elementwise a * ln a, with 0 * ln 0 = 0."""
-    return a * _log_pos(a)
-
-
 class _InfoKernel:
     """(1/stages) I(X0;X2) - I(X1;Y|X0,X2) in bits and its gradient, for one
     channel and stage count; the channel's row terms are computed once.
@@ -182,46 +177,58 @@ class _InfoKernel:
         self.gamma = gamma
         self.inv_stages = inv_stages
         self.perfect = np.array_equal(gamma, np.eye(gamma.shape[0]))
-        self.row_plogp = _xlogx(gamma).sum(axis=1)
-        self.row_entropy = -self.row_plogp
+        self.row_plogp = (gamma * _log_pos(gamma)).sum(axis=1)
 
     def gap(self, qbar: np.ndarray):
         """The gap at qbar, and the terms ``gap_grad`` reuses: q(x0, x2),
-        q(x0, x2, y) and the logs of q(x0, x2), q(x0) and q(x2)."""
-        m02 = qbar.sum(axis=1)
-        m0 = m02.sum(axis=1)
-        m2 = m02.sum(axis=0)
-        log02, log0, log2 = _log_pos(m02), _log_pos(m0), _log_pos(m2)
-        plogp02 = float((m02 * log02).sum())
-        i_coord = plogp02 - float((m0 * log0).sum()) - float((m2 * log2).sum())
+        q(x0, x2, y), the logs of q(x0, x2), q(x0) and q(x2), and the log."""
+        return self._gap(qbar, _log_pos)
+
+    def _gap(self, qbar: np.ndarray, log):
+        """``gap`` with one ``log`` pass over one buffer of q(x0, x2), q(x0),
+        q(x2) and q(x0, x2, y); ``np.log`` needs all of them positive.  Each
+        entropy sum is over a slice shaped and ordered like its own array."""
+        n0, n1, n2 = qbar.shape
+        n02 = n0 * n2
+        e0, e2 = n02 + n0, n02 + n0 + n2
+        k = n1 if self.perfect else self.gamma.shape[1]
+        buf = np.empty(e2 + n02 * k)
+        m02, s = buf[:n02].reshape(n0, n2), buf[e2:].reshape(n0, n2, k)
+        np.add.reduce(qbar, axis=1, out=m02)
+        np.add.reduce(m02, axis=1, out=buf[n02:e0])
+        np.add.reduce(m02, axis=0, out=buf[e0:e2])
         if self.perfect:
-            s = np.ascontiguousarray(qbar.transpose(0, 2, 1))
-            i_channel = -(float(_xlogx(s).sum()) - plogp02)
+            np.copyto(s, qbar.transpose(0, 2, 1))
         else:
-            s = np.einsum("abc,by->acy", qbar, self.gamma)
-            h_y_given_02 = -(float(_xlogx(s).sum()) - plogp02)
-            i_channel = h_y_given_02 - float(qbar.sum(axis=(0, 2)) @ self.row_entropy)
+            np.einsum("abc,by->acy", qbar, self.gamma, out=s)
+        logs = log(buf)
+        plogp = buf * logs
+        plogp02 = float(plogp[:n02].sum())
+        i_coord = plogp02 - float(plogp[n02:e0].sum()) - float(plogp[e0:e2].sum())
+        i_channel = -(float(plogp[e2:].sum()) - plogp02)
+        if not self.perfect:
+            i_channel += float(qbar.sum(axis=(0, 2)) @ self.row_plogp)
         gap = (self.inv_stages * i_coord - i_channel) / _LN2
-        return gap, (m02, s, log02, log0, log2)
+        return gap, (m02, s, logs[:n02].reshape(n0, n2), logs[n02:e0], logs[e0:e2], log)
 
     def gap_grad(self, terms) -> np.ndarray:
         """Gradient of the gap w.r.t. qbar from the terms ``gap`` returned;
         requires strictly positive qbar, where every log above is ln."""
-        m02, s, log02, log0, log2 = terms
+        m02, s, log02, log0, log2, log = terms
         coord = self.inv_stages * (log02 - log0[:, None] - log2[None, :])[:, None, :]
         # p_y(a, c, y) = 0 forces gamma(., y) = 0, whose coefficient below is
         # zero, so the log substituted there never contributes.
-        log_p = _log_pos(s / m02[:, :, None])
+        log_p = log(s / m02[:, :, None])
         if self.perfect:
             return (coord + log_p.transpose(0, 2, 1)) / _LN2
         cross = np.einsum("by,acy->abc", self.gamma, log_p)
         return (coord - (self.row_plogp[None, :, None] - cross)) / _LN2
 
 
-def _objective(qbar, kernel, w, lam, offset):
+def _objective(qbar, kernel, log, w, lam, offset):
     """Lagrangian value, constraint gap and the kernel terms behind them."""
     pay = float((qbar * w).sum())
-    gap, terms = kernel.gap(qbar)
+    gap, terms = kernel._gap(qbar, log)
     return pay - lam * (gap + offset), gap, terms
 
 
@@ -236,7 +243,7 @@ def _fw_gap(grad: np.ndarray, p: np.ndarray, rho: np.ndarray) -> float:
     return float((rho * grad.max(axis=(1, 2))).sum() - (grad * p).sum())
 
 
-def _inner_maximize(start, rho, kernel, w, lam, offset, max_iter, fw_target):
+def _inner_maximize(start, rho, kernel, log, w, lam, offset, max_iter, fw_target):
     """Entropic mirror ascent of E[w] - lam * (gap + offset) on the slices.
 
     Stops once the linearized gap certifies the inner maximum within
@@ -245,7 +252,7 @@ def _inner_maximize(start, rho, kernel, w, lam, offset, max_iter, fw_target):
     certified inner gap, and the iteration count.
     """
     p = start
-    value, gap, terms = _objective(p, kernel, w, lam, offset)
+    value, gap, terms = _objective(p, kernel, log, w, lam, offset)
     step = 1.0
     iters = 0
     stall = 0
@@ -260,7 +267,7 @@ def _inner_maximize(start, rho, kernel, w, lam, offset, max_iter, fw_target):
             cand = p * np.exp(step * (grad - shift))
             cand = np.maximum(cand, _FLOOR)
             cand *= (rho / cand.sum(axis=(1, 2)))[:, None, None]
-            cand_value, cand_gap, cand_terms = _objective(cand, kernel, w, lam, offset)
+            cand_value, cand_gap, cand_terms = _objective(cand, kernel, log, w, lam, offset)
             if cand_value >= value:
                 break
             step *= 0.5
@@ -334,6 +341,11 @@ def solve(
     active = prior.probs > 0.0
     rho = prior.probs[active]
     w = w_full[active]
+    # The floor keeps every mirror-ascent iterate above about
+    # min(rho, _FLOOR) / (n1 * n2).  While that is a normal float, no entry the
+    # kernel logs on the perfect path is zero, so the ascent skips the guard.
+    positive = kernel.perfect and rho.min() / (n1 * n2) >= np.finfo(float).tiny
+    log = np.log if positive else _log_pos
 
     def finish(q_active, gap, multiplier, dual_bound, iterations):
         pay = float((q_active * w).sum())
@@ -414,7 +426,7 @@ def solve(
         bound, offer the iterate to the pool, report whether it is feasible."""
         nonlocal total_iters, dual_bound, warm
         q, value, gap, certified, it = _inner_maximize(
-            warm, rho, kernel, w, lam, offset, opts.max_inner_iter, fw_target
+            warm, rho, kernel, log, w, lam, offset, opts.max_inner_iter, fw_target
         )
         total_iters += it
         dual_bound = min(dual_bound, value + certified)

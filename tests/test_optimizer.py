@@ -30,7 +30,7 @@ from codedpc.icmodel import (
     identity_observation_channel,
     spc_distribution,
 )
-from oracles import uniform_distribution
+from oracles import InfoKernel, uniform_distribution
 
 
 def tiny_instance():
@@ -183,6 +183,46 @@ def test_gap_kernel_matches_generic_path(problem):
     fast = gap_bits(qbar.pmf, channel.matrix, 1.0 / stages)
     generic = info_constraint_gap(compose(qbar, channel), stages=stages)
     assert fast == pytest.approx(generic, abs=1e-12, rel=0.0)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """qbar (strictly positive or with zero cells), an identity or a noisy
+    channel matrix (possibly with zero entries and all-zero columns) and S."""
+    n0, n1, n2, ny = (draw(st.integers(1, 5)) for _ in range(4))
+    positive = draw(st.booleans())
+    weight = st.floats(1e-6, 1.0) if positive else st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    q = draw(hnp.arrays(np.float64, (n0, n1, n2), elements=weight))
+    if q.sum() == 0.0:
+        q[0, 0, 0] = 1.0
+    if draw(st.booleans()):
+        gamma = np.eye(n1)
+    else:
+        entry = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+        gamma = draw(hnp.arrays(np.float64, (n1, ny), elements=entry))
+        gamma[gamma.sum(axis=1) == 0.0, 0] = 1.0
+        gamma /= gamma.sum(axis=1, keepdims=True)
+    return q / q.sum(), gamma, 1.0 / draw(st.integers(1, 64))
+
+
+@settings(deadline=None, max_examples=300)
+@given(kernel_inputs())
+def test_fused_kernel_matches_oracle_bit_for_bit(inputs):
+    # the one-buffer kernel against the separate-array formulas it replaced;
+    # the gradient needs q(x0, x2) > 0, and plain np.log needs qbar > 0 on
+    # the perfect path, where the inner ascent takes it
+    qbar, gamma, inv_stages = inputs
+    kernel, oracle = _InfoKernel(gamma, inv_stages), InfoKernel(gamma, inv_stages)
+    gap, terms = kernel.gap(qbar)
+    want_gap, want_terms = oracle.gap(qbar)
+    assert gap.hex() == want_gap.hex()
+    if (qbar.sum(axis=1) > 0.0).all():
+        want_grad = oracle.gap_grad(want_terms).tobytes()
+        assert kernel.gap_grad(terms).tobytes() == want_grad
+        if kernel.perfect and (qbar > 0.0).all():
+            plain_gap, plain_terms = kernel._gap(qbar, np.log)
+            assert plain_gap.hex() == want_gap.hex()
+            assert kernel.gap_grad(plain_terms).tobytes() == want_grad
 
 
 def coordination_payoff():
