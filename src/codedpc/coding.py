@@ -87,7 +87,7 @@ class CodingConfigError(ValueError):
 
 
 def _stream(seed: int, tag: int, block: int = 0) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, (tag << 32) | block], dtype=np.uint64)
+    key = np.array([seed, (tag << 32) | block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -216,14 +216,17 @@ class CodingConfig:
         state_marginal = self.target.pmf.sum(axis=(1, 2))
         if np.abs(state_marginal - self.prior.probs).max() > 1e-9:
             raise CodingConfigError("target's state marginal disagrees with the prior")
-        for name, least in (("block_length", 1), ("num_blocks", 2), ("seed", None)):
+        for name, least in (("block_length", 1), ("num_blocks", 2), ("seed", 0)):
             value = getattr(self, name)
             if not _is_integer(value):
                 raise CodingConfigError(f"{name} must be an integer, got {value!r}")
-            if least is not None and value < least:
+            if value < least:
                 raise CodingConfigError(f"{name} must be >= {least}, got {value!r}")
             # numpy integers overflow the Philox key and counter arithmetic
             object.__setattr__(self, name, int(value))
+        # the seed is one 64-bit word of the Philox key; a wider one would alias
+        if self.seed >= 2**64:
+            raise CodingConfigError(f"seed must be < 2**64, got {self.seed!r}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise CodingConfigError(f"epsilon must be finite and positive, got {self.epsilon!r}")
         if self.rate is not None and not (math.isfinite(self.rate) and self.rate > 0.0):

@@ -176,6 +176,19 @@ class TestCodingConfig:
                 rate=0.025, **sizes,
             )
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_philox_key_rejected(self, seed):
+        # the seed is one 64-bit Philox key word: -1 used to run as
+        # 2**64 - 1 and 2**64 as 0
+        with pytest.raises(CodingConfigError, match="seed must be"):
+            weak_config(n=10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_accepted(self, seed):
+        cfg = weak_config(n=10, seed=seed, blocks=2)
+        assert cfg.seed == seed
+        assert run(cfg).blocks
+
     def test_numpy_integers_accepted(self):
         plain = run(weak_config(n=40, seed=3, blocks=5))
         numpy_ints = run(weak_config(n=np.int64(40), seed=np.int64(3), blocks=np.int32(5)))
