@@ -39,8 +39,13 @@ Memory and time do not grow with M x n x |alphabet|:
 * Every cell of the typicality test splits into a part fixed by the block
   (the state for the encoder; state, partner action and observation for the
   decoder) and a symbol that varies with the codeword.  Each block builds an
-  (n, fixed parts) one-hot matrix once, and the counts of symbol v are the
-  product of the codewords' ``== v`` mask with it.
+  (n, fixed parts) one-hot matrix once; its product with the codewords'
+  ``symbol >= v`` mask counts symbol >= v, and count(v) is the difference of
+  two such counts.  The decoder's masks compare the uniforms with the CDF,
+  so it never forms the symbols.
+* The encoder reads only the coming block's states, so all blocks' indices
+  are found up front, in one codebook pass that builds each chunk's masks
+  once for every block.
 * A cell whose fixed part does not occur in the block counts 0 in every
   codeword, so its verdict, |0 - n p| <= eps n p, is the same for all of
   them.  It is evaluated once; when it fails (p > 0 and eps < 1), no
@@ -149,16 +154,27 @@ def _indicator(groups: np.ndarray, n_groups: int) -> np.ndarray:
     return out
 
 
-def _cell_counts(symbols: np.ndarray, indicator: np.ndarray, k: int) -> np.ndarray:
-    """(rows, groups * k) counts of each (group, symbol) cell of each row.
+def _count_cells(masks, indicator: np.ndarray, sizes: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(rows, K, groups) counts of each (symbol, group) cell of each row, from
+    ``masks``, the rows' 0/1 masks of symbol >= 1, ..., K-1 (each used before
+    the next is taken), and ``sizes = indicator.sum(0)``, the count of symbol
+    >= 0.  The sums of 0s and 1s are exact in float64 below 2**53."""
+    out[:, 0] = sizes
+    for v, mask in enumerate(masks, 1):
+        np.matmul(mask, indicator, out=out[:, v])
+        out[:, v - 1] -= out[:, v]
+    return out
 
-    One ``(symbols == v) @ indicator`` per symbol.  The sums are of 0s and
-    1s, so float64 holds them exactly up to 2**53 positions.
-    """
-    out = np.empty((symbols.shape[0], indicator.shape[1], k))
-    for v in range(k):
-        out[:, :, v] = (symbols == v) @ indicator
-    return out.reshape(symbols.shape[0], -1)
+
+def _threshold_masks(uniforms: np.ndarray, levels: np.ndarray, spare: np.ndarray | None):
+    """The masks of symbol >= 1, ..., K-1 of ``_quantize(cdf, uniforms)``, with
+    ``levels`` ``cdf[..., :-1]`` with its last axis first: the rows of cdf are
+    nondecreasing, so symbol >= v exactly when u >= levels[v - 1].  The last
+    mask overwrites ``uniforms``, the others ``spare`` (None when K <= 2)."""
+    for v, level in enumerate(levels, 1):
+        mask = uniforms if v == len(levels) else spare
+        np.greater_equal(uniforms, level, out=mask, casting="unsafe")
+        yield mask
 
 
 def _absent_cells_typical(indicator: np.ndarray, ref: np.ndarray, n: int, eps: float) -> bool:
@@ -298,56 +314,63 @@ class SimResult:
         }
 
 
-def _encode(
-    codebook: np.ndarray, indicator: np.ndarray, pair_ref: np.ndarray, n: int, eps: float
-) -> int | None:
-    """Index of the typical source codeword whose (state, action) statistics
-    deviate least from ``pair_ref``, the first on ties; None when no
-    codeword is typical with the coming block's states."""
-    if not _absent_cells_typical(indicator, pair_ref, n, eps):
-        return None
-    n0, n2 = pair_ref.shape
-    pair_flat = pair_ref.ravel()
-    best, best_deviation = None, np.inf
-    step = _chunk_rows(max(n, n0 * n2))
-    for lo in range(0, codebook.shape[0], step):
-        counts = _cell_counts(codebook[lo : lo + step], indicator, n2)
-        typical = np.flatnonzero(_typical_rows(counts, pair_flat, n, eps))
-        if typical.size:
-            deviation = np.abs(counts[typical] / n - pair_flat).sum(axis=1)
-            i = int(np.argmin(deviation))
-            if deviation[i] < best_deviation:
-                best, best_deviation = lo + int(typical[i]), deviation[i]
+def _encode_all(
+    codebook: np.ndarray, states: np.ndarray, pair_ref: np.ndarray, eps: float, chunk: np.ndarray
+) -> list[int | None]:
+    """Per row of ``states``, the typical source codeword whose (state, action)
+    statistics deviate least from ``pair_ref``, the first on ties; None when
+    none is typical.  Each chunk's masks of symbol >= v fill ``chunk`` once
+    and serve every block whose absent cells pass."""
+    size, n = codebook.shape
+    n0, k = pair_ref.shape
+    pair_flat, ref_flat = pair_ref.ravel(), pair_ref.T.ravel()
+    best, best_deviation = [None] * len(states), [np.inf] * len(states)
+    indicators = [(b, _indicator(x0, n0)) for b, x0 in enumerate(states)]
+    live = [(b, i, i.sum(0)) for b, i in indicators if _absent_cells_typical(i, pair_ref, n, eps)]
+    if not live:
+        return best
+    step = chunk.shape[0] // max(k - 1, 1)
+    masks = chunk.reshape(-1)[: (k - 1) * step * n].reshape(k - 1, step, n)
+    counts = np.empty((step, k, n0))
+    for lo in range(0, size, step):
+        rows = min(step, size - lo)
+        for v in range(1, k):
+            np.greater_equal(codebook[lo : lo + rows], v, out=masks[v - 1, :rows], casting="unsafe")
+        for b, indicator, sizes in live:
+            cells = _count_cells(masks[:, :rows], indicator, sizes, counts[:rows])
+            typical = np.flatnonzero(_typical_rows(cells.reshape(rows, -1), ref_flat, n, eps))
+            if typical.size:
+                # summed in (group, symbol) order: a float sum's bits follow its order
+                by_group = cells[typical].transpose(0, 2, 1).reshape(typical.size, -1)
+                deviation = np.abs(by_group / n - pair_flat).sum(axis=1)
+                i = int(np.argmin(deviation))
+                if deviation[i] < best_deviation[b]:
+                    best[b], best_deviation[b] = lo + int(typical[i]), deviation[i]
     return best
 
 
-def _decode(
-    gen: np.random.Generator,
-    cdf: np.ndarray,
-    indicator: np.ndarray,
-    ref: np.ndarray,
-    size: int,
-    eps: float,
-    chunk: np.ndarray,
-) -> tuple[int, int]:
+def _decode(gen, cdf, indicator, ref, size: int, eps: float, chunk) -> tuple[int, int]:
     """Count the typical candidate codewords and find the first one.
 
     Candidates are drawn from ``gen`` into ``chunk``, a reused (rows, n)
-    buffer, in the order of one (size, n) draw, and mapped through ``cdf``;
-    ``ref`` is (groups, |X1|).  Returns the number of typical rows and the
-    smallest typical index (0 when there is none).
-    """
+    buffer, in the order of one (size, n) draw, and counted from their
+    threshold masks against ``cdf`` (n, |X1|); ``ref`` is (groups, |X1|).
+    Returns the number of typical rows and the first one (0 when none)."""
     step, n = chunk.shape
     if not _absent_cells_typical(indicator, ref, n, eps):
         return 0, 0
-    k = ref.shape[1]
-    ref_flat = ref.ravel()
+    k, ref_flat = ref.shape[1], ref.T.ravel()
+    levels = np.ascontiguousarray(cdf[:, :-1].T)
+    sizes = indicator.sum(axis=0)
+    counts = np.empty((step, k, indicator.shape[1]))
+    spare = np.empty_like(chunk) if k > 2 else None
     n_typical, first = 0, None
     for lo in range(0, size, step):
         rows = min(step, size - lo)
         uniforms = gen.random(out=chunk[:rows])
-        counts = _cell_counts(_quantize(cdf, uniforms), indicator, k)
-        typical = _typical_rows(counts, ref_flat, n, eps)
+        masks = _threshold_masks(uniforms, levels, None if spare is None else spare[:rows])
+        cells = _count_cells(masks, indicator, sizes, counts[:rows])
+        typical = _typical_rows(cells.reshape(rows, -1), ref_flat, n, eps)
         hits = int(typical.sum())
         if hits and first is None:
             first = lo + int(np.argmax(typical))
@@ -386,13 +409,21 @@ def run(cfg: CodingConfig) -> SimResult:
     ).astype(np.intp)
     # One buffer for every chunk of uniforms.  Allocating each chunk afresh
     # let the allocator return the memory to the system and fault it back in:
-    # on a 2-core Xeon VM that was up to a third of a binary n=400 run.
-    chunk = np.empty((min(size, _chunk_rows(max(n, decoder_ref.size))), n))
+    # on a 2-core Xeon VM that was up to a third of a binary n=400 run.  It
+    # also holds the decoder's last mask and the encoder's |X2| - 1 masks.
+    rows = min(size, _chunk_rows(max(n, decoder_ref.size)))
+    chunk = np.empty((max(rows, n2 - 1), n))
     source_gen = _stream(cfg.seed, _STREAM_SOURCE)
     source_codebook = np.empty((size, n), dtype=np.min_scalar_type(n2 - 1))
     for lo in range(0, size, chunk.shape[0]):
         part = source_codebook[lo : lo + chunk.shape[0]]
         part[...] = _quantize(x2_cdf, source_gen.random(out=chunk[: part.shape[0]]))
+
+    # The encoder reads the coming block's states, nothing the decoder outputs;
+    # among the typical source codewords it keeps the one whose pair
+    # statistics sit closest to the target (larger codebooks then cover the
+    # target ever more finely).  The last block conveys no index: row 0.
+    encoded = [*_encode_all(source_codebook, states[1:], pair_ref, eps, chunk), 0]
 
     quad_counts = np.zeros(n0 * n1 * n2 * ny, dtype=np.int64)
     diagnostics: list[BlockDiagnostics] = []
@@ -404,18 +435,10 @@ def run(cfg: CodingConfig) -> SimResult:
         last = b == blocks - 1
         x0 = states[b]
 
-        if last:
-            # no index to convey; the channel codeword is row 0
-            m_next, enc_failed = 0, False
-        else:
-            # encoder looks at the coming block's states; among the typical
-            # source codewords it keeps the one whose empirical pair
-            # statistics sit closest to the target (larger codebooks then
-            # cover the target ever more finely)
-            m_next = _encode(source_codebook, _indicator(states[b + 1], n0), pair_ref, n, eps)
-            enc_failed = m_next is None
-            if enc_failed:
-                m_next = 0
+        m_next = encoded[b]
+        enc_failed = m_next is None
+        if enc_failed:
+            m_next = 0
         x1 = _quantize(cond_cdf[x0, belief_x2], _codebook_row(cfg.seed, b, m_next, n))
 
         obs_gen = _stream(cfg.seed, _STREAM_OBSERVATION, b)
@@ -426,14 +449,10 @@ def run(cfg: CodingConfig) -> SimResult:
 
         n_typical = m_hat = error = None
         if not last:
+            groups = _indicator((x0 * n2 + play_x2) * ny + y, decoder_ref.shape[0])
             n_typical, m_hat = _decode(
-                _stream(cfg.seed, _STREAM_CODEBOOK, b),
-                cond_cdf[x0, play_x2],
-                _indicator((x0 * n2 + play_x2) * ny + y, decoder_ref.shape[0]),
-                decoder_ref,
-                size,
-                eps,
-                chunk,
+                _stream(cfg.seed, _STREAM_CODEBOOK, b), cond_cdf[x0, play_x2], groups,
+                decoder_ref, size, eps, chunk,
             )
             error = m_hat != m_next
             play_x2 = source_codebook[m_hat]

@@ -217,7 +217,12 @@ class _InfoKernel:
         m02, s, log02, log0, log2, log = terms
         coord = self.inv_stages * (log02 - log0[:, None] - log2[None, :])[:, None, :]
         # p_y(a, c, y) = 0 forces gamma(., y) = 0, whose coefficient below is
-        # zero, so the log substituted there never contributes.
+        # zero, so the log substituted there never contributes.  A state whose
+        # mass underflows leaves q(x0, x2) = 0 and s = 0 with it: the smallest
+        # subnormal as divisor turns that 0 / 0 into the 0 the guarded log
+        # maps to 0, and leaves every positive q(x0, x2) as it is.
+        if log is not np.log:
+            m02 = np.maximum(m02, 5e-324)
         log_p = log(s / m02[:, :, None])
         if self.perfect:
             return (coord + log_p.transpose(0, 2, 1)) / _LN2

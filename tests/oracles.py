@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from codedpc import JointDistribution, conditional_entropy, entropy
+from codedpc.coding import _absent_cells_typical, _chunk_rows, _typical_rows
 
 
 def uniform_distribution(shape: tuple[int, ...], axes) -> JointDistribution:
@@ -126,3 +127,42 @@ def row_counts(cells: np.ndarray, n_cells: int) -> np.ndarray:
         )
         out[lo : lo + part.shape[0]] = flat.reshape(part.shape[0], n_cells)
     return out
+
+
+def cell_counts(symbols: np.ndarray, indicator: np.ndarray, k: int) -> np.ndarray:
+    """(rows, groups * k) counts of each (group, symbol) cell of each row.
+
+    The simulator's counter before it counted from threshold masks: one
+    ``(symbols == v) @ indicator`` per symbol.
+    """
+    out = np.empty((symbols.shape[0], indicator.shape[1], k))
+    for v in range(k):
+        out[:, :, v] = (symbols == v) @ indicator
+    return out.reshape(symbols.shape[0], -1)
+
+
+def encode_block(
+    codebook: np.ndarray, indicator: np.ndarray, pair_ref: np.ndarray, n: int, eps: float
+) -> int | None:
+    """The simulator's encoder before it served every block in one pass.
+
+    Index of the typical source codeword whose (state, action) statistics
+    deviate least from ``pair_ref``, the first on ties; None when no
+    codeword is typical with the block's states (``indicator``).  It reads
+    the codebook in chunks of ``_chunk_rows(max(n, |cells|))`` rows.
+    """
+    if not _absent_cells_typical(indicator, pair_ref, n, eps):
+        return None
+    n0, n2 = pair_ref.shape
+    pair_flat = pair_ref.ravel()
+    best, best_deviation = None, np.inf
+    step = _chunk_rows(max(n, n0 * n2))
+    for lo in range(0, codebook.shape[0], step):
+        counts = cell_counts(codebook[lo : lo + step], indicator, n2)
+        typical = np.flatnonzero(_typical_rows(counts, pair_flat, n, eps))
+        if typical.size:
+            deviation = np.abs(counts[typical] / n - pair_flat).sum(axis=1)
+            i = int(np.argmin(deviation))
+            if deviation[i] < best_deviation:
+                best, best_deviation = lo + int(typical[i]), deviation[i]
+    return best

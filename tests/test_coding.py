@@ -13,7 +13,7 @@ from codedpc import (
     run,
     total_variation,
 )
-from codedpc.coding import _cell_counts, _indicator, _typical_rows
+from codedpc.coding import _count_cells, _indicator, _typical_rows
 from codedpc.icmodel import (
     ICConfig,
     build_payoff_table,
@@ -58,8 +58,10 @@ def typical(groups, symbols, ref, eps):
     """The simulator's typicality verdict on one sequence of (group, symbol)
     cells; ``ref`` is (groups, symbols)."""
     n_groups, k = ref.shape
-    counts = _cell_counts(symbols[None, :], _indicator(groups, n_groups), k)
-    return bool(_typical_rows(counts, ref.ravel(), groups.size, eps)[0])
+    indicator = _indicator(groups, n_groups)
+    masks = [(symbols[None, :] >= v).astype(float) for v in range(1, k)]
+    counts = _count_cells(masks, indicator, indicator.sum(axis=0), np.empty((1, k, n_groups)))
+    return bool(_typical_rows(counts.reshape(1, -1), ref.T.ravel(), groups.size, eps)[0])
 
 
 class TestTypicalSetTest:

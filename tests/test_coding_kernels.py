@@ -1,9 +1,9 @@
 """The simulator's block kernels against the code they replaced.
 
 ``tests/oracles.py`` keeps the original quantizer (an (..., n, K)
-comparison) and the original per-row bincount; the kernels in
-``codedpc.coding`` must agree with them exactly, because the seeded
-reports depend on every symbol and every typicality verdict.
+comparison), the original per-row bincount and the per-block encoder; the
+kernels in ``codedpc.coding`` must agree with them exactly, because the
+seeded reports depend on every symbol and every typicality verdict.
 """
 
 from __future__ import annotations
@@ -14,18 +14,27 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from codedpc import coding
+from codedpc import (
+    CodingConfig,
+    JointDistribution,
+    ObservationChannel,
+    PayoffTable,
+    StatePrior,
+    coding,
+)
 from codedpc.coding import (
     _STREAM_CODEBOOK,
     _absent_cells_typical,
-    _cell_counts,
     _codebook_row,
+    _count_cells,
+    _encode_all,
     _indicator,
     _quantize,
     _stream,
+    _threshold_masks,
     _typical_rows,
 )
-from oracles import quantize_rows, row_counts
+from oracles import cell_counts, encode_block, quantize_rows, row_counts
 from test_golden import _BSC, _binary_config, sim_report
 
 unit = st.floats(0.0, 1.0, exclude_max=True)
@@ -98,13 +107,73 @@ def grouped_blocks(draw):
     return groups, symbols, ref.reshape(n_groups, k), eps
 
 
+def level_counts(symbols: np.ndarray, groups: np.ndarray, k: int, n_groups: int) -> np.ndarray:
+    """(rows, K, groups) cell counts the way the encoder forms them: masks
+    of the integer symbols against the levels 1..K-1, in a float buffer."""
+    masks = np.empty((max(k - 1, 0), *symbols.shape))
+    for v in range(1, k):
+        np.greater_equal(symbols, v, out=masks[v - 1], casting="unsafe")
+    indicator = _indicator(groups, n_groups)
+    out = np.empty((symbols.shape[0], k, n_groups))
+    return _count_cells(masks, indicator, indicator.sum(axis=0), out)
+
+
+def by_group(counts: np.ndarray) -> np.ndarray:
+    """(rows, K, groups) counts in the oracle's (rows, groups * K) layout."""
+    return counts.transpose(0, 2, 1).reshape(counts.shape[0], -1)
+
+
 @slow_ok
 @given(grouped_blocks())
 def test_grouped_counts_match_oracle(block):
     groups, symbols, ref, _ = block
     n_groups, k = ref.shape
     oracle = row_counts(groups[None, :] * k + symbols, n_groups * k)
-    assert np.array_equal(_cell_counts(symbols, _indicator(groups, n_groups), k), oracle)
+    assert np.array_equal(by_group(level_counts(symbols, groups, k, n_groups)), oracle)
+    assert np.array_equal(cell_counts(symbols, _indicator(groups, n_groups), k), oracle)
+
+
+@st.composite
+def threshold_blocks(draw):
+    """Per-position CDF rows with zero-probability symbols and trailing
+    entries at 1.0 or one ulp above it, uniforms (some on a CDF value), and
+    each position's group."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 20))
+    rows = draw(st.integers(1, 5))
+    n_groups = draw(st.integers(1, 4))
+    weights = draw(hnp.arrays(np.float64, (n, k), elements=unit | st.just(0.0)))
+    weights[weights.sum(axis=1) == 0.0, 0] = 1.0
+    cdf = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
+    # past a row's last positive weight the CDF is flat; pin that tail
+    # to 1.0 or to the next float above it, as cumsum rounding can leave it
+    tail = np.cumsum(weights[:, ::-1], axis=1)[:, ::-1] == 0.0
+    tail[:, -1] = True
+    top = draw(st.sampled_from([1.0, np.nextafter(1.0, 2.0)]))
+    cdf[tail] = top
+    u = draw(hnp.arrays(np.float64, (rows, n), elements=unit))
+    on_edge = draw(hnp.arrays(np.int64, (rows, n), elements=st.integers(-1, k - 1)))
+    u = np.where(on_edge >= 0, cdf[np.arange(n), on_edge], u)
+    groups = draw(hnp.arrays(np.int64, n, elements=st.integers(0, n_groups - 1)))
+    return cdf, u, groups, n_groups
+
+
+@slow_ok
+@given(threshold_blocks())
+def test_threshold_counts_match_oracle(block):
+    cdf, u, groups, n_groups = block
+    k = cdf.shape[1]
+    oracle = row_counts(groups[None, :] * k + quantize_rows(cdf, u), n_groups * k)
+    uniforms = u.copy()
+    spare = np.empty_like(uniforms) if k > 2 else None
+    indicator = _indicator(groups, n_groups)
+    counts = _count_cells(
+        _threshold_masks(uniforms, np.ascontiguousarray(cdf[:, :-1].T), spare),
+        indicator,
+        indicator.sum(axis=0),
+        np.empty((u.shape[0], k, n_groups)),
+    )
+    assert np.array_equal(by_group(counts), oracle)
 
 
 @slow_ok
@@ -118,11 +187,56 @@ def test_absent_cell_shortcut_keeps_the_verdict(block):
     )
     indicator = _indicator(groups, n_groups)
     if _absent_cells_typical(indicator, ref, n, eps):
-        counts = _cell_counts(symbols, indicator, k)
-        verdict = _typical_rows(counts, ref.ravel(), n, eps)
+        counts = level_counts(symbols, groups, k, n_groups)
+        verdict = _typical_rows(counts.reshape(symbols.shape[0], -1), ref.T.ravel(), n, eps)
     else:
         verdict = np.zeros(symbols.shape[0], dtype=bool)
     assert np.array_equal(verdict, oracle)
+
+
+@st.composite
+def encoder_blocks(draw):
+    """A source codebook with repeated rows (so deviations tie), the states
+    of several blocks, a (state, action) reference, an epsilon, and rows per
+    chunk for the all-blocks encoder and for the per-block oracle, with the
+    codebook at least three chunks long for both."""
+    k = draw(st.integers(2, 4))
+    n0 = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 12))
+    new_rows, oracle_rows = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    size = draw(st.integers(3 * max(new_rows, oracle_rows), 40))
+    distinct = draw(hnp.arrays(np.uint8, (draw(st.integers(1, 4)), n),
+                               elements=st.integers(0, k - 1)))
+    pick = draw(hnp.arrays(np.int64, size, elements=st.integers(0, distinct.shape[0] - 1)))
+    codebook = distinct[pick]
+    states = draw(hnp.arrays(np.int64, (draw(st.integers(1, 5)), n),
+                             elements=st.integers(0, n0 - 1)))
+    own = row_counts(states[:1] * k + codebook[:1], n0 * k)[0] / n
+    kind = draw(st.sampled_from(["own", "own_plus_absent", "random"]))
+    if kind == "random":
+        ref = draw(hnp.arrays(np.float64, n0 * k, elements=unit))
+        ref = ref / ref.sum() if ref.sum() > 0 else np.full(ref.shape, 1.0 / ref.size)
+    else:
+        ref = own
+        if kind == "own_plus_absent":
+            # mass on every cell, so a block missing a state fails at eps < 1
+            ref = 0.9 * own + 0.1 / own.size
+    eps = draw(st.sampled_from([0.2, 0.5, 1.0, 1.5]) | st.floats(0.05, 2.0))
+    return codebook, states, ref.reshape(n0, k), eps, new_rows, oracle_rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(encoder_blocks())
+def test_encode_all_matches_per_block_oracle(block):
+    codebook, states, ref, eps, new_rows, oracle_rows = block
+    n0, k = ref.shape
+    n = codebook.shape[1]
+    chunk = np.full((new_rows * (k - 1), n), np.nan)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coding, "_CHUNK_BYTES", 8 * max(n, n0 * k) * oracle_rows)
+        assert coding._chunk_rows(max(n, n0 * k)) == oracle_rows
+        oracle = [encode_block(codebook, _indicator(x0, n0), ref, n, eps) for x0 in states]
+    assert _encode_all(codebook, states, ref, eps, chunk) == oracle
 
 
 @settings(max_examples=60, deadline=None)
@@ -144,6 +258,18 @@ def test_chunked_draws_match_one_draw():
     assert np.array_equal(chunks, _stream(5, _STREAM_CODEBOOK, 3).random((11, 7)))
 
 
+def _wide_x2_config() -> CodingConfig:
+    """|X2| = 4, independent of the state, so any rate is admissible: the
+    codebook has 2 rows, fewer than the encoder's 3 masks of a chunk."""
+    return CodingConfig(
+        target=JointDistribution(np.full((2, 2, 4), 1 / 16), ("x0", "x1", "x2")),
+        channel=ObservationChannel.identity(2),
+        prior=StatePrior(np.array([0.5, 0.5])),
+        payoff=PayoffTable(np.zeros((2, 2, 4))),
+        block_length=8, num_blocks=6, epsilon=4.0, seed=3,
+    )
+
+
 @pytest.mark.parametrize("rows_per_chunk", [1, 3])
 @pytest.mark.parametrize(
     "make_config",
@@ -154,8 +280,9 @@ def test_chunked_draws_match_one_draw():
         # two or three typical candidates per block: the decoder's first
         # typical index and its count must carry across them too
         lambda: _binary_config(24, 2, 12, 0.15, 2.0, _BSC),
+        _wide_x2_config,
     ],
-    ids=["encoder-ties", "decoder-several"],
+    ids=["encoder-ties", "decoder-several", "x2-wider-than-chunk"],
 )
 def test_report_independent_of_chunk_size(monkeypatch, make_config, rows_per_chunk):
     cfg = make_config()

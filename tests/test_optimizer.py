@@ -268,6 +268,19 @@ class TestLogGuard:
             channel = ObservationChannel(gamma)
         self.certified_slack_matches(prior, channel)
 
+    @pytest.mark.parametrize("monitoring", ["perfect", "noisy"])
+    def test_state_whose_start_underflows_to_zero(self, monitoring):
+        # 5e-324 / 9 rounds to 0, so that state's slice of q(x0, x2) is 0
+        # at every iterate and the gradient's ratio s / q(x0, x2) is 0 / 0
+        prior = StatePrior(np.array([0.45, 1e-300, 5e-324, 0.55]))
+        if monitoring == "perfect":
+            channel = ObservationChannel.identity(3)
+        else:
+            channel = ObservationChannel(
+                np.array([[0.8, 0.15, 0.05], [0.15, 0.8, 0.05], [0.3, 0.3, 0.4]])
+            )
+        self.certified_slack_matches(prior, channel)
+
 
 class TestSolve:
     def test_partner_irrelevant_payoff_hits_costless_bound(self):
