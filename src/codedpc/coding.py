@@ -170,9 +170,9 @@ def _threshold_masks(uniforms: np.ndarray, levels: np.ndarray, spare: np.ndarray
     """The masks of symbol >= 1, ..., K-1 of ``_quantize(cdf, uniforms)``, with
     ``levels`` ``cdf[..., :-1]`` with its last axis first: the rows of cdf are
     nondecreasing, so symbol >= v exactly when u >= levels[v - 1].  The last
-    mask overwrites ``uniforms``, the others ``spare`` (None when K <= 2)."""
+    mask overwrites ``uniforms``, the others the first rows of ``spare`` (None if K <= 2)."""
     for v, level in enumerate(levels, 1):
-        mask = uniforms if v == len(levels) else spare
+        mask = uniforms if v == len(levels) else spare[: len(uniforms)]
         np.greater_equal(uniforms, level, out=mask, casting="unsafe")
         yield mask
 
@@ -368,7 +368,7 @@ def _decode(gen, cdf, indicator, ref, size: int, eps: float, chunk) -> tuple[int
     for lo in range(0, size, step):
         rows = min(step, size - lo)
         uniforms = gen.random(out=chunk[:rows])
-        masks = _threshold_masks(uniforms, levels, None if spare is None else spare[:rows])
+        masks = _threshold_masks(uniforms, levels, spare)
         cells = _count_cells(masks, indicator, sizes, counts[:rows])
         typical = _typical_rows(cells.reshape(rows, -1), ref_flat, n, eps)
         hits = int(typical.sum())

@@ -165,10 +165,9 @@ def test_threshold_counts_match_oracle(block):
     k = cdf.shape[1]
     oracle = row_counts(groups[None, :] * k + quantize_rows(cdf, u), n_groups * k)
     uniforms = u.copy()
-    spare = np.empty_like(uniforms) if k > 2 else None
     indicator = _indicator(groups, n_groups)
     counts = _count_cells(
-        _threshold_masks(uniforms, np.ascontiguousarray(cdf[:, :-1].T), spare),
+        _threshold_masks(uniforms, np.ascontiguousarray(cdf[:, :-1].T), np.empty_like(u)),
         indicator,
         indicator.sum(axis=0),
         np.empty((u.shape[0], k, n_groups)),
