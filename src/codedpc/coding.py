@@ -31,21 +31,22 @@ counted over all n*B stages, block 0 included.
 
 Memory and time do not grow with M x n x |alphabet|:
 
-* The source codebook is drawn in chunks of ``_CHUNK_BYTES`` worth of
-  uniforms and stored as uint8, M*n bytes in all.  The decoder streams the
-  block's M candidate codewords in chunks of the same size, in the order of
-  one (M, n) draw.  The encoder needs only row m of that draw; it advances
-  the Philox counter past the m*n uniforms before it.
+* No codebook is stored.  Both are Philox streams read in the order of one
+  (M, n) draw: the encoder scans the source codebook and the decoder the
+  block's channel codebook, through one loop that draws ``_CHUNK_BYTES``
+  worth of uniforms at a time into one reused buffer.  A codeword that is
+  played (a source row, the encoder's channel row) is fetched alone, by
+  advancing the Philox counter past the m*n uniforms before it.
 * Every cell of the typicality test splits into a part fixed by the block
   (the state for the encoder; state, partner action and observation for the
   decoder) and a symbol that varies with the codeword.  Each block builds an
   (n, fixed parts) one-hot matrix once; its product with the codewords'
   ``symbol >= v`` mask counts symbol >= v, and count(v) is the difference of
-  two such counts.  The decoder's masks compare the uniforms with the CDF,
-  so it never forms the symbols.
+  two such counts.  The masks compare the uniforms with the CDF, so neither
+  side forms the symbols of the codewords it scans.
 * The encoder reads only the coming block's states, so all blocks' indices
-  are found up front, in one codebook pass that builds each chunk's masks
-  once for every block.
+  are found up front, in one scan of the source codebook whose masks serve
+  every block.
 * A cell whose fixed part does not occur in the block counts 0 in every
   codeword, so its verdict, |0 - n p| <= eps n p, is the same for all of
   them.  It is evaluated once; when it fails (p > 0 and eps < 1), no
@@ -119,14 +120,14 @@ def _chunk_rows(width: int) -> int:
     return max(1, _CHUNK_BYTES // (8 * width))
 
 
-def _codebook_row(seed: int, block: int, m: int, n: int) -> np.ndarray:
-    """Row ``m`` of the (M, n) uniforms of a block's channel stream.
+def _codebook_row(seed: int, tag: int, block: int, m: int, n: int) -> np.ndarray:
+    """Row ``m`` of the (M, n) uniforms of stream ``tag`` of ``block``.
 
     Philox emits four 64-bit words per counter step and ``random`` uses one
     word per double, so advancing the counter by m*n // 4 steps and
     discarding m*n % 4 doubles skips exactly the rows before ``m``.
     """
-    gen = _stream(seed, _STREAM_CODEBOOK, block)
+    gen = _stream(seed, tag, block)
     skip = m * n
     gen.bit_generator.advance(skip // 4)
     gen.random(skip % 4)
@@ -156,9 +157,9 @@ def _indicator(groups: np.ndarray, n_groups: int) -> np.ndarray:
 
 def _count_cells(masks, indicator: np.ndarray, sizes: np.ndarray, out: np.ndarray) -> np.ndarray:
     """(rows, K, groups) counts of each (symbol, group) cell of each row, from
-    ``masks``, the rows' 0/1 masks of symbol >= 1, ..., K-1 (each used before
-    the next is taken), and ``sizes = indicator.sum(0)``, the count of symbol
-    >= 0.  The sums of 0s and 1s are exact in float64 below 2**53."""
+    ``masks``, the rows' (K-1, rows, n) 0/1 masks of symbol >= 1, ..., K-1,
+    and ``sizes = indicator.sum(0)``, the count of symbol >= 0.  The sums of
+    0s and 1s are exact in float64 below 2**53."""
     out[:, 0] = sizes
     for v, mask in enumerate(masks, 1):
         np.matmul(mask, indicator, out=out[:, v])
@@ -166,15 +167,26 @@ def _count_cells(masks, indicator: np.ndarray, sizes: np.ndarray, out: np.ndarra
     return out
 
 
-def _threshold_masks(uniforms: np.ndarray, levels: np.ndarray, spare: np.ndarray | None):
-    """The masks of symbol >= 1, ..., K-1 of ``_quantize(cdf, uniforms)``, with
-    ``levels`` ``cdf[..., :-1]`` with its last axis first: the rows of cdf are
-    nondecreasing, so symbol >= v exactly when u >= levels[v - 1].  The last
-    mask overwrites ``uniforms``, the others the first rows of ``spare`` (None if K <= 2)."""
-    for v, level in enumerate(levels, 1):
-        mask = uniforms if v == len(levels) else spare[: len(uniforms)]
-        np.greater_equal(uniforms, level, out=mask, casting="unsafe")
-        yield mask
+def _scan(gen, size: int, levels: np.ndarray, chunk: np.ndarray, groups: int):
+    """Draw ``size`` codewords from ``gen`` in the order of one (size, n) draw
+    and yield ``lo, masks, counts`` per chunk of them, rows lo, lo+1, ...:
+    their (K-1, rows, n) masks of symbol >= 1, ..., K-1 of
+    ``_quantize(cdf, uniforms)``, and a (rows, K, groups) buffer for their
+    cell counts.  ``levels`` is ``cdf[..., :-1]`` with its last axis first:
+    the rows of cdf are nondecreasing, so symbol >= v exactly when
+    u >= levels[v - 1].  The masks split ``chunk``, (rows, n), in K-1 slots;
+    the uniforms are drawn into the last, which its own mask overwrites."""
+    k = len(levels) + 1
+    step = chunk.shape[0] // max(k - 1, 1)
+    slots = chunk[: max(k - 1, 1) * step].reshape(-1, step, chunk.shape[1])
+    counts = np.empty((step, k, groups))
+    for lo in range(0, size, step):
+        rows = min(step, size - lo)
+        masks = slots[:, :rows]
+        uniforms = gen.random(out=masks[-1])
+        for mask, level in zip(masks, levels):
+            np.greater_equal(uniforms, level, out=mask, casting="unsafe")
+        yield lo, masks[: k - 1], counts[:rows]
 
 
 def _absent_cells_typical(indicator: np.ndarray, ref: np.ndarray, n: int, eps: float) -> bool:
@@ -314,31 +326,25 @@ class SimResult:
         }
 
 
-def _encode_all(
-    codebook: np.ndarray, states: np.ndarray, pair_ref: np.ndarray, eps: float, chunk: np.ndarray
-) -> list[int | None]:
+def _encode_all(gen, x2_cdf, size: int, states, pair_ref, eps: float, chunk) -> list[int | None]:
     """Per row of ``states``, the typical source codeword whose (state, action)
     statistics deviate least from ``pair_ref``, the first on ties; None when
-    none is typical.  Each chunk's masks of symbol >= v fill ``chunk`` once
-    and serve every block whose absent cells pass."""
-    size, n = codebook.shape
-    n0, k = pair_ref.shape
+    none is typical.  The ``size`` codewords are drawn from ``gen`` and
+    quantized with ``x2_cdf``; each chunk's masks serve every block whose
+    absent cells pass."""
+    n = chunk.shape[1]
+    n0 = pair_ref.shape[0]
     pair_flat, ref_flat = pair_ref.ravel(), pair_ref.T.ravel()
     best, best_deviation = [None] * len(states), [np.inf] * len(states)
     indicators = [(b, _indicator(x0, n0)) for b, x0 in enumerate(states)]
     live = [(b, i, i.sum(0)) for b, i in indicators if _absent_cells_typical(i, pair_ref, n, eps)]
     if not live:
         return best
-    step = chunk.shape[0] // max(k - 1, 1)
-    masks = chunk.reshape(-1)[: (k - 1) * step * n].reshape(k - 1, step, n)
-    counts = np.empty((step, k, n0))
-    for lo in range(0, size, step):
-        rows = min(step, size - lo)
-        for v in range(1, k):
-            np.greater_equal(codebook[lo : lo + rows], v, out=masks[v - 1, :rows], casting="unsafe")
+    for lo, masks, counts in _scan(gen, size, x2_cdf[:-1], chunk, n0):
         for b, indicator, sizes in live:
-            cells = _count_cells(masks[:, :rows], indicator, sizes, counts[:rows])
-            typical = np.flatnonzero(_typical_rows(cells.reshape(rows, -1), ref_flat, n, eps))
+            cells = _count_cells(masks, indicator, sizes, counts)
+            verdicts = _typical_rows(cells.reshape(len(cells), -1), ref_flat, n, eps)
+            typical = np.flatnonzero(verdicts)
             if typical.size:
                 # summed in (group, symbol) order: a float sum's bits follow its order
                 by_group = cells[typical].transpose(0, 2, 1).reshape(typical.size, -1)
@@ -352,25 +358,18 @@ def _encode_all(
 def _decode(gen, cdf, indicator, ref, size: int, eps: float, chunk) -> tuple[int, int]:
     """Count the typical candidate codewords and find the first one.
 
-    Candidates are drawn from ``gen`` into ``chunk``, a reused (rows, n)
-    buffer, in the order of one (size, n) draw, and counted from their
+    The ``size`` candidates are drawn from ``gen`` and counted from their
     threshold masks against ``cdf`` (n, |X1|); ``ref`` is (groups, |X1|).
     Returns the number of typical rows and the first one (0 when none)."""
-    step, n = chunk.shape
+    n = chunk.shape[1]
     if not _absent_cells_typical(indicator, ref, n, eps):
         return 0, 0
-    k, ref_flat = ref.shape[1], ref.T.ravel()
+    ref_flat, sizes = ref.T.ravel(), indicator.sum(axis=0)
     levels = np.ascontiguousarray(cdf[:, :-1].T)
-    sizes = indicator.sum(axis=0)
-    counts = np.empty((step, k, indicator.shape[1]))
-    spare = np.empty_like(chunk) if k > 2 else None
     n_typical, first = 0, None
-    for lo in range(0, size, step):
-        rows = min(step, size - lo)
-        uniforms = gen.random(out=chunk[:rows])
-        masks = _threshold_masks(uniforms, levels, spare)
-        cells = _count_cells(masks, indicator, sizes, counts[:rows])
-        typical = _typical_rows(cells.reshape(rows, -1), ref_flat, n, eps)
+    for lo, masks, counts in _scan(gen, size, levels, chunk, indicator.shape[1]):
+        cells = _count_cells(masks, indicator, sizes, counts)
+        typical = _typical_rows(cells.reshape(len(cells), -1), ref_flat, n, eps)
         hits = int(typical.sum())
         if hits and first is None:
             first = lo + int(np.argmax(typical))
@@ -407,29 +406,28 @@ def run(cfg: CodingConfig) -> SimResult:
     states = _quantize(
         np.cumsum(cfg.prior.probs), _stream(cfg.seed, _STREAM_STATE).random((blocks, n))
     ).astype(np.intp)
-    # One buffer for every chunk of uniforms.  Allocating each chunk afresh
-    # let the allocator return the memory to the system and fault it back in:
-    # on a 2-core Xeon VM that was up to a third of a binary n=400 run.  It
-    # also holds the decoder's last mask and the encoder's |X2| - 1 masks.
-    rows = min(size, _chunk_rows(max(n, decoder_ref.size)))
-    chunk = np.empty((max(rows, n2 - 1), n))
-    source_gen = _stream(cfg.seed, _STREAM_SOURCE)
-    source_codebook = np.empty((size, n), dtype=np.min_scalar_type(n2 - 1))
-    for lo in range(0, size, chunk.shape[0]):
-        part = source_codebook[lo : lo + chunk.shape[0]]
-        part[...] = _quantize(x2_cdf, source_gen.random(out=chunk[: part.shape[0]]))
+    # One buffer for every chunk of uniforms and their masks, a row per mask
+    # at least.  Allocating each chunk afresh let the allocator return the
+    # memory to the system and fault it back in: on a 2-core Xeon VM that was
+    # up to a third of a binary n=400 run.
+    slots = max(n1, n2, 2) - 1
+    rows = min(_chunk_rows(max(n, decoder_ref.size)), size * slots)
+    chunk = np.empty((max(rows, slots), n))
+
+    def source_row(m: int) -> np.ndarray:
+        return _quantize(x2_cdf, _codebook_row(cfg.seed, _STREAM_SOURCE, 0, m, n))
 
     # The encoder reads the coming block's states, nothing the decoder outputs;
     # among the typical source codewords it keeps the one whose pair
     # statistics sit closest to the target (larger codebooks then cover the
     # target ever more finely).  The last block conveys no index: row 0.
-    encoded = [*_encode_all(source_codebook, states[1:], pair_ref, eps, chunk), 0]
+    source = _stream(cfg.seed, _STREAM_SOURCE)
+    encoded = [*_encode_all(source, x2_cdf, size, states[1:], pair_ref, eps, chunk), 0]
 
     quad_counts = np.zeros(n0 * n1 * n2 * ny, dtype=np.int64)
     diagnostics: list[BlockDiagnostics] = []
 
-    play_x2 = source_codebook[0]
-    belief_x2 = source_codebook[0]
+    play_x2 = belief_x2 = source_row(0)
 
     for b in range(blocks):
         last = b == blocks - 1
@@ -439,7 +437,8 @@ def run(cfg: CodingConfig) -> SimResult:
         enc_failed = m_next is None
         if enc_failed:
             m_next = 0
-        x1 = _quantize(cond_cdf[x0, belief_x2], _codebook_row(cfg.seed, b, m_next, n))
+        row = _codebook_row(cfg.seed, _STREAM_CODEBOOK, b, m_next, n)
+        x1 = _quantize(cond_cdf[x0, belief_x2], row)
 
         obs_gen = _stream(cfg.seed, _STREAM_OBSERVATION, b)
         y = _quantize(gamma_cdf[x1], obs_gen.random(n))
@@ -455,8 +454,7 @@ def run(cfg: CodingConfig) -> SimResult:
                 decoder_ref, size, eps, chunk,
             )
             error = m_hat != m_next
-            play_x2 = source_codebook[m_hat]
-            belief_x2 = source_codebook[m_next]
+            play_x2, belief_x2 = source_row(m_hat), source_row(m_next)
         diagnostics.append(
             BlockDiagnostics(
                 block=b,

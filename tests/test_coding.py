@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,11 @@ from codedpc import (
     expected_payoff,
     marginal,
     run,
+    solve,
     total_variation,
 )
 from codedpc.coding import _count_cells, _indicator, _typical_rows
+from test_golden import _binary_config
 from codedpc.icmodel import (
     ICConfig,
     build_payoff_table,
@@ -297,3 +301,38 @@ class TestRunStatistics:
         cfg = weak_config(n=400, seed=17, blocks=60)
         result = run(cfg)
         assert result.tv_to_target < 0.05
+
+
+def _ic_point_config(n) -> CodingConfig:
+    """The README's 16-state point: the solver's target at 10 dB with 0.1
+    bits of slack, 50 blocks."""
+    cfg_ic = ICConfig.for_regime("hir", 10.0)
+    prior, channel = build_state_prior(cfg_ic), identity_observation_channel()
+    payoff = build_payoff_table(cfg_ic)
+    return CodingConfig(
+        target=solve(prior, channel, payoff, min_slack=0.1).qbar,
+        channel=channel, prior=prior, payoff=payoff, block_length=n, num_blocks=50,
+    )
+
+
+class TestRunMemory:
+    @pytest.mark.parametrize(
+        "make_config",
+        [
+            # 65,536 codewords, every block live: both scans read the whole codebook
+            lambda: _binary_config(128, 0, 3, 0.125, 0.5),
+            # 567,824 codewords that no block reads: every block fails on an absent cell
+            lambda: _ic_point_config(50),
+        ],
+        ids=["binary-n128", "ic-16-state-n50"],
+    )
+    def test_traced_peak_below_a_quarter_of_the_codebook(self, make_config):
+        # a stored codebook takes M*n bytes, even at one uint8 per symbol
+        cfg = make_config()
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.codebook_size * cfg.block_length / 4

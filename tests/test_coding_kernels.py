@@ -1,9 +1,10 @@
 """The simulator's block kernels against the code they replaced.
 
 ``tests/oracles.py`` keeps the original quantizer (an (..., n, K)
-comparison), the original per-row bincount and the per-block encoder; the
-kernels in ``codedpc.coding`` must agree with them exactly, because the
-seeded reports depend on every symbol and every typicality verdict.
+comparison), the original per-row bincount and the per-block encoder over a
+stored codebook; the kernels in ``codedpc.coding`` must agree with them
+exactly, because the seeded reports depend on every symbol and every
+typicality verdict.
 """
 
 from __future__ import annotations
@@ -21,21 +22,23 @@ from codedpc import (
     PayoffTable,
     StatePrior,
     coding,
+    run,
 )
 from codedpc.coding import (
     _STREAM_CODEBOOK,
+    _STREAM_SOURCE,
     _absent_cells_typical,
     _codebook_row,
     _count_cells,
     _encode_all,
     _indicator,
     _quantize,
+    _scan,
     _stream,
-    _threshold_masks,
     _typical_rows,
 )
 from oracles import cell_counts, encode_block, quantize_rows, row_counts
-from test_golden import _BSC, _binary_config, sim_report
+from test_golden import _BSC, _binary_config, _ternary_config, sim_report
 
 unit = st.floats(0.0, 1.0, exclude_max=True)
 # a slow shared machine must not turn a correct example into a failure
@@ -107,6 +110,19 @@ def grouped_blocks(draw):
     return groups, symbols, ref.reshape(n_groups, k), eps
 
 
+class RowSource:
+    """Hands out the rows of ``uniforms`` in order through ``random(out=)``,
+    as a Generator hands out its draws, so a scan can be fed repeated rows."""
+
+    def __init__(self, uniforms: np.ndarray):
+        self.uniforms, self.drawn = uniforms, 0
+
+    def random(self, out: np.ndarray) -> np.ndarray:
+        out[...] = self.uniforms[self.drawn : self.drawn + len(out)]
+        self.drawn += len(out)
+        return out
+
+
 def level_counts(symbols: np.ndarray, groups: np.ndarray, k: int, n_groups: int) -> np.ndarray:
     """(rows, K, groups) cell counts the way the encoder forms them: masks
     of the integer symbols against the levels 1..K-1, in a float buffer."""
@@ -136,9 +152,9 @@ def test_grouped_counts_match_oracle(block):
 @st.composite
 def threshold_blocks(draw):
     """Per-position CDF rows with zero-probability symbols and trailing
-    entries at 1.0 or one ulp above it, uniforms (some on a CDF value), and
-    each position's group."""
-    k = draw(st.integers(2, 4))
+    entries at 1.0 or one ulp above it, uniforms (some on a CDF value), each
+    position's group, and the rows of the scan's buffer."""
+    k = draw(st.integers(1, 4))
     n = draw(st.integers(1, 20))
     rows = draw(st.integers(1, 5))
     n_groups = draw(st.integers(1, 4))
@@ -155,24 +171,27 @@ def threshold_blocks(draw):
     on_edge = draw(hnp.arrays(np.int64, (rows, n), elements=st.integers(-1, k - 1)))
     u = np.where(on_edge >= 0, cdf[np.arange(n), on_edge], u)
     groups = draw(hnp.arrays(np.int64, n, elements=st.integers(0, n_groups - 1)))
-    return cdf, u, groups, n_groups
+    # one to three codewords per chunk, and sometimes a row the masks leave over
+    chunk_rows = max(k - 1, 1) * draw(st.integers(1, 3)) + draw(st.integers(0, 1))
+    return cdf, u, groups, n_groups, chunk_rows
 
 
 @slow_ok
 @given(threshold_blocks())
 def test_threshold_counts_match_oracle(block):
-    cdf, u, groups, n_groups = block
+    cdf, u, groups, n_groups, chunk_rows = block
     k = cdf.shape[1]
     oracle = row_counts(groups[None, :] * k + quantize_rows(cdf, u), n_groups * k)
-    uniforms = u.copy()
     indicator = _indicator(groups, n_groups)
-    counts = _count_cells(
-        _threshold_masks(uniforms, np.ascontiguousarray(cdf[:, :-1].T), np.empty_like(u)),
-        indicator,
-        indicator.sum(axis=0),
-        np.empty((u.shape[0], k, n_groups)),
-    )
-    assert np.array_equal(by_group(counts), oracle)
+    source = RowSource(u)
+    chunk = np.full((chunk_rows, u.shape[1]), np.nan)
+    parts = []
+    for lo, masks, counts in _scan(source, len(u), cdf[:, :-1].T, chunk, n_groups):
+        assert lo == sum(map(len, parts))
+        assert masks.shape == (k - 1, len(counts), u.shape[1])
+        parts.append(by_group(_count_cells(masks, indicator, indicator.sum(axis=0), counts)).copy())
+    assert source.drawn == len(u)
+    assert np.array_equal(np.concatenate(parts), oracle)
 
 
 @slow_ok
@@ -195,19 +214,26 @@ def test_absent_cell_shortcut_keeps_the_verdict(block):
 
 @st.composite
 def encoder_blocks(draw):
-    """A source codebook with repeated rows (so deviations tie), the states
-    of several blocks, a (state, action) reference, an epsilon, and rows per
-    chunk for the all-blocks encoder and for the per-block oracle, with the
-    codebook at least three chunks long for both."""
+    """The uniforms of a source codebook with repeated rows (so deviations
+    tie), some on a value of the action CDF, that CDF, the states of several
+    blocks, a (state, action) reference, an epsilon, and rows per chunk for
+    the all-blocks encoder and for the per-block oracle, with the codebook at
+    least three chunks long for both."""
     k = draw(st.integers(2, 4))
     n0 = draw(st.integers(1, 3))
     n = draw(st.integers(1, 12))
     new_rows, oracle_rows = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     size = draw(st.integers(3 * max(new_rows, oracle_rows), 40))
-    distinct = draw(hnp.arrays(np.uint8, (draw(st.integers(1, 4)), n),
-                               elements=st.integers(0, k - 1)))
+    weights = draw(hnp.arrays(np.float64, k, elements=unit | st.just(0.0)))
+    if weights.sum() == 0.0:
+        weights[0] = 1.0
+    x2_cdf = np.cumsum(weights / weights.sum())
+    distinct = draw(hnp.arrays(np.float64, (draw(st.integers(1, 4)), n), elements=unit))
+    on_edge = draw(hnp.arrays(np.int64, distinct.shape, elements=st.integers(-1, k - 1)))
+    distinct = np.where(on_edge >= 0, x2_cdf[on_edge], distinct)
     pick = draw(hnp.arrays(np.int64, size, elements=st.integers(0, distinct.shape[0] - 1)))
-    codebook = distinct[pick]
+    uniforms = distinct[pick]
+    codebook = quantize_rows(x2_cdf, uniforms)
     states = draw(hnp.arrays(np.int64, (draw(st.integers(1, 5)), n),
                              elements=st.integers(0, n0 - 1)))
     own = row_counts(states[:1] * k + codebook[:1], n0 * k)[0] / n
@@ -221,21 +247,25 @@ def encoder_blocks(draw):
             # mass on every cell, so a block missing a state fails at eps < 1
             ref = 0.9 * own + 0.1 / own.size
     eps = draw(st.sampled_from([0.2, 0.5, 1.0, 1.5]) | st.floats(0.05, 2.0))
-    return codebook, states, ref.reshape(n0, k), eps, new_rows, oracle_rows
+    return uniforms, x2_cdf, codebook, states, ref.reshape(n0, k), eps, new_rows, oracle_rows
 
 
 @settings(max_examples=200, deadline=None)
 @given(encoder_blocks())
 def test_encode_all_matches_per_block_oracle(block):
-    codebook, states, ref, eps, new_rows, oracle_rows = block
+    uniforms, x2_cdf, codebook, states, ref, eps, new_rows, oracle_rows = block
     n0, k = ref.shape
-    n = codebook.shape[1]
+    size, n = codebook.shape
     chunk = np.full((new_rows * (k - 1), n), np.nan)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(coding, "_CHUNK_BYTES", 8 * max(n, n0 * k) * oracle_rows)
         assert coding._chunk_rows(max(n, n0 * k)) == oracle_rows
         oracle = [encode_block(codebook, _indicator(x0, n0), ref, n, eps) for x0 in states]
-    assert _encode_all(codebook, states, ref, eps, chunk) == oracle
+    source = RowSource(uniforms)
+    assert _encode_all(source, x2_cdf, size, states, ref, eps, chunk) == oracle
+    # the codebook is drawn once, and not at all when every block fails early
+    live = any(_absent_cells_typical(_indicator(x0, n0), ref, n, eps) for x0 in states)
+    assert source.drawn == (size if live else 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -247,8 +277,9 @@ def test_encode_all_matches_per_block_oracle(block):
 )
 def test_codebook_row_matches_full_draw(seed, block, n, m):
     assume(m * n % 4)
-    full = _stream(seed, _STREAM_CODEBOOK, block).random((m + 1, n))
-    assert np.array_equal(_codebook_row(seed, block, m, n), full[m])
+    for tag in (_STREAM_SOURCE, _STREAM_CODEBOOK):
+        full = _stream(seed, tag, block).random((m + 1, n))
+        assert np.array_equal(_codebook_row(seed, tag, block, m, n), full[m])
 
 
 def test_chunked_draws_match_one_draw():
@@ -269,7 +300,26 @@ def _wide_x2_config() -> CodingConfig:
     )
 
 
-@pytest.mark.parametrize("rows_per_chunk", [1, 3])
+_NOISY3 = ObservationChannel(np.full((3, 3), 0.1) + 0.7 * np.eye(3))
+
+
+def _single_symbol_config(shape) -> CodingConfig:
+    """A uniform target of ``shape`` with |X1| or |X2| equal to 1, so a scan
+    runs with no masks; x2 is independent of the state, so any rate is
+    admissible.  At epsilon 4 no block fails on an absent cell."""
+    return CodingConfig(
+        target=JointDistribution(np.full(shape, 1 / np.prod(shape)), ("x0", "x1", "x2")),
+        channel=ObservationChannel.identity(shape[1]),
+        prior=StatePrior(np.full(shape[0], 1 / shape[0])),
+        payoff=PayoffTable(np.zeros(shape)),
+        block_length=8, num_blocks=6, rate=0.5, epsilon=4.0, seed=5,
+    )
+
+
+SINGLE_SYMBOL_SHAPES = [(2, 1, 2), (2, 2, 1), (2, 1, 1)]
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 3, 4])
 @pytest.mark.parametrize(
     "make_config",
     [
@@ -280,8 +330,15 @@ def _wide_x2_config() -> CodingConfig:
         # typical index and its count must carry across them too
         lambda: _binary_config(24, 2, 12, 0.15, 2.0, _BSC),
         _wide_x2_config,
+        # |X1| = 3: the decoder's two masks split the chunk, and up to four
+        # candidates per block are typical, the first not always row 0
+        lambda: _ternary_config(24, 3, 10, 0.15, 8.0, _NOISY3),
+        *(lambda shape=shape: _single_symbol_config(shape) for shape in SINGLE_SYMBOL_SHAPES),
     ],
-    ids=["encoder-ties", "decoder-several", "x2-wider-than-chunk"],
+    ids=[
+        "encoder-ties", "decoder-several", "x2-wider-than-chunk", "x1-ternary-several",
+        *("single-symbol-" + "x".join(map(str, shape)) for shape in SINGLE_SYMBOL_SHAPES),
+    ],
 )
 def test_report_independent_of_chunk_size(monkeypatch, make_config, rows_per_chunk):
     cfg = make_config()
@@ -291,3 +348,17 @@ def test_report_independent_of_chunk_size(monkeypatch, make_config, rows_per_chu
     monkeypatch.setattr(coding, "_CHUNK_BYTES", 8 * width * rows_per_chunk)
     assert coding._chunk_rows(width) == rows_per_chunk
     assert sim_report(cfg) == whole
+
+
+@pytest.mark.parametrize("shape", SINGLE_SYMBOL_SHAPES, ids=str)
+def test_single_symbol_alphabet_outcomes(shape):
+    cfg = _single_symbol_config(shape)
+    blocks = run(cfg).blocks[:-1]
+    # with |X1| = 1 every candidate is the same codeword; with |X2| = 1 every
+    # source codeword ties, so the encoder sends index 0, the first, and
+    # only the sent codeword reproduces the observations of the identity channel
+    assert [d.decoded_index for d in blocks] == [0] * len(blocks)
+    if shape[1] == 1:
+        assert {d.typical_candidates for d in blocks} <= {0, cfg.codebook_size}
+    else:
+        assert [d.encoded_index for d in blocks] == [0] * len(blocks)

@@ -71,7 +71,7 @@ def _binary_config(n, seed, blocks, rate, eps, channel=None) -> CodingConfig:
     )
 
 
-def _ternary_config(n, seed, blocks, rate, eps) -> CodingConfig:
+def _ternary_config(n, seed, blocks, rate, eps, channel=None) -> CodingConfig:
     """|X1| = 3, and x1 = 2 never occurs with (x0, x2) = (0, 0)."""
     arr = np.zeros((2, 3, 2))
     arr[0, :, 0] = [0.12, 0.18, 0.0]
@@ -80,7 +80,7 @@ def _ternary_config(n, seed, blocks, rate, eps) -> CodingConfig:
     arr[1, :, 1] = [0.1, 0.1, 0.1]
     return CodingConfig(
         target=JointDistribution(arr, ("x0", "x1", "x2")),
-        channel=ObservationChannel.identity(3),
+        channel=channel or ObservationChannel.identity(3),
         prior=StatePrior(arr.sum(axis=(1, 2))),
         payoff=PayoffTable(np.arange(12, dtype=float).reshape(2, 3, 2) % 5),
         block_length=n, num_blocks=blocks, rate=rate, epsilon=eps, seed=seed,
