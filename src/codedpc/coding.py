@@ -255,10 +255,11 @@ class CodingConfig:
         # the seed is one 64-bit word of the Philox key; a wider one would alias
         if self.seed >= 2**64:
             raise CodingConfigError(f"seed must be < 2**64, got {self.seed!r}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise CodingConfigError(f"epsilon must be finite and positive, got {self.epsilon!r}")
-        if self.rate is not None and not (math.isfinite(self.rate) and self.rate > 0.0):
-            raise CodingConfigError(f"rate must be finite and positive, got {self.rate!r}")
+        # bool is an int subclass: True used to run as 1.0
+        for name in ("epsilon", "rate") if self.rate is not None else ("epsilon",):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (math.isfinite(value) and value > 0.0):
+                raise CodingConfigError(f"{name} must be finite and positive, got {value!r}")
 
         reference = compose(self.target, self.channel)
         i_coord = conditional_mutual_information(reference, "x0", "x2")

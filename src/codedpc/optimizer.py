@@ -90,7 +90,8 @@ class SolverOptions:
 
     def __post_init__(self):
         tol = self.tol_payoff
-        if not (math.isfinite(tol) and tol > 0.0):
+        # bool is an int subclass: True used to run as a tolerance of 1.0
+        if isinstance(tol, bool) or not (math.isfinite(tol) and tol > 0.0):
             raise ValueError(f"tol_payoff must be finite and positive, got {tol!r}")
         for name in ("max_inner_iter", "outer_steps"):
             value = getattr(self, name)
@@ -326,7 +327,7 @@ def solve(
     """
     opts = options or SolverOptions()
     _check_stages(stages)
-    if not (math.isfinite(min_slack) and min_slack >= 0.0):
+    if isinstance(min_slack, bool) or not (math.isfinite(min_slack) and min_slack >= 0.0):
         raise ValueError(f"min_slack must be finite and nonnegative, got {min_slack!r}")
     w_full = payoff.values
     n0, n1, n2 = w_full.shape

@@ -140,7 +140,8 @@ class TestCodingConfig:
                 block_length=10, num_blocks=5, rate=0.1,
             )
 
-    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    # bool is an int subclass: rate=True used to run as 1.0
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), True])
     def test_nonfinite_rate_rejected(self, rate):
         # a zero-coordination target accepts any finite positive rate
         cfg_ic = ICConfig.for_regime("hir", 10.0)
@@ -153,7 +154,7 @@ class TestCodingConfig:
                 block_length=10, num_blocks=5, rate=rate,
             )
 
-    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), True])
     def test_nonfinite_epsilon_rejected(self, eps):
         # inf * 0 is NaN, so an infinite tolerance used to fail every
         # zero-probability cell instead of accepting everything

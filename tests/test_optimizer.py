@@ -370,7 +370,8 @@ class TestSolve:
         with pytest.raises(AlphabetError):
             solve(prior, ObservationChannel.identity(3), payoff)
 
-    @pytest.mark.parametrize("min_slack", [float("nan"), float("inf"), -0.1])
+    # bool is an int subclass: min_slack=False used to run as 0.0
+    @pytest.mark.parametrize("min_slack", [float("nan"), float("inf"), -0.1, False])
     def test_bad_min_slack_rejected(self, min_slack):
         prior, channel, payoff = tiny_instance()
         with pytest.raises(ValueError, match="min_slack"):
@@ -438,7 +439,7 @@ class TestSolverOptions:
             "tol_payoff", "max_inner_iter", "outer_steps",
         ]
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-5])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-5, True])
     def test_bad_tolerance_rejected(self, tol):
         with pytest.raises(ValueError, match="tol_payoff"):
             SolverOptions(tol_payoff=tol)
