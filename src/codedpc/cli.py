@@ -166,6 +166,11 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
+def _gain_pct(payoff: float, baseline: float) -> float:
+    """Percent gain of ``payoff`` over ``baseline``; NaN when the baseline is 0."""
+    return 100.0 * (payoff / baseline - 1.0) if baseline else math.nan
+
+
 def _snr_grid(settings: dict) -> list[float]:
     for key in ("snr_start", "snr_stop", "snr_step"):
         if not math.isfinite(settings[key]):
@@ -208,10 +213,10 @@ def cmd_sweep(args: argparse.Namespace) -> str:
                     _fmt(spc),
                     _fmt(ocpc),
                     _fmt(bound),
-                    _fmt(100.0 * (ocpc / fpc - 1.0)),
-                    _fmt(100.0 * (bound / fpc - 1.0)),
-                    _fmt(100.0 * (ocpc / spc - 1.0)),
-                    _fmt(100.0 * (bound / spc - 1.0)),
+                    _fmt(_gain_pct(ocpc, fpc)),
+                    _fmt(_gain_pct(bound, fpc)),
+                    _fmt(_gain_pct(ocpc, spc)),
+                    _fmt(_gain_pct(bound, spc)),
                     status,
                 )
             )

@@ -116,6 +116,21 @@ class TestSweep:
         row = dict(zip(SWEEP_COLUMNS, out.strip().splitlines()[1].split(",")))
         assert float(row["ocpc"]) == pytest.approx(float(row["costless"]), abs=1e-9)
 
+    @pytest.mark.parametrize("payoff", ["log", "linear"])
+    def test_zero_baseline_payoff_prints_nan_gains(self, capsys, payoff):
+        # with gmin 0 the always-weak states pay nothing: FPC and SPC are 0,
+        # and dividing by them used to raise ZeroDivisionError
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", "--gmin", "0", "--p11", "1", "--p22", "1", "--payoff", payoff,
+            "--snr-start", "10", "--snr-stop", "10",
+        )
+        assert code == 0
+        row = dict(zip(SWEEP_COLUMNS, out.strip().splitlines()[1].split(",")))
+        assert float(row["fpc"]) == float(row["spc"]) == 0.0
+        for column in SWEEP_COLUMNS[5:9]:
+            assert row[column] == "nan"
+
     def test_output_file(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"
         code, out, _ = run_cli(
