@@ -455,7 +455,8 @@ def run(cfg: CodingConfig) -> SimResult:
                 decoder_ref, size, eps, chunk,
             )
             error = m_hat != m_next
-            play_x2, belief_x2 = source_row(m_hat), source_row(m_next)
+            belief_x2 = source_row(m_next)
+            play_x2 = belief_x2 if m_hat == m_next else source_row(m_hat)
         diagnostics.append(
             BlockDiagnostics(
                 block=b,
