@@ -355,8 +355,8 @@ def test_single_symbol_alphabet_outcomes(shape):
     cfg = _single_symbol_config(shape)
     blocks = run(cfg).blocks[:-1]
     # with |X1| = 1 every candidate is the same codeword; with |X2| = 1 every
-    # source codeword ties, so the encoder sends index 0, the first, and
-    # only the sent codeword reproduces the observations of the identity channel
+    # source codeword is the same, so the encoder sends the first, index 0,
+    # whose channel codeword the identity channel's observations match exactly
     assert [d.decoded_index for d in blocks] == [0] * len(blocks)
     if shape[1] == 1:
         assert {d.typical_candidates for d in blocks} <= {0, cfg.codebook_size}
