@@ -19,6 +19,18 @@ disagree can be diffed label by label.  The corpus:
   0 to 40 dB in steps of 10 dB).
 
 It takes about a minute and is not collected by pytest.
+
+Two more modes serve a change of solver algorithm, which cannot keep the
+bits (see ``test_solver_bits.py``):
+
+    PYTHONPATH=src python tests/solver_corpus.py --write-intervals
+    PYTHONPATH=src python tests/solver_corpus.py --check
+
+The first, run before the change, writes ``golden/solver_intervals.json``:
+the certified flag, payoff and dual bound of every corpus solve and of every
+``solver_bits.json`` point.  The second checks the current solver against
+that file at all 382 corpus solves, prints each failing condition and exits
+with status 1 if there is one.
 """
 
 from __future__ import annotations
@@ -28,7 +40,15 @@ import json
 import sys
 from pathlib import Path
 
-from test_solver_bits import bits, ic_problem, noisy_problems
+from test_solver_bits import (
+    INTERVALS,
+    bits,
+    golden_point_bits,
+    ic_problem,
+    interval_violations,
+    noisy_problems,
+    tol_payoff,
+)
 
 COMBOS = [(regime, form) for regime in ("hir", "lir") for form in ("log", "linear")]
 
@@ -51,7 +71,38 @@ def corpus():
             }
 
 
+def interval(record: dict) -> dict:
+    return {k: record[k] for k in ("certified", "payoff", "dual_bound")}
+
+
+def write_intervals() -> None:
+    records = {label: bits(problem, kwargs) for label, problem, kwargs in corpus()}
+    intervals = {
+        "corpus": {label: interval(r) for label, r in records.items()},
+        "golden_points": {label: interval(r) for label, r in golden_point_bits().items()},
+    }
+    INTERVALS.write_text(json.dumps(intervals, indent=1) + "\n")
+
+
+def check() -> int:
+    recorded = json.loads(INTERVALS.read_text())["corpus"]
+    failed = 0
+    for label, problem, kwargs in corpus():
+        for violation in interval_violations(
+            recorded[label], bits(problem, kwargs), tol_payoff(kwargs)
+        ):
+            failed += 1
+            print(f"{label}: {violation}")
+    print(f"{failed} violations over {len(recorded)} solves")
+    return 1 if failed else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--write-intervals"]:
+        write_intervals()
+        sys.exit(0)
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
     records = {label: bits(problem, kwargs) for label, problem, kwargs in corpus()}
     text = json.dumps(records, indent=1) + "\n"
     if len(sys.argv) > 1:

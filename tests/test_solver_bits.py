@@ -32,10 +32,20 @@ noisy-channel corpus.
 
 The one exit neither file reaches is ``ConvergenceError`` without a result
 (no feasible point at all); ``test_optimizer.py`` covers it.
+
+``golden/solver_intervals.json`` keeps, per point, only the certified flag,
+the payoff and the dual bound, written by the solver before a change of
+algorithm (``python tests/solver_corpus.py --write-intervals``).  A new
+algorithm cannot keep the bits, so it must instead meet the four
+conditions of ``interval_violations`` at every point; only then are the
+bit goldens rewritten.  ``test_solver_meets_recorded_intervals`` checks the
+points of ``solver_bits.json``, and ``solver_corpus.py --check`` all 382
+corpus solves.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -54,6 +64,10 @@ from codedpc import icmodel
 
 GOLDEN = Path(__file__).parent / "golden" / "solver_bits.json"
 EXITS_GOLDEN = Path(__file__).parent / "golden" / "solver_exits.json"
+INTERVALS = Path(__file__).parent / "golden" / "solver_intervals.json"
+# Slack for the cross-bounds: a dual bound may sit this far below the other
+# solver's payoff and still count as a bound on it.
+CROSS_TOL = 1e-9
 IC_SNRS_DB = (0.0, 10.0, 20.0, 30.0, 40.0)
 NOISY_SEED = 1
 NOISY_COUNT = 15
@@ -141,20 +155,55 @@ def solver_bits(case_list) -> dict:
     return {label: bits(problem, kwargs) for label, problem, kwargs in case_list}
 
 
-def assert_matches(golden: Path, case_list) -> None:
+@functools.cache
+def golden_point_bits() -> dict:
+    return solver_bits(cases())
+
+
+def tol_payoff(kwargs) -> float:
+    return kwargs.get("options", SolverOptions()).tol_payoff
+
+
+def interval_violations(old: dict, new: dict, tol: float) -> list[str]:
+    """The conditions of a changed solver's record ``new`` against the
+    recorded ``old`` one (both ``bits`` records) that fail: it certifies
+    wherever the old one did, its payoff is at most ``tol`` below the old
+    one, and each dual bound bounds the other solver's payoff."""
+    old_pay, old_dual, new_pay, new_dual = (
+        float.fromhex(r[k]) for r in (old, new) for k in ("payoff", "dual_bound")
+    )
+    checks = {
+        "certifies where the old solver did": new["certified"] or not old["certified"],
+        f"new payoff {new_pay!r} >= old {old_pay!r} - tol": new_pay >= old_pay - tol,
+        f"new dual bound {new_dual!r} >= old payoff {old_pay!r}":
+            new_dual >= old_pay - CROSS_TOL,
+        f"old dual bound {old_dual!r} >= new payoff {new_pay!r}":
+            old_dual >= new_pay - CROSS_TOL,
+    }
+    return [name for name, ok in checks.items() if not ok]
+
+
+def assert_matches(golden: Path, actual: dict) -> None:
     expected = json.loads(golden.read_text())
-    actual = solver_bits(case_list)
     assert list(actual) == list(expected)
     for label, record in expected.items():
         assert actual[label] == record, label
 
 
 def test_solver_bits_match_golden():
-    assert_matches(GOLDEN, cases())
+    assert_matches(GOLDEN, golden_point_bits())
+
+
+def test_solver_meets_recorded_intervals():
+    recorded = json.loads(INTERVALS.read_text())["golden_points"]
+    actual = golden_point_bits()
+    assert list(actual) == list(recorded)
+    for label, _, kwargs in cases():
+        assert not interval_violations(recorded[label], actual[label], tol_payoff(kwargs)), label
 
 
 def test_solver_exits_match_golden():
-    assert_matches(EXITS_GOLDEN, exit_cases())
+    assert_matches(EXITS_GOLDEN, solver_bits(exit_cases()))
 
 
 if __name__ == "__main__":
