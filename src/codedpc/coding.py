@@ -67,6 +67,7 @@ from .probability import (
     ObservationChannel,
     StatePrior,
     _is_integer,
+    _is_real,
     compose,
     conditional_mutual_information,
     total_variation,
@@ -258,7 +259,7 @@ class CodingConfig:
         # bool is an int subclass: True used to run as 1.0
         for name in ("epsilon", "rate") if self.rate is not None else ("epsilon",):
             value = getattr(self, name)
-            if isinstance(value, bool) or not (math.isfinite(value) and value > 0.0):
+            if not (_is_real(value) and math.isfinite(value) and value > 0.0):
                 raise CodingConfigError(f"{name} must be finite and positive, got {value!r}")
 
         reference = compose(self.target, self.channel)

@@ -12,15 +12,20 @@ per-state mass makes the channel-consistency relations hold by construction
 and keeps every iterate on the probability simplex.
 
 Algorithm: Lagrangian dual bisection on the constraint multiplier.  For a
-fixed multiplier the inner problem is concave (the gap functional is convex)
-and is solved by entropic mirror ascent restricted to each state's mass
-slice, with backtracking on the objective.  The outer bisection drives the
+fixed multiplier the inner problem is concave (the gap functional is
+convex).  On an exact identity channel (perfect monitoring) it separates
+into closed-form cells, a softmax over x1 for each (x0, x2), and one
+log-optimal portfolio problem over the x2 distribution, solved by Cover's
+multiplicative update; the dual bound there is Cover's bound.  On a noisy
+channel it is solved by entropic mirror ascent restricted to each state's
+mass slice, with backtracking on the objective; the dual bound there is the
+Lagrangian value plus the Frank-Wolfe gap.  The outer bisection drives the
 gap to zero from the feasible side; when the constraint is inactive the
 per-state payoff argmax is returned directly.  The returned point is the
-best feasible one among the inner iterates, always feasible candidates
+best feasible one among the inner maximizers, always feasible candidates
 (uniform; constant partner with best response) and blends across the
-constraint boundary; the dual bound is the least Lagrangian value plus
-Frank-Wolfe gap over the multipliers tried.
+constraint boundary; the dual bound is the least one over the multipliers
+tried.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .probability import (
     ObservationChannel,
     StatePrior,
     _is_integer,
+    _is_real,
 )
 
 _LN2 = float(np.log(2.0))
@@ -48,6 +54,9 @@ _MAX_MULTIPLIER = 2.0**40
 # stall; _PATIENCE stalls in a row end the inner ascent.
 _INNER_TOL = 1e-11
 _PATIENCE = 6
+# Cover's iterates r are floored here: a state's best partner action keeps
+# r >= _R_FLOOR, so its normalizer z >= _R_FLOOR and rho / z stays finite.
+_R_FLOOR = 1e-300
 
 
 class ConvergenceError(RuntimeError):
@@ -81,8 +90,9 @@ class PayoffTable:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Certified payoff tolerance; mirror-ascent iterations per inner solve;
-    bisection steps on the multiplier."""
+    """Certified payoff tolerance; inner iterations per multiplier (Cover
+    updates on the identity channel, mirror-ascent iterations on a noisy
+    one); bisection steps on the multiplier."""
 
     tol_payoff: float = 1e-5
     max_inner_iter: int = 50_000
@@ -91,7 +101,7 @@ class SolverOptions:
     def __post_init__(self):
         tol = self.tol_payoff
         # bool is an int subclass: True used to run as a tolerance of 1.0
-        if isinstance(tol, bool) or not (math.isfinite(tol) and tol > 0.0):
+        if not (_is_real(tol) and math.isfinite(tol) and tol > 0.0):
             raise ValueError(f"tol_payoff must be finite and positive, got {tol!r}")
         for name in ("max_inner_iter", "outer_steps"):
             value = getattr(self, name)
@@ -107,6 +117,9 @@ class OptimizationResult:
     feasibility tolerance), ``multiplier`` the dual variable of the
     information constraint, and ``dual_bound`` a certified upper bound on
     the optimal payoff, so dual_bound - payoff bounds the suboptimality.
+    ``iterations`` sums the inner iterations over the multipliers tried:
+    Cover updates on the identity channel, mirror-ascent iterations on a
+    noisy one.
     """
 
     qbar: JointDistribution
@@ -168,10 +181,11 @@ class _InfoKernel:
     """(1/stages) I(X0;X2) - I(X1;Y|X0,X2) in bits and its gradient, for one
     channel and stage count; the channel's row terms are computed once.
 
-    An exact identity channel (perfect monitoring) takes a path with no sum
-    over y: there I(X1;Y|X0,X2) = H(X1|X0,X2), q(x0, x2, y) is qbar with its
-    last two axes swapped and every channel row has zero entropy.  Both paths
-    give the same bits.
+    An exact identity channel (perfect monitoring) takes a gap path with no
+    sum over y: there I(X1;Y|X0,X2) = H(X1|X0,X2), q(x0, x2, y) is qbar with
+    its last two axes swapped and every channel row has zero entropy.  Both
+    paths give the same bits.  ``perfect`` also selects ``solve``'s closed-form
+    inner step, so only mirror ascent on noisy channels needs the gradient.
     """
 
     def __init__(self, gamma: np.ndarray, inv_stages: float):
@@ -182,13 +196,11 @@ class _InfoKernel:
 
     def gap(self, qbar: np.ndarray):
         """The gap at qbar, and the terms ``gap_grad`` reuses: q(x0, x2),
-        q(x0, x2, y), the logs of q(x0, x2), q(x0) and q(x2), and the log."""
-        return self._gap(qbar, _log_pos)
+        q(x0, x2, y) and the logs of q(x0, x2), q(x0) and q(x2).
 
-    def _gap(self, qbar: np.ndarray, log):
-        """``gap`` with one ``log`` pass over one buffer of q(x0, x2), q(x0),
-        q(x2) and q(x0, x2, y); ``np.log`` needs all of them positive.  Each
-        entropy sum is over a slice shaped and ordered like its own array."""
+        One guarded log pass covers one buffer of q(x0, x2), q(x0), q(x2) and
+        q(x0, x2, y); each entropy sum is over a slice shaped and ordered like
+        its own array."""
         n0, n1, n2 = qbar.shape
         n02 = n0 * n2
         e0, e2 = n02 + n0, n02 + n0 + n2
@@ -202,7 +214,7 @@ class _InfoKernel:
             np.copyto(s, qbar.transpose(0, 2, 1))
         else:
             np.einsum("abc,by->acy", qbar, self.gamma, out=s)
-        logs = log(buf)
+        logs = _log_pos(buf)
         plogp = buf * logs
         plogp02 = float(plogp[:n02].sum())
         i_coord = plogp02 - float(plogp[n02:e0].sum()) - float(plogp[e0:e2].sum())
@@ -210,31 +222,27 @@ class _InfoKernel:
         if not self.perfect:
             i_channel += float(qbar.sum(axis=(0, 2)) @ self.row_plogp)
         gap = (self.inv_stages * i_coord - i_channel) / _LN2
-        return gap, (m02, s, logs[:n02].reshape(n0, n2), logs[n02:e0], logs[e0:e2], log)
+        return gap, (m02, s, logs[:n02].reshape(n0, n2), logs[n02:e0], logs[e0:e2])
 
     def gap_grad(self, terms) -> np.ndarray:
         """Gradient of the gap w.r.t. qbar from the terms ``gap`` returned;
-        requires strictly positive qbar, where every log above is ln."""
-        m02, s, log02, log0, log2, log = terms
+        requires q(x0, x2) > 0 wherever q(x0) > 0."""
+        m02, s, log02, log0, log2 = terms
         coord = self.inv_stages * (log02 - log0[:, None] - log2[None, :])[:, None, :]
         # p_y(a, c, y) = 0 forces gamma(., y) = 0, whose coefficient below is
         # zero, so the log substituted there never contributes.  A state whose
         # mass underflows leaves q(x0, x2) = 0 and s = 0 with it: the smallest
         # subnormal as divisor turns that 0 / 0 into the 0 the guarded log
         # maps to 0, and leaves every positive q(x0, x2) as it is.
-        if log is not np.log:
-            m02 = np.maximum(m02, 5e-324)
-        log_p = log(s / m02[:, :, None])
-        if self.perfect:
-            return (coord + log_p.transpose(0, 2, 1)) / _LN2
+        log_p = _log_pos(s / np.maximum(m02, 5e-324)[:, :, None])
         cross = np.einsum("by,acy->abc", self.gamma, log_p)
         return (coord - (self.row_plogp[None, :, None] - cross)) / _LN2
 
 
-def _objective(qbar, kernel, log, w, lam, offset):
+def _objective(qbar, kernel, w, lam, offset):
     """Lagrangian value, constraint gap and the kernel terms behind them."""
     pay = float((qbar * w).sum())
-    gap, terms = kernel._gap(qbar, log)
+    gap, terms = kernel.gap(qbar)
     return pay - lam * (gap + offset), gap, terms
 
 
@@ -249,7 +257,7 @@ def _fw_gap(grad: np.ndarray, p: np.ndarray, rho: np.ndarray) -> float:
     return float((rho * grad.max(axis=(1, 2))).sum() - (grad * p).sum())
 
 
-def _inner_maximize(start, rho, kernel, log, w, lam, offset, max_iter, fw_target):
+def _inner_maximize(start, rho, kernel, w, lam, offset, max_iter, fw_target):
     """Entropic mirror ascent of E[w] - lam * (gap + offset) on the slices.
 
     Stops once the linearized gap certifies the inner maximum within
@@ -258,7 +266,7 @@ def _inner_maximize(start, rho, kernel, log, w, lam, offset, max_iter, fw_target
     certified inner gap, and the iteration count.
     """
     p = start
-    value, gap, terms = _objective(p, kernel, log, w, lam, offset)
+    value, gap, terms = _objective(p, kernel, w, lam, offset)
     step = 1.0
     iters = 0
     stall = 0
@@ -273,7 +281,7 @@ def _inner_maximize(start, rho, kernel, log, w, lam, offset, max_iter, fw_target
             cand = p * np.exp(step * (grad - shift))
             cand = np.maximum(cand, _FLOOR)
             cand *= (rho / cand.sum(axis=(1, 2)))[:, None, None]
-            cand_value, cand_gap, cand_terms = _objective(cand, kernel, log, w, lam, offset)
+            cand_value, cand_gap, cand_terms = _objective(cand, kernel, w, lam, offset)
             if cand_value >= value:
                 break
             step *= 0.5
@@ -282,6 +290,53 @@ def _inner_maximize(start, rho, kernel, log, w, lam, offset, max_iter, fw_target
         stall = stall + 1 if cand_value - value <= _INNER_TOL * (1.0 + abs(cand_value)) else 0
         p, value, gap, terms = cand, cand_value, cand_gap, cand_terms
         step = min(step * 1.3, 1e8)
+
+
+def _closed_form_maximize(r, rho, kernel, w, lam, offset, max_iter, cover_target):
+    """Maximize E[w] - lam * (gap + offset) on the identity channel.
+
+    For a fixed multiplier the Lagrangian separates.  Each (x0, x2) cell
+    keeps max_p sum_b p(b) w(a, b, c) + lam * H(p), whose value is
+    C(a, c) = lam * log2 sum_b 2^(w(a, b, c) / lam), reached at the softmax
+    p(b) ~ 2^(w(a, b, c) / lam).  What remains, with mu = lam * inv_stages,
+    is the log-optimal portfolio problem
+
+        max_r F(r),  F(r) = sum_a rho(a) * mu * log2 sum_c r(c) 2^(C(a, c) / mu),
+
+    over r on the X2 simplex (I(X0; X2) = min_r E_a D(q(.|a) || r)).  Cover's
+    multiplicative update r <- r * grad, grad(c) = dF/dr(c) * ln 2 / mu, runs
+    from the warm start ``r`` until Cover's bound max F <= F(r) + mu * log2
+    max_c grad(c) is within ``cover_target``, or for ``max_iter`` updates.
+    That bound minus lam * offset bounds the Lagrangian's maximum.  The
+    bound and the primal point are invariant to the scale of r, so r is not
+    renormalized.
+
+    Returns the primal point q(x0, x2) ~ rho * r * 2^(C / mu) times the
+    cells' softmax, its constraint gap, the dual bound, the update count and
+    r for the next warm start.
+    """
+    mu = lam * kernel.inv_stages
+    # log-sum-exp shifts: every power of two below has exponent <= 0
+    top_w = w.max(axis=1, keepdims=True)
+    cell = np.exp2((w - top_w) / lam)
+    mass = cell.sum(axis=1, keepdims=True)
+    cell /= mass
+    cap = (top_w + lam * np.log2(mass))[:, 0, :]
+    top_cap = cap.max(axis=1)
+    tilt = np.exp2((cap - top_cap[:, None]) / mu)
+    iters = 0
+    while True:
+        z = tilt @ r
+        grad = (rho / z) @ tilt
+        cover = mu * math.log2(grad.max())
+        if cover <= cover_target or iters >= max_iter:
+            break
+        r = np.maximum(r * grad, _R_FLOOR)
+        iters += 1
+    value = float(rho @ (top_cap + mu * np.log2(z)))
+    bound = value + max(cover, 0.0) - lam * offset
+    q = (rho / z)[:, None, None] * (r * tilt)[:, None, :] * cell
+    return q, kernel.gap(q)[0], bound, iters, r
 
 
 def _per_state_argmax(rho: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -327,7 +382,7 @@ def solve(
     """
     opts = options or SolverOptions()
     _check_stages(stages)
-    if isinstance(min_slack, bool) or not (math.isfinite(min_slack) and min_slack >= 0.0):
+    if not (_is_real(min_slack) and math.isfinite(min_slack) and min_slack >= 0.0):
         raise ValueError(f"min_slack must be finite and nonnegative, got {min_slack!r}")
     w_full = payoff.values
     n0, n1, n2 = w_full.shape
@@ -347,11 +402,6 @@ def solve(
     active = prior.probs > 0.0
     rho = prior.probs[active]
     w = w_full[active]
-    # The floor keeps every mirror-ascent iterate above about
-    # min(rho, _FLOOR) / (n1 * n2).  While that is a normal float, no entry the
-    # kernel logs on the perfect path is zero, so the ascent skips the guard.
-    positive = kernel.perfect and rho.min() / (n1 * n2) >= np.finfo(float).tiny
-    log = np.log if positive else _log_pos
 
     def finish(q_active, gap, multiplier, dual_bound, iterations):
         pay = float((q_active * w).sum())
@@ -425,18 +475,25 @@ def solve(
 
     fw_target = 0.25 * opts.tol_payoff
     total_iters = 0
-    warm = interior
+    # The last inner solve's warm start: r on the X2 simplex for the closed
+    # form, the iterate itself for mirror ascent.
+    warm = np.full(n2, 1.0 / n2) if kernel.perfect else interior
 
     def feasible_at(lam: float) -> bool:
-        """Inner solve at ``lam`` from the last iterate: tighten the dual
-        bound, offer the iterate to the pool, report whether it is feasible."""
+        """Inner solve at ``lam`` from the last one: tighten the dual bound,
+        offer the maximizer to the pool, report whether it is feasible."""
         nonlocal total_iters, dual_bound, warm
-        q, value, gap, certified, it = _inner_maximize(
-            warm, rho, kernel, log, w, lam, offset, opts.max_inner_iter, fw_target
-        )
+        if kernel.perfect:
+            q, gap, bound, it, warm = _closed_form_maximize(
+                warm, rho, kernel, w, lam, offset, opts.max_inner_iter, fw_target
+            )
+        else:
+            q, value, gap, certified, it = _inner_maximize(
+                warm, rho, kernel, w, lam, offset, opts.max_inner_iter, fw_target
+            )
+            bound, warm = value + certified, q
         total_iters += it
-        dual_bound = min(dual_bound, value + certified)
-        warm = q
+        dual_bound = min(dual_bound, bound)
         return consider(q, gap) <= FEASIBILITY_TOL
 
     lam_hi = 1.0

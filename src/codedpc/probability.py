@@ -54,6 +54,12 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """True for Python and numpy integers and floats, False for bool and
+    everything else."""
+    return _is_integer(value) or isinstance(value, (float, np.floating))
+
+
 def _canonical_order(axes: Iterable[str]) -> tuple[str, ...]:
     present = set(axes)
     return tuple(a for a in CANONICAL_AXES if a in present)

@@ -140,8 +140,9 @@ class TestCodingConfig:
                 block_length=10, num_blocks=5, rate=0.1,
             )
 
-    # bool is an int subclass: rate=True used to run as 1.0
-    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), True])
+    # bool is an int subclass: rate=True used to run as 1.0; a string used to
+    # raise TypeError from math.isfinite
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), True, "0.1"])
     def test_nonfinite_rate_rejected(self, rate):
         # a zero-coordination target accepts any finite positive rate
         cfg_ic = ICConfig.for_regime("hir", 10.0)
@@ -154,7 +155,7 @@ class TestCodingConfig:
                 block_length=10, num_blocks=5, rate=rate,
             )
 
-    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), True])
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), True, "0.5"])
     def test_nonfinite_epsilon_rejected(self, eps):
         # inf * 0 is NaN, so an infinite tolerance used to fail every
         # zero-probability cell instead of accepting everything

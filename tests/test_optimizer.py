@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from codedpc import (
+    FEASIBILITY_TOL,
     AlphabetError,
     ConvergenceError,
     JointDistribution,
@@ -140,18 +141,13 @@ class TestGapGradient:
 )
 def test_perfect_monitoring_path_is_bit_identical(q, stages):
     # on strictly positive qbar the identity channel's shortcut (no sum over
-    # y) gives the general einsum path's gap and gradient bit for bit
+    # y) gives the general einsum path's gap bit for bit
     qbar = q / q.sum()
     fast = _InfoKernel(np.eye(q.shape[1]), 1.0 / stages)
     general = _InfoKernel(np.eye(q.shape[1]), 1.0 / stages)
     general.perfect = False
     assert fast.perfect
-    fast_gap, fast_terms = fast.gap(qbar)
-    general_gap, general_terms = general.gap(qbar)
-    assert fast_gap.hex() == general_gap.hex()
-    fast_grad = fast.gap_grad(fast_terms)
-    general_grad = general.gap_grad(general_terms)
-    assert fast_grad.tobytes() == general_grad.tobytes()
+    assert fast.gap(qbar)[0].hex() == general.gap(qbar)[0].hex()
 
 
 @st.composite
@@ -209,8 +205,7 @@ def kernel_inputs(draw):
 @given(kernel_inputs())
 def test_fused_kernel_matches_oracle_bit_for_bit(inputs):
     # the one-buffer kernel against the separate-array formulas it replaced;
-    # the gradient needs q(x0, x2) > 0, and plain np.log needs qbar > 0 on
-    # the perfect path, where the inner ascent takes it
+    # the gradient needs q(x0, x2) > 0
     qbar, gamma, inv_stages = inputs
     kernel, oracle = _InfoKernel(gamma, inv_stages), InfoKernel(gamma, inv_stages)
     gap, terms = kernel.gap(qbar)
@@ -219,10 +214,6 @@ def test_fused_kernel_matches_oracle_bit_for_bit(inputs):
     if (qbar.sum(axis=1) > 0.0).all():
         want_grad = oracle.gap_grad(want_terms).tobytes()
         assert kernel.gap_grad(terms).tobytes() == want_grad
-        if kernel.perfect and (qbar > 0.0).all():
-            plain_gap, plain_terms = kernel._gap(qbar, np.log)
-            assert plain_gap.hex() == want_gap.hex()
-            assert kernel.gap_grad(plain_terms).tobytes() == want_grad
 
 
 def coordination_payoff():
@@ -280,6 +271,79 @@ class TestLogGuard:
                 np.array([[0.8, 0.15, 0.05], [0.15, 0.8, 0.05], [0.3, 0.3, 0.4]])
             )
         self.certified_slack_matches(prior, channel)
+
+
+def ic_instance(regime: str, snr_db: float):
+    cfg = ICConfig.for_regime(regime, snr_db)
+    return build_state_prior(cfg), identity_observation_channel(), build_payoff_table(cfg)
+
+
+class TestClosedForm:
+    """The identity channel's inner step: softmax cells and Cover's update."""
+
+    @pytest.mark.parametrize("instance", ["tiny", "ic"])
+    def test_payoff_scaled_1e3_at_256_stages_certifies(self, instance):
+        # w / lam and C / mu reach the thousands here; without the shifts
+        # 2^(w / lam) overflows, and RuntimeWarning is an error
+        prior, channel, payoff = tiny_instance() if instance == "tiny" else ic_instance("hir", 10.0)
+        plain = solve(prior, channel, payoff, stages=256)
+        scaled = solve(prior, channel, PayoffTable(1e3 * payoff.values), stages=256)
+        assert scaled.converged and scaled.slack >= -FEASIBILITY_TOL
+        tol = SolverOptions().tol_payoff
+        assert scaled.payoff / 1e3 == pytest.approx(plain.payoff, abs=2 * tol)
+
+    def test_tiny_state_keeps_its_partner_action(self):
+        # the other states drive r toward the partner action this 1e-300
+        # state is alone in wanting, while 2^(C / mu) of its other action
+        # underflows; unfloored, r underflows too and its normalizer is 0
+        w = np.array([
+            [[-459, -276, 515, 445], [884, -1164, -270, -285]],
+            [[118, -311, -353, 538], [122, -802, 918, 685]],
+            [[-395, 572, -506, 774], [-150, -552, -257, -527]],
+            [[132, 120, 25, -383], [-2517, 64, -1304, 168]],
+        ], dtype=float)
+        prior = StatePrior(np.array([1e-300, 0.41, 0.46, 0.13]))
+        res = solve(prior, ObservationChannel.identity(2), PayoffTable(w), stages=256)
+        assert res.converged and res.slack >= -FEASIBILITY_TOL
+
+    def test_cover_budget_raises_with_feasible_result(self):
+        # one Cover update per multiplier leaves the dual bound 2.5e-5 above
+        # the payoff at LIR 40 dB; the default budget certifies
+        prior, channel, payoff = ic_instance("lir", 40.0)
+        assert solve(prior, channel, payoff).converged
+        with pytest.raises(ConvergenceError, match="no certificate") as err:
+            solve(prior, channel, payoff, options=SolverOptions(max_inner_iter=1))
+        res = err.value.result
+        assert res is not None and not res.converged
+        assert res.dual_bound - res.payoff > SolverOptions().tol_payoff
+        gap = info_constraint_gap(compose(res.qbar, channel))
+        assert gap <= FEASIBILITY_TOL and res.slack == pytest.approx(-gap, abs=1e-9)
+
+
+@st.composite
+def identity_problems(draw):
+    """A prior (possibly with zero states), a payoff table and S on the
+    identity channel."""
+    n0, n1, n2 = (draw(st.integers(1, 4)) for _ in range(3))
+    probs = draw(hnp.arrays(np.float64, n0, elements=st.one_of(
+        st.just(0.0), st.floats(1e-3, 1.0))))
+    if probs.sum() == 0.0:
+        probs[0] = 1.0
+    w = draw(hnp.arrays(np.float64, (n0, n1, n2), elements=st.floats(-10.0, 10.0)))
+    prior = StatePrior(probs / probs.sum())
+    return prior, ObservationChannel.identity(n1), PayoffTable(w), draw(st.integers(1, 256))
+
+
+@settings(deadline=None, max_examples=100)
+@given(identity_problems())
+def test_identity_channel_solves_certify(problem):
+    # a constant partner carries no state information, so each one's best
+    # response is feasible and the dual bound must cover its payoff
+    prior, channel, payoff, stages = problem
+    res = solve(prior, channel, payoff, stages=stages)
+    assert res.converged and res.slack >= -FEASIBILITY_TOL
+    partners = prior.probs @ payoff.values.max(axis=1)
+    assert res.dual_bound >= partners.max() - 1e-9
 
 
 class TestSolve:
@@ -370,8 +434,9 @@ class TestSolve:
         with pytest.raises(AlphabetError):
             solve(prior, ObservationChannel.identity(3), payoff)
 
-    # bool is an int subclass: min_slack=False used to run as 0.0
-    @pytest.mark.parametrize("min_slack", [float("nan"), float("inf"), -0.1, False])
+    # bool is an int subclass: min_slack=False used to run as 0.0; a string
+    # used to raise TypeError from math.isfinite
+    @pytest.mark.parametrize("min_slack", [float("nan"), float("inf"), -0.1, False, "0.1"])
     def test_bad_min_slack_rejected(self, min_slack):
         prior, channel, payoff = tiny_instance()
         with pytest.raises(ValueError, match="min_slack"):
@@ -439,7 +504,7 @@ class TestSolverOptions:
             "tol_payoff", "max_inner_iter", "outer_steps",
         ]
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-5, True])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-5, True, "1e-5"])
     def test_bad_tolerance_rejected(self, tol):
         with pytest.raises(ValueError, match="tol_payoff"):
             SolverOptions(tol_payoff=tol)
