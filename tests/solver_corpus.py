@@ -18,7 +18,7 @@ disagree can be diffed label by label.  The corpus:
 * ``stages`` 2 and 16 on 5 interference points each (HIR, log payoff,
   0 to 40 dB in steps of 10 dB).
 
-It takes about a minute and is not collected by pytest.
+It takes about 10 s and is not collected by pytest.
 
 Two more modes serve a change of solver algorithm, which cannot keep the
 bits (see ``test_solver_bits.py``):
@@ -71,14 +71,17 @@ def corpus():
             }
 
 
+def corpus_bits() -> dict:
+    return {label: bits(problem, kwargs) for label, problem, kwargs in corpus()}
+
+
 def interval(record: dict) -> dict:
     return {k: record[k] for k in ("certified", "payoff", "dual_bound")}
 
 
 def write_intervals() -> None:
-    records = {label: bits(problem, kwargs) for label, problem, kwargs in corpus()}
     intervals = {
-        "corpus": {label: interval(r) for label, r in records.items()},
+        "corpus": {label: interval(r) for label, r in corpus_bits().items()},
         "golden_points": {label: interval(r) for label, r in golden_point_bits().items()},
     }
     INTERVALS.write_text(json.dumps(intervals, indent=1) + "\n")
@@ -103,8 +106,7 @@ if __name__ == "__main__":
         sys.exit(0)
     if sys.argv[1:] == ["--check"]:
         sys.exit(check())
-    records = {label: bits(problem, kwargs) for label, problem, kwargs in corpus()}
-    text = json.dumps(records, indent=1) + "\n"
+    text = json.dumps(corpus_bits(), indent=1) + "\n"
     if len(sys.argv) > 1:
         Path(sys.argv[1]).write_text(text)
     print(hashlib.sha256(text.encode()).hexdigest())
