@@ -296,7 +296,7 @@ def _closed_form_maximize(r, rho, kernel, w, lam, offset, max_iter, cover_target
     """Maximize E[w] - lam * (gap + offset) on the identity channel.
 
     For a fixed multiplier the Lagrangian separates.  Each (x0, x2) cell
-    keeps max_p sum_b p(b) w(a, b, c) + lam * H(p), whose value is
+    contributes max_p sum_b p(b) w(a, b, c) + lam * H(p), whose value is
     C(a, c) = lam * log2 sum_b 2^(w(a, b, c) / lam), reached at the softmax
     p(b) ~ 2^(w(a, b, c) / lam).  What remains, with mu = lam * inv_stages,
     is the log-optimal portfolio problem
