@@ -15,8 +15,9 @@ Algorithm: Lagrangian dual bisection on the constraint multiplier.  For a
 fixed multiplier the inner problem is concave (the gap functional is
 convex).  On an exact identity channel (perfect monitoring) it separates
 into closed-form cells, a softmax over x1 for each (x0, x2), and one
-log-optimal portfolio problem over the x2 distribution, solved by Cover's
-multiplicative update; the dual bound there is Cover's bound.  On a noisy
+log-optimal portfolio problem over the x2 distribution, solved by a
+multiplicative update with an adaptive exponent (Cover's update at exponent
+1); the dual bound there is Cover's bound.  On a noisy
 channel it is solved by entropic mirror ascent restricted to each state's
 mass slice, with backtracking on the objective; the dual bound there is the
 Lagrangian value plus the Frank-Wolfe gap.  The outer bisection drives the
@@ -57,6 +58,9 @@ _PATIENCE = 6
 # Cover's iterates r are floored here: a state's best partner action keeps
 # r >= _R_FLOOR, so its normalizer z >= _R_FLOOR and rho / z stays finite.
 _R_FLOOR = 1e-300
+# Once max grad is within this factor of 1, the rounding in grad's sums is as
+# large as what the x2 step has left to gain, and the step stops.
+_FLAT = 1.0 + 2.0**-46
 
 
 class ConvergenceError(RuntimeError):
@@ -303,16 +307,20 @@ def _closed_form_maximize(r, rho, kernel, w, lam, offset, max_iter, cover_target
 
         max_r F(r),  F(r) = sum_a rho(a) * mu * log2 sum_c r(c) 2^(C(a, c) / mu),
 
-    over r on the X2 simplex (I(X0; X2) = min_r E_a D(q(.|a) || r)).  Cover's
-    multiplicative update r <- r * grad, grad(c) = dF/dr(c) * ln 2 / mu, runs
-    from the warm start ``r`` until Cover's bound max F <= F(r) + mu * log2
-    max_c grad(c) is within ``cover_target``, or for ``max_iter`` updates.
-    That bound minus lam * offset bounds the Lagrangian's maximum.  The
-    bound and the primal point are invariant to the scale of r, so r is not
-    renormalized.
+    over r on the X2 simplex (I(X0; X2) = min_r E_a D(q(.|a) || r)).  With
+    grad(c) = dF/dr(c) * ln 2 / mu, Cover's bound max F <= F(r) + mu * log2
+    max_c grad(c) holds at every r; minus lam * offset it bounds the
+    Lagrangian's maximum.  From the warm start ``r``, the iteration takes
+    r <- r * grad^power, normalized: power 1 is Cover's multiplicative
+    update, which never lowers F, and power grows by 1.3 after each step
+    that does not lower F and halves, down to 1, when one would.  With power
+    fixed at 1 the update stalls once mu is large, where grad is within
+    O(1 / mu) of 1, and cannot revive an action whose weight an earlier
+    multiplier drove to the floor.  It stops when Cover's bound is within
+    ``cover_target``, after ``max_iter`` trial steps, or at ``_FLAT``.
 
     Returns the primal point q(x0, x2) ~ rho * r * 2^(C / mu) times the
-    cells' softmax, its constraint gap, the dual bound, the update count and
+    cells' softmax, its constraint gap, the dual bound, the step count and
     r for the next warm start.
     """
     mu = lam * kernel.inv_stages
@@ -324,17 +332,32 @@ def _closed_form_maximize(r, rho, kernel, w, lam, offset, max_iter, cover_target
     cap = (top_w + lam * np.log2(mass))[:, 0, :]
     top_cap = cap.max(axis=1)
     tilt = np.exp2((cap - top_cap[:, None]) / mu)
+    z = tilt @ r
+    value = float(rho @ np.log2(z))
+    power = 1.0
     iters = 0
     while True:
-        z = tilt @ r
         grad = (rho / z) @ tilt
-        cover = mu * math.log2(grad.max())
-        if cover <= cover_target or iters >= max_iter:
+        top = grad.max()
+        cover = mu * math.log2(top)
+        if cover <= cover_target or iters >= max_iter or top <= _FLAT:
             break
-        r = np.maximum(r * grad, _R_FLOOR)
-        iters += 1
-    value = float(rho @ (top_cap + mu * np.log2(z)))
-    bound = value + max(cover, 0.0) - lam * offset
+        # an action no state can use has grad 0: its weight drops to the floor
+        log_grad = np.log(np.maximum(grad / top, _R_FLOOR))
+        while True:
+            iters += 1
+            cand = np.maximum(r * np.exp(power * log_grad), _R_FLOOR)
+            cand /= cand.sum()
+            cand_z = tilt @ cand
+            cand_value = float(rho @ np.log2(cand_z))
+            if cand_value >= value or power == 1.0:
+                r, z, value = cand, cand_z, cand_value
+                power = min(power * 1.3, 1e8)
+                break
+            power = max(0.5 * power, 1.0)
+            if iters >= max_iter:
+                break
+    bound = float(rho @ top_cap) + mu * value + max(cover, 0.0) - lam * offset
     q = (rho / z)[:, None, None] * (r * tilt)[:, None, :] * cell
     return q, kernel.gap(q)[0], bound, iters, r
 

@@ -306,6 +306,26 @@ class TestClosedForm:
         res = solve(prior, ObservationChannel.identity(2), PayoffTable(w), stages=256)
         assert res.converged and res.slack >= -FEASIBILITY_TOL
 
+    def test_abandoned_partner_action_is_revived(self):
+        # one x1 action, so any information about x0 in x2 is infeasible:
+        # small multipliers drive r(x2 = 0) to the floor, large ones need it
+        # back, and Cover's update alone, with grad within 1% of 1, stalled
+        # there and left the bisection an uncertified "feasible" point
+        w = np.array([[[0.0, 0.0, 3.738, -9.347]], [[4.44, 3.003, 0.757, 9.494]]])
+        prior = StatePrior(np.array([0.5, 0.5]))
+        res = solve(prior, ObservationChannel.identity(1), PayoffTable(w), stages=203)
+        assert res.converged and res.slack >= -FEASIBILITY_TOL
+        assert res.payoff == pytest.approx(0.5 * (3.738 + 0.757), abs=1e-6)
+
+    def test_rounding_ends_the_update_at_huge_multipliers(self):
+        # at payoffs near 1e11 the multiplier reaches 1e9, where grad's
+        # rounding outweighs Cover's target; no multiplier may spend the
+        # whole inner budget on it
+        prior, channel, payoff = ic_instance("lir", 40.0)
+        res = solve(prior, channel, PayoffTable(1e10 * payoff.values))
+        assert res.converged
+        assert res.iterations < SolverOptions().max_inner_iter
+
     def test_cover_budget_raises_with_feasible_result(self):
         # one Cover update per multiplier leaves the dual bound 2.5e-5 above
         # the payoff at LIR 40 dB; the default budget certifies
