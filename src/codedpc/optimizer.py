@@ -17,10 +17,10 @@ convex).  On an exact identity channel (perfect monitoring) it separates
 into closed-form cells, a softmax over x1 for each (x0, x2), and one
 log-optimal portfolio problem over the x2 distribution, solved by a
 multiplicative update with an adaptive exponent (Cover's update at exponent
-1); the dual bound there is Cover's bound.  On a noisy
-channel it is solved by entropic mirror ascent restricted to each state's
-mass slice, with backtracking on the objective; the dual bound there is the
-Lagrangian value plus the Frank-Wolfe gap.  The outer bisection drives the
+1); the dual bound there is Cover's bound.  On a noisy channel it is solved
+by entropic mirror ascent restricted to each state's mass slice, with
+backtracking on the objective; the dual bound there is the Lagrangian value
+plus the Frank-Wolfe gap.  The outer bisection drives the
 gap to zero from the feasible side; when the constraint is inactive the
 per-state payoff argmax is returned directly.  The returned point is the
 best feasible one among the inner maximizers, always feasible candidates
@@ -94,9 +94,9 @@ class PayoffTable:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Certified payoff tolerance; inner iterations per multiplier (Cover
-    updates on the identity channel, mirror-ascent iterations on a noisy
-    one); bisection steps on the multiplier."""
+    """Certified payoff tolerance; inner iterations per multiplier (trial
+    steps of the x2 update on the identity channel, mirror-ascent iterations
+    on a noisy one); bisection steps on the multiplier."""
 
     tol_payoff: float = 1e-5
     max_inner_iter: int = 50_000
@@ -122,8 +122,8 @@ class OptimizationResult:
     information constraint, and ``dual_bound`` a certified upper bound on
     the optimal payoff, so dual_bound - payoff bounds the suboptimality.
     ``iterations`` sums the inner iterations over the multipliers tried:
-    Cover updates on the identity channel, mirror-ascent iterations on a
-    noisy one.
+    trial steps of the x2 update on the identity channel, mirror-ascent
+    iterations on a noisy one.
     """
 
     qbar: JointDistribution
