@@ -20,9 +20,9 @@ multiplicative update with an adaptive exponent (Cover's update at exponent
 1); the dual bound there is Cover's bound.  On a noisy channel it is solved
 by entropic mirror ascent restricted to each state's mass slice, with
 backtracking on the objective; the dual bound there is the Lagrangian value
-plus the Frank-Wolfe gap.  The outer bisection drives the
-gap to zero from the feasible side; when the constraint is inactive the
-per-state payoff argmax is returned directly.  The returned point is the
+plus the Frank-Wolfe gap.  The outer bisection drives the gap to zero from
+the feasible side; when the constraint is inactive the per-state payoff
+argmax is returned directly.  The returned point is the
 best feasible one among the inner maximizers, always feasible candidates
 (uniform; constant partner with best response) and blends across the
 constraint boundary; the dual bound is the least one over the multipliers
@@ -334,29 +334,27 @@ def _closed_form_maximize(r, rho, kernel, w, lam, offset, max_iter, cover_target
     tilt = np.exp2((cap - top_cap[:, None]) / mu)
     z = tilt @ r
     value = float(rho @ np.log2(z))
+    grad = (rho / z) @ tilt
     power = 1.0
     iters = 0
     while True:
-        grad = (rho / z) @ tilt
         top = grad.max()
         cover = mu * math.log2(top)
         if cover <= cover_target or iters >= max_iter or top <= _FLAT:
             break
+        iters += 1
         # an action no state can use has grad 0: its weight drops to the floor
         log_grad = np.log(np.maximum(grad / top, _R_FLOOR))
-        while True:
-            iters += 1
-            cand = np.maximum(r * np.exp(power * log_grad), _R_FLOOR)
-            cand /= cand.sum()
-            cand_z = tilt @ cand
-            cand_value = float(rho @ np.log2(cand_z))
-            if cand_value >= value or power == 1.0:
-                r, z, value = cand, cand_z, cand_value
-                power = min(power * 1.3, 1e8)
-                break
+        cand = np.maximum(r * np.exp(power * log_grad), _R_FLOOR)
+        cand /= cand.sum()
+        cand_z = tilt @ cand
+        cand_value = float(rho @ np.log2(cand_z))
+        if cand_value >= value or power == 1.0:
+            r, z, value = cand, cand_z, cand_value
+            grad = (rho / z) @ tilt
+            power = min(power * 1.3, 1e8)
+        else:
             power = max(0.5 * power, 1.0)
-            if iters >= max_iter:
-                break
     bound = float(rho @ top_cap) + mu * value + max(cover, 0.0) - lam * offset
     q = (rho / z)[:, None, None] * (r * tilt)[:, None, :] * cell
     return q, kernel.gap(q)[0], bound, iters, r
