@@ -176,18 +176,20 @@ def _scan(gen, size: int, levels: np.ndarray, chunk: np.ndarray, groups: int):
     cell counts.  ``levels`` is ``cdf[..., :-1]`` with its last axis first:
     the rows of cdf are nondecreasing, so symbol >= v exactly when
     u >= levels[v - 1].  The masks split ``chunk``, (rows, n), in K-1 slots;
-    the uniforms are drawn into the last, which its own mask overwrites."""
+    the uniforms are drawn into the last, which its own mask overwrites.
+    With K = 1 there is no mask, and nothing is drawn."""
     k = len(levels) + 1
     step = chunk.shape[0] // max(k - 1, 1)
     slots = chunk[: max(k - 1, 1) * step].reshape(-1, step, chunk.shape[1])
     counts = np.empty((step, k, groups))
     for lo in range(0, size, step):
         rows = min(step, size - lo)
-        masks = slots[:, :rows]
-        uniforms = gen.random(out=masks[-1])
-        for mask, level in zip(masks, levels):
-            np.greater_equal(uniforms, level, out=mask, casting="unsafe")
-        yield lo, masks[: k - 1], counts[:rows]
+        masks = slots[: k - 1, :rows]
+        if k > 1:
+            uniforms = gen.random(out=masks[-1])
+            for mask, level in zip(masks, levels):
+                np.greater_equal(uniforms, level, out=mask, casting="unsafe")
+        yield lo, masks, counts[:rows]
 
 
 def _absent_cells_typical(indicator: np.ndarray, ref: np.ndarray, n: int, eps: float) -> bool:

@@ -190,7 +190,8 @@ def test_threshold_counts_match_oracle(block):
         assert lo == sum(map(len, parts))
         assert masks.shape == (k - 1, len(counts), u.shape[1])
         parts.append(by_group(_count_cells(masks, indicator, indicator.sum(axis=0), counts)).copy())
-    assert source.drawn == len(u)
+    # with one symbol no mask reads a uniform, so none is drawn
+    assert source.drawn == (len(u) if k > 1 else 0)
     assert np.array_equal(np.concatenate(parts), oracle)
 
 
