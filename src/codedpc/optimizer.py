@@ -12,21 +12,18 @@ per-state mass makes the channel-consistency relations hold by construction
 and keeps every iterate on the probability simplex.
 
 Algorithm: Lagrangian dual bisection on the constraint multiplier.  For a
-fixed multiplier the inner problem is concave (the gap functional is
-convex).  On an exact identity channel (perfect monitoring) it separates
-into closed-form cells, a softmax over x1 for each (x0, x2), and one
-log-optimal portfolio problem over the x2 distribution, solved by a
-multiplicative update with an adaptive exponent (Cover's update at exponent
-1); the dual bound there is Cover's bound.  On a noisy channel it is solved
-by entropic mirror ascent restricted to each state's mass slice, with
-backtracking on the objective; the dual bound there is the Lagrangian value
-plus the Frank-Wolfe gap.  The outer bisection drives the gap to zero from
-the feasible side; when the constraint is inactive the per-state payoff
-argmax is returned directly.  The returned point is the
-best feasible one among the inner maximizers, always feasible candidates
-(uniform; constant partner with best response) and blends across the
-constraint boundary; the dual bound is the least one over the multipliers
-tried.
+fixed multiplier the inner problem separates: each (x0, x2) cell's x1
+distribution solves a capacity-with-cost problem (a softmax on an exact
+identity channel, Blahut-Arimoto and Newton steps on a noisy one), and the
+x2 distribution a log-optimal portfolio problem, solved by a multiplicative
+update with an adaptive exponent (Cover's update at exponent 1).  The dual
+bound there is Cover's bound plus the most a cell's bound exceeds its value.
+The outer bisection drives the gap to zero from the feasible side; when the
+constraint is inactive the per-state payoff argmax is returned directly.
+The returned point is the best feasible one among the inner maximizers,
+always feasible candidates (uniform; constant partner with best response)
+and blends across the constraint boundary; the dual bound is the least one
+over the multipliers tried.
 """
 
 from __future__ import annotations
@@ -47,19 +44,15 @@ from .probability import (
 )
 
 _LN2 = float(np.log(2.0))
-# Mirror-ascent iterates are floored here and renormalized, so every log in
-# the gradient stays finite.
-_FLOOR = 1e-14
 _MAX_MULTIPLIER = 2.0**40
-# An inner step that gains at most _INNER_TOL * (1 + |value|) counts as a
-# stall; _PATIENCE stalls in a row end the inner ascent.
-_INNER_TOL = 1e-11
-_PATIENCE = 6
 # Cover's iterates r are floored here: a state's best partner action keeps
 # r >= _R_FLOOR, so its normalizer z >= _R_FLOOR and rho / z stays finite.
+# Noisy cells are floored here too, so an input an earlier step dropped can
+# grow back.
 _R_FLOOR = 1e-300
 # Once max grad is within this factor of 1, the rounding in grad's sums is as
-# large as what the x2 step has left to gain, and the step stops.
+# large as what the x2 step has left to gain, and the step stops; the noisy
+# cells stop once up - low is within _FLAT - 1 of their largest score.
 _FLAT = 1.0 + 2.0**-46
 
 
@@ -94,9 +87,9 @@ class PayoffTable:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Certified payoff tolerance; inner iterations per multiplier (trial
-    steps of the x2 update on the identity channel, mirror-ascent iterations
-    on a noisy one); bisection steps on the multiplier."""
+    """Certified payoff tolerance; inner steps per multiplier (a noisy
+    channel's cell steps, then trial steps of the x2 update with what the
+    cells left); bisection steps on the multiplier."""
 
     tol_payoff: float = 1e-5
     max_inner_iter: int = 50_000
@@ -121,9 +114,8 @@ class OptimizationResult:
     feasibility tolerance), ``multiplier`` the dual variable of the
     information constraint, and ``dual_bound`` a certified upper bound on
     the optimal payoff, so dual_bound - payoff bounds the suboptimality.
-    ``iterations`` sums the inner iterations over the multipliers tried:
-    trial steps of the x2 update on the identity channel, mirror-ascent
-    iterations on a noisy one.
+    ``iterations`` sums the inner steps over the multipliers tried: cell
+    steps (none on the identity channel) and trial steps of the x2 update.
     """
 
     qbar: JointDistribution
@@ -182,14 +174,14 @@ def _log_pos(a: np.ndarray) -> np.ndarray:
 
 
 class _InfoKernel:
-    """(1/stages) I(X0;X2) - I(X1;Y|X0,X2) in bits and its gradient, for one
-    channel and stage count; the channel's row terms are computed once.
+    """(1/stages) I(X0;X2) - I(X1;Y|X0,X2) in bits for one channel and stage
+    count; the channel's row terms are computed once.
 
     An exact identity channel (perfect monitoring) takes a gap path with no
     sum over y: there I(X1;Y|X0,X2) = H(X1|X0,X2), q(x0, x2, y) is qbar with
     its last two axes swapped and every channel row has zero entropy.  Both
-    paths give the same bits.  ``perfect`` also selects ``solve``'s closed-form
-    inner step, so only mirror ascent on noisy channels needs the gradient.
+    paths give the same bits.  ``perfect`` also selects ``solve``'s
+    closed-form cells.
     """
 
     def __init__(self, gamma: np.ndarray, inv_stages: float):
@@ -198,9 +190,8 @@ class _InfoKernel:
         self.perfect = np.array_equal(gamma, np.eye(gamma.shape[0]))
         self.row_plogp = (gamma * _log_pos(gamma)).sum(axis=1)
 
-    def gap(self, qbar: np.ndarray):
-        """The gap at qbar, and the terms ``gap_grad`` reuses: q(x0, x2),
-        q(x0, x2, y) and the logs of q(x0, x2), q(x0) and q(x2).
+    def gap(self, qbar: np.ndarray) -> float:
+        """The gap at qbar.
 
         One guarded log pass covers one buffer of q(x0, x2), q(x0), q(x2) and
         q(x0, x2, y); each entropy sum is over a slice shaped and ordered like
@@ -218,100 +209,105 @@ class _InfoKernel:
             np.copyto(s, qbar.transpose(0, 2, 1))
         else:
             np.einsum("abc,by->acy", qbar, self.gamma, out=s)
-        logs = _log_pos(buf)
-        plogp = buf * logs
+        plogp = buf * _log_pos(buf)
         plogp02 = float(plogp[:n02].sum())
         i_coord = plogp02 - float(plogp[n02:e0].sum()) - float(plogp[e0:e2].sum())
         i_channel = -(float(plogp[e2:].sum()) - plogp02)
         if not self.perfect:
             i_channel += float(qbar.sum(axis=(0, 2)) @ self.row_plogp)
-        gap = (self.inv_stages * i_coord - i_channel) / _LN2
-        return gap, (m02, s, logs[:n02].reshape(n0, n2), logs[n02:e0], logs[e0:e2])
-
-    def gap_grad(self, terms) -> np.ndarray:
-        """Gradient of the gap w.r.t. qbar from the terms ``gap`` returned;
-        requires q(x0, x2) > 0 wherever q(x0) > 0."""
-        m02, s, log02, log0, log2 = terms
-        coord = self.inv_stages * (log02 - log0[:, None] - log2[None, :])[:, None, :]
-        # p_y(a, c, y) = 0 forces gamma(., y) = 0, whose coefficient below is
-        # zero, so the log substituted there never contributes.  A state whose
-        # mass underflows leaves q(x0, x2) = 0 and s = 0 with it: the smallest
-        # subnormal as divisor turns that 0 / 0 into the 0 the guarded log
-        # maps to 0, and leaves every positive q(x0, x2) as it is.
-        log_p = _log_pos(s / np.maximum(m02, 5e-324)[:, :, None])
-        cross = np.einsum("by,acy->abc", self.gamma, log_p)
-        return (coord - (self.row_plogp[None, :, None] - cross)) / _LN2
+        return (self.inv_stages * i_coord - i_channel) / _LN2
 
 
-def _objective(qbar, kernel, w, lam, offset):
-    """Lagrangian value, constraint gap and the kernel terms behind them."""
-    pay = float((qbar * w).sum())
-    gap, terms = kernel.gap(qbar)
-    return pay - lam * (gap + offset), gap, terms
+def _cell_step(p, kernel, w, lam, max_iter, target):
+    """Each (x0, x2) cell's x1 distribution at the multiplier lam.
 
+    Cell (a, c) maximizes sum_b p(b) w(a, b, c) + lam * I(p; channel), a
+    capacity-with-cost problem.  On the identity channel its maximum is
+    lam * log2 sum_b 2^(w(a, b, c) / lam), at the softmax p ~ 2^(w / lam).
+    On a noisy channel all cells are solved as (cells, n1) arrays from the
+    warm start ``p``.  With s(b) = w(b) + lam * D(channel_b || p channel),
+    the value at p is low = sum_b p(b) s(b), and up = max_b s(b) bounds the
+    maximum (Blahut).  Each step tries per cell the Blahut-Arimoto candidate
+    p * 2^(power * (s - up) / lam), whose exponent grows by 1.3 while it
+    does not lower low and halves, down to 1, when it does, and a Newton
+    step on the support, the inputs with p(b) > 1e-10 or s(b) >= low; the
+    cell keeps whichever raises low more.  It stops when up - low is within
+    ``target`` (or rounding, ``_FLAT``) in every cell, or after ``max_iter``.
 
-def _fw_gap(grad: np.ndarray, p: np.ndarray, rho: np.ndarray) -> float:
-    """Linearized ascent gap over the sliced simplex.
-
-    The feasible set is a product of scaled simplices, so the best linear
-    improvement is reached at a per-slice vertex; by concavity of the
-    objective this gap upper-bounds the remaining suboptimality, giving the
-    certified bound max G <= G(p) + _fw_gap.
+    Returns the cells as an (n0, n1, n2) array, their ``low`` and ``up`` as
+    (n0, n2) arrays, the step count and the next warm start.
     """
-    return float((rho * grad.max(axis=(1, 2))).sum() - (grad * p).sum())
+    n0, n1, n2 = w.shape
+    if kernel.perfect:
+        # log-sum-exp shift: every power of two below has exponent <= 0
+        top_w = w.max(axis=1, keepdims=True)
+        cell = np.exp2((w - top_w) / lam)
+        mass = cell.sum(axis=1, keepdims=True)
+        cell /= mass
+        cap = (top_w + lam * np.log2(mass))[:, 0, :]
+        return cell, cap, cap, 0, p
+    gamma = kernel.gamma
+    w = w.transpose(0, 2, 1).reshape(-1, n1)
+    row = kernel.row_plogp / _LN2
+    cells = np.arange(len(p))
 
+    def score(p):
+        out = p @ gamma
+        s = w + lam * (row - np.log2(np.maximum(out, 5e-324)) @ gamma.T)
+        return s, (p * s).sum(axis=-1), s.max(axis=-1), out
 
-def _inner_maximize(start, rho, kernel, w, lam, offset, max_iter, fw_target):
-    """Entropic mirror ascent of E[w] - lam * (gap + offset) on the slices.
+    def newton(p, s, low, up, out):
+        # The cell's Hessian is -lam / ln 2 times K = channel diag(1 / out)
+        # channel^T, singular where channel rows coincide: its diagonal is
+        # raised by one part in 1e12, and the inputs off the support are fixed.
+        on = (p > 1e-10) | (s >= low[:, None])
+        kkt = np.zeros((len(p), n1 + 1, n1 + 1))
+        k = (gamma / np.maximum(out, 1e-300)[:, None, :]) @ gamma.T
+        kkt[:, :n1, :n1] = np.where(on[:, :, None] & on[:, None, :], k, 0.0)
+        diag = np.einsum("cbb->cb", kkt[:, :n1, :n1])
+        diag += np.where(on, 1e-12 * diag, 1.0)
+        kkt[:, :n1, n1] = kkt[:, n1, :n1] = on
+        rhs = np.zeros((len(p), n1 + 1, 1))
+        rhs[:, :n1, 0] = np.where(on, (s - up[:, None]) * (_LN2 / lam), 0.0)
+        d = np.linalg.solve(kkt, rhs)[:, :n1, 0]
+        # inputs already below 1e-10 do not shorten the step; they clip
+        blocking = (d < 0.0) & (p >= 1e-10)
+        t = np.where(blocking, p / np.where(blocking, -d, 1.0), 1.0).min(axis=1)
+        cand = np.maximum(p + np.minimum(t, 1.0)[:, None] * d, _R_FLOOR)
+        return cand / cand.sum(axis=1, keepdims=True)
 
-    Stops once the linearized gap certifies the inner maximum within
-    ``fw_target``, on the iteration budget, on stalled progress, or on the
-    step floor.  Returns the iterate, its objective value, constraint gap,
-    certified inner gap, and the iteration count.
-    """
-    p = start
-    value, gap, terms = _objective(p, kernel, w, lam, offset)
-    step = 1.0
+    s, low, up, out = score(p)
+    power = np.ones(len(p))
     iters = 0
-    stall = 0
-    while True:
-        grad = w - lam * kernel.gap_grad(terms)
-        fw = max(_fw_gap(grad, p, rho), 0.0)
-        if fw <= fw_target or iters >= max_iter or stall >= _PATIENCE:
-            return p, value, gap, fw, iters
-        shift = grad.max(axis=(1, 2), keepdims=True)
-        while True:
-            iters += 1
-            cand = p * np.exp(step * (grad - shift))
-            cand = np.maximum(cand, _FLOOR)
-            cand *= (rho / cand.sum(axis=(1, 2)))[:, None, None]
-            cand_value, cand_gap, cand_terms = _objective(cand, kernel, w, lam, offset)
-            if cand_value >= value:
-                break
-            step *= 0.5
-            if step < 1e-14 or iters >= max_iter:
-                return p, value, gap, fw, iters
-        stall = stall + 1 if cand_value - value <= _INNER_TOL * (1.0 + abs(cand_value)) else 0
-        p, value, gap, terms = cand, cand_value, cand_gap, cand_terms
-        step = min(step * 1.3, 1e8)
+    while (up - low).max() > max(target, (_FLAT - 1.0) * np.abs(s).max()) and iters < max_iter:
+        iters += 1
+        ba = np.maximum(p * np.exp2(power[:, None] * (s - up[:, None]) / lam), _R_FLOOR)
+        ba /= ba.sum(axis=1, keepdims=True)
+        cand = np.stack([p, ba, newton(p, s, low, up, out)])
+        s, low, up, out = score(cand)
+        # at power 1 the candidate is Blahut-Arimoto's, which never lowers
+        # low: a loss there is rounding
+        ba_ok = (low[1] >= low[0]) | (power == 1.0)
+        power = np.where(ba_ok, np.minimum(power * 1.3, 1e8), np.maximum(0.5 * power, 1.0))
+        pick = np.where(low[2] > np.where(ba_ok, low[1], low[0]), 2, ba_ok.astype(int))
+        p, s, low, up, out = (v[pick, cells] for v in (cand, s, low, up, out))
+    cell = p.reshape(n0, n2, n1).transpose(0, 2, 1)
+    return cell, low.reshape(n0, n2), up.reshape(n0, n2), iters, p
 
 
-def _closed_form_maximize(r, rho, kernel, w, lam, offset, max_iter, cover_target):
-    """Maximize E[w] - lam * (gap + offset) on the identity channel.
+def _x2_step(r, rho, kernel, cap, cell, lam, offset, max_iter, cover_target):
+    """Maximize over the x2 distribution with the cells fixed.
 
-    For a fixed multiplier the Lagrangian separates.  Each (x0, x2) cell
-    contributes max_p sum_b p(b) w(a, b, c) + lam * H(p), whose value is
-    C(a, c) = lam * log2 sum_b 2^(w(a, b, c) / lam), reached at the softmax
-    p(b) ~ 2^(w(a, b, c) / lam).  What remains, with mu = lam * inv_stages,
-    is the log-optimal portfolio problem
+    With cell values ``cap`` and mu = lam * inv_stages, what remains of the
+    Lagrangian is the log-optimal portfolio problem
 
-        max_r F(r),  F(r) = sum_a rho(a) * mu * log2 sum_c r(c) 2^(C(a, c) / mu),
+        max_r F(r),  F(r) = sum_a rho(a) * mu * log2 sum_c r(c) 2^(cap(a, c) / mu),
 
     over r on the X2 simplex (I(X0; X2) = min_r E_a D(q(.|a) || r)).  With
     grad(c) = dF/dr(c) * ln 2 / mu, Cover's bound max F <= F(r) + mu * log2
     max_c grad(c) holds at every r; minus lam * offset it bounds the
-    Lagrangian's maximum.  From the warm start ``r``, the iteration takes
-    r <- r * grad^power, normalized: power 1 is Cover's multiplicative
+    Lagrangian's maximum over r.  From the warm start ``r``, the iteration
+    takes r <- r * grad^power, normalized: power 1 is Cover's multiplicative
     update, which never lowers F, and power grows by 1.3 after each step
     that does not lower F and halves, down to 1, when one would.  With power
     fixed at 1 the update stalls once mu is large, where grad is within
@@ -319,17 +315,11 @@ def _closed_form_maximize(r, rho, kernel, w, lam, offset, max_iter, cover_target
     multiplier drove to the floor.  It stops when Cover's bound is within
     ``cover_target``, after ``max_iter`` trial steps, or at ``_FLAT``.
 
-    Returns the primal point q(x0, x2) ~ rho * r * 2^(C / mu) times the
-    cells' softmax, its constraint gap, the dual bound, the step count and
-    r for the next warm start.
+    Returns the primal point q(x0, x2) ~ rho * r * 2^(cap / mu) times
+    ``cell``, its constraint gap, the bound, the step count and r for the
+    next warm start.
     """
     mu = lam * kernel.inv_stages
-    # log-sum-exp shifts: every power of two below has exponent <= 0
-    top_w = w.max(axis=1, keepdims=True)
-    cell = np.exp2((w - top_w) / lam)
-    mass = cell.sum(axis=1, keepdims=True)
-    cell /= mass
-    cap = (top_w + lam * np.log2(mass))[:, 0, :]
     top_cap = cap.max(axis=1)
     tilt = np.exp2((cap - top_cap[:, None]) / mu)
     z = tilt @ r
@@ -357,7 +347,7 @@ def _closed_form_maximize(r, rho, kernel, w, lam, offset, max_iter, cover_target
             power = max(0.5 * power, 1.0)
     bound = float(rho @ top_cap) + mu * value + max(cover, 0.0) - lam * offset
     q = (rho / z)[:, None, None] * (r * tilt)[:, None, :] * cell
-    return q, kernel.gap(q)[0], bound, iters, r
+    return q, kernel.gap(q), bound, iters, r
 
 
 def _per_state_argmax(rho: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -460,7 +450,7 @@ def solve(
         """Offer a point to the pool; returns its excess gap + min_slack."""
         nonlocal best_pay, best_q, best_gap, outside_q, outside_excess
         if gap is None:
-            gap = kernel.gap(q_active)[0]
+            gap = kernel.gap(q_active)
         excess = gap + offset
         if excess <= FEASIBILITY_TOL:
             pay = float((q_active * w).sum())
@@ -470,15 +460,15 @@ def solve(
             outside_q, outside_excess = q_active, excess
         return excess
 
-    def consider_blend() -> None:
-        if best_q is None or outside_q is None:
-            return
-        inside_excess = best_gap + offset
-        if inside_excess >= 0.0:
+    def blend(inside, inside_excess, outside, outside_excess) -> None:
+        """Offer the mix of an inside and an outside point that the linear
+        interpolation of their excesses puts on the boundary, halving the
+        outside weight until the mix is feasible."""
+        if outside is None or inside_excess >= 0.0:
             return
         t = -inside_excess / (outside_excess - inside_excess)
         for _ in range(8):
-            mix = (1.0 - t) * best_q + t * outside_q
+            mix = (1.0 - t) * inside + t * outside
             if consider(mix) <= FEASIBILITY_TOL:
                 return
             t *= 0.5
@@ -490,35 +480,37 @@ def solve(
     # Constraint inactive at multiplier zero: the unconstrained argmax wins.
     vertex = _per_state_argmax(rho, w)
     dual_bound = float((vertex * w).sum())
-    vertex_gap = kernel.gap(vertex)[0]
+    vertex_gap = kernel.gap(vertex)
     if vertex_gap + offset <= FEASIBILITY_TOL:
         return finish(vertex, vertex_gap, 0.0, dual_bound, 0)
 
-    fw_target = 0.25 * opts.tol_payoff
+    target = 0.25 * opts.tol_payoff
     total_iters = 0
-    # The last inner solve's warm start: r on the X2 simplex for the closed
-    # form, the iterate itself for mirror ascent.
-    warm = np.full(n2, 1.0 / n2) if kernel.perfect else interior
+    # The last inner solve's warm starts: r on the X2 simplex and, on a
+    # noisy channel, each (x0, x2) cell's x1 distribution.
+    warm_r = np.full(n2, 1.0 / n2)
+    warm_cells = np.full((len(rho) * n2, n1), 1.0 / n1)
 
-    def feasible_at(lam: float) -> bool:
+    def maximize_at(lam: float):
         """Inner solve at ``lam`` from the last one: tighten the dual bound,
-        offer the maximizer to the pool, report whether it is feasible."""
-        nonlocal total_iters, dual_bound, warm
-        if kernel.perfect:
-            q, gap, bound, it, warm = _closed_form_maximize(
-                warm, rho, kernel, w, lam, offset, opts.max_inner_iter, fw_target
-            )
-        else:
-            q, value, gap, certified, it = _inner_maximize(
-                warm, rho, kernel, w, lam, offset, opts.max_inner_iter, fw_target
-            )
-            bound, warm = value + certified, q
-        total_iters += it
-        dual_bound = min(dual_bound, bound)
-        return consider(q, gap) <= FEASIBILITY_TOL
+        offer the maximizer to the pool, return it and its excess gap."""
+        nonlocal total_iters, dual_bound, warm_r, warm_cells
+        cell, low, up, cell_iters, warm_cells = _cell_step(
+            warm_cells, kernel, w, lam, opts.max_inner_iter, target
+        )
+        q, gap, bound, x2_iters, warm_r = _x2_step(
+            warm_r, rho, kernel, low, cell, lam, offset,
+            opts.max_inner_iter - cell_iters, target,
+        )
+        total_iters += cell_iters + x2_iters
+        # the cells' bounds exceed their values by at most max(up - low),
+        # and the x2 problem's maximum moves by no more than its cells' do
+        dual_bound = min(dual_bound, bound + float((up - low).max()))
+        return q, consider(q, gap)
 
     lam_hi = 1.0
-    while not feasible_at(lam_hi):
+    lo, hi = (None, None), maximize_at(lam_hi)
+    while hi[1] > FEASIBILITY_TOL:
         if lam_hi >= _MAX_MULTIPLIER:
             # No multiplier makes the inner maximizer feasible (degenerate
             # channel); certify against the best feasible candidate if possible.
@@ -529,15 +521,23 @@ def solve(
                 )
             return finish(best_q, best_gap, lam_hi, dual_bound, total_iters)
         lam_hi *= 2.0
+        lo, hi = hi, maximize_at(lam_hi)
 
     lam_lo = 0.0 if lam_hi == 1.0 else lam_hi / 2.0
     for _ in range(opts.outer_steps):
-        consider_blend()
+        blend(best_q, best_gap + offset, outside_q, outside_excess)
         if dual_bound - best_pay <= opts.tol_payoff:
             break
         lam_mid = 0.5 * (lam_lo + lam_hi)
-        if feasible_at(lam_mid):
-            lam_hi = lam_mid
+        if lam_mid in (lam_lo, lam_hi):
+            # The bracket has collapsed onto a multiplier where the maximizer
+            # jumps across the boundary.  The mix of its two ends' maximizers
+            # is near optimal; a mix with an earlier pool point need not be.
+            blend(*hi, *lo)
+            break
+        mid = maximize_at(lam_mid)
+        if mid[1] <= FEASIBILITY_TOL:
+            lam_hi, hi = lam_mid, mid
         else:
-            lam_lo = lam_mid
+            lam_lo, lo = lam_mid, mid
     return finish(best_q, best_gap, lam_hi, dual_bound, total_iters)

@@ -46,25 +46,23 @@ class InfoKernel:
     """The solver's information kernel as it was before its buffer was fused.
 
     Same interface as ``optimizer._InfoKernel``: ``gap`` returns the gap in
-    bits with its terms, ``gap_grad`` the gradient from those terms.  Each
-    of q(x0, x2), q(x0), q(x2) and q(x0, x2, y) is its own array with its
-    own guarded log, so the fused kernel must give these bits exactly.
+    bits.  Each of q(x0, x2), q(x0), q(x2) and q(x0, x2, y) is its own array
+    with its own guarded log, so the fused kernel must give these bits
+    exactly.
     """
 
     def __init__(self, gamma: np.ndarray, inv_stages: float):
         self.gamma = gamma
         self.inv_stages = inv_stages
         self.perfect = np.array_equal(gamma, np.eye(gamma.shape[0]))
-        self.row_plogp = _xlogx(gamma).sum(axis=1)
-        self.row_entropy = -self.row_plogp
+        self.row_entropy = -_xlogx(gamma).sum(axis=1)
 
-    def gap(self, qbar: np.ndarray):
+    def gap(self, qbar: np.ndarray) -> float:
         m02 = qbar.sum(axis=1)
         m0 = m02.sum(axis=1)
         m2 = m02.sum(axis=0)
-        log02, log0, log2 = _log_pos(m02), _log_pos(m0), _log_pos(m2)
-        plogp02 = float((m02 * log02).sum())
-        i_coord = plogp02 - float((m0 * log0).sum()) - float((m2 * log2).sum())
+        plogp02 = float(_xlogx(m02).sum())
+        i_coord = plogp02 - float(_xlogx(m0).sum()) - float(_xlogx(m2).sum())
         if self.perfect:
             s = np.ascontiguousarray(qbar.transpose(0, 2, 1))
             i_channel = -(float(_xlogx(s).sum()) - plogp02)
@@ -72,17 +70,7 @@ class InfoKernel:
             s = np.einsum("abc,by->acy", qbar, self.gamma)
             h_y_given_02 = -(float(_xlogx(s).sum()) - plogp02)
             i_channel = h_y_given_02 - float(qbar.sum(axis=(0, 2)) @ self.row_entropy)
-        gap = (self.inv_stages * i_coord - i_channel) / _LN2
-        return gap, (m02, s, log02, log0, log2)
-
-    def gap_grad(self, terms) -> np.ndarray:
-        m02, s, log02, log0, log2 = terms
-        coord = self.inv_stages * (log02 - log0[:, None] - log2[None, :])[:, None, :]
-        log_p = _log_pos(s / m02[:, :, None])
-        if self.perfect:
-            return (coord + log_p.transpose(0, 2, 1)) / _LN2
-        cross = np.einsum("by,acy->abc", self.gamma, log_p)
-        return (coord - (self.row_plogp[None, :, None] - cross)) / _LN2
+        return (self.inv_stages * i_coord - i_channel) / _LN2
 
 
 def sinr(cfg, state, power_tx1: float, power_tx2: float, receiver: int) -> float:

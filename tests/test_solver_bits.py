@@ -18,20 +18,21 @@ noisy-channel corpus.
 
 * the outer budget, raising ``ConvergenceError`` with a result (binary
   instance, ``tol_payoff=1e-13``, 2 outer steps, 40 inner iterations);
-* the inner budget, reached both between steps and inside backtracking
-  (``max_inner_iter`` 50 and 200 on noisy problem 0);
+* the inner budget, reached by the noisy cells and by the x2 step
+  (``max_inner_iter`` 3, uncertified, and 20 on noisy problem 0);
 * the relaxed constraint of ``stages=4`` (HIR, log payoff, 10 dB);
 * ``min_slack=0.05`` on noisy problem 1;
-* an equal-row (blind) channel, whose inner ascents also stop on the step
-  floor;
+* an equal-row (blind) channel, whose cells are solved by one Newton step;
 * a noisy problem whose constraint is inactive (problem 18), which returns
   the per-state argmax;
 * the multiplier cap, raising ``ConvergenceError`` with the best feasible
-  candidate (binary instance, a flip-0.45 channel, ``min_slack`` just below
-  the channel's capacity, 10 inner iterations).
+  candidate (binary instance, a flip-0.45 channel, payoff scaled by 1e12,
+  so that every multiplier up to the cap leaves the maximizer infeasible).
 
-The one exit neither file reaches is ``ConvergenceError`` without a result
-(no feasible point at all); ``test_optimizer.py`` covers it.
+``solver_bits.json`` also reaches the collapsed bisection bracket (noisy
+problem 14).  The one exit neither file reaches is ``ConvergenceError``
+without a result (no feasible point at all); ``test_optimizer.py`` covers
+it.
 
 ``golden/solver_intervals.json`` keeps, per point, only the certified flag,
 the payoff and the dual bound, written by the solver before a change of
@@ -39,8 +40,9 @@ algorithm (``python tests/solver_corpus.py --write-intervals``).  A new
 algorithm cannot keep the bits, so it must instead meet the four
 conditions of ``interval_violations`` at every point; only then are the
 bit goldens rewritten.  ``test_solver_meets_recorded_intervals`` checks the
-points of ``solver_bits.json``, and ``solver_corpus.py --check`` all 382
-corpus solves.
+points of ``solver_bits.json``, ``test_noisy_corpus_meets_recorded_intervals``
+the 100 noisy problems of the corpus, and ``solver_corpus.py --check`` all
+382 corpus solves.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ def exit_cases():
     yield "binary-outer-budget", binary_problem(), {
         "options": SolverOptions(tol_payoff=1e-13, outer_steps=2, max_inner_iter=40)
     }
-    for budget in (50, 200):
+    for budget in (3, 20):
         yield f"noisy-1-0-inner-budget-{budget}", noisy[0], {
             "options": SolverOptions(max_inner_iter=budget)
         }
@@ -128,11 +130,10 @@ def exit_cases():
     blind = ObservationChannel(np.full((2, 2), 0.5))
     yield "binary-blind-channel", binary_problem(blind), {}
     yield "noisy-1-18-inactive", noisy[18], {}
-    flip = ObservationChannel(np.array([[0.55, 0.45], [0.45, 0.55]]))
-    yield "binary-flip-0.45-multiplier-cap", binary_problem(flip), {
-        "min_slack": 0.0065,
-        "options": SolverOptions(max_inner_iter=10),
-    }
+    prior, flip, payoff = binary_problem(
+        ObservationChannel(np.array([[0.55, 0.45], [0.45, 0.55]]))
+    )
+    yield "binary-flip-0.45-multiplier-cap", (prior, flip, PayoffTable(1e12 * payoff.values)), {}
 
 
 def bits(problem, kwargs) -> dict:
@@ -200,6 +201,13 @@ def test_solver_meets_recorded_intervals():
     assert list(actual) == list(recorded)
     for label, _, kwargs in cases():
         assert not interval_violations(recorded[label], actual[label], tol_payoff(kwargs)), label
+
+
+def test_noisy_corpus_meets_recorded_intervals():
+    recorded = json.loads(INTERVALS.read_text())["corpus"]
+    for i, problem in enumerate(noisy_problems(NOISY_SEED, 100)):
+        label = f"noisy-{NOISY_SEED}-{i}"
+        assert not interval_violations(recorded[label], bits(problem, {}), tol_payoff({})), label
 
 
 def test_solver_exits_match_golden():
