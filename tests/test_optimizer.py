@@ -230,8 +230,8 @@ class TestLogGuard:
 
     @pytest.mark.parametrize("monitoring", ["perfect", "noisy"])
     def test_state_whose_start_underflows_to_zero(self, monitoring):
-        # 5e-324 / 9 rounds to 0, so that state's slice of q(x0, x2) is 0
-        # at every iterate and the gradient's ratio s / q(x0, x2) is 0 / 0
+        # 5e-324 times a probability below 1 can round to 0, so that
+        # state's slice of q(x0, x2) is 0 and the gap's logs meet exact zeros
         prior = StatePrior(np.array([0.45, 1e-300, 5e-324, 0.55]))
         if monitoring == "perfect":
             channel = ObservationChannel.identity(3)
@@ -310,8 +310,8 @@ class TestClosedForm:
 
 
 class TestNoisyChannel:
-    """The interference model observed through a binary symmetric channel;
-    mirror ascent left each of these uncertified."""
+    """The interference model observed through a binary symmetric channel,
+    at flips and SNRs where entropic mirror ascent failed to certify."""
 
     @pytest.mark.parametrize("flip, snr_db, budget", [
         (0.15, 10.0, SolverOptions().max_inner_iter),
