@@ -18,7 +18,9 @@ disagree can be diffed label by label.  The corpus:
 * ``stages`` 2 and 16 on 5 interference points each (HIR, log payoff,
   0 to 40 dB in steps of 10 dB).
 
-It takes about 10 s and is not collected by pytest.
+It takes about 3 s.  This file is not collected by pytest, but
+``test_solver_bits.py`` recomputes the hash and compares it with
+``golden/solver_corpus.sha256``.
 
 Two more modes serve a change of solver algorithm, which cannot keep the
 bits (see ``test_solver_bits.py``):
@@ -75,6 +77,10 @@ def corpus_bits() -> dict:
     return {label: bits(problem, kwargs) for label, problem, kwargs in corpus()}
 
 
+def corpus_text() -> str:
+    return json.dumps(corpus_bits(), indent=1) + "\n"
+
+
 def interval(record: dict) -> dict:
     return {k: record[k] for k in ("certified", "payoff", "dual_bound")}
 
@@ -106,7 +112,7 @@ if __name__ == "__main__":
         sys.exit(0)
     if sys.argv[1:] == ["--check"]:
         sys.exit(check())
-    text = json.dumps(corpus_bits(), indent=1) + "\n"
+    text = corpus_text()
     if len(sys.argv) > 1:
         Path(sys.argv[1]).write_text(text)
     print(hashlib.sha256(text.encode()).hexdigest())

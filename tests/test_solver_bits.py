@@ -67,6 +67,7 @@ from codedpc import icmodel
 GOLDEN = Path(__file__).parent / "golden" / "solver_bits.json"
 EXITS_GOLDEN = Path(__file__).parent / "golden" / "solver_exits.json"
 INTERVALS = Path(__file__).parent / "golden" / "solver_intervals.json"
+CORPUS_SHA256 = Path(__file__).parent / "golden" / "solver_corpus.sha256"
 # Slack for the cross-bounds: a dual bound may sit this far below the other
 # solver's payoff and still count as a bound on it.
 CROSS_TOL = 1e-9
@@ -212,6 +213,14 @@ def test_noisy_corpus_meets_recorded_intervals():
 
 def test_solver_exits_match_golden():
     assert_matches(EXITS_GOLDEN, solver_bits(exit_cases()))
+
+
+def test_solver_corpus_matches_golden_hash():
+    # imported here: solver_corpus imports this module
+    from solver_corpus import corpus_text
+
+    digest = hashlib.sha256(corpus_text().encode()).hexdigest()
+    assert digest == CORPUS_SHA256.read_text().strip()
 
 
 if __name__ == "__main__":
