@@ -67,8 +67,6 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "p21": (float, None),
     "p22": (float, None),
     "tol_payoff": (float, 1e-5),
-    "outer_steps": (int, 60),
-    "max_inner_iter": (int, 50_000),
     "min_slack": (float, 0.0),
     "target": (str, "solver"),
     "sim_n": (int, 200),
@@ -146,17 +144,13 @@ def _ic_config(settings: dict, snr_db: float) -> icmodel.ICConfig:
 
 
 def _solve_target(prior, channel, payoff, settings: dict):
-    """``solve`` with the settings' ``min_slack`` and solver options.
+    """``solve`` with the settings' ``min_slack`` and ``tol_payoff``.
 
     The alphabets come from icmodel and match, so a ``ValueError`` can only
     mean a bad option or ``min_slack``: a usage error.
     """
     try:
-        opts = SolverOptions(
-            tol_payoff=settings["tol_payoff"],
-            outer_steps=settings["outer_steps"],
-            max_inner_iter=settings["max_inner_iter"],
-        )
+        opts = SolverOptions(tol_payoff=settings["tol_payoff"])
         return solve(prior, channel, payoff, min_slack=settings["min_slack"], options=opts)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

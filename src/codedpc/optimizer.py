@@ -23,7 +23,8 @@ constraint is inactive the per-state payoff argmax is returned directly.
 The returned point is the best feasible one among the inner maximizers,
 always feasible candidates (uniform; constant partner with best response)
 and blends across the constraint boundary; the dual bound is the least one
-over the multipliers tried.
+over the multipliers tried.  The step budgets of the inner solves and of the
+bisection are fixed; the only option is the certified tolerance.
 """
 
 from __future__ import annotations
@@ -39,12 +40,16 @@ from .probability import (
     JointDistribution,
     ObservationChannel,
     StatePrior,
-    _is_integer,
     _is_real,
 )
 
 _LN2 = float(np.log(2.0))
 _MAX_MULTIPLIER = 2.0**40
+# Inner steps per multiplier (a noisy channel's cell steps, then trial steps
+# of the x2 update with what the cells left) and bisection steps on the
+# multiplier.  No solve of tests/solver_corpus.py reaches either.
+_MAX_INNER_STEPS = 50_000
+_OUTER_STEPS = 60
 # Cover's iterates r are floored here: a state's best partner action keeps
 # r >= _R_FLOOR, so its normalizer z >= _R_FLOOR and rho / z stays finite.
 # Noisy cells are floored here too, so an input an earlier step dropped can
@@ -87,23 +92,16 @@ class PayoffTable:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Certified payoff tolerance; inner steps per multiplier (a noisy
-    channel's cell steps, then trial steps of the x2 update with what the
-    cells left); bisection steps on the multiplier."""
+    """``tol_payoff``: the largest gap between the dual bound and the payoff
+    that certifies a result.  The step budgets are fixed, not options."""
 
     tol_payoff: float = 1e-5
-    max_inner_iter: int = 50_000
-    outer_steps: int = 60
 
     def __post_init__(self):
         tol = self.tol_payoff
         # bool is an int subclass: True used to run as a tolerance of 1.0
         if not (_is_real(tol) and math.isfinite(tol) and tol > 0.0):
             raise ValueError(f"tol_payoff must be finite and positive, got {tol!r}")
-        for name in ("max_inner_iter", "outer_steps"):
-            value = getattr(self, name)
-            if not _is_integer(value) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,7 +387,8 @@ def solve(
     Returns an ``OptimizationResult`` whose payoff is within
     ``options.tol_payoff`` of the optimum, certified by the dual bound.
     Raises ``ConvergenceError`` (carrying the best feasible iterate) if the
-    certificate cannot be established within the iteration budget.
+    certificate cannot be established within the step budgets or below the
+    multiplier cap; its message names the exit taken.
     """
     opts = options or SolverOptions()
     _check_stages(stages)
@@ -414,7 +413,7 @@ def solve(
     rho = prior.probs[active]
     w = w_full[active]
 
-    def finish(q_active, gap, multiplier, dual_bound, iterations):
+    def finish(q_active, gap, multiplier, dual_bound, iterations, stop):
         pay = float((q_active * w).sum())
         converged = dual_bound - pay <= opts.tol_payoff
         full = np.zeros((n0, n1, n2))
@@ -430,7 +429,7 @@ def solve(
         )
         if not converged:
             raise ConvergenceError(
-                f"no certificate after {opts.outer_steps} bisection steps: "
+                f"no certificate {stop}: "
                 f"dual bound {dual_bound!r} vs payoff {pay!r}",
                 result=result,
             )
@@ -482,7 +481,7 @@ def solve(
     dual_bound = float((vertex * w).sum())
     vertex_gap = kernel.gap(vertex)
     if vertex_gap + offset <= FEASIBILITY_TOL:
-        return finish(vertex, vertex_gap, 0.0, dual_bound, 0)
+        return finish(vertex, vertex_gap, 0.0, dual_bound, 0, "at multiplier 0")
 
     target = 0.25 * opts.tol_payoff
     total_iters = 0
@@ -496,11 +495,11 @@ def solve(
         offer the maximizer to the pool, return it and its excess gap."""
         nonlocal total_iters, dual_bound, warm_r, warm_cells
         cell, low, up, cell_iters, warm_cells = _cell_step(
-            warm_cells, kernel, w, lam, opts.max_inner_iter, target
+            warm_cells, kernel, w, lam, _MAX_INNER_STEPS, target
         )
         q, gap, bound, x2_iters, warm_r = _x2_step(
             warm_r, rho, kernel, low, cell, lam, offset,
-            opts.max_inner_iter - cell_iters, target,
+            _MAX_INNER_STEPS - cell_iters, target,
         )
         total_iters += cell_iters + x2_iters
         # the cells' bounds exceed their values by at most max(up - low),
@@ -519,12 +518,14 @@ def solve(
                     "no feasible point found: the requested slack exceeds what "
                     "the observation channel supports"
                 )
-            return finish(best_q, best_gap, lam_hi, dual_bound, total_iters)
+            return finish(best_q, best_gap, lam_hi, dual_bound, total_iters,
+                          f"at the multiplier cap 2**{math.log2(_MAX_MULTIPLIER):g}")
         lam_hi *= 2.0
         lo, hi = hi, maximize_at(lam_hi)
 
     lam_lo = 0.0 if lam_hi == 1.0 else lam_hi / 2.0
-    for _ in range(opts.outer_steps):
+    stop = f"after {_OUTER_STEPS} bisection steps"
+    for step in range(_OUTER_STEPS):
         blend(best_q, best_gap + offset, outside_q, outside_excess)
         if dual_bound - best_pay <= opts.tol_payoff:
             break
@@ -534,10 +535,11 @@ def solve(
             # jumps across the boundary.  The mix of its two ends' maximizers
             # is near optimal; a mix with an earlier pool point need not be.
             blend(*hi, *lo)
+            stop = f"at a collapsed bisection bracket after {step} steps"
             break
         mid = maximize_at(lam_mid)
         if mid[1] <= FEASIBILITY_TOL:
             lam_hi, hi = lam_mid, mid
         else:
             lam_lo, lo = lam_mid, mid
-    return finish(best_q, best_gap, lam_hi, dual_bound, total_iters)
+    return finish(best_q, best_gap, lam_hi, dual_bound, total_iters, stop)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from codedpc import optimizer
 from codedpc.cli import (
     MAX_SNR_POINTS, SWEEP_COLUMNS, UsageError, _snr_grid, main, read_config,
 )
@@ -36,6 +37,16 @@ class TestConfigFile:
         path.write_text("regime = lir\nbogus = 3\n")
         with pytest.raises(UsageError, match=r"run\.cfg:2.*bogus"):
             read_config(str(path))
+
+    def test_solver_step_budget_is_unknown_key(self, tmp_path, capsys):
+        # the solver's step budgets are fixed; neither key nor flag exists
+        path = tmp_path / "run.cfg"
+        path.write_text("max_inner_iter = 5\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 1 and out == ""
+        assert "unknown key 'max_inner_iter'" in err
+        for flag in ("--max-inner-iter", "--outer-steps"):
+            assert run_cli(capsys, "sweep", flag, "5")[0] == 1
 
     def test_bad_value_reports_field(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -86,12 +97,11 @@ class TestSweep:
             100.0 * (ocpc / fpc - 1.0), abs=1e-9
         )
 
-    def test_uncertified_point_reports_best_feasible_payoff(self, capsys):
+    def test_uncertified_point_reports_best_feasible_payoff(self, capsys, monkeypatch):
         # one bisection step cannot certify; the row still carries the best
         # feasible payoff found, which beats SPC and stays below the bound
-        code, out, _ = run_cli(
-            capsys, "sweep", "--snr-start", "10", "--snr-stop", "10", "--outer-steps", "1"
-        )
+        monkeypatch.setattr(optimizer, "_OUTER_STEPS", 1)
+        code, out, _ = run_cli(capsys, "sweep", "--snr-start", "10", "--snr-stop", "10")
         assert code == 0
         row = dict(zip(SWEEP_COLUMNS, out.strip().splitlines()[1].split(",")))
         assert row["status"] == "no_certificate"
@@ -166,8 +176,7 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--tol-payoff", "nan"), ("--tol-payoff", "0"), ("--outer-steps", "0"),
-         ("--max-inner-iter", "0")],
+        [("--tol-payoff", "nan"), ("--tol-payoff", "0")],
     )
     def test_bad_solver_option_is_usage_error(self, capsys, flag, value):
         code, out, err = run_cli(

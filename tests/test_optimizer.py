@@ -22,7 +22,9 @@ from codedpc import (
     info_constraint_gap,
     solve,
 )
+from codedpc import optimizer
 from codedpc.optimizer import _InfoKernel
+import test_solver_bits
 from codedpc.icmodel import (
     ICConfig,
     build_payoff_table,
@@ -293,15 +295,16 @@ class TestClosedForm:
         prior, channel, payoff = ic_instance("lir", 40.0)
         res = solve(prior, channel, PayoffTable(1e10 * payoff.values))
         assert res.converged
-        assert res.iterations < SolverOptions().max_inner_iter
+        assert res.iterations < optimizer._MAX_INNER_STEPS
 
-    def test_cover_budget_raises_with_feasible_result(self):
+    def test_cover_budget_raises_with_feasible_result(self, monkeypatch):
         # one Cover update per multiplier leaves the dual bound 2.5e-5 above
         # the payoff at LIR 40 dB; the default budget certifies
         prior, channel, payoff = ic_instance("lir", 40.0)
         assert solve(prior, channel, payoff).converged
+        monkeypatch.setattr(optimizer, "_MAX_INNER_STEPS", 1)
         with pytest.raises(ConvergenceError, match="no certificate") as err:
-            solve(prior, channel, payoff, options=SolverOptions(max_inner_iter=1))
+            solve(prior, channel, payoff)
         res = err.value.result
         assert res is not None and not res.converged
         assert res.dual_bound - res.payoff > SolverOptions().tol_payoff
@@ -314,14 +317,15 @@ class TestNoisyChannel:
     at flips and SNRs where entropic mirror ascent failed to certify."""
 
     @pytest.mark.parametrize("flip, snr_db, budget", [
-        (0.15, 10.0, SolverOptions().max_inner_iter),
+        (0.15, 10.0, optimizer._MAX_INNER_STEPS),
         (0.3, 20.0, 5000),
         (0.4, 40.0, 5000),
     ])
-    def test_bsc_observation_certifies(self, flip, snr_db, budget):
+    def test_bsc_observation_certifies(self, monkeypatch, flip, snr_db, budget):
         prior, _, payoff = ic_instance("hir", snr_db)
         channel = ObservationChannel(np.array([[1.0 - flip, flip], [flip, 1.0 - flip]]))
-        res = solve(prior, channel, payoff, options=SolverOptions(max_inner_iter=budget))
+        monkeypatch.setattr(optimizer, "_MAX_INNER_STEPS", budget)
+        res = solve(prior, channel, payoff)
         assert res.converged and res.slack >= -FEASIBILITY_TOL
 
 
@@ -480,19 +484,53 @@ class TestSolve:
         prior, _, payoff = tiny_instance()
         blind = ObservationChannel(np.full((2, 2), 0.5))
         with pytest.raises(ConvergenceError, match="no feasible point") as err:
-            solve(prior, blind, payoff, min_slack=0.1,
-                  options=SolverOptions(max_inner_iter=50))
+            solve(prior, blind, payoff, min_slack=0.1)
         assert err.value.result is None
 
-    def test_non_convergence_raises_with_best_iterate(self):
+    def test_non_convergence_raises_with_best_iterate(self, monkeypatch):
         prior, channel, payoff = tiny_instance()
-        opts = SolverOptions(tol_payoff=1e-13, outer_steps=2, max_inner_iter=40)
-        with pytest.raises(ConvergenceError) as err:
-            solve(prior, channel, payoff, options=opts)
+        monkeypatch.setattr(optimizer, "_MAX_INNER_STEPS", 40)
+        monkeypatch.setattr(optimizer, "_OUTER_STEPS", 2)
+        with pytest.raises(ConvergenceError, match="no certificate after 2 bisection steps") as err:
+            solve(prior, channel, payoff, options=SolverOptions(tol_payoff=1e-13))
         res = err.value.result
         assert res is not None and not res.converged
         gap = info_constraint_gap(compose(res.qbar, channel))
         assert gap <= 1e-6
+
+    @staticmethod
+    def flip_045_scaled():
+        # every multiplier up to the cap leaves the inner maximizer infeasible
+        prior, _, payoff = tiny_instance()
+        flip = ObservationChannel(np.array([[0.55, 0.45], [0.45, 0.55]]))
+        return prior, flip, PayoffTable(1e12 * payoff.values)
+
+    def test_multiplier_cap_message_names_the_cap(self):
+        # the cap is reached by doubling, before any bisection step
+        cap = "no certificate at the multiplier cap 2[*][*]40:"
+        with pytest.raises(ConvergenceError, match=cap) as err:
+            solve(*self.flip_045_scaled())
+        assert err.value.result.multiplier == 2.0**40
+
+    def test_collapsed_bracket_message_counts_its_steps(self):
+        # noisy corpus problem 14 collapses its bracket; at this tolerance
+        # the blend there does not certify, 7 steps short of the budget
+        problem = list(test_solver_bits.noisy_problems(1, 15))[14]
+        with pytest.raises(ConvergenceError, match="no certificate at a collapsed "
+                           "bisection bracket after 53 steps:"):
+            solve(*problem, options=SolverOptions(tol_payoff=1e-15))
+
+    def test_uniform_candidate_is_the_cap_exit_feasible_point(self):
+        # with min_slack > 0 no other pool point is feasible, yet the channel
+        # carries 0.0072 bits: without the uniform candidate this raised "no
+        # feasible point" with no result
+        with pytest.raises(ConvergenceError, match="multiplier cap") as err:
+            solve(*self.flip_045_scaled(), min_slack=0.001)
+        res = err.value.result
+        assert res is not None and not res.converged
+        assert np.array_equal(res.qbar.pmf, np.full((2, 2, 2), 0.125))
+        assert res.payoff == 2.5e11
+        assert res.slack == pytest.approx(0.0072255, abs=1e-7)
 
 
 class TestSolveStages:
@@ -532,25 +570,10 @@ class TestSolveStages:
 
 
 class TestSolverOptions:
-    def test_three_fields(self):
-        assert [f.name for f in dataclasses.fields(SolverOptions)] == [
-            "tol_payoff", "max_inner_iter", "outer_steps",
-        ]
+    def test_one_field(self):
+        assert [f.name for f in dataclasses.fields(SolverOptions)] == ["tol_payoff"]
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-5, True, "1e-5"])
     def test_bad_tolerance_rejected(self, tol):
         with pytest.raises(ValueError, match="tol_payoff"):
             SolverOptions(tol_payoff=tol)
-
-    @pytest.mark.parametrize("field", ["max_inner_iter", "outer_steps"])
-    @pytest.mark.parametrize("value", [0, -3, 2.5])
-    def test_bad_budget_rejected(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            SolverOptions(**{field: value})
-
-    @pytest.mark.parametrize(
-        "field, value", [("max_inner_iter", True), ("outer_steps", False)]
-    )
-    def test_boolean_budget_rejected(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            SolverOptions(**{field: value})

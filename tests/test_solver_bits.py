@@ -17,9 +17,9 @@ noisy-channel corpus.
 ``solver_exits.json`` drives each way out of the solver at least once:
 
 * the outer budget, raising ``ConvergenceError`` with a result (binary
-  instance, ``tol_payoff=1e-13``, 2 outer steps, 40 inner iterations);
+  instance, ``tol_payoff=1e-13``, 2 outer steps, 40 inner steps);
 * the inner budget, reached by the noisy cells and by the x2 step
-  (``max_inner_iter`` 3, uncertified, and 20 on noisy problem 0);
+  (3 inner steps, uncertified, and 20 on noisy problem 0);
 * the relaxed constraint of ``stages=4`` (HIR, log payoff, 10 dB);
 * ``min_slack=0.05`` on noisy problem 1;
 * an equal-row (blind) channel, whose cells are solved by one Newton step;
@@ -28,6 +28,9 @@ noisy-channel corpus.
 * the multiplier cap, raising ``ConvergenceError`` with the best feasible
   candidate (binary instance, a flip-0.45 channel, payoff scaled by 1e12,
   so that every multiplier up to the cap leaves the maximizer infeasible).
+
+The two budget exits lower the solver's fixed budgets, ``_OUTER_STEPS`` and
+``_MAX_INNER_STEPS`` in ``codedpc.optimizer``, through ``step_budgets``.
 
 ``solver_bits.json`` also reaches the collapsed bisection bracket (noisy
 problem 14).  The one exit neither file reaches is ``ConvergenceError``
@@ -47,6 +50,7 @@ the 100 noisy problems of the corpus, and ``solver_corpus.py --check`` all
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -62,7 +66,7 @@ from codedpc import (
     StatePrior,
     solve,
 )
-from codedpc import icmodel
+from codedpc import icmodel, optimizer
 
 GOLDEN = Path(__file__).parent / "golden" / "solver_bits.json"
 EXITS_GOLDEN = Path(__file__).parent / "golden" / "solver_exits.json"
@@ -117,14 +121,31 @@ def cases():
         yield f"noisy-{NOISY_SEED}-{i}", problem, {}
 
 
+@contextlib.contextmanager
+def step_budgets(**budgets):
+    """Solve with the named step budgets of ``codedpc.optimizer`` replaced,
+    e.g. ``step_budgets(_OUTER_STEPS=2)``."""
+    saved = {name: getattr(optimizer, name) for name in budgets}
+    for name, value in budgets.items():
+        setattr(optimizer, name, value)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(optimizer, name, value)
+
+
 def exit_cases():
+    """Labelled problems and ``solve`` keywords; a ``budgets`` entry holds
+    ``step_budgets`` arguments instead."""
     noisy = list(noisy_problems(NOISY_SEED, 19))
     yield "binary-outer-budget", binary_problem(), {
-        "options": SolverOptions(tol_payoff=1e-13, outer_steps=2, max_inner_iter=40)
+        "options": SolverOptions(tol_payoff=1e-13),
+        "budgets": {"_MAX_INNER_STEPS": 40, "_OUTER_STEPS": 2},
     }
     for budget in (3, 20):
         yield f"noisy-1-0-inner-budget-{budget}", noisy[0], {
-            "options": SolverOptions(max_inner_iter=budget)
+            "budgets": {"_MAX_INNER_STEPS": budget}
         }
     yield "ic-hir-log-10dB-stages-4", ic_problem("hir", "log", 10.0), {"stages": 4}
     yield "noisy-1-1-min-slack-0.05", noisy[1], {"min_slack": 0.05}
@@ -138,8 +159,10 @@ def exit_cases():
 
 
 def bits(problem, kwargs) -> dict:
+    kwargs = dict(kwargs)
     try:
-        certified, result = True, solve(*problem, **kwargs)
+        with step_budgets(**kwargs.pop("budgets", {})):
+            certified, result = True, solve(*problem, **kwargs)
     except ConvergenceError as exc:
         certified, result = False, exc.result
     return {
