@@ -24,7 +24,6 @@ from codedpc import (
 )
 from codedpc import optimizer
 from codedpc.optimizer import _InfoKernel
-import test_solver_bits
 from codedpc.icmodel import (
     ICConfig,
     build_payoff_table,
@@ -33,6 +32,8 @@ from codedpc.icmodel import (
     identity_observation_channel,
     spc_distribution,
 )
+
+import test_solver_bits
 from oracles import InfoKernel, uniform_distribution
 
 
