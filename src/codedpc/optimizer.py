@@ -11,20 +11,23 @@ qbar(x0, x1, x2) * channel(y | x1).  Optimizing over qbar with fixed
 per-state mass makes the channel-consistency relations hold by construction
 and keeps every iterate on the probability simplex.
 
-Algorithm: Lagrangian dual bisection on the constraint multiplier.  For a
-fixed multiplier the inner problem separates: each (x0, x2) cell's x1
-distribution solves a capacity-with-cost problem (a softmax on an exact
-identity channel, Blahut-Arimoto and Newton steps on a noisy one), and the
-x2 distribution a log-optimal portfolio problem, solved by a multiplicative
-update with an adaptive exponent (Cover's update at exponent 1).  The dual
-bound there is Cover's bound plus the most a cell's bound exceeds its value.
-The outer bisection drives the gap to zero from the feasible side; when the
-constraint is inactive the per-state payoff argmax is returned directly.
-The returned point is the best feasible one among the inner maximizers,
-always feasible candidates (uniform; constant partner with best response)
-and blends across the constraint boundary; the dual bound is the least one
-over the multipliers tried.  The step budgets of the inner solves and of the
-bisection are fixed; the only option is the certified tolerance.
+Algorithm: a safeguarded root search on the constraint multiplier of the
+Lagrangian dual.  For a fixed multiplier the inner problem separates: each
+(x0, x2) cell's x1 distribution solves a capacity-with-cost problem (a
+softmax on an exact identity channel, Blahut-Arimoto and Newton steps on a
+noisy one), and the x2 distribution a log-optimal portfolio problem, solved
+by Newton steps on its support with a multiplicative update (Cover's update
+at exponent 1) as the fallback.  The dual bound there is Cover's bound plus
+the most a cell's bound exceeds its value.  The maximizer's excess gap is
+decreasing in the multiplier, so after doubling to a feasible one the search
+takes false-position steps on a bracket, with midpoint steps whenever a step
+does not halve it; when the constraint is inactive the per-state payoff
+argmax is returned directly.  The returned point is the best feasible one
+among the inner maximizers, always feasible candidates (uniform; constant
+partner with best response) and blends across the constraint boundary; the
+dual bound is the least one over the multipliers tried.  The step budgets
+of the inner solves and of the multiplier search are fixed; the only option
+is the certified tolerance.
 """
 
 from __future__ import annotations
@@ -45,11 +48,19 @@ from .probability import (
 
 _LN2 = float(np.log(2.0))
 _MAX_MULTIPLIER = 2.0**40
-# Inner steps per multiplier (a noisy channel's cell steps, then trial steps
-# of the x2 update with what the cells left) and bisection steps on the
-# multiplier.  No solve of tests/solver_corpus.py reaches either.
+# Inner steps per multiplier (a noisy channel's cell steps, then x2 steps
+# with what the cells left) and steps of the multiplier search.  No solve of
+# tests/solver_corpus.py reaches either.
 _MAX_INNER_STEPS = 50_000
 _OUTER_STEPS = 60
+# A false-position step keeps its multiplier this share of the bracket off
+# either end, and a step that does not halve the bracket is followed by a
+# midpoint step.  An interpolated step thus cuts at least a quarter of the
+# bracket, two steps leave at most 3/8 of it (bisection 1/4: at most 1.41
+# times bisection's steps), and a root within a quarter of one end puts the
+# next point beyond it, so both ends move instead of one end creeping up on
+# the root as in plain false position.
+_OFF_END = 0.25
 # Cover's iterates r are floored here: a state's best partner action keeps
 # r >= _R_FLOOR, so its normalizer z >= _R_FLOOR and rho / z stays finite.
 # Noisy cells are floored here too, so an input an earlier step dropped can
@@ -113,7 +124,12 @@ class OptimizationResult:
     information constraint, and ``dual_bound`` a certified upper bound on
     the optimal payoff, so dual_bound - payoff bounds the suboptimality.
     ``iterations`` sums the inner steps over the multipliers tried: cell
-    steps (none on the identity channel) and trial steps of the x2 update.
+    steps (none on the identity channel) and x2 steps.
+
+    A point counts as feasible when its gap plus ``min_slack`` is at most
+    ``FEASIBILITY_TOL``, and the dual bound is that of the exact constraint.
+    So the payoff can exceed the exact optimum, and the dual bound, by up to
+    ``multiplier * FEASIBILITY_TOL``.
     """
 
     qbar: JointDistribution
@@ -216,6 +232,30 @@ class _InfoKernel:
         return (self.inv_stages * i_coord - i_channel) / _LN2
 
 
+def _newton_direction(k, rhs, on, reg):
+    """The Newton direction d of a concave function on the simplex, whose
+    Hessian is -k and whose gradient is rhs up to a constant: k d + nu = rhs
+    and sum d = 0 on the support ``on``, d = 0 off it, with ``reg`` added to
+    k's diagonal on the support.  Batched over any leading axes."""
+    n = k.shape[-1]
+    kkt = np.zeros(k.shape[:-2] + (n + 1, n + 1))
+    kkt[..., :n, :n] = np.where(on[..., :, None] & on[..., None, :], k, 0.0)
+    np.einsum("...bb->...b", kkt[..., :n, :n])[...] += np.where(on, reg, 1.0)
+    kkt[..., :n, n] = kkt[..., n, :n] = on
+    b = np.zeros(kkt.shape[:-1] + (1,))
+    b[..., :n, 0] = np.where(on, rhs, 0.0)
+    return np.linalg.solve(kkt, b)[..., :n, 0]
+
+
+def _blocked_step(p, d):
+    """p + t d, normalized, with the largest t <= 1 that keeps every
+    coordinate of p at or above 1e-10 nonnegative; the ones below do not
+    shorten the step, they clip to ``_R_FLOOR``."""
+    t = np.where(p >= 1e-10, p / np.maximum(-d, p), 1.0).min(axis=-1, keepdims=True)
+    cand = np.maximum(p + t * d, _R_FLOOR)
+    return cand / cand.sum(axis=-1, keepdims=True)
+
+
 def _cell_step(p, kernel, w, lam, max_iter, target):
     """Each (x0, x2) cell's x1 distribution at the multiplier lam.
 
@@ -259,20 +299,9 @@ def _cell_step(p, kernel, w, lam, max_iter, target):
         # channel^T, singular where channel rows coincide: its diagonal is
         # raised by one part in 1e12, and the inputs off the support are fixed.
         on = (p > 1e-10) | (s >= low[:, None])
-        kkt = np.zeros((len(p), n1 + 1, n1 + 1))
         k = (gamma / np.maximum(out, 1e-300)[:, None, :]) @ gamma.T
-        kkt[:, :n1, :n1] = np.where(on[:, :, None] & on[:, None, :], k, 0.0)
-        diag = np.einsum("cbb->cb", kkt[:, :n1, :n1])
-        diag += np.where(on, 1e-12 * diag, 1.0)
-        kkt[:, :n1, n1] = kkt[:, n1, :n1] = on
-        rhs = np.zeros((len(p), n1 + 1, 1))
-        rhs[:, :n1, 0] = np.where(on, (s - up[:, None]) * (_LN2 / lam), 0.0)
-        d = np.linalg.solve(kkt, rhs)[:, :n1, 0]
-        # inputs already below 1e-10 do not shorten the step; they clip
-        blocking = (d < 0.0) & (p >= 1e-10)
-        t = np.where(blocking, p / np.where(blocking, -d, 1.0), 1.0).min(axis=1)
-        cand = np.maximum(p + np.minimum(t, 1.0)[:, None] * d, _R_FLOOR)
-        return cand / cand.sum(axis=1, keepdims=True)
+        rhs = (s - up[:, None]) * (_LN2 / lam)
+        return _blocked_step(p, _newton_direction(k, rhs, on, 1e-12 * np.einsum("cbb->cb", k)))
 
     s, low, up, out = score(p)
     power = np.ones(len(p))
@@ -304,14 +333,15 @@ def _x2_step(r, rho, kernel, cap, cell, lam, offset, max_iter, cover_target):
     over r on the X2 simplex (I(X0; X2) = min_r E_a D(q(.|a) || r)).  With
     grad(c) = dF/dr(c) * ln 2 / mu, Cover's bound max F <= F(r) + mu * log2
     max_c grad(c) holds at every r; minus lam * offset it bounds the
-    Lagrangian's maximum over r.  From the warm start ``r``, the iteration
-    takes r <- r * grad^power, normalized: power 1 is Cover's multiplicative
-    update, which never lowers F, and power grows by 1.3 after each step
-    that does not lower F and halves, down to 1, when one would.  With power
-    fixed at 1 the update stalls once mu is large, where grad is within
-    O(1 / mu) of 1, and cannot revive an action whose weight an earlier
-    multiplier drove to the floor.  It stops when Cover's bound is within
-    ``cover_target``, after ``max_iter`` trial steps, or at ``_FLAT``.
+    Lagrangian's maximum over r.  From the warm start ``r``, each step takes
+    a Newton step on the support, like the noisy cells', if it raises F.
+    Otherwise it tries r * grad^power, normalized: power 1 is Cover's
+    multiplicative update, which never lowers F, and power grows by 1.3
+    after each step where it does not lower F and halves, down to 1, when it
+    would.  This update alone stalls where F is flat: once mu is large, and
+    near the multiplier where the maximizer crosses the constraint boundary.
+    It stops when Cover's bound is within ``cover_target``, after
+    ``max_iter`` steps, or at ``_FLAT``.
 
     Returns the primal point q(x0, x2) ~ rho * r * 2^(cap / mu) times
     ``cell``, its constraint gap, the bound, the step count and r for the
@@ -320,6 +350,30 @@ def _x2_step(r, rho, kernel, cap, cell, lam, offset, max_iter, cover_target):
     mu = lam * kernel.inv_stages
     top_cap = cap.max(axis=1)
     tilt = np.exp2((cap - top_cap[:, None]) / mu)
+
+    def newton(r, z, grad, top):
+        # The Hessian of sum_a rho(a) ln z(a) is minus K = sum_a rho(a) u_a
+        # u_a^T with u_a = tilt(a, .) / z(a), and grad = sum_a rho(a) u_a, so
+        # K's largest diagonal entry is at least 1 / |X2|^2 (some r(c) grad(c)
+        # is at least 1 / |X2|, as sum_c r(c) grad(c) = 1).  K is finite while
+        # every z >= 1e-150; below that Cover's update alone revives r.  As in
+        # the cells, the actions off the support (r <= 1e-10 and grad below
+        # its mean, 1) stay fixed, and the support's diagonal is raised, here
+        # by 1e-12 of K's largest entry, so equal tilt columns stay solvable.
+        if z.min() < 1e-150:
+            return r
+        u = tilt / z[:, None]
+        k = (u.T * rho) @ u
+        on = (r > 1e-10) | (grad >= 1.0)
+        reg = 1e-12 * k.max()
+        d = _newton_direction(k, grad - top, on, reg)
+        # an action revived from below 1e-10 that the step would take below
+        # 0 leaves the support, and the step is solved again without it
+        drop = (d < 0.0) & (r <= 1e-10)
+        if drop.any():
+            d = _newton_direction(k, grad - top, on & ~drop, reg)
+        return _blocked_step(r, d)
+
     z = tilt @ r
     value = float(rho @ np.log2(z))
     grad = (rho / z) @ tilt
@@ -331,18 +385,22 @@ def _x2_step(r, rho, kernel, cap, cell, lam, offset, max_iter, cover_target):
         if cover <= cover_target or iters >= max_iter or top <= _FLAT:
             break
         iters += 1
-        # an action no state can use has grad 0: its weight drops to the floor
-        log_grad = np.log(np.maximum(grad / top, _R_FLOOR))
-        cand = np.maximum(r * np.exp(power * log_grad), _R_FLOOR)
-        cand /= cand.sum()
+        cand = newton(r, z, grad, top)
         cand_z = tilt @ cand
         cand_value = float(rho @ np.log2(cand_z))
-        if cand_value >= value or power == 1.0:
-            r, z, value = cand, cand_z, cand_value
-            grad = (rho / z) @ tilt
+        if not cand_value > value:
+            # an action no state can use has grad 0: its weight drops to the floor
+            log_grad = np.log(np.maximum(grad / top, _R_FLOOR))
+            cand = np.maximum(r * np.exp(power * log_grad), _R_FLOOR)
+            cand /= cand.sum()
+            cand_z = tilt @ cand
+            cand_value = float(rho @ np.log2(cand_z))
+            if cand_value < value and power > 1.0:
+                power = max(0.5 * power, 1.0)
+                continue
             power = min(power * 1.3, 1e8)
-        else:
-            power = max(0.5 * power, 1.0)
+        r, z, value = cand, cand_z, cand_value
+        grad = (rho / z) @ tilt
     bound = float(rho @ top_cap) + mu * value + max(cover, 0.0) - lam * offset
     q = (rho / z)[:, None, None] * (r * tilt)[:, None, :] * cell
     return q, kernel.gap(q), bound, iters, r
@@ -385,7 +443,11 @@ def solve(
     which is useful for producing targets with room to spare.
 
     Returns an ``OptimizationResult`` whose payoff is within
-    ``options.tol_payoff`` of the optimum, certified by the dual bound.
+    ``options.tol_payoff`` of the optimum, certified by the dual bound.  The
+    multiplier search doubles the multiplier from 1 until the inner
+    maximizer is feasible, then narrows the bracket between the last
+    infeasible multiplier (or 0) and the feasible one, and at every step
+    blends the maximizers at its two ends onto the constraint boundary.
     Raises ``ConvergenceError`` (carrying the best feasible iterate) if the
     certificate cannot be established within the step budgets or below the
     multiplier cap; its message names the exit taken.
@@ -507,8 +569,11 @@ def solve(
         dual_bound = min(dual_bound, bound + float((up - low).max()))
         return q, consider(q, gap)
 
+    # The bracket [lam_lo, lam_hi] holds an infeasible maximizer at its left
+    # end (at lam_lo = 0, the per-state argmax) and a feasible one at its
+    # right; each end is (maximizer, excess).
     lam_hi = 1.0
-    lo, hi = (None, None), maximize_at(lam_hi)
+    lo, hi = (vertex, vertex_gap + offset), maximize_at(lam_hi)
     while hi[1] > FEASIBILITY_TOL:
         if lam_hi >= _MAX_MULTIPLIER:
             # No multiplier makes the inner maximizer feasible (degenerate
@@ -524,22 +589,34 @@ def solve(
         lo, hi = hi, maximize_at(lam_hi)
 
     lam_lo = 0.0 if lam_hi == 1.0 else lam_hi / 2.0
-    stop = f"after {_OUTER_STEPS} bisection steps"
+    halved = True
+    stop = f"after {_OUTER_STEPS} multiplier steps"
     for step in range(_OUTER_STEPS):
         blend(best_q, best_gap + offset, outside_q, outside_excess)
+        # The maximizers at the bracket's ends straddle the boundary; their
+        # mix on it is near optimal once the bracket is narrow, also where
+        # the maximizer jumps across the boundary and no multiplier in the
+        # bracket gives a feasible point near the optimum.
+        blend(*hi, *lo)
         if dual_bound - best_pay <= opts.tol_payoff:
             break
-        lam_mid = 0.5 * (lam_lo + lam_hi)
-        if lam_mid in (lam_lo, lam_hi):
-            # The bracket has collapsed onto a multiplier where the maximizer
-            # jumps across the boundary.  The mix of its two ends' maximizers
-            # is near optimal; a mix with an earlier pool point need not be.
-            blend(*hi, *lo)
-            stop = f"at a collapsed bisection bracket after {step} steps"
-            break
-        mid = maximize_at(lam_mid)
-        if mid[1] <= FEASIBILITY_TOL:
-            lam_hi, hi = lam_mid, mid
+        width = lam_hi - lam_lo
+        if halved:
+            # False position: the excess is decreasing in the multiplier
+            # (minus the slope of the convex dual), so the multiplier where
+            # the line through the ends' excesses crosses zero is a guess at
+            # the optimal one.
+            frac = lo[1] / (lo[1] - hi[1])
+            lam = lam_lo + width * min(max(frac, _OFF_END), 1.0 - _OFF_END)
         else:
-            lam_lo, lo = lam_mid, mid
+            lam = 0.5 * (lam_lo + lam_hi)
+        if lam in (lam_lo, lam_hi):
+            stop = f"at a collapsed multiplier bracket after {step} steps"
+            break
+        mid = maximize_at(lam)
+        if mid[1] <= FEASIBILITY_TOL:
+            lam_hi, hi = lam, mid
+        else:
+            lam_lo, lo = lam, mid
+        halved = lam_hi - lam_lo <= 0.5 * width
     return finish(best_q, best_gap, lam_hi, dual_bound, total_iters, stop)

@@ -18,9 +18,10 @@ disagree can be diffed label by label.  The corpus:
 * ``stages`` 2 and 16 on 5 interference points each (HIR, log payoff,
   0 to 40 dB in steps of 10 dB).
 
-It takes about 3 s.  This file is not collected by pytest, but
-``test_solver_bits.py`` recomputes the hash and compares it with
-``golden/solver_corpus.sha256``.
+It takes about 2 s.  This file is not collected by pytest, but
+``test_solver_bits.py`` solves the corpus once per session, compares its
+hash with ``golden/solver_corpus.sha256`` and checks every record against
+the recorded intervals.
 
 Two more modes serve a change of solver algorithm, which cannot keep the
 bits (see ``test_solver_bits.py``):
@@ -37,6 +38,7 @@ with status 1 if there is one.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
@@ -73,6 +75,7 @@ def corpus():
             }
 
 
+@functools.cache
 def corpus_bits() -> dict:
     return {label: bits(problem, kwargs) for label, problem, kwargs in corpus()}
 
@@ -93,16 +96,24 @@ def write_intervals() -> None:
     INTERVALS.write_text(json.dumps(intervals, indent=1) + "\n")
 
 
-def check() -> int:
+def violations() -> list[str]:
+    """Each failing condition of ``interval_violations`` at a corpus solve,
+    against ``golden/solver_intervals.json``."""
     recorded = json.loads(INTERVALS.read_text())["corpus"]
-    failed = 0
-    for label, problem, kwargs in corpus():
-        for violation in interval_violations(
-            recorded[label], bits(problem, kwargs), tol_payoff(kwargs)
-        ):
-            failed += 1
-            print(f"{label}: {violation}")
-    print(f"{failed} violations over {len(recorded)} solves")
+    actual = corpus_bits()
+    assert list(actual) == list(recorded)
+    return [
+        f"{label}: {violation}"
+        for label, _, kwargs in corpus()
+        for violation in interval_violations(recorded[label], actual[label], tol_payoff(kwargs))
+    ]
+
+
+def check() -> int:
+    failed = violations()
+    for line in failed:
+        print(line)
+    print(f"{len(failed)} violations over {len(corpus_bits())} solves")
     return 1 if failed else 0
 
 

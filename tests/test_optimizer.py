@@ -299,9 +299,10 @@ class TestClosedForm:
         assert res.iterations < optimizer._MAX_INNER_STEPS
 
     def test_cover_budget_raises_with_feasible_result(self, monkeypatch):
-        # one Cover update per multiplier leaves the dual bound 2.5e-5 above
-        # the payoff at LIR 40 dB; the default budget certifies
-        prior, channel, payoff = ic_instance("lir", 40.0)
+        # one x2 step per multiplier leaves the dual bound 1.5e-4 above the
+        # payoff at LIR 0 dB with the linear payoff (at LIR 40 dB, log
+        # payoff, one Newton step certifies); the default budget certifies
+        prior, channel, payoff = test_solver_bits.ic_problem("lir", "linear", 0.0)
         assert solve(prior, channel, payoff).converged
         monkeypatch.setattr(optimizer, "_MAX_INNER_STEPS", 1)
         with pytest.raises(ConvergenceError, match="no certificate") as err:
@@ -328,6 +329,54 @@ class TestNoisyChannel:
         monkeypatch.setattr(optimizer, "_MAX_INNER_STEPS", budget)
         res = solve(prior, channel, payoff)
         assert res.converged and res.slack >= -FEASIBILITY_TOL
+
+    def test_x2_step_leaves_the_flat_optimum(self):
+        # near the optimal multiplier the x2 problem is nearly flat, and
+        # Cover's update alone spent its 50,000-step budget at two
+        # multipliers here (143,422 inner steps in all)
+        problem = list(test_solver_bits.noisy_problems(3, 19))[18]
+        res = solve(*problem)
+        assert res.converged and res.iterations < 10_000
+
+    def test_excess_jump_at_the_optimal_multiplier(self):
+        # the maximizer's excess jumps from +0.047 to -0.003 near lam =
+        # 0.22376, where no interpolated multiplier lands on the boundary;
+        # 6,030 inner steps is what bisection took
+        problem = list(test_solver_bits.noisy_problems(2, 200))[103]
+        res = solve(*problem)
+        assert res.converged and res.iterations <= 6_030
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(1, 6).flatmap(lambda n0: st.tuples(
+        hnp.arrays(np.float64, (n0, 2), elements=st.floats(-10.0, 10.0)),
+        hnp.arrays(np.float64, n0, elements=st.floats(1e-3, 1.0)),
+    )),
+    st.floats(1e-2, 1e3),
+    st.floats(0.0, 1.0),
+)
+def test_x2_step_reaches_the_grid_maximum(cap_rho, lam, start):
+    # two partner actions: F(r) = sum_a rho(a) lam log2 sum_c r(c)
+    # 2^(cap(a, c) / lam) on a grid of 10^4 points of r (open at both ends,
+    # where F can be -inf), against the step's bound and its returned r
+    cap, rho = cap_rho
+    rho = rho / rho.sum()
+    target = 0.25 * SolverOptions().tol_payoff
+    r = np.maximum(np.array([start, 1.0 - start]), optimizer._R_FLOOR)
+    kernel = _InfoKernel(np.eye(1), 1.0)
+    _, _, bound, _, r = optimizer._x2_step(
+        r / r.sum(), rho, kernel, cap, np.ones((len(rho), 1, 2)), lam, 0.0,
+        optimizer._MAX_INNER_STEPS, target,
+    )
+    top = cap.max(axis=1)
+    tilt = np.exp2((cap - top[:, None]) / lam)
+    x = (np.arange(10_000) + 0.5) / 10_000
+    grid = np.stack([x, 1.0 - x], axis=1)
+    f_grid = rho @ top + lam * (np.log2(grid @ tilt.T) @ rho)
+    f_r = rho @ top + lam * (np.log2(tilt @ r) @ rho)
+    assert bound >= f_grid.max() - 1e-9
+    assert f_r >= f_grid.max() - target
 
 
 @st.composite
@@ -492,7 +541,7 @@ class TestSolve:
         prior, channel, payoff = tiny_instance()
         monkeypatch.setattr(optimizer, "_MAX_INNER_STEPS", 40)
         monkeypatch.setattr(optimizer, "_OUTER_STEPS", 2)
-        with pytest.raises(ConvergenceError, match="no certificate after 2 bisection steps") as err:
+        with pytest.raises(ConvergenceError, match="no certificate after 2 multiplier steps") as err:
             solve(prior, channel, payoff, options=SolverOptions(tol_payoff=1e-13))
         res = err.value.result
         assert res is not None and not res.converged
@@ -507,7 +556,7 @@ class TestSolve:
         return prior, flip, PayoffTable(1e12 * payoff.values)
 
     def test_multiplier_cap_message_names_the_cap(self):
-        # the cap is reached by doubling, before any bisection step
+        # the cap is reached by doubling, before any multiplier step
         cap = "no certificate at the multiplier cap 2[*][*]40:"
         with pytest.raises(ConvergenceError, match=cap) as err:
             solve(*self.flip_045_scaled())
@@ -515,10 +564,10 @@ class TestSolve:
 
     def test_collapsed_bracket_message_counts_its_steps(self):
         # noisy corpus problem 14 collapses its bracket; at this tolerance
-        # the blend there does not certify, 7 steps short of the budget
+        # the blend there does not certify, 4 steps short of the budget
         problem = list(test_solver_bits.noisy_problems(1, 15))[14]
         with pytest.raises(ConvergenceError, match="no certificate at a collapsed "
-                           "bisection bracket after 53 steps:"):
+                           "multiplier bracket after 56 steps:"):
             solve(*problem, options=SolverOptions(tol_payoff=1e-15))
 
     def test_uniform_candidate_is_the_cap_exit_feasible_point(self):
