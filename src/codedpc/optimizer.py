@@ -301,7 +301,8 @@ def _cell_step(p, kernel, w, lam, max_iter, target):
         on = (p > 1e-10) | (s >= low[:, None])
         k = (gamma / np.maximum(out, 1e-300)[:, None, :]) @ gamma.T
         rhs = (s - up[:, None]) * (_LN2 / lam)
-        return _blocked_step(p, _newton_direction(k, rhs, on, 1e-12 * np.einsum("cbb->cb", k)))
+        d = _newton_direction(k, rhs, on, 1e-12 * np.einsum("cbb->cb", k))
+        return _blocked_step(p, d)
 
     s, low, up, out = score(p)
     power = np.ones(len(p))
@@ -613,10 +614,10 @@ def solve(
         if lam in (lam_lo, lam_hi):
             stop = f"at a collapsed multiplier bracket after {step} steps"
             break
-        mid = maximize_at(lam)
-        if mid[1] <= FEASIBILITY_TOL:
-            lam_hi, hi = lam, mid
+        end = maximize_at(lam)
+        if end[1] <= FEASIBILITY_TOL:
+            lam_hi, hi = lam, end
         else:
-            lam_lo, lo = lam, mid
+            lam_lo, lo = lam, end
         halved = lam_hi - lam_lo <= 0.5 * width
     return finish(best_q, best_gap, lam_hi, dual_bound, total_iters, stop)

@@ -98,7 +98,7 @@ class TestSweep:
         )
 
     def test_uncertified_point_reports_best_feasible_payoff(self, capsys, monkeypatch):
-        # one bisection step cannot certify; the row still carries the best
+        # one multiplier step cannot certify; the row still carries the best
         # feasible payoff found, which beats SPC and stays below the bound
         monkeypatch.setattr(optimizer, "_OUTER_STEPS", 1)
         code, out, _ = run_cli(capsys, "sweep", "--snr-start", "10", "--snr-stop", "10")
