@@ -16,12 +16,12 @@ Lagrangian dual.  For a fixed multiplier the inner problem separates: each
 (x0, x2) cell's x1 distribution solves a capacity-with-cost problem (a
 softmax on an exact identity channel, Blahut-Arimoto and Newton steps on a
 noisy one), and the x2 distribution a log-optimal portfolio problem, solved
-by Newton steps on its support with a multiplicative update (Cover's update
-at exponent 1) as the fallback.  The dual bound there is Cover's bound plus
-the most a cell's bound exceeds its value.  The maximizer's excess gap is
-decreasing in the multiplier, so after doubling to a feasible one the search
-takes false-position steps on a bracket, with midpoint steps whenever a step
-does not halve it; when the constraint is inactive the per-state payoff
+by Newton steps on its support with Cover's multiplicative update as the
+fallback.  The dual bound there is Cover's bound plus the most a cell's
+bound exceeds its value.  The maximizer's excess gap is decreasing in the
+multiplier, so after doubling to a feasible one the search takes
+false-position steps on a bracket, with midpoint steps whenever a step does
+not halve it; when the constraint is inactive the per-state payoff
 argmax is returned directly.  The returned point is the best feasible one
 among the inner maximizers, always feasible candidates (uniform; constant
 partner with best response) and blends across the constraint boundary; the
@@ -336,12 +336,10 @@ def _x2_step(r, rho, kernel, cap, cell, lam, offset, max_iter, cover_target):
     max_c grad(c) holds at every r; minus lam * offset it bounds the
     Lagrangian's maximum over r.  From the warm start ``r``, each step takes
     a Newton step on the support, like the noisy cells', if it raises F.
-    Otherwise it tries r * grad^power, normalized: power 1 is Cover's
-    multiplicative update, which never lowers F, and power grows by 1.3
-    after each step where it does not lower F and halves, down to 1, when it
-    would.  This update alone stalls where F is flat: once mu is large, and
-    near the multiplier where the maximizer crosses the constraint boundary.
-    It stops when Cover's bound is within ``cover_target``, after
+    Otherwise it takes Cover's multiplicative update r * grad, which never
+    lowers F.  That update alone stalls where F is flat: once mu is large,
+    and near the multiplier where the maximizer crosses the constraint
+    boundary.  It stops when Cover's bound is within ``cover_target``, after
     ``max_iter`` steps, or at ``_FLAT``.
 
     Returns the primal point q(x0, x2) ~ rho * r * 2^(cap / mu) times
@@ -378,7 +376,6 @@ def _x2_step(r, rho, kernel, cap, cell, lam, offset, max_iter, cover_target):
     z = tilt @ r
     value = float(rho @ np.log2(z))
     grad = (rho / z) @ tilt
-    power = 1.0
     iters = 0
     while True:
         top = grad.max()
@@ -390,16 +387,12 @@ def _x2_step(r, rho, kernel, cap, cell, lam, offset, max_iter, cover_target):
         cand_z = tilt @ cand
         cand_value = float(rho @ np.log2(cand_z))
         if not cand_value > value:
-            # an action no state can use has grad 0: its weight drops to the floor
-            log_grad = np.log(np.maximum(grad / top, _R_FLOOR))
-            cand = np.maximum(r * np.exp(power * log_grad), _R_FLOOR)
+            # Cover's update; an action no state can use has grad 0: its
+            # weight drops to the floor
+            cand = np.maximum(r * (grad / top), _R_FLOOR)
             cand /= cand.sum()
             cand_z = tilt @ cand
             cand_value = float(rho @ np.log2(cand_z))
-            if cand_value < value and power > 1.0:
-                power = max(0.5 * power, 1.0)
-                continue
-            power = min(power * 1.3, 1e8)
         r, z, value = cand, cand_z, cand_value
         grad = (rho / z) @ tilt
     bound = float(rho @ top_cap) + mu * value + max(cover, 0.0) - lam * offset
