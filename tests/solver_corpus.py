@@ -34,6 +34,14 @@ the certified flag, payoff and dual bound of every corpus solve and of every
 ``solver_bits.json`` point.  The second checks the current solver against
 that file at all 382 corpus solves, prints each failing condition and exits
 with status 1 if there is one.
+
+    PYTHONPATH=src python tests/solver_corpus.py --counts
+
+prints, for the corpus and for the fresh noisy corpora ``default_rng(2)``
+and ``default_rng(3)`` (200 problems each): the certified solves, the inner
+solves (multipliers tried, counted by wrapping ``optimizer._x2_step``), the
+inner steps, the solve that tried the most multipliers and the slowest
+solve in process.
 """
 
 from __future__ import annotations
@@ -42,8 +50,10 @@ import functools
 import hashlib
 import json
 import sys
+import time
 from pathlib import Path
 
+from codedpc import ConvergenceError, optimizer, solve
 from test_solver_bits import (
     INTERVALS,
     bits,
@@ -117,7 +127,50 @@ def check() -> int:
     return 1 if failed else 0
 
 
+def count_line(name: str, problems) -> str:
+    """One ``--counts`` line over (label, problem, kwargs) triples."""
+    x2_step, inner_solves = optimizer._x2_step, []
+
+    def counted(*args):
+        inner_solves[-1] += 1
+        return x2_step(*args)
+
+    certified = steps = 0
+    most, slowest = (0, ""), (0.0, "")
+    optimizer._x2_step = counted
+    try:
+        for label, problem, kwargs in problems:
+            inner_solves.append(0)
+            start = time.perf_counter()
+            try:
+                result = solve(*problem, **kwargs)
+            except ConvergenceError as exc:
+                result = exc.result
+            seconds = time.perf_counter() - start
+            certified += result is not None and result.converged
+            steps += result.iterations if result is not None else 0
+            most = max(most, (inner_solves[-1], label))
+            slowest = max(slowest, (seconds, label))
+    finally:
+        optimizer._x2_step = x2_step
+    return (f"{name}: {certified}/{len(inner_solves)} certified, "
+            f"{sum(inner_solves):,} inner solves, {steps:,} inner steps, "
+            f"most multipliers {most[0]} ({most[1]}), "
+            f"slowest {slowest[0]:.3f} s ({slowest[1]})")
+
+
+def counts() -> None:
+    print(count_line("corpus", corpus()))
+    for seed in (2, 3):
+        fresh = ((f"noisy-{seed}-{i}", problem, {})
+                 for i, problem in enumerate(noisy_problems(seed, 200)))
+        print(count_line(f"default_rng({seed})", fresh))
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--counts"]:
+        counts()
+        sys.exit(0)
     if sys.argv[1:] == ["--write-intervals"]:
         write_intervals()
         sys.exit(0)
