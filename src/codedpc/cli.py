@@ -188,8 +188,9 @@ def cmd_sweep(args: argparse.Namespace) -> str:
         prior = icmodel.build_state_prior(cfg)
         channel = icmodel.identity_observation_channel()
         payoff = icmodel.build_payoff_table(cfg)
-        fpc = expected_payoff(icmodel.fpc_distribution(cfg), payoff)
-        spc = expected_payoff(icmodel.spc_distribution(cfg), payoff)
+        fpc = expected_payoff(icmodel.partner_full_power(prior, 1), payoff)
+        spc_x1 = icmodel.spc_best_x1(payoff)
+        spc = expected_payoff(icmodel.partner_full_power(prior, spc_x1), payoff)
         bound = costless_bound(prior, payoff)
         status = "ok"
         try:
@@ -224,7 +225,7 @@ def cmd_policies(args: argparse.Namespace) -> str:
     prior = icmodel.build_state_prior(cfg)
     payoff = icmodel.build_payoff_table(cfg)
     pairs = best_actions(payoff)
-    spc_x1 = icmodel.spc_best_x1(cfg)
+    spc_x1 = icmodel.spc_best_x1(payoff)
     levels = cfg.power_levels
     rows = ["state,g11,g12,g21,g22,prob,best_x1,best_x2,best_payoff,spc_x1"]
     for s, gains in enumerate(icmodel.gain_states(cfg)):
@@ -255,9 +256,9 @@ def cmd_simulate(args: argparse.Namespace) -> str:
     channel = icmodel.identity_observation_channel()
     payoff = icmodel.build_payoff_table(cfg)
     if settings["target"] == "fpc":
-        target = icmodel.fpc_distribution(cfg)
+        target = icmodel.partner_full_power(prior, 1)
     elif settings["target"] == "spc":
-        target = icmodel.spc_distribution(cfg)
+        target = icmodel.partner_full_power(prior, icmodel.spc_best_x1(payoff))
     else:
         target = _solve_target(prior, channel, payoff, settings).qbar
     sim_cfg = CodingConfig(

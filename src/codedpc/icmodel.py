@@ -147,26 +147,28 @@ def identity_observation_channel() -> ObservationChannel:
     return ObservationChannel.identity(2)
 
 
-def fpc_distribution(cfg: ICConfig) -> JointDistribution:
-    """Both transmitters at full power in every state."""
-    prior = build_state_prior(cfg)
+def partner_full_power(prior: StatePrior, x1) -> JointDistribution:
+    """Transmitter 2 at full power and transmitter 1 at action index ``x1``
+    (one index, or one per state) in every state."""
     qbar = np.zeros((N_STATES, 2, 2))
-    qbar[:, 1, 1] = prior.probs
+    qbar[np.arange(N_STATES), x1, 1] = prior.probs
     return JointDistribution(qbar, ("x0", "x1", "x2"))
 
 
-def spc_best_x1(cfg: ICConfig) -> np.ndarray:
+def fpc_distribution(cfg: ICConfig) -> JointDistribution:
+    """Both transmitters at full power in every state."""
+    return partner_full_power(build_state_prior(cfg), 1)
+
+
+def spc_best_x1(payoff: PayoffTable) -> np.ndarray:
     """Transmitter 1's per-state best response to full power, as action indices.
 
     Ties go to full power, which keeps runs reproducible.
     """
-    w = build_payoff_table(cfg).values
+    w = payoff.values
     return np.where(w[:, 1, 1] >= w[:, 0, 1], 1, 0)
 
 
 def spc_distribution(cfg: ICConfig) -> JointDistribution:
     """Transmitter 2 at full power, transmitter 1 best-responding per state."""
-    prior = build_state_prior(cfg)
-    qbar = np.zeros((N_STATES, 2, 2))
-    qbar[np.arange(N_STATES), spc_best_x1(cfg), 1] = prior.probs
-    return JointDistribution(qbar, ("x0", "x1", "x2"))
+    return partner_full_power(build_state_prior(cfg), spc_best_x1(build_payoff_table(cfg)))

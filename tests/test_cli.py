@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from codedpc import optimizer
+from codedpc import icmodel, optimizer
 from codedpc.cli import (
     MAX_SNR_POINTS, SWEEP_COLUMNS, UsageError, _snr_grid, main, read_config,
 )
@@ -107,6 +107,21 @@ class TestSweep:
         assert row["status"] == "no_certificate"
         spc, ocpc, cb = (float(row[k]) for k in ("spc", "ocpc", "costless"))
         assert spc < ocpc < cb
+
+    def test_each_point_builds_its_model_once(self, capsys, monkeypatch):
+        # fpc and spc are read off the point's own prior and payoff table
+        calls = {"build_state_prior": 0, "build_payoff_table": 0}
+        for name in calls:
+            build = getattr(icmodel, name)
+
+            def counted(cfg, name=name, build=build):
+                calls[name] += 1
+                return build(cfg)
+
+            monkeypatch.setattr(icmodel, name, counted)
+        code, _, _ = run_cli(capsys, "sweep", "--snr-start", "3", "--snr-stop", "5")
+        assert code == 0
+        assert calls == {"build_state_prior": 3, "build_payoff_table": 3}
 
     def test_deterministic_output(self, capsys):
         args = ("sweep", "--regime", "lir", "--snr-start", "3", "--snr-stop", "5")
