@@ -19,10 +19,11 @@ noisy one), and the x2 distribution a log-optimal portfolio problem, solved
 by Newton steps on its support with Cover's multiplicative update as the
 fallback.  The dual bound there is Cover's bound plus the most a cell's
 bound exceeds its value.  The maximizer's excess gap is decreasing in the
-multiplier, so after doubling to a feasible one the search takes
+multiplier, so the search starts at the payoff the per-state argmax gains
+per bit of its excess, doubles to a feasible multiplier and then takes
 false-position steps on a bracket, with midpoint steps whenever a step does
-not halve it; when the constraint is inactive the per-state payoff
-argmax is returned directly.  The returned point is the best feasible one
+not halve it; when the constraint is inactive the argmax is returned
+directly.  The returned point is the best feasible one
 among the inner maximizers, always feasible candidates (uniform; constant
 partner with best response) and blends across the constraint boundary; the
 dual bound is the least one over the multipliers tried.  The step budgets
@@ -247,10 +248,17 @@ def _newton_direction(k, rhs, on, reg):
     return np.linalg.solve(kkt, b)[..., :n, 0]
 
 
-def _blocked_step(p, d):
-    """p + t d, normalized, with the largest t <= 1 that keeps every
+def _newton_step(p, k, rhs, on, reg):
+    """p + t d, normalized, for the Newton direction d on the support ``on``
+    (``_newton_direction``), with the largest t <= 1 that keeps every
     coordinate of p at or above 1e-10 nonnegative; the ones below do not
-    shorten the step, they clip to ``_R_FLOOR``."""
+    shorten the step, they clip to ``_R_FLOOR``.  Such an input that d would
+    take below 0 leaves the support, and d is solved once more without it:
+    kept, it would overshoot the step past the optimum every time."""
+    d = _newton_direction(k, rhs, on, reg)
+    drop = (d < 0.0) & (p <= 1e-10)
+    if drop.any():
+        d = _newton_direction(k, rhs, on & ~drop, reg)
     t = np.where(p >= 1e-10, p / np.maximum(-d, p), 1.0).min(axis=-1, keepdims=True)
     cand = np.maximum(p + t * d, _R_FLOOR)
     return cand / cand.sum(axis=-1, keepdims=True)
@@ -268,8 +276,8 @@ def _cell_step(p, kernel, w, lam, max_iter, target):
     maximum (Blahut).  Each step tries per cell the Blahut-Arimoto candidate
     p * 2^(power * (s - up) / lam), whose exponent grows by 1.3 while it
     does not lower low and halves, down to 1, when it does, and a Newton
-    step on the support, the inputs with p(b) > 1e-10 or s(b) >= low; the
-    cell keeps whichever raises low more.  It stops when up - low is within
+    step (``_newton_step``) on the support, the inputs with p(b) > 1e-10 or
+    s(b) >= low; the cell keeps whichever raises low more.  It stops when up - low is within
     ``target`` (or rounding, ``_FLAT``) in every cell, or after ``max_iter``.
 
     Returns the cells as an (n0, n1, n2) array, their ``low`` and ``up`` as
@@ -301,8 +309,7 @@ def _cell_step(p, kernel, w, lam, max_iter, target):
         on = (p > 1e-10) | (s >= low[:, None])
         k = (gamma / np.maximum(out, 1e-300)[:, None, :]) @ gamma.T
         rhs = (s - up[:, None]) * (_LN2 / lam)
-        d = _newton_direction(k, rhs, on, 1e-12 * np.einsum("cbb->cb", k))
-        return _blocked_step(p, d)
+        return _newton_step(p, k, rhs, on, 1e-12 * np.einsum("cbb->cb", k))
 
     s, low, up, out = score(p)
     power = np.ones(len(p))
@@ -364,14 +371,7 @@ def _x2_step(r, rho, kernel, cap, cell, lam, offset, max_iter, cover_target):
         u = tilt / z[:, None]
         k = (u.T * rho) @ u
         on = (r > 1e-10) | (grad >= 1.0)
-        reg = 1e-12 * k.max()
-        d = _newton_direction(k, grad - top, on, reg)
-        # an action revived from below 1e-10 that the step would take below
-        # 0 leaves the support, and the step is solved again without it
-        drop = (d < 0.0) & (r <= 1e-10)
-        if drop.any():
-            d = _newton_direction(k, grad - top, on & ~drop, reg)
-        return _blocked_step(r, d)
+        return _newton_step(r, k, grad - top, on, 1e-12 * k.max())
 
     z = tilt @ r
     value = float(rho @ np.log2(z))
@@ -438,8 +438,9 @@ def solve(
 
     Returns an ``OptimizationResult`` whose payoff is within
     ``options.tol_payoff`` of the optimum, certified by the dual bound.  The
-    multiplier search doubles the multiplier from 1 until the inner
-    maximizer is feasible, then narrows the bracket between the last
+    multiplier search starts at the chord slope (argmax payoff - best
+    candidate payoff) / argmax excess, doubles the multiplier until the
+    inner maximizer is feasible, then narrows the bracket between the last
     infeasible multiplier (or 0) and the feasible one, and at every step
     blends the maximizers at its two ends onto the constraint boundary.
     Raises ``ConvergenceError`` (carrying the best feasible iterate) if the
@@ -518,10 +519,14 @@ def solve(
     def blend(inside, inside_excess, outside, outside_excess) -> None:
         """Offer the mix of an inside and an outside point that the linear
         interpolation of their excesses puts on the boundary, halving the
-        outside weight until the mix is feasible."""
+        outside weight until the mix is feasible.  The inside point pays at
+        most ``best_pay``, so no mix can win when the first one pays no more
+        than that: halving moves the payoff toward the inside point's."""
         if outside is None or inside_excess >= 0.0:
             return
         t = -inside_excess / (outside_excess - inside_excess)
+        if (1.0 - t) * float((inside * w).sum()) + t * float((outside * w).sum()) <= best_pay:
+            return
         for _ in range(8):
             mix = (1.0 - t) * inside + t * outside
             if consider(mix) <= FEASIBILITY_TOL:
@@ -565,9 +570,18 @@ def solve(
 
     # The bracket [lam_lo, lam_hi] holds an infeasible maximizer at its left
     # end (at lam_lo = 0, the per-state argmax) and a feasible one at its
-    # right; each end is (maximizer, excess).
-    lam_hi = 1.0
-    lo, hi = (vertex, vertex_gap + offset), maximize_at(lam_hi)
+    # right; each end is (maximizer, excess).  The search starts at the
+    # chord slope (argmax payoff - best candidate's payoff) / argmax excess,
+    # the payoff the argmax gains per bit of excess, and not at 1: the
+    # optimal payoff is concave in the excess allowed, so the optimal
+    # multiplier, its slope at 0, is at least its mean slope up to the
+    # argmax's excess, which this chord bounds from above with the candidate
+    # in place of the optimum.  No candidate, or a slope that is not finite
+    # and positive, starts at 1.  Doubling goes on from there up to the cap.
+    lam_lo, lo = 0.0, (vertex, vertex_gap + offset)
+    lam_hi = (dual_bound - best_pay) / lo[1]
+    lam_hi = min(lam_hi, _MAX_MULTIPLIER) if 0.0 < lam_hi < math.inf else 1.0
+    hi = maximize_at(lam_hi)
     while hi[1] > FEASIBILITY_TOL:
         if lam_hi >= _MAX_MULTIPLIER:
             # No multiplier makes the inner maximizer feasible (degenerate
@@ -579,10 +593,10 @@ def solve(
                 )
             return finish(best_q, best_gap, lam_hi, dual_bound, total_iters,
                           f"at the multiplier cap 2**{math.log2(_MAX_MULTIPLIER):g}")
-        lam_hi *= 2.0
-        lo, hi = hi, maximize_at(lam_hi)
+        lam_lo, lo = lam_hi, hi
+        lam_hi = min(2.0 * lam_hi, _MAX_MULTIPLIER)
+        hi = maximize_at(lam_hi)
 
-    lam_lo = 0.0 if lam_hi == 1.0 else lam_hi / 2.0
     halved = True
     stop = f"after {_OUTER_STEPS} multiplier steps"
     for step in range(_OUTER_STEPS):
