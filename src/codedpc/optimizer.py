@@ -23,12 +23,12 @@ multiplier, so the search starts at the payoff the per-state argmax gains
 per bit of its excess, doubles to a feasible multiplier and then takes
 false-position steps on a bracket, with midpoint steps whenever a step does
 not halve it; when the constraint is inactive the argmax is returned
-directly.  The returned point is the best feasible one
-among the inner maximizers, always feasible candidates (uniform; constant
-partner with best response) and blends across the constraint boundary; the
-dual bound is the least one over the multipliers tried.  The step budgets
-of the inner solves and of the multiplier search are fixed; the only option
-is the certified tolerance.
+directly.  The returned point is the best feasible one among the inner
+maximizers, always feasible candidates (uniform; constant partner with best
+response) and blends across the constraint boundary; the dual bound is the
+least one over the multipliers tried.  The step budgets of the inner solves
+and of the multiplier search are fixed; the only option is the certified
+tolerance.
 """
 
 from __future__ import annotations
@@ -252,9 +252,9 @@ def _newton_step(p, k, rhs, on, reg):
     """p + t d, normalized, for the Newton direction d on the support ``on``
     (``_newton_direction``), with the largest t <= 1 that keeps every
     coordinate of p at or above 1e-10 nonnegative; the ones below do not
-    shorten the step, they clip to ``_R_FLOOR``.  Such an input that d would
-    take below 0 leaves the support, and d is solved once more without it:
-    kept, it would overshoot the step past the optimum every time."""
+    shorten the step, they clip to ``_R_FLOOR``.  An input below 1e-10 that
+    d would take below 0 leaves the support, and d is solved once more
+    without it: kept, it can overshoot every step past the optimum."""
     d = _newton_direction(k, rhs, on, reg)
     drop = (d < 0.0) & (p <= 1e-10)
     if drop.any():
@@ -277,8 +277,9 @@ def _cell_step(p, kernel, w, lam, max_iter, target):
     p * 2^(power * (s - up) / lam), whose exponent grows by 1.3 while it
     does not lower low and halves, down to 1, when it does, and a Newton
     step (``_newton_step``) on the support, the inputs with p(b) > 1e-10 or
-    s(b) >= low; the cell keeps whichever raises low more.  It stops when up - low is within
-    ``target`` (or rounding, ``_FLAT``) in every cell, or after ``max_iter``.
+    s(b) >= low; the cell keeps whichever raises low more.  It stops when
+    up - low is within ``target`` (or rounding, ``_FLAT``) in every cell, or
+    after ``max_iter``.
 
     Returns the cells as an (n0, n1, n2) array, their ``low`` and ``up`` as
     (n0, n2) arrays, the step count and the next warm start.
