@@ -573,12 +573,12 @@ def solve(
     # end (at lam_lo = 0, the per-state argmax) and a feasible one at its
     # right; each end is (maximizer, excess).  The search starts at the
     # chord slope (argmax payoff - best candidate's payoff) / argmax excess,
-    # the payoff the argmax gains per bit of excess, and not at 1: the
-    # optimal payoff is concave in the excess allowed, so the optimal
-    # multiplier, its slope at 0, is at least its mean slope up to the
-    # argmax's excess, which this chord bounds from above with the candidate
-    # in place of the optimum.  No candidate, or a slope that is not finite
-    # and positive, starts at 1.  Doubling goes on from there up to the cap.
+    # the payoff the argmax gains per bit of excess: the optimal payoff is
+    # concave in the excess allowed, so the optimal multiplier, its slope at
+    # 0, is at least its mean slope up to the argmax's excess, which this
+    # chord bounds from above with the candidate in place of the optimum.
+    # No candidate, or a slope that is not finite and positive, starts at 1.
+    # Doubling goes on from there up to the cap.
     lam_lo, lo = 0.0, (vertex, vertex_gap + offset)
     lam_hi = (dual_bound - best_pay) / lo[1]
     lam_hi = min(lam_hi, _MAX_MULTIPLIER) if 0.0 < lam_hi < math.inf else 1.0

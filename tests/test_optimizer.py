@@ -300,9 +300,8 @@ class TestClosedForm:
 
     def test_cover_budget_raises_with_feasible_result(self, monkeypatch):
         # one x2 step per multiplier leaves the dual bound 2.2e-3 above the
-        # payoff at LIR 3 dB with the log payoff (at LIR 0 dB, linear payoff,
-        # it certifies once the search starts at the chord slope); the
-        # default budget certifies
+        # payoff at LIR 3 dB with the log payoff; the default budget
+        # certifies
         prior, channel, payoff = test_solver_bits.ic_problem("lir", "log", 3.0)
         assert solve(prior, channel, payoff).converged
         monkeypatch.setattr(optimizer, "_MAX_INNER_STEPS", 1)
