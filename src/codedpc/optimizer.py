@@ -519,20 +519,15 @@ def solve(
 
     def blend(inside, inside_excess, outside, outside_excess) -> None:
         """Offer the mix of an inside and an outside point that the linear
-        interpolation of their excesses puts on the boundary, halving the
-        outside weight until the mix is feasible.  The inside point pays at
-        most ``best_pay``, so no mix can win when the first one pays no more
-        than that: halving moves the payoff toward the inside point's."""
+        interpolation of their excesses puts on the boundary.  The gap is
+        convex, so the mix is feasible up to rounding, which
+        ``FEASIBILITY_TOL`` absorbs.  The inside point pays at most
+        ``best_pay``, so the mix is skipped when it pays no more than that."""
         if outside is None or inside_excess >= 0.0:
             return
         t = -inside_excess / (outside_excess - inside_excess)
-        if (1.0 - t) * float((inside * w).sum()) + t * float((outside * w).sum()) <= best_pay:
-            return
-        for _ in range(8):
-            mix = (1.0 - t) * inside + t * outside
-            if consider(mix) <= FEASIBILITY_TOL:
-                return
-            t *= 0.5
+        if (1.0 - t) * float((inside * w).sum()) + t * float((outside * w).sum()) > best_pay:
+            consider((1.0 - t) * inside + t * outside)
 
     consider(interior)
     for cand in _constant_partner_candidates(rho, w):

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -186,6 +186,51 @@ def test_fused_kernel_matches_oracle_bit_for_bit(inputs):
     qbar, gamma, inv_stages = inputs
     gap = _InfoKernel(gamma, inv_stages).gap(qbar)
     assert gap.hex() == InfoKernel(gamma, inv_stages).gap(qbar).hex()
+
+
+@st.composite
+def straddling_pairs(draw, identity):
+    """Two qbar arrays with the same state marginal (cells possibly zero),
+    the identity channel or a noisy one (possibly with zero entries) and
+    1/S."""
+    n0, n1, n2, ny = (draw(st.integers(1, 4)) for _ in range(4))
+    rho = draw(hnp.arrays(np.float64, n0, elements=st.floats(1e-3, 1.0)))
+    pair = []
+    for _ in range(2):
+        q = draw(hnp.arrays(np.float64, (n0, n1 * n2), elements=st.one_of(
+            st.just(0.0), st.floats(1e-6, 1.0))))
+        q[q.sum(axis=1) == 0.0, 0] = 1.0
+        q *= (rho / rho.sum() / q.sum(axis=1))[:, None]
+        pair.append(q.reshape(n0, n1, n2))
+    if identity:
+        gamma = np.eye(n1)
+    else:
+        entry = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+        gamma = draw(hnp.arrays(np.float64, (n1, ny), elements=entry))
+        gamma[gamma.sum(axis=1) == 0.0, 0] = 1.0
+        gamma /= gamma.sum(axis=1, keepdims=True)
+    return pair, gamma, 1.0 / draw(st.integers(1, 64))
+
+
+@pytest.mark.parametrize("identity", [True, False], ids=["identity", "noisy"])
+@settings(deadline=None, max_examples=200)
+@given(data=st.data(), level=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_boundary_mix_of_a_straddling_pair_is_feasible(identity, data, level):
+    # solve's blend offers the one mix that the linear interpolation of the
+    # excesses puts on the boundary, with no fallback: the gap is convex in
+    # qbar at a fixed state marginal, so that mix is feasible up to
+    # rounding, and FEASIBILITY_TOL must absorb the rounding of the kernel
+    pair, gamma, inv_stages = data.draw(straddling_pairs(identity))
+    kernel = _InfoKernel(gamma, inv_stages)
+    assume(kernel.perfect == identity)
+    (g_in, inside), (g_out, outside) = sorted(
+        ((kernel.gap(q), q) for q in pair), key=lambda gq: gq[0])
+    offset = -(g_in + level * (g_out - g_in))
+    inside_excess, outside_excess = g_in + offset, g_out + offset
+    assume(inside_excess < 0.0 < outside_excess)
+    t = -inside_excess / (outside_excess - inside_excess)
+    mix = (1.0 - t) * inside + t * outside
+    assert kernel.gap(mix) + offset <= FEASIBILITY_TOL
 
 
 def coordination_payoff():
