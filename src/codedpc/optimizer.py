@@ -248,13 +248,16 @@ def _newton_direction(k, rhs, on, reg):
     return np.linalg.solve(kkt, b)[..., :n, 0]
 
 
-def _newton_step(p, k, rhs, on, reg):
-    """p + t d, normalized, for the Newton direction d on the support ``on``
-    (``_newton_direction``), with the largest t <= 1 that keeps every
-    coordinate of p at or above 1e-10 nonnegative; the ones below do not
-    shorten the step, they clip to ``_R_FLOOR``.  An input below 1e-10 that
-    d would take below 0 leaves the support, and d is solved once more
-    without it: kept, it can overshoot every step past the optimum."""
+def _newton_step(p, k, rhs, reg):
+    """p + t d, normalized, for the Newton direction d (``_newton_direction``)
+    on the support: the inputs with p > 1e-10 or a gradient ``rhs`` at least
+    its p-mean, the inputs that could gain weight.  t is the largest step
+    <= 1 that keeps every coordinate of p at or above 1e-10 nonnegative; the
+    ones below do not shorten the step, they clip to ``_R_FLOOR``.  An input
+    below 1e-10 that d would take below 0 leaves the support, and d is
+    solved once more without it: kept, it can overshoot every step past the
+    optimum."""
+    on = (p > 1e-10) | (rhs >= (p * rhs).sum(axis=-1, keepdims=True))
     d = _newton_direction(k, rhs, on, reg)
     drop = (d < 0.0) & (p <= 1e-10)
     if drop.any():
@@ -303,14 +306,13 @@ def _cell_step(p, kernel, w, lam, max_iter, target):
         s = w + lam * (row - np.log2(np.maximum(out, 5e-324)) @ gamma.T)
         return s, (p * s).sum(axis=-1), s.max(axis=-1), out
 
-    def newton(p, s, low, up, out):
+    def newton(p, s, up, out):
         # The cell's Hessian is -lam / ln 2 times K = channel diag(1 / out)
         # channel^T, singular where channel rows coincide: its diagonal is
         # raised by one part in 1e12, and the inputs off the support are fixed.
-        on = (p > 1e-10) | (s >= low[:, None])
         k = (gamma / np.maximum(out, 1e-300)[:, None, :]) @ gamma.T
         rhs = (s - up[:, None]) * (_LN2 / lam)
-        return _newton_step(p, k, rhs, on, 1e-12 * np.einsum("cbb->cb", k))
+        return _newton_step(p, k, rhs, 1e-12 * np.einsum("cbb->cb", k))
 
     s, low, up, out = score(p)
     power = np.ones(len(p))
@@ -319,7 +321,7 @@ def _cell_step(p, kernel, w, lam, max_iter, target):
         iters += 1
         ba = np.maximum(p * np.exp2(power[:, None] * (s - up[:, None]) / lam), _R_FLOOR)
         ba /= ba.sum(axis=1, keepdims=True)
-        cand = np.stack([p, ba, newton(p, s, low, up, out)])
+        cand = np.stack([p, ba, newton(p, s, up, out)])
         s, low, up, out = score(cand)
         # at power 1 the candidate is Blahut-Arimoto's, which never lowers
         # low: a loss there is rounding
@@ -371,8 +373,7 @@ def _x2_step(r, rho, kernel, cap, cell, lam, offset, max_iter, cover_target):
             return r
         u = tilt / z[:, None]
         k = (u.T * rho) @ u
-        on = (r > 1e-10) | (grad >= 1.0)
-        return _newton_step(r, k, grad - top, on, 1e-12 * k.max())
+        return _newton_step(r, k, grad - top, 1e-12 * k.max())
 
     z = tilt @ r
     value = float(rho @ np.log2(z))
