@@ -61,7 +61,6 @@ CONFIG_SCHEMA: dict[str, tuple] = {
     "snr": (float, 10.0),
     "gmin": (float, 0.1),
     "gmax": (float, 1.9),
-    "sigma2": (float, 1.0),
     "p11": (float, None),
     "p12": (float, None),
     "p21": (float, None),
@@ -136,7 +135,6 @@ def _ic_config(settings: dict, snr_db: float) -> icmodel.ICConfig:
             p_gmin=tuple(probs),
             g_min=settings["gmin"],
             g_max=settings["gmax"],
-            sigma2=settings["sigma2"],
             payoff_form=settings["payoff"],
         )
     except ValueError as exc:

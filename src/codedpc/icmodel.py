@@ -46,7 +46,8 @@ class ICConfig:
     """Interference-channel experiment parameters.
 
     ``p_gmin`` holds (p11, p12, p21, p22), the probabilities that each gain
-    sits at ``g_min``.  Full power is ``sigma2 * 10**(snr_db / 10)``.
+    sits at ``g_min``.  Full power is ``10**(snr_db / 10)``, the SNR over a
+    unit noise power; a noise power would cancel from every SINR.
     ``payoff_form`` selects the per-receiver utility: "log" for
     log2(1 + SINR), "linear" for the raw SINR.
     """
@@ -55,7 +56,6 @@ class ICConfig:
     p_gmin: tuple[float, float, float, float]
     g_min: float = 0.1
     g_max: float = 1.9
-    sigma2: float = 1.0
     payoff_form: Literal["log", "linear"] = "log"
 
     def __post_init__(self):
@@ -69,22 +69,20 @@ class ICConfig:
             raise ValueError(
                 f"need finite 0 <= g_min < g_max, got {self.g_min!r} and {self.g_max!r}"
             )
-        if not (math.isfinite(self.sigma2) and self.sigma2 > 0.0):
-            raise ValueError(f"sigma2 must be finite and positive, got {self.sigma2!r}")
         if self.payoff_form not in ("log", "linear"):
             raise ValueError(f"payoff_form must be 'log' or 'linear', got {self.payoff_form!r}")
-        # Every SINR is at most peak / sigma2 with a denominator of at most
-        # sigma2 + peak, and the linear payoff adds two SINRs.
+        # Every SINR is at most peak with a denominator of at most 1 + peak,
+        # and the linear payoff adds two SINRs.
         try:
             peak = self.g_max * self.p_max
         except OverflowError:
             peak = math.inf
-        if not (math.isfinite(self.sigma2 + peak) and math.isfinite(2.0 * (peak / self.sigma2))):
+        if not math.isfinite(2.0 * peak):
             raise ValueError(f"snr_db {self.snr_db!r} overflows the received power or the SINR")
 
     @property
     def p_max(self) -> float:
-        return self.sigma2 * 10.0 ** (self.snr_db / 10.0)
+        return 10.0 ** (self.snr_db / 10.0)
 
     @property
     def power_levels(self) -> tuple[float, float]:
@@ -134,10 +132,10 @@ def build_payoff_table(cfg: ICConfig) -> PayoffTable:
     g11, g12, g21, g22 = gains.T
     x = np.array(cfg.power_levels)
     sinr1 = g11[:, None, None] * x[None, :, None] / (
-        cfg.sigma2 + g21[:, None, None] * x[None, None, :]
+        1.0 + g21[:, None, None] * x[None, None, :]
     )
     sinr2 = g22[:, None, None] * x[None, None, :] / (
-        cfg.sigma2 + g12[:, None, None] * x[None, :, None]
+        1.0 + g12[:, None, None] * x[None, :, None]
     )
     return PayoffTable(_utility(cfg, sinr1) + _utility(cfg, sinr2))
 

@@ -76,14 +76,14 @@ class InfoKernel:
 def sinr(cfg, state, power_tx1: float, power_tx2: float, receiver: int) -> float:
     """SINR at one receiver of the interference channel, for scalar powers.
 
-    Own gain times own power over noise plus the cross gain times the
-    interferer's power; ``cfg`` is an ``ICConfig`` and ``state`` a
+    Own gain times own power over unit noise plus the cross gain times
+    the interferer's power; ``cfg`` is an ``ICConfig`` and ``state`` a
     ``ChannelGainState``.
     """
     if receiver == 1:
-        return state.g11 * power_tx1 / (cfg.sigma2 + state.g21 * power_tx2)
+        return state.g11 * power_tx1 / (1.0 + state.g21 * power_tx2)
     if receiver == 2:
-        return state.g22 * power_tx2 / (cfg.sigma2 + state.g12 * power_tx1)
+        return state.g22 * power_tx2 / (1.0 + state.g12 * power_tx1)
     raise ValueError(f"receiver must be 1 or 2, got {receiver!r}")
 
 

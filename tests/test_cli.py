@@ -267,8 +267,6 @@ def test_nonfinite_snr_is_usage_error(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("policies", "--sigma2", "nan"),
-        ("policies", "--sigma2", "inf"),
         ("policies", "--gmax", "inf"),
         ("policies", "--gmin", "-1"),
         ("policies", "--snr", "4000"),
