@@ -40,8 +40,10 @@ with status 1 if there is one.
 prints, for the corpus and for the fresh noisy corpora ``default_rng(2)``
 and ``default_rng(3)`` (200 problems each): the certified solves, the inner
 solves (multipliers tried, counted by wrapping ``optimizer._x2_step``), the
-inner steps, the solve that tried the most multipliers and the slowest
-solve in process.
+inner steps, the solve that tried the most multipliers, the longest search
+after the first feasible multiplier (the inner solves after the first one
+whose returned gap plus ``min_slack`` is feasible) and the slowest solve in
+process.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ import sys
 import time
 from pathlib import Path
 
-from codedpc import ConvergenceError, optimizer, solve
+from codedpc import FEASIBILITY_TOL, ConvergenceError, optimizer, solve
 from test_solver_bits import (
     INTERVALS,
     bits,
@@ -129,18 +131,23 @@ def check() -> int:
 
 def count_line(name: str, problems) -> str:
     """One ``--counts`` line over (label, problem, kwargs) triples."""
-    x2_step, inner_solves = optimizer._x2_step, []
+    x2_step, inner_solves, first_feasible = optimizer._x2_step, [], []
 
     def counted(*args):
+        out = x2_step(*args)
         inner_solves[-1] += 1
-        return x2_step(*args)
+        # out[1] is the maximizer's gap and args[6] the offset, min_slack
+        if first_feasible[-1] is None and out[1] + args[6] <= FEASIBILITY_TOL:
+            first_feasible[-1] = inner_solves[-1]
+        return out
 
     certified = steps = 0
-    most, slowest = (0, ""), (0.0, "")
+    most, longest, slowest = (0, ""), (0, ""), (0.0, "")
     optimizer._x2_step = counted
     try:
         for label, problem, kwargs in problems:
             inner_solves.append(0)
+            first_feasible.append(None)
             start = time.perf_counter()
             try:
                 result = solve(*problem, **kwargs)
@@ -150,12 +157,15 @@ def count_line(name: str, problems) -> str:
             certified += result is not None and result.converged
             steps += result.iterations if result is not None else 0
             most = max(most, (inner_solves[-1], label))
+            if first_feasible[-1] is not None:
+                longest = max(longest, (inner_solves[-1] - first_feasible[-1], label))
             slowest = max(slowest, (seconds, label))
     finally:
         optimizer._x2_step = x2_step
     return (f"{name}: {certified}/{len(inner_solves)} certified, "
             f"{sum(inner_solves):,} inner solves, {steps:,} inner steps, "
             f"most multipliers {most[0]} ({most[1]}), "
+            f"longest search {longest[0]} ({longest[1]}), "
             f"slowest {slowest[0]:.3f} s ({slowest[1]})")
 
 
