@@ -21,8 +21,8 @@ fallback.  The dual bound there is Cover's bound plus the most a cell's
 bound exceeds its value.  The maximizer's excess gap is decreasing in the
 multiplier, so the search starts at the payoff the per-state argmax gains
 per bit of its excess, doubles to a feasible multiplier and then takes
-false-position steps on a bracket, with midpoint steps whenever a step does
-not halve it; when the constraint is inactive the argmax is returned
+false-position steps on a bracket, each kept a quarter of the bracket off
+either end; when the constraint is inactive the argmax is returned
 directly.  The returned point is the best feasible one among the inner
 maximizers, always feasible candidates (uniform; constant partner with best
 response) and blends across the constraint boundary; the dual bound is the
@@ -55,12 +55,11 @@ _MAX_MULTIPLIER = 2.0**40
 _MAX_INNER_STEPS = 50_000
 _OUTER_STEPS = 60
 # A false-position step keeps its multiplier this share of the bracket off
-# either end, and a step that does not halve the bracket is followed by a
-# midpoint step.  An interpolated step thus cuts at least a quarter of the
-# bracket, two steps leave at most 3/8 of it (bisection 1/4: at most 1.41
-# times bisection's steps), and a root within a quarter of one end puts the
-# next point beyond it, so both ends move instead of one end creeping up on
-# the root as in plain false position.
+# either end.  Each step thus cuts at least a quarter of the bracket and
+# leaves at most 3/4 of it (bisection 1/2: at most 2.41 times bisection's
+# steps), and a root within a quarter of one end puts the next point beyond
+# it, so both ends move instead of one end creeping up on the root as in
+# plain false position.
 _OFF_END = 0.25
 # Cover's iterates r are floored here: a state's best partner action keeps
 # r >= _R_FLOOR, so its normalizer z >= _R_FLOOR and rho / z stays finite.
@@ -276,13 +275,14 @@ def _cell_step(p, kernel, w, lam, max_iter, target):
     On a noisy channel all cells are solved as (cells, n1) arrays from the
     warm start ``p``.  With s(b) = w(b) + lam * D(channel_b || p channel),
     the value at p is low = sum_b p(b) s(b), and up = max_b s(b) bounds the
-    maximum (Blahut).  Each step tries per cell the Blahut-Arimoto candidate
-    p * 2^(power * (s - up) / lam), whose exponent grows by 1.3 while it
-    does not lower low and halves, down to 1, when it does, and a Newton
-    step (``_newton_step``) on the support, the inputs with p(b) > 1e-10 or
-    s(b) >= low; the cell keeps whichever raises low more.  It stops when
-    up - low is within ``target`` (or rounding, ``_FLAT``) in every cell, or
-    after ``max_iter``.
+    maximum (Blahut) at every p.  Each step forms per cell two candidates,
+    the Blahut-Arimoto one p * 2^(power * (s - up) / lam), whose exponent
+    grows by 1.3 while that candidate does not lower the previous low and
+    halves, down to 1, when it does, and a Newton step (``_newton_step``);
+    the cell moves to whichever has the larger low.  low need not rise at
+    every step: the certificate rests on up alone.  It stops when up - low
+    is within ``target`` (or rounding, ``_FLAT``) in every cell, or after
+    ``max_iter``.
 
     Returns the cells as an (n0, n1, n2) array, their ``low`` and ``up`` as
     (n0, n2) arrays, the step count and the next warm start.
@@ -321,14 +321,11 @@ def _cell_step(p, kernel, w, lam, max_iter, target):
         iters += 1
         ba = np.maximum(p * np.exp2(power[:, None] * (s - up[:, None]) / lam), _R_FLOOR)
         ba /= ba.sum(axis=1, keepdims=True)
-        cand = np.stack([p, ba, newton(p, s, up, out)])
-        s, low, up, out = score(cand)
-        # at power 1 the candidate is Blahut-Arimoto's, which never lowers
-        # low: a loss there is rounding
-        ba_ok = (low[1] >= low[0]) | (power == 1.0)
-        power = np.where(ba_ok, np.minimum(power * 1.3, 1e8), np.maximum(0.5 * power, 1.0))
-        pick = np.where(low[2] > np.where(ba_ok, low[1], low[0]), 2, ba_ok.astype(int))
-        p, s, low, up, out = (v[pick, cells] for v in (cand, s, low, up, out))
+        cand = np.stack([ba, newton(p, s, up, out)])
+        s, lows, up, out = score(cand)
+        power = np.where(lows[0] >= low, np.minimum(power * 1.3, 1e8), np.maximum(0.5 * power, 1.0))
+        pick = (lows[1] > lows[0]).astype(int)
+        p, s, low, up, out = (v[pick, cells] for v in (cand, s, lows, up, out))
     cell = p.reshape(n0, n2, n1).transpose(0, 2, 1)
     return cell, low.reshape(n0, n2), up.reshape(n0, n2), iters, p
 
@@ -594,7 +591,6 @@ def solve(
         lam_hi = min(2.0 * lam_hi, _MAX_MULTIPLIER)
         hi = maximize_at(lam_hi)
 
-    halved = True
     stop = f"after {_OUTER_STEPS} multiplier steps"
     for step in range(_OUTER_STEPS):
         blend(best_q, best_gap + offset, outside_q, outside_excess)
@@ -605,16 +601,12 @@ def solve(
         blend(*hi, *lo)
         if dual_bound - best_pay <= opts.tol_payoff:
             break
-        width = lam_hi - lam_lo
-        if halved:
-            # False position: the excess is decreasing in the multiplier
-            # (minus the slope of the convex dual), so the multiplier where
-            # the line through the ends' excesses crosses zero is a guess at
-            # the optimal one.
-            frac = lo[1] / (lo[1] - hi[1])
-            lam = lam_lo + width * min(max(frac, _OFF_END), 1.0 - _OFF_END)
-        else:
-            lam = 0.5 * (lam_lo + lam_hi)
+        # False position: the excess is decreasing in the multiplier (minus
+        # the slope of the convex dual), so the multiplier where the line
+        # through the ends' excesses crosses zero is a guess at the optimal
+        # one.
+        frac = lo[1] / (lo[1] - hi[1])
+        lam = lam_lo + (lam_hi - lam_lo) * min(max(frac, _OFF_END), 1.0 - _OFF_END)
         if lam in (lam_lo, lam_hi):
             stop = f"at a collapsed multiplier bracket after {step} steps"
             break
@@ -623,5 +615,4 @@ def solve(
             lam_hi, hi = lam, end
         else:
             lam_lo, lo = lam, end
-        halved = lam_hi - lam_lo <= 0.5 * width
     return finish(best_q, best_gap, lam_hi, dual_bound, total_iters, stop)

@@ -619,10 +619,10 @@ class TestSolve:
 
     def test_collapsed_bracket_message_counts_its_steps(self):
         # noisy corpus problem 14 collapses its bracket; at this tolerance
-        # the blend there does not certify, 10 steps short of the budget
+        # the blend there does not certify, 4 steps short of the budget
         problem = list(test_solver_bits.noisy_problems(1, 15))[14]
         with pytest.raises(ConvergenceError, match="no certificate at a collapsed "
-                           "multiplier bracket after 50 steps:"):
+                           "multiplier bracket after 56 steps:"):
             solve(*problem, options=SolverOptions(tol_payoff=1e-15))
 
     def test_uniform_candidate_is_the_cap_exit_feasible_point(self):
