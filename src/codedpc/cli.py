@@ -117,8 +117,6 @@ def _settings(args: argparse.Namespace) -> dict:
             merged[key] = flag
     if merged["regime"] not in icmodel.REGIME_PROBS:
         raise UsageError(f"regime must be one of {sorted(icmodel.REGIME_PROBS)}, got {merged['regime']!r}")
-    if merged["payoff"] not in ("log", "linear"):
-        raise UsageError(f"payoff must be 'log' or 'linear', got {merged['payoff']!r}")
     if merged["target"] not in ("solver", "spc", "fpc"):
         raise UsageError(f"target must be solver, spc or fpc, got {merged['target']!r}")
     return merged

@@ -21,12 +21,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .probability import (
+    CANONICAL_AXES,
     DistributionError,
     AlphabetError,
     JointDistribution,
     ObservationChannel,
     StatePrior,
     _is_integer,
+    _require_axes,
     compose,
     conditional_mutual_information,
 )
@@ -34,13 +36,6 @@ from .probability import (
 #: Boundary tolerance (bits) for feasibility decisions.  Optimizer
 #: iterates approach the boundary from inside, so exact zero is too strict.
 FEASIBILITY_TOL = 1e-9
-
-
-def _check_four_axes(q: JointDistribution) -> None:
-    if q.axes != ("x0", "x1", "x2", "y"):
-        raise AlphabetError(
-            f"constraint functional needs all four axes, got {q.axes}"
-        )
 
 
 def _check_stages(stages: int) -> None:
@@ -54,7 +49,7 @@ def info_constraint_gap(q: JointDistribution, stages: int = 1) -> float:
     ``q`` must span all four variables.  A value <= 0 means the behaviour is
     achievable; ``stages`` > 1 gives the relaxed block-constant-state form.
     """
-    _check_four_axes(q)
+    _require_axes(q, "the constraint functional", CANONICAL_AXES)
     _check_stages(stages)
     i_coord = conditional_mutual_information(q, "x0", "x2")
     i_channel = conditional_mutual_information(q, "x1", "y", ("x0", "x2"))
@@ -78,10 +73,7 @@ def is_implementable(
     Returns the boolean verdict together with the slack (minus the gap);
     slack >= 0 means implementable.
     """
-    if qbar.axes != ("x0", "x1", "x2"):
-        raise AlphabetError(
-            f"is_implementable expects axes ('x0', 'x1', 'x2'), got {qbar.axes}"
-        )
+    _require_axes(qbar, "is_implementable")
     if qbar.axis_size("x0") != prior.n_states:
         raise AlphabetError(
             f"qbar has {qbar.axis_size('x0')} states but prior has "

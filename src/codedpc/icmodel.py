@@ -26,6 +26,10 @@ from .probability import JointDistribution, ObservationChannel, StatePrior
 
 N_STATES = 16
 
+# Row s says which of (g11, g12, g21, g22) sit at g_max in state s: bit k of
+# s, most significant first.
+_AT_MAX = (np.arange(N_STATES)[:, None] >> np.arange(3, -1, -1)) & 1 == 1
+
 #: Probabilities that each of (g11, g12, g21, g22) takes its low value, for
 #: the low- and high-interference regimes.
 REGIME_PROBS = {
@@ -98,23 +102,14 @@ class ICConfig:
 
 def gain_states(cfg: ICConfig) -> list[ChannelGainState]:
     """The 16 gain tuples, ordered lexicographically with g_min < g_max."""
-    out = []
-    for s in range(N_STATES):
-        bits = ((s >> 3) & 1, (s >> 2) & 1, (s >> 1) & 1, s & 1)
-        out.append(
-            ChannelGainState(*(cfg.g_max if b else cfg.g_min for b in bits))
-        )
-    return out
+    gains = np.where(_AT_MAX, cfg.g_max, cfg.g_min)
+    return [ChannelGainState(*row) for row in gains.tolist()]
 
 
 def build_state_prior(cfg: ICConfig) -> StatePrior:
     """Product of the four independent two-point gain distributions."""
-    probs = np.ones(N_STATES)
-    for s in range(N_STATES):
-        bits = ((s >> 3) & 1, (s >> 2) & 1, (s >> 1) & 1, s & 1)
-        for b, p in zip(bits, cfg.p_gmin):
-            probs[s] *= (1.0 - p) if b else p
-    return StatePrior(probs)
+    p = np.array(cfg.p_gmin, dtype=float)
+    return StatePrior(np.where(_AT_MAX, 1.0 - p, p).prod(axis=1))
 
 
 def _utility(cfg: ICConfig, a: np.ndarray) -> np.ndarray:
@@ -128,8 +123,7 @@ def build_payoff_table(cfg: ICConfig) -> PayoffTable:
 
     Action index 0 is power off, index 1 is full power.
     """
-    gains = np.array(gain_states(cfg))
-    g11, g12, g21, g22 = gains.T
+    g11, g12, g21, g22 = np.where(_AT_MAX, cfg.g_max, cfg.g_min).T
     x = np.array(cfg.power_levels)
     sinr1 = g11[:, None, None] * x[None, :, None] / (
         1.0 + g21[:, None, None] * x[None, None, :]

@@ -45,6 +45,8 @@ from .probability import (
     ObservationChannel,
     StatePrior,
     _is_real,
+    _require_axes,
+    _require_inputs,
 )
 
 _LN2 = float(np.log(2.0))
@@ -143,10 +145,7 @@ class OptimizationResult:
 
 def expected_payoff(dist: JointDistribution, payoff: PayoffTable) -> float:
     """E[w] under a distribution over (x0, x1, x2)."""
-    if dist.axes != ("x0", "x1", "x2"):
-        raise AlphabetError(
-            f"expected_payoff needs axes ('x0', 'x1', 'x2'), got {dist.axes}"
-        )
+    _require_axes(dist, "expected_payoff")
     if dist.pmf.shape != payoff.shape:
         raise AlphabetError(
             f"distribution shape {dist.pmf.shape} does not match payoff "
@@ -163,15 +162,17 @@ def best_actions(payoff: PayoffTable) -> list[tuple[int, int]]:
     return [(int(i // n2), int(i % n2)) for i in idx]
 
 
+def _require_states(prior: StatePrior, payoff: PayoffTable) -> None:
+    if prior.n_states != payoff.shape[0]:
+        raise AlphabetError(f"prior has {prior.n_states} states but payoff has {payoff.shape[0]}")
+
+
 def costless_bound(prior: StatePrior, payoff: PayoffTable) -> float:
     """Upper bound on the optimum: per-state maximum payoff averaged by the prior.
 
     Attained when the informed side can reveal the coming state for free.
     """
-    if prior.n_states != payoff.shape[0]:
-        raise AlphabetError(
-            f"prior has {prior.n_states} states but payoff has {payoff.shape[0]}"
-        )
+    _require_states(prior, payoff)
     per_state = payoff.values.reshape(payoff.shape[0], -1).max(axis=1)
     return float(prior.probs @ per_state)
 
@@ -399,27 +400,6 @@ def _x2_step(r, rho, kernel, cap, cell, lam, offset, max_iter, cover_target):
     return q, kernel.gap(q), bound, iters, r
 
 
-def _per_state_argmax(rho: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Point mass on the best action pair in every state (first index on ties)."""
-    n0, n1, n2 = w.shape
-    q = np.zeros_like(w)
-    idx = w.reshape(n0, n1 * n2).argmax(axis=1)
-    q.reshape(n0, n1 * n2)[np.arange(n0), idx] = rho
-    return q
-
-
-def _constant_partner_candidates(rho: np.ndarray, w: np.ndarray):
-    """For each fixed x2, the per-state best response in x1 (always feasible
-    when the gap functional is, since a constant X2 carries no state
-    information)."""
-    n0, n1, n2 = w.shape
-    for c in range(n2):
-        q = np.zeros_like(w)
-        best = w[:, :, c].argmax(axis=1)
-        q[np.arange(n0), best, c] = rho
-        yield q
-
-
 def solve(
     prior: StatePrior,
     channel: ObservationChannel,
@@ -452,14 +432,8 @@ def solve(
         raise ValueError(f"min_slack must be finite and nonnegative, got {min_slack!r}")
     w_full = payoff.values
     n0, n1, n2 = w_full.shape
-    if prior.n_states != n0:
-        raise AlphabetError(
-            f"prior has {prior.n_states} states but payoff has {n0}"
-        )
-    if channel.n_inputs != n1:
-        raise AlphabetError(
-            f"channel has {channel.n_inputs} input rows but |X1| = {n1}"
-        )
+    _require_states(prior, payoff)
+    _require_inputs(channel, n1)
     kernel = _InfoKernel(channel.matrix, 1.0 / stages)
     offset = float(min_slack)
 
@@ -528,11 +502,19 @@ def solve(
             consider((1.0 - t) * inside + t * outside)
 
     consider(interior)
-    for cand in _constant_partner_candidates(rho, w):
+    # For each fixed x2, the per-state best response in x1: always feasible
+    # when the gap functional is, since a constant X2 carries no state
+    # information.
+    states = np.arange(len(rho))
+    for c in range(n2):
+        cand = np.zeros_like(w)
+        cand[states, w[:, :, c].argmax(axis=1), c] = rho
         consider(cand)
 
-    # Constraint inactive at multiplier zero: the unconstrained argmax wins.
-    vertex = _per_state_argmax(rho, w)
+    # Constraint inactive at multiplier zero: the per-state best pairs win.
+    x1, x2 = np.array(best_actions(payoff))[active].T
+    vertex = np.zeros_like(w)
+    vertex[states, x1, x2] = rho
     dual_bound = float((vertex * w).sum())
     vertex_gap = kernel.gap(vertex)
     if vertex_gap + offset <= FEASIBILITY_TOL:

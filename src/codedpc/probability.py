@@ -79,6 +79,34 @@ def _clean_probs(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
+def _normalized(arr: np.ndarray, what: str, rows: bool = False) -> np.ndarray:
+    """``arr`` divided by its sum, or each row by its own when ``rows``, and
+    made read-only.  A sum off 1 by ``_SUM_SLACK`` or more is rejected."""
+    if rows:
+        total = arr.sum(axis=1, keepdims=True)
+        bad = int(np.abs(total - 1.0).argmax())
+        what, worst = f"{what} {bad}", total[bad, 0]
+    else:
+        total = worst = float(arr.sum())
+    if abs(worst - 1.0) >= _SUM_SLACK:
+        raise DistributionError(f"{what} sums to {worst!r}, expected 1 within {_SUM_SLACK}")
+    arr = arr / total
+    arr.flags.writeable = False
+    return arr
+
+
+def _require_axes(dist: "JointDistribution", who: str, axes=CANONICAL_AXES[:3]) -> None:
+    """Raise ``AlphabetError`` unless ``dist`` spans ``axes``, by default
+    (x0, x1, x2)."""
+    if dist.axes != axes:
+        raise AlphabetError(f"{who} needs axes {axes}, got {dist.axes}")
+
+
+def _require_inputs(channel: "ObservationChannel", n1: int) -> None:
+    if channel.n_inputs != n1:
+        raise AlphabetError(f"channel has {channel.n_inputs} input rows but |X1| = {n1}")
+
+
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Probability mass function over a subset of the canonical axes.
@@ -111,14 +139,7 @@ class JointDistribution:
             raise AlphabetError(
                 f"array has {arr.ndim} dimensions but {len(axes)} axes were named"
             )
-        total = float(arr.sum())
-        if abs(total - 1.0) >= _SUM_SLACK:
-            raise DistributionError(
-                f"probabilities sum to {total!r}, expected 1 within {_SUM_SLACK}"
-            )
-        arr = arr / total
-        arr.flags.writeable = False
-        object.__setattr__(self, "pmf", arr)
+        object.__setattr__(self, "pmf", _normalized(arr, "probability array"))
         object.__setattr__(self, "axes", axes)
 
     def axis_size(self, axis: str) -> int:
@@ -138,16 +159,7 @@ class ObservationChannel:
         arr = _clean_probs(self.matrix, "channel matrix")
         if arr.ndim != 2:
             raise AlphabetError(f"channel matrix must be 2-D, got shape {arr.shape}")
-        rows = arr.sum(axis=1)
-        off = np.abs(rows - 1.0)
-        if off.max() >= _SUM_SLACK:
-            bad = int(off.argmax())
-            raise DistributionError(
-                f"channel row {bad} sums to {rows[bad]!r}, expected 1 within {_SUM_SLACK}"
-            )
-        arr = arr / rows[:, None]
-        arr.flags.writeable = False
-        object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "matrix", _normalized(arr, "channel row", rows=True))
 
     @property
     def n_inputs(self) -> int:
@@ -172,14 +184,7 @@ class StatePrior:
         arr = _clean_probs(self.probs, "state prior")
         if arr.ndim != 1:
             raise AlphabetError(f"state prior must be 1-D, got shape {arr.shape}")
-        total = float(arr.sum())
-        if abs(total - 1.0) >= _SUM_SLACK:
-            raise DistributionError(
-                f"state prior sums to {total!r}, expected 1 within {_SUM_SLACK}"
-            )
-        arr = arr / total
-        arr.flags.writeable = False
-        object.__setattr__(self, "probs", arr)
+        object.__setattr__(self, "probs", _normalized(arr, "state prior"))
 
     @property
     def n_states(self) -> int:
@@ -193,15 +198,8 @@ def compose(qbar: JointDistribution, channel: ObservationChannel) -> JointDistri
     q(x0, x1, x2, y) = qbar(x0, x1, x2) * P(y | x1); summing the result over
     y recovers ``qbar`` exactly.
     """
-    if qbar.axes != ("x0", "x1", "x2"):
-        raise AlphabetError(
-            f"compose expects axes ('x0', 'x1', 'x2'), got {qbar.axes}"
-        )
-    if channel.n_inputs != qbar.axis_size("x1"):
-        raise AlphabetError(
-            f"channel has {channel.n_inputs} input rows but |X1| = "
-            f"{qbar.axis_size('x1')}"
-        )
+    _require_axes(qbar, "compose")
+    _require_inputs(channel, qbar.pmf.shape[1])
     q = qbar.pmf[:, :, :, None] * channel.matrix[None, :, None, :]
     return JointDistribution(q, CANONICAL_AXES)
 

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from codedpc import JointDistribution, conditional_entropy, entropy
+from codedpc import JointDistribution, StatePrior, conditional_entropy, entropy
 from codedpc.coding import _absent_cells_typical, _chunk_rows, _typical_rows
+from codedpc.icmodel import N_STATES, ChannelGainState
 
 
 def uniform_distribution(shape: tuple[int, ...], axes) -> JointDistribution:
@@ -85,6 +86,34 @@ def sinr(cfg, state, power_tx1: float, power_tx2: float, receiver: int) -> float
     if receiver == 2:
         return state.g22 * power_tx2 / (1.0 + state.g12 * power_tx1)
     raise ValueError(f"receiver must be 1 or 2, got {receiver!r}")
+
+
+def gain_states(cfg) -> list:
+    """The interference model's 16 gain tuples, one state at a time.
+
+    Bit k of the state index, most significant first, puts gain k of
+    (g11, g12, g21, g22) at ``cfg.g_max``, and a clear bit at ``cfg.g_min``.
+    """
+    out = []
+    for s in range(N_STATES):
+        bits = ((s >> 3) & 1, (s >> 2) & 1, (s >> 1) & 1, s & 1)
+        out.append(
+            ChannelGainState(*(cfg.g_max if b else cfg.g_min for b in bits))
+        )
+    return out
+
+
+def state_prior(cfg):
+    """The interference model's state prior, one state and one gain at a
+    time: the product over the four gains of ``cfg.p_gmin[k]`` when gain k
+    sits at ``g_min`` and of 1 - ``cfg.p_gmin[k]`` when it sits at ``g_max``.
+    """
+    probs = np.ones(N_STATES)
+    for s in range(N_STATES):
+        bits = ((s >> 3) & 1, (s >> 2) & 1, (s >> 1) & 1, s & 1)
+        for b, p in zip(bits, cfg.p_gmin):
+            probs[s] *= (1.0 - p) if b else p
+    return StatePrior(probs)
 
 
 def quantize_rows(cdf_rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

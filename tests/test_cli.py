@@ -77,6 +77,14 @@ class TestConfigFile:
         assert ",10," in out or out.rstrip().endswith(",10")
 
 
+@pytest.mark.parametrize("command", ["sweep", "policies", "simulate"])
+def test_bad_payoff_form_is_usage_error(capsys, command):
+    code, out, err = run_cli(capsys, command, "--payoff", "cubic")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+    assert "payoff_form must be 'log' or 'linear'" in err
+
+
 class TestSweep:
     def test_single_point_ordering(self, capsys):
         code, out, _ = run_cli(

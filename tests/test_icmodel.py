@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from codedpc import costless_bound, expected_payoff, is_implementable
@@ -18,6 +18,7 @@ from codedpc.icmodel import (
     identity_observation_channel,
     spc_distribution,
 )
+import oracles
 from oracles import sinr
 
 
@@ -110,6 +111,23 @@ class TestStatePrior:
             if state.g12 != cfg.g_min:
                 assert prior.probs[s] == 0.0
         assert prior.probs.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+@settings(deadline=None)
+@given(
+    p_gmin=st.tuples(*[st.floats(0.0, 1.0)] * 4),
+    g_min=st.floats(0.0, 10.0),
+    g_max=st.floats(0.0, 1e6),
+)
+def test_state_table_matches_per_state_loop(p_gmin, g_min, g_max):
+    # the presets' goldens cover two priors; any p_gmin and gains must give
+    # the per-state loop's bytes
+    assume(g_min < g_max)
+    cfg = ICConfig(snr_db=10.0, p_gmin=p_gmin, g_min=g_min, g_max=g_max)
+    assert build_state_prior(cfg).probs.tobytes() == oracles.state_prior(cfg).probs.tobytes()
+    states, reference = gain_states(cfg), oracles.gain_states(cfg)
+    assert states == reference
+    assert np.array(states).tobytes() == np.array(reference).tobytes()
 
 
 class TestSinr:
