@@ -85,7 +85,7 @@ def _normalized(arr: np.ndarray, what: str, rows: bool = False) -> np.ndarray:
     if rows:
         total = arr.sum(axis=1, keepdims=True)
         bad = int(np.abs(total - 1.0).argmax())
-        what, worst = f"{what} {bad}", total[bad, 0]
+        what, worst = f"{what} {bad}", float(total[bad, 0])
     else:
         total = worst = float(arr.sum())
     if abs(worst - 1.0) >= _SUM_SLACK:

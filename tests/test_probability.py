@@ -241,7 +241,8 @@ class TestTotalVariation:
 
 class TestObservationChannel:
     def test_rows_validated(self):
-        with pytest.raises(DistributionError):
+        # the message names the row and its sum as a plain number
+        with pytest.raises(DistributionError, match=r"channel row 0 sums to 1\.1, "):
             ObservationChannel(np.array([[0.5, 0.6], [0.5, 0.5]]))
 
     def test_identity(self):
