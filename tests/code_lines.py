@@ -15,15 +15,7 @@ import tokenize
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "codedpc"
-_LAYOUT = {
-    tokenize.COMMENT,
-    tokenize.NL,
-    tokenize.NEWLINE,
-    tokenize.INDENT,
-    tokenize.DEDENT,
-    tokenize.ENCODING,
-    tokenize.ENDMARKER,
-}
+_LAYOUT = (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER)
 
 
 def code_lines(source: str) -> int:
@@ -39,8 +31,7 @@ def code_lines(source: str) -> int:
         if tok.type == tokenize.STRING:
             before = tokens[i - 1].type if i else tokenize.NEWLINE
             after = tokens[i + 1].type if i + 1 < len(tokens) else tokenize.NEWLINE
-            standalone = before in (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT)
-            if standalone and after in (tokenize.NEWLINE, tokenize.ENDMARKER):
+            if before in _LAYOUT and after in (tokenize.NEWLINE, tokenize.ENDMARKER):
                 continue
         lines.update(range(tok.start[0], tok.end[0] + 1))
     return len(lines)
