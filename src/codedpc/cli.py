@@ -297,17 +297,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="codedpc",
         description="Coded power control experiments on the two-pair interference channel.",
     )
+    # every subcommand takes the same options, added once
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="flat key=value configuration file")
+    shared.add_argument("--output", help="write to this file instead of stdout")
+    for key, (kind, _) in CONFIG_SCHEMA.items():
+        shared.add_argument(f"--{key.replace('_', '-')}", type=kind, dest=key, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("sweep", "sweep the four policies over an SNR grid (CSV)"),
         ("policies", "per-state optimal actions at one SNR (CSV)"),
         ("simulate", "one block-coding simulation (JSON)"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="flat key=value configuration file")
-        p.add_argument("--output", help="write to this file instead of stdout")
-        for key, (kind, _) in CONFIG_SCHEMA.items():
-            p.add_argument(f"--{key.replace('_', '-')}", type=kind, dest=key, default=None)
+        sub.add_parser(name, help=help_text, parents=[shared])
     return parser
 
 

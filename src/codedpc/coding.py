@@ -34,16 +34,20 @@ Memory and time do not grow with M x n x |alphabet|:
 * No codebook is stored.  Both are Philox streams read in the order of one
   (M, n) draw: the encoder scans the source codebook and the decoder the
   block's channel codebook, through one loop that draws ``_CHUNK_BYTES``
-  worth of uniforms at a time into one reused buffer.  A codeword that is
-  played (a source row, the encoder's channel row) is fetched alone, by
-  advancing the Philox counter past the m*n uniforms before it.
+  worth of raw 64-bit words at a time.  A codeword that is played (a source
+  row, the encoder's channel row) is fetched alone, by advancing the Philox
+  counter past the m*n words before it.
+* Each stream is keyed by (seed, stream tag, block) through a seed object
+  that hands Philox its key, so opening one reads no OS entropy.
 * Every cell of the typicality test splits into a part fixed by the block
   (the state for the encoder; state, partner action and observation for the
   decoder) and a symbol that varies with the codeword.  Each block builds an
   (n, fixed parts) one-hot matrix once; its product with the codewords'
   ``symbol >= v`` mask counts symbol >= v, and count(v) is the difference of
-  two such counts.  The masks compare the uniforms with the CDF, so neither
-  side forms the symbols of the codewords it scans.
+  two such counts.  The masks compare the words with the CDF, so neither
+  side forms the symbols of the codewords it scans, nor even their uniforms:
+  the uniform of word w is (w >> 11) * 2**-53, which reaches a level exactly
+  when w >> 11 reaches ceil(level * 2**53).
 * The encoder reads only the coming block's states, so all blocks' indices
   are found up front, in one scan of the source codebook whose masks serve
   every block.
@@ -56,8 +60,9 @@ Memory and time do not grow with M x n x |alphabet|:
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,17 +90,44 @@ _STREAM_CODEBOOK = 2
 _STREAM_OBSERVATION = 3
 
 #: Codewords are drawn and tested in chunks of about this many bytes of
-#: float64 uniforms, so memory does not grow with the codebook.
+#: float64 masks, so memory does not grow with the codebook.
 _CHUNK_BYTES = 1 << 19
+
+#: A uniform is its word's top 53 bits, (w >> 11) * 2**-53.
+_WORD_SHIFT = 11
+_UNIFORM_STEPS = 2.0**53
 
 
 class CodingConfigError(ValueError):
     """Simulation parameters violate a construction requirement."""
 
 
+@functools.cache
+def _key_seed() -> type:
+    """The seed class whose ``generate_state`` is a given Philox key.
+
+    ``Philox(key=...)`` builds an entropy-seeded ``SeedSequence`` and then
+    ignores it; this seed hands over the key with no OS read.  The class is
+    defined on first use because numpy loads ``numpy.random`` lazily, and
+    loading it costs more than a short run.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySeed(ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # Philox asks for its key: two uint64 words
+            return self.key
+
+    return KeySeed
+
+
 def _stream(seed: int, tag: int, block: int = 0) -> np.random.Generator:
+    """The stream ``Philox(key=[seed, tag << 32 | block])``, a new object per call."""
     key = np.array([seed, (tag << 32) | block], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_key_seed()(key)))
 
 
 def _quantize(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -168,27 +200,35 @@ def _count_cells(masks, indicator: np.ndarray, sizes: np.ndarray, out: np.ndarra
     return out
 
 
-def _scan(gen, size: int, levels: np.ndarray, chunk: np.ndarray, groups: int):
-    """Draw ``size`` codewords from ``gen`` in the order of one (size, n) draw
-    and yield ``lo, masks, counts`` per chunk of them, rows lo, lo+1, ...:
-    their (K-1, rows, n) masks of symbol >= 1, ..., K-1 of
+def _scan(bits, size: int, levels: np.ndarray, chunk: np.ndarray, groups: int):
+    """Draw ``size`` codewords from the bit generator ``bits`` in the order of
+    one (size, n) draw and yield ``lo, masks, counts`` per chunk of them, rows
+    lo, lo+1, ...: their (K-1, rows, n) masks of symbol >= 1, ..., K-1 of
     ``_quantize(cdf, uniforms)``, and a (rows, K, groups) buffer for their
     cell counts.  ``levels`` is ``cdf[..., :-1]`` with its last axis first:
     the rows of cdf are nondecreasing, so symbol >= v exactly when
-    u >= levels[v - 1].  The masks split ``chunk``, (rows, n), in K-1 slots;
-    the uniforms are drawn into the last, which its own mask overwrites.
-    With K = 1 there is no mask, and nothing is drawn."""
+    u >= levels[v - 1].  A uniform is (w >> 11) * 2**-53 of a raw word w, and
+    the level is compared as the integer ceil(level * 2**53), clipped to
+    [0, 2**53] so that levels outside [0, 1] keep their verdict.  The masks
+    split ``chunk``, (rows, n), in K-1 slots.  With K = 1 there is no mask,
+    and nothing is drawn."""
     k = len(levels) + 1
+    n = chunk.shape[1]
     step = chunk.shape[0] // max(k - 1, 1)
-    slots = chunk[: max(k - 1, 1) * step].reshape(-1, step, chunk.shape[1])
+    slots = chunk[: max(k - 1, 1) * step].reshape(-1, step, n)
     counts = np.empty((step, k, groups))
+    thresholds = np.ceil(np.clip(levels, 0.0, 1.0) * _UNIFORM_STEPS).astype(np.uint64)
     for lo in range(0, size, step):
         rows = min(step, size - lo)
         masks = slots[: k - 1, :rows]
         if k > 1:
-            uniforms = gen.random(out=masks[-1])
-            for mask, level in zip(masks, levels):
-                np.greater_equal(uniforms, level, out=mask, casting="unsafe")
+            words = bits.random_raw(rows * n).reshape(rows, n)
+            np.right_shift(words, _WORD_SHIFT, out=words)
+            for mask, threshold in zip(masks, thresholds):
+                np.greater_equal(words, threshold, out=mask, casting="unsafe")
+            # freed before the next draw, so that draw reuses its pages
+            # instead of faulting in fresh ones
+            del words
         yield lo, masks, counts[:rows]
 
 
@@ -326,14 +366,14 @@ class SimResult:
             "encoder_failures": self.encoder_failures,
             "decoder_errors": self.decoder_errors,
             "average_payoff": self.average_payoff,
-            "blocks": [asdict(d) for d in self.blocks],
+            "blocks": [dict(vars(d)) for d in self.blocks],
         }
 
 
-def _encode_all(gen, x2_cdf, size: int, states, pair_ref, eps: float, chunk) -> list[int | None]:
+def _encode_all(bits, x2_cdf, size: int, states, pair_ref, eps: float, chunk) -> list[int | None]:
     """Per row of ``states``, the typical source codeword whose (state, action)
     statistics deviate least from ``pair_ref``, the first on ties; None when
-    none is typical.  The ``size`` codewords are drawn from ``gen`` and
+    none is typical.  The ``size`` codewords are drawn from ``bits`` and
     quantized with ``x2_cdf``; each chunk's masks serve every block whose
     absent cells pass."""
     n = chunk.shape[1]
@@ -344,7 +384,7 @@ def _encode_all(gen, x2_cdf, size: int, states, pair_ref, eps: float, chunk) -> 
     live = [(b, i, i.sum(0)) for b, i in indicators if _absent_cells_typical(i, pair_ref, n, eps)]
     if not live:
         return best
-    for lo, masks, counts in _scan(gen, size, x2_cdf[:-1], chunk, n0):
+    for lo, masks, counts in _scan(bits, size, x2_cdf[:-1], chunk, n0):
         for b, indicator, sizes in live:
             cells = _count_cells(masks, indicator, sizes, counts)
             verdicts = _typical_rows(cells.reshape(len(cells), -1), ref_flat, n, eps)
@@ -359,19 +399,21 @@ def _encode_all(gen, x2_cdf, size: int, states, pair_ref, eps: float, chunk) -> 
     return best
 
 
-def _decode(gen, cdf, indicator, ref, size: int, eps: float, chunk) -> tuple[int, int]:
+def _decode(open_bits, cdf, indicator, ref, size: int, eps: float, chunk) -> tuple[int, int]:
     """Count the typical candidate codewords and find the first one.
 
-    The ``size`` candidates are drawn from ``gen`` and counted from their
-    threshold masks against ``cdf`` (n, |X1|); ``ref`` is (groups, |X1|).
-    Returns the number of typical rows and the first one (0 when none)."""
+    The ``size`` candidates are drawn from the bit generator that
+    ``open_bits()`` returns, called only when a candidate can be typical, and
+    counted from their threshold masks against ``cdf`` (n, |X1|); ``ref`` is
+    (groups, |X1|).  Returns the number of typical rows and the first one
+    (0 when none)."""
     n = chunk.shape[1]
     if not _absent_cells_typical(indicator, ref, n, eps):
         return 0, 0
     ref_flat, sizes = ref.T.ravel(), indicator.sum(axis=0)
     levels = np.ascontiguousarray(cdf[:, :-1].T)
     n_typical, first = 0, None
-    for lo, masks, counts in _scan(gen, size, levels, chunk, indicator.shape[1]):
+    for lo, masks, counts in _scan(open_bits(), size, levels, chunk, indicator.shape[1]):
         cells = _count_cells(masks, indicator, sizes, counts)
         typical = _typical_rows(cells.reshape(len(cells), -1), ref_flat, n, eps)
         hits = int(typical.sum())
@@ -410,10 +452,10 @@ def run(cfg: CodingConfig) -> SimResult:
     states = _quantize(
         np.cumsum(cfg.prior.probs), _stream(cfg.seed, _STREAM_STATE).random((blocks, n))
     ).astype(np.intp)
-    # One buffer for every chunk of uniforms and their masks, a row per mask
-    # at least.  Allocating each chunk afresh let the allocator return the
-    # memory to the system and fault it back in: on a 2-core Xeon VM that was
-    # up to a third of a binary n=400 run.
+    # One buffer for every chunk's masks, a row per mask at least.  Allocating
+    # each chunk afresh let the allocator return the memory to the system and
+    # fault it back in: on a 2-core Xeon VM that was up to a third of a binary
+    # n=400 run.
     slots = max(n1, n2, 2) - 1
     rows = min(_chunk_rows(max(n, decoder_ref.size)), size * slots)
     chunk = np.empty((max(rows, slots), n))
@@ -425,7 +467,7 @@ def run(cfg: CodingConfig) -> SimResult:
     # among the typical source codewords it keeps the one whose pair
     # statistics sit closest to the target (larger codebooks then cover the
     # target ever more finely).  The last block conveys no index: row 0.
-    source = _stream(cfg.seed, _STREAM_SOURCE)
+    source = _stream(cfg.seed, _STREAM_SOURCE).bit_generator
     encoded = [*_encode_all(source, x2_cdf, size, states[1:], pair_ref, eps, chunk), 0]
 
     quad_counts = np.zeros(n0 * n1 * n2 * ny, dtype=np.int64)
@@ -454,8 +496,8 @@ def run(cfg: CodingConfig) -> SimResult:
         if not last:
             groups = _indicator((x0 * n2 + play_x2) * ny + y, decoder_ref.shape[0])
             n_typical, m_hat = _decode(
-                _stream(cfg.seed, _STREAM_CODEBOOK, b), cond_cdf[x0, play_x2], groups,
-                decoder_ref, size, eps, chunk,
+                lambda: _stream(cfg.seed, _STREAM_CODEBOOK, b).bit_generator,
+                cond_cdf[x0, play_x2], groups, decoder_ref, size, eps, chunk,
             )
             error = m_hat != m_next
             belief_x2 = source_row(m_next)

@@ -9,6 +9,13 @@ typicality verdict.
 
 from __future__ import annotations
 
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -26,7 +33,9 @@ from codedpc import (
 )
 from codedpc.coding import (
     _STREAM_CODEBOOK,
+    _STREAM_OBSERVATION,
     _STREAM_SOURCE,
+    _STREAM_STATE,
     _absent_cells_typical,
     _codebook_row,
     _count_cells,
@@ -43,6 +52,20 @@ from test_golden import _BSC, _binary_config, _ternary_config, sim_report
 unit = st.floats(0.0, 1.0, exclude_max=True)
 # a slow shared machine must not turn a correct example into a failure
 slow_ok = settings(deadline=None)
+word = st.integers(0, 2**64 - 1)
+
+
+def uniforms_of(words: np.ndarray) -> np.ndarray:
+    """The doubles a Generator makes of 64-bit words: their top 53 bits * 2**-53."""
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def edge_words(levels: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per level, the first word whose uniform reaches it, moved by ``offsets``
+    words (-1 is the last word below it) and kept to 64 bits."""
+    first = [math.ceil(Fraction(min(max(x, 0.0), 1.0)) * 2**53) << 11 for x in levels.flat]
+    moved = [min(max(w + int(o), 0), 2**64 - 1) for w, o in zip(first, offsets.flat)]
+    return np.array(moved, dtype=np.uint64).reshape(levels.shape)
 
 
 @st.composite
@@ -110,16 +133,17 @@ def grouped_blocks(draw):
     return groups, symbols, ref.reshape(n_groups, k), eps
 
 
-class RowSource:
-    """Hands out the rows of ``uniforms`` in order through ``random(out=)``,
-    as a Generator hands out its draws, so a scan can be fed repeated rows."""
+class WordSource:
+    """Hands out ``words`` in order through ``random_raw(size)``, as a Philox
+    bit generator hands out its 64-bit words, so a scan can be fed repeated
+    rows.  ``drawn`` counts the words handed out."""
 
-    def __init__(self, uniforms: np.ndarray):
-        self.uniforms, self.drawn = uniforms, 0
+    def __init__(self, words: np.ndarray):
+        self.words, self.drawn = words.ravel(), 0
 
-    def random(self, out: np.ndarray) -> np.ndarray:
-        out[...] = self.uniforms[self.drawn : self.drawn + len(out)]
-        self.drawn += len(out)
+    def random_raw(self, size: int) -> np.ndarray:
+        out = self.words[self.drawn : self.drawn + size].copy()
+        self.drawn += size
         return out
 
 
@@ -152,7 +176,8 @@ def test_grouped_counts_match_oracle(block):
 @st.composite
 def threshold_blocks(draw):
     """Per-position CDF rows with zero-probability symbols and trailing
-    entries at 1.0 or one ulp above it, uniforms (some on a CDF value), each
+    entries at 1.0 or one ulp above it, 64-bit words (some the first word
+    whose uniform reaches a CDF value, or the last one below it), each
     position's group, and the rows of the scan's buffer."""
     k = draw(st.integers(1, 4))
     n = draw(st.integers(1, 20))
@@ -167,32 +192,56 @@ def threshold_blocks(draw):
     tail[:, -1] = True
     top = draw(st.sampled_from([1.0, np.nextafter(1.0, 2.0)]))
     cdf[tail] = top
-    u = draw(hnp.arrays(np.float64, (rows, n), elements=unit))
+    words = draw(hnp.arrays(np.uint64, (rows, n), elements=word))
     on_edge = draw(hnp.arrays(np.int64, (rows, n), elements=st.integers(-1, k - 1)))
-    u = np.where(on_edge >= 0, cdf[np.arange(n), on_edge], u)
+    offsets = draw(hnp.arrays(np.int64, (rows, n), elements=st.integers(-1, 0)))
+    edges = edge_words(cdf[np.arange(n), on_edge], offsets)
+    words = np.where(on_edge >= 0, edges, words)
     groups = draw(hnp.arrays(np.int64, n, elements=st.integers(0, n_groups - 1)))
     # one to three codewords per chunk, and sometimes a row the masks leave over
     chunk_rows = max(k - 1, 1) * draw(st.integers(1, 3)) + draw(st.integers(0, 1))
-    return cdf, u, groups, n_groups, chunk_rows
+    return cdf, words, groups, n_groups, chunk_rows
 
 
 @slow_ok
 @given(threshold_blocks())
 def test_threshold_counts_match_oracle(block):
-    cdf, u, groups, n_groups, chunk_rows = block
+    cdf, words, groups, n_groups, chunk_rows = block
     k = cdf.shape[1]
+    u = uniforms_of(words)
     oracle = row_counts(groups[None, :] * k + quantize_rows(cdf, u), n_groups * k)
     indicator = _indicator(groups, n_groups)
-    source = RowSource(u)
+    source = WordSource(words)
     chunk = np.full((chunk_rows, u.shape[1]), np.nan)
     parts = []
     for lo, masks, counts in _scan(source, len(u), cdf[:, :-1].T, chunk, n_groups):
         assert lo == sum(map(len, parts))
         assert masks.shape == (k - 1, len(counts), u.shape[1])
         parts.append(by_group(_count_cells(masks, indicator, indicator.sum(axis=0), counts)).copy())
-    # with one symbol no mask reads a uniform, so none is drawn
-    assert source.drawn == (len(u) if k > 1 else 0)
+    # with one symbol no mask reads a word, so none is drawn
+    assert source.drawn == (u.size if k > 1 else 0)
     assert np.array_equal(np.concatenate(parts), oracle)
+
+
+_GRID = [0.5, 0.75, 3 * 2.0**-53]
+
+
+@pytest.mark.parametrize(
+    "level",
+    [-1.0, -2.0**-60, 0.0, 1 - 2.0**-53, 1.0, 1 + 2.0**-52, 4096.0, 0.3, 2.0**-60,
+     *(np.nextafter(g, to) for g in _GRID for to in (0.0, g, 2.0))],
+)
+def test_threshold_masks_at_level_edges(level):
+    # the first word whose uniform reaches the level, and the one before it
+    c = math.ceil(Fraction(float(level)) * 2**53)
+    words = [0, 2**64 - 1, *(w for w in (c << 11, (c << 11) - 1) if 0 <= w < 2**64)]
+    words = np.array(words, dtype=np.uint64)
+    expected = uniforms_of(words) >= level
+    # one level for every position, as the encoder has it, and one per position
+    for levels in (np.array([level]), np.full((1, words.size), level)):
+        chunk = np.full((1, words.size), np.nan)
+        [(_, masks, _)] = _scan(WordSource(words), 1, levels, chunk, 1)
+        assert np.array_equal(masks[0, 0], expected)
 
 
 @slow_ok
@@ -215,10 +264,11 @@ def test_absent_cell_shortcut_keeps_the_verdict(block):
 
 @st.composite
 def encoder_blocks(draw):
-    """The uniforms of a source codebook with repeated rows (so deviations
-    tie), some on a value of the action CDF, that CDF, the states of several
-    blocks, a (state, action) reference, an epsilon, and rows per chunk for
-    the all-blocks encoder and for the per-block oracle, with the codebook at
+    """The words of a source codebook with repeated rows (so deviations tie),
+    some the first word whose uniform reaches a value of the action CDF or
+    the last one below it, that CDF, the states of several blocks, a
+    (state, action) reference, an epsilon, and rows per chunk for the
+    all-blocks encoder and for the per-block oracle, with the codebook at
     least three chunks long for both."""
     k = draw(st.integers(2, 4))
     n0 = draw(st.integers(1, 3))
@@ -229,12 +279,13 @@ def encoder_blocks(draw):
     if weights.sum() == 0.0:
         weights[0] = 1.0
     x2_cdf = np.cumsum(weights / weights.sum())
-    distinct = draw(hnp.arrays(np.float64, (draw(st.integers(1, 4)), n), elements=unit))
+    distinct = draw(hnp.arrays(np.uint64, (draw(st.integers(1, 4)), n), elements=word))
     on_edge = draw(hnp.arrays(np.int64, distinct.shape, elements=st.integers(-1, k - 1)))
-    distinct = np.where(on_edge >= 0, x2_cdf[on_edge], distinct)
+    offsets = draw(hnp.arrays(np.int64, distinct.shape, elements=st.integers(-1, 0)))
+    distinct = np.where(on_edge >= 0, edge_words(x2_cdf[on_edge], offsets), distinct)
     pick = draw(hnp.arrays(np.int64, size, elements=st.integers(0, distinct.shape[0] - 1)))
-    uniforms = distinct[pick]
-    codebook = quantize_rows(x2_cdf, uniforms)
+    words = distinct[pick]
+    codebook = quantize_rows(x2_cdf, uniforms_of(words))
     states = draw(hnp.arrays(np.int64, (draw(st.integers(1, 5)), n),
                              elements=st.integers(0, n0 - 1)))
     own = row_counts(states[:1] * k + codebook[:1], n0 * k)[0] / n
@@ -248,13 +299,13 @@ def encoder_blocks(draw):
             # mass on every cell, so a block missing a state fails at eps < 1
             ref = 0.9 * own + 0.1 / own.size
     eps = draw(st.sampled_from([0.2, 0.5, 1.0, 1.5]) | st.floats(0.05, 2.0))
-    return uniforms, x2_cdf, codebook, states, ref.reshape(n0, k), eps, new_rows, oracle_rows
+    return words, x2_cdf, codebook, states, ref.reshape(n0, k), eps, new_rows, oracle_rows
 
 
 @settings(max_examples=200, deadline=None)
 @given(encoder_blocks())
 def test_encode_all_matches_per_block_oracle(block):
-    uniforms, x2_cdf, codebook, states, ref, eps, new_rows, oracle_rows = block
+    words, x2_cdf, codebook, states, ref, eps, new_rows, oracle_rows = block
     n0, k = ref.shape
     size, n = codebook.shape
     chunk = np.full((new_rows * (k - 1), n), np.nan)
@@ -262,11 +313,53 @@ def test_encode_all_matches_per_block_oracle(block):
         patch.setattr(coding, "_CHUNK_BYTES", 8 * max(n, n0 * k) * oracle_rows)
         assert coding._chunk_rows(max(n, n0 * k)) == oracle_rows
         oracle = [encode_block(codebook, _indicator(x0, n0), ref, n, eps) for x0 in states]
-    source = RowSource(uniforms)
+    source = WordSource(words)
     assert _encode_all(source, x2_cdf, size, states, ref, eps, chunk) == oracle
     # the codebook is drawn once, and not at all when every block fails early
     live = any(_absent_cells_typical(_indicator(x0, n0), ref, n, eps) for x0 in states)
-    assert source.drawn == (size if live else 0)
+    assert source.drawn == (words.size if live else 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    tag=st.sampled_from([_STREAM_STATE, _STREAM_SOURCE, _STREAM_CODEBOOK, _STREAM_OBSERVATION]),
+    block=st.integers(0, 2**32 - 1),
+)
+def test_stream_matches_keyed_philox(seed, tag, block):
+    key = np.array([seed, tag << 32 | block], dtype=np.uint64)
+    expected = np.random.Generator(np.random.Philox(key=key)).random(9)
+    stream, twin = _stream(seed, tag, block), _stream(seed, tag, block)
+    assert np.array_equal(stream.random(9), expected)
+    # a second stream of the same key shares no state with the first
+    assert np.array_equal(twin.random(9), expected)
+    # the words a scan compares are the ones these doubles are made of
+    words = _stream(seed, tag, block).bit_generator.random_raw(9)
+    assert np.array_equal(uniforms_of(words), expected)
+
+
+def test_streams_read_no_os_entropy(monkeypatch):
+    from numpy.random import bit_generator
+
+    def refuse(*args):
+        raise AssertionError("a stream read OS entropy")
+
+    # Philox(key=...) seeds a SeedSequence from randbits before using the key
+    monkeypatch.setattr(bit_generator, "randbits", refuse)
+    _stream(3, _STREAM_CODEBOOK, 7).random(4)
+    run(_binary_config(16, 4, 6, 0.4, 1.5))
+
+
+def test_import_loads_no_random_module():
+    code = (
+        "import sys, codedpc.cli, codedpc.coding; "
+        "print(sorted({'numpy.random', 'secrets'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(coding.__file__).parents[1])},
+    )
+    assert out.stdout == "[]\n"
 
 
 @settings(max_examples=60, deadline=None)
