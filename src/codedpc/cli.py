@@ -139,6 +139,15 @@ def _ic_config(settings: dict, snr_db: float) -> icmodel.ICConfig:
         raise UsageError(str(exc)) from exc
 
 
+def _model(settings: dict, snr_db: float):
+    """The model at ``snr_db``: its config, state prior, perfect-monitoring
+    channel and payoff table."""
+    cfg = _ic_config(settings, snr_db)
+    prior = icmodel.build_state_prior(cfg)
+    channel = icmodel.identity_observation_channel()
+    return cfg, prior, channel, icmodel.build_payoff_table(cfg)
+
+
 def _solve_target(prior, channel, payoff, settings: dict):
     """``solve`` with the settings' ``min_slack`` and ``tol_payoff``.
 
@@ -180,10 +189,7 @@ def cmd_sweep(args: argparse.Namespace) -> str:
     settings = _settings(args)
     rows = [",".join(SWEEP_COLUMNS)]
     for snr_db in _snr_grid(settings):
-        cfg = _ic_config(settings, snr_db)
-        prior = icmodel.build_state_prior(cfg)
-        channel = icmodel.identity_observation_channel()
-        payoff = icmodel.build_payoff_table(cfg)
+        _, prior, channel, payoff = _model(settings, snr_db)
         fpc = expected_payoff(icmodel.partner_full_power(prior, 1), payoff)
         spc_x1 = icmodel.spc_best_x1(payoff)
         spc = expected_payoff(icmodel.partner_full_power(prior, spc_x1), payoff)
@@ -217,9 +223,7 @@ def cmd_sweep(args: argparse.Namespace) -> str:
 
 def cmd_policies(args: argparse.Namespace) -> str:
     settings = _settings(args)
-    cfg = _ic_config(settings, settings["snr"])
-    prior = icmodel.build_state_prior(cfg)
-    payoff = icmodel.build_payoff_table(cfg)
+    cfg, prior, _, payoff = _model(settings, settings["snr"])
     pairs = best_actions(payoff)
     spc_x1 = icmodel.spc_best_x1(payoff)
     levels = cfg.power_levels
@@ -247,10 +251,7 @@ def cmd_policies(args: argparse.Namespace) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> str:
     settings = _settings(args)
-    cfg = _ic_config(settings, settings["snr"])
-    prior = icmodel.build_state_prior(cfg)
-    channel = icmodel.identity_observation_channel()
-    payoff = icmodel.build_payoff_table(cfg)
+    _, prior, channel, payoff = _model(settings, settings["snr"])
     if settings["target"] == "fpc":
         target = icmodel.partner_full_power(prior, 1)
     elif settings["target"] == "spc":

@@ -19,38 +19,44 @@ length n and B blocks:
   corresponding source codeword on the next block;
 * block 0 uses the fixed index 0, known to both sides.
 
-Both sides derive their codebooks from shared counter-based randomness:
-identical per-block uniforms are pushed through each side's own conditional
-quantizer, so the codebooks agree exactly whenever the two sides agree on
-the conditioning sequences.  Encoding failures fall back to index 0 and
-decoding failures to the smallest typical index (or 0), so an action is
-produced at every stage.
+Both sides derive their codebooks from shared counter-based randomness.
+Every random value is a raw 64-bit word of a Philox stream keyed by (seed,
+stream tag, block), and each side maps the same words to symbols through
+its own conditional CDF, so the codebooks agree exactly whenever the two
+sides agree on the conditioning sequences.  Encoding failures fall back to
+index 0 and decoding failures to the smallest typical index (or 0), so an
+action is produced at every stage.
 
 The empirical distribution of (state, action 1, action 2, observation) is
 counted over all n*B stages, block 0 included.
 
+One rule maps a word to a symbol.  Word w stands for the uniform
+(w >> 11) * 2**-53, and its symbol is the number of the CDF's inner levels
+that this uniform reaches.  It reaches a level exactly when w >> 11 reaches
+ceil(level * 2**53), so each CDF becomes integer thresholds once per run,
+and no side ever forms a uniform.  The states, the observations and every
+codeword, whether played or scanned, go through these thresholds.
+
 Memory and time do not grow with M x n x |alphabet|:
 
-* No codebook is stored.  Both are Philox streams read in the order of one
-  (M, n) draw: the encoder scans the source codebook and the decoder the
-  block's channel codebook, through one loop that draws ``_CHUNK_BYTES``
-  worth of raw 64-bit words at a time.  A codeword that is played (a source
-  row, the encoder's channel row) is fetched alone, by advancing the Philox
-  counter past the m*n words before it.
-* Each stream is keyed by (seed, stream tag, block) through a seed object
-  that hands Philox its key, so opening one reads no OS entropy.
+* No codebook is stored.  Both are streams read in the order of one (M, n)
+  draw: the encoder scans the source codebook and the decoder the block's
+  channel codebook, through one loop that draws ``_CHUNK_BYTES`` worth of
+  words at a time.  A codeword that is played (a source row, the encoder's
+  channel row) is fetched alone, by advancing the Philox counter past the
+  m*n words before it.
+* A stream is opened through a seed object that hands Philox its key, so
+  opening one reads no OS entropy.
 * Every cell of the typicality test splits into a part fixed by the block
   (the state for the encoder; state, partner action and observation for the
   decoder) and a symbol that varies with the codeword.  Each block builds an
   (n, fixed parts) one-hot matrix once; its product with the codewords'
   ``symbol >= v`` mask counts symbol >= v, and count(v) is the difference of
-  two such counts.  The masks compare the words with the CDF, so neither
-  side forms the symbols of the codewords it scans, nor even their uniforms:
-  the uniform of word w is (w >> 11) * 2**-53, which reaches a level exactly
-  when w >> 11 reaches ceil(level * 2**53).
-* The encoder reads only the coming block's states, so all blocks' indices
-  are found up front, in one scan of the source codebook whose masks serve
-  every block.
+  two such counts.  A mask compares the words with one threshold, so a scan
+  never forms the symbols of the codewords it reads.
+* The encoder and the decoder share this scan.  The encoder reads only the
+  coming block's states, so all blocks' indices are found up front, in one
+  scan of the source codebook whose masks serve every block.
 * A cell whose fixed part does not occur in the block counts 0 in every
   codeword, so its verdict, |0 - n p| <= eps n p, is the same for all of
   them.  It is evaluated once; when it fails (p > 0 and eps < 1), no
@@ -124,47 +130,58 @@ def _key_seed() -> type:
     return KeySeed
 
 
-def _stream(seed: int, tag: int, block: int = 0) -> np.random.Generator:
-    """The stream ``Philox(key=[seed, tag << 32 | block])``, a new object per call."""
+def _stream(seed: int, tag: int, block: int = 0, counter: int = 0) -> np.random.Philox:
+    """The stream ``Philox(key=[seed, tag << 32 | block])``, a new object per
+    call, advanced by ``counter`` steps of four words."""
     key = np.array([seed, (tag << 32) | block], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(_key_seed()(key)))
+    return np.random.Philox(_key_seed()(key), counter=counter)
 
 
-def _quantize(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Map uniforms through inverse CDFs: symbol ``#{j < K-1 : u >= cdf[..., j]}``.
+def _thresholds(cdf: np.ndarray) -> np.ndarray:
+    """The (..., K-1) ``uint64`` thresholds of the CDFs ``cdf``, (..., K).
 
-    ``cdf`` is (..., K), each row nondecreasing, and broadcasts against
-    ``uniforms`` after dropping its last axis.  Because the rows are
-    nondecreasing, counting only the first K-1 thresholds equals
-    ``min(#{j : u >= cdf[..., j]}, K - 1)``, so a row whose last entry falls
-    short of 1.0 still yields a valid symbol.  Returns the smallest unsigned
-    dtype that holds K - 1.
+    A word's uniform (w >> 11) * 2**-53 reaches ``cdf[..., j]`` exactly when
+    w >> 11 reaches its threshold ceil(level * 2**53).  The level is clipped
+    to [0, 1] first, so that levels outside it from cumsum rounding keep
+    their verdict.  The last entry is dropped: see ``_quantize``.
     """
-    k = cdf.shape[-1]
-    shape = np.broadcast_shapes(uniforms.shape, cdf.shape[:-1])
-    idx = np.zeros(shape, dtype=np.min_scalar_type(k - 1))
+    return np.ceil(np.clip(cdf[..., :-1], 0.0, 1.0) * _UNIFORM_STEPS).astype(np.uint64)
+
+
+def _quantize(thresholds: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Map words to symbols: ``#{j : w >> 11 >= thresholds[..., j]}``.
+
+    ``thresholds`` is ``_thresholds(cdf)`` and broadcasts against ``words``
+    after dropping its last axis.  Because the CDF rows are nondecreasing,
+    counting only their first K-1 levels equals ``min(#{j : u >= cdf[..., j]},
+    K - 1)`` for the word's uniform u, so a row whose last entry falls short
+    of 1.0 still yields a valid symbol.  Returns the smallest unsigned dtype
+    that holds K - 1.
+    """
+    k = thresholds.shape[-1] + 1
+    top = words >> _WORD_SHIFT
+    idx = np.zeros(np.broadcast_shapes(words.shape, thresholds.shape[:-1]),
+                   dtype=np.min_scalar_type(k - 1))
     for j in range(k - 1):
-        idx += uniforms >= cdf[..., j]
+        idx += top >= thresholds[..., j]
     return idx
+
+
+def _symbols(thresholds: np.ndarray, key: tuple, shape, skip: int = 0) -> np.ndarray:
+    """The symbols of ``shape`` words of stream ``key``, (seed, tag, block),
+    from word ``skip`` on; row m of an (M, n) draw starts at skip = m*n.
+
+    Philox emits four words per counter step, so starting the counter at
+    skip // 4 and discarding skip % 4 words skips exactly ``skip``.
+    """
+    bits = _stream(*key, counter=skip // 4)
+    bits.random_raw(skip % 4)
+    return _quantize(thresholds, bits.random_raw(shape))
 
 
 def _chunk_rows(width: int) -> int:
     """Codebook rows per chunk when a row's widest temporary is ``width`` floats."""
     return max(1, _CHUNK_BYTES // (8 * width))
-
-
-def _codebook_row(seed: int, tag: int, block: int, m: int, n: int) -> np.ndarray:
-    """Row ``m`` of the (M, n) uniforms of stream ``tag`` of ``block``.
-
-    Philox emits four 64-bit words per counter step and ``random`` uses one
-    word per double, so advancing the counter by m*n // 4 steps and
-    discarding m*n % 4 doubles skips exactly the rows before ``m``.
-    """
-    gen = _stream(seed, tag, block)
-    skip = m * n
-    gen.bit_generator.advance(skip // 4)
-    gen.random(skip % 4)
-    return gen.random(n)
 
 
 def _typical_rows(counts: np.ndarray, ref: np.ndarray, n: int, eps: float) -> np.ndarray:
@@ -200,24 +217,21 @@ def _count_cells(masks, indicator: np.ndarray, sizes: np.ndarray, out: np.ndarra
     return out
 
 
-def _scan(bits, size: int, levels: np.ndarray, chunk: np.ndarray, groups: int):
+def _scan(bits, size: int, thresholds: np.ndarray, chunk: np.ndarray, groups: int):
     """Draw ``size`` codewords from the bit generator ``bits`` in the order of
     one (size, n) draw and yield ``lo, masks, counts`` per chunk of them, rows
     lo, lo+1, ...: their (K-1, rows, n) masks of symbol >= 1, ..., K-1 of
-    ``_quantize(cdf, uniforms)``, and a (rows, K, groups) buffer for their
-    cell counts.  ``levels`` is ``cdf[..., :-1]`` with its last axis first:
-    the rows of cdf are nondecreasing, so symbol >= v exactly when
-    u >= levels[v - 1].  A uniform is (w >> 11) * 2**-53 of a raw word w, and
-    the level is compared as the integer ceil(level * 2**53), clipped to
-    [0, 2**53] so that levels outside [0, 1] keep their verdict.  The masks
-    split ``chunk``, (rows, n), in K-1 slots.  With K = 1 there is no mask,
-    and nothing is drawn."""
-    k = len(levels) + 1
+    ``_quantize(thresholds, words)``, and a (rows, K, groups) buffer for their
+    cell counts.  ``thresholds`` is (K-1,) or (n, K-1); the CDF rows are
+    nondecreasing, so symbol >= v exactly when w >> 11 reaches threshold
+    v - 1.  The masks split ``chunk``, (rows, n), in K-1 slots.  With K = 1
+    there is no mask, and nothing is drawn."""
+    k = thresholds.shape[-1] + 1
     n = chunk.shape[1]
     step = chunk.shape[0] // max(k - 1, 1)
     slots = chunk[: max(k - 1, 1) * step].reshape(-1, step, n)
     counts = np.empty((step, k, groups))
-    thresholds = np.ceil(np.clip(levels, 0.0, 1.0) * _UNIFORM_STEPS).astype(np.uint64)
+    thresholds = np.ascontiguousarray(np.moveaxis(thresholds, -1, 0))
     for lo in range(0, size, step):
         rows = min(step, size - lo)
         masks = slots[: k - 1, :rows]
@@ -242,6 +256,25 @@ def _absent_cells_typical(indicator: np.ndarray, ref: np.ndarray, n: int, eps: f
     absent = ~indicator.any(axis=0)
     zeros = np.zeros((1, int(absent.sum()) * ref.shape[1]))
     return bool(_typical_rows(zeros, ref[absent].ravel(), n, eps)[0])
+
+
+def _typical_chunks(key, size: int, thresholds, chunk, indicators, ref, eps: float):
+    """Scan the ``size`` codewords of stream ``key`` for each block's
+    typicality and yield ``b, lo, cells, typical`` per chunk and live block:
+    the chunk's first row ``lo``, its rows' (rows, K, groups) cell counts
+    against block b's (n, groups) one-hot matrix ``indicators[b]``, and each
+    row's verdict against ``ref``, (groups, K).  A block is live when its
+    absent cells pass; the stream is opened only when some block is."""
+    n = chunk.shape[1]
+    live = [(b, i, i.sum(0)) for b, i in enumerate(indicators)
+            if _absent_cells_typical(i, ref, n, eps)]
+    if not live:
+        return
+    ref_flat = ref.T.ravel()
+    for lo, masks, counts in _scan(_stream(*key), size, thresholds, chunk, ref.shape[0]):
+        for b, indicator, sizes in live:
+            cells = _count_cells(masks, indicator, sizes, counts)
+            yield b, lo, cells, _typical_rows(cells.reshape(len(cells), -1), ref_flat, n, eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,52 +403,36 @@ class SimResult:
         }
 
 
-def _encode_all(bits, x2_cdf, size: int, states, pair_ref, eps: float, chunk) -> list[int | None]:
+def _encode_all(key, thresholds, size: int, states, pair_ref, eps: float, chunk) -> list[int | None]:
     """Per row of ``states``, the typical source codeword whose (state, action)
     statistics deviate least from ``pair_ref``, the first on ties; None when
-    none is typical.  The ``size`` codewords are drawn from ``bits`` and
-    quantized with ``x2_cdf``; each chunk's masks serve every block whose
-    absent cells pass."""
+    none is typical.  The ``size`` codewords are read from stream ``key``
+    with the action's ``thresholds``; each chunk serves every block."""
     n = chunk.shape[1]
-    n0 = pair_ref.shape[0]
-    pair_flat, ref_flat = pair_ref.ravel(), pair_ref.T.ravel()
+    pair_flat = pair_ref.ravel()
     best, best_deviation = [None] * len(states), [np.inf] * len(states)
-    indicators = [(b, _indicator(x0, n0)) for b, x0 in enumerate(states)]
-    live = [(b, i, i.sum(0)) for b, i in indicators if _absent_cells_typical(i, pair_ref, n, eps)]
-    if not live:
-        return best
-    for lo, masks, counts in _scan(bits, size, x2_cdf[:-1], chunk, n0):
-        for b, indicator, sizes in live:
-            cells = _count_cells(masks, indicator, sizes, counts)
-            verdicts = _typical_rows(cells.reshape(len(cells), -1), ref_flat, n, eps)
-            typical = np.flatnonzero(verdicts)
-            if typical.size:
-                # summed in (group, symbol) order: a float sum's bits follow its order
-                by_group = cells[typical].transpose(0, 2, 1).reshape(typical.size, -1)
-                deviation = np.abs(by_group / n - pair_flat).sum(axis=1)
-                i = int(np.argmin(deviation))
-                if deviation[i] < best_deviation[b]:
-                    best[b], best_deviation[b] = lo + int(typical[i]), deviation[i]
+    indicators = [_indicator(x0, pair_ref.shape[0]) for x0 in states]
+    scan = _typical_chunks(key, size, thresholds, chunk, indicators, pair_ref, eps)
+    for b, lo, cells, verdicts in scan:
+        typical = np.flatnonzero(verdicts)
+        if typical.size:
+            # summed in (group, symbol) order: a float sum's bits follow its order
+            by_group = cells[typical].transpose(0, 2, 1).reshape(typical.size, -1)
+            deviation = np.abs(by_group / n - pair_flat).sum(axis=1)
+            i = int(np.argmin(deviation))
+            if deviation[i] < best_deviation[b]:
+                best[b], best_deviation[b] = lo + int(typical[i]), deviation[i]
     return best
 
 
-def _decode(open_bits, cdf, indicator, ref, size: int, eps: float, chunk) -> tuple[int, int]:
+def _decode(key, thresholds, indicator, ref, size: int, eps: float, chunk) -> tuple[int, int]:
     """Count the typical candidate codewords and find the first one.
 
-    The ``size`` candidates are drawn from the bit generator that
-    ``open_bits()`` returns, called only when a candidate can be typical, and
-    counted from their threshold masks against ``cdf`` (n, |X1|); ``ref`` is
-    (groups, |X1|).  Returns the number of typical rows and the first one
-    (0 when none)."""
-    n = chunk.shape[1]
-    if not _absent_cells_typical(indicator, ref, n, eps):
-        return 0, 0
-    ref_flat, sizes = ref.T.ravel(), indicator.sum(axis=0)
-    levels = np.ascontiguousarray(cdf[:, :-1].T)
+    The ``size`` candidates are read from stream ``key`` with the block's
+    (n, |X1| - 1) ``thresholds``; ``ref`` is (groups, |X1|).  Returns the
+    number of typical rows and the first one (0 when none)."""
     n_typical, first = 0, None
-    for lo, masks, counts in _scan(open_bits(), size, levels, chunk, indicator.shape[1]):
-        cells = _count_cells(masks, indicator, sizes, counts)
-        typical = _typical_rows(cells.reshape(len(cells), -1), ref_flat, n, eps)
+    for _, lo, _, typical in _typical_chunks(key, size, thresholds, chunk, [indicator], ref, eps):
         hits = int(typical.sum())
         if hits and first is None:
             first = lo + int(np.argmax(typical))
@@ -444,14 +461,13 @@ def run(cfg: CodingConfig) -> SimResult:
         cfg.target.pmf / np.where(m02[:, None, :] > 0.0, m02[:, None, :], 1.0),
         1.0 / n1,
     )
-    cond_cdf = np.cumsum(np.transpose(cond_x1, (0, 2, 1)), axis=-1)  # (n0, n2, n1)
-    gamma_cdf = np.cumsum(cfg.channel.matrix, axis=-1)  # (n1, ny)
-    x2_cdf = np.cumsum(cfg.target.pmf.sum(axis=(0, 1)))
+    cond_thr = _thresholds(np.cumsum(np.transpose(cond_x1, (0, 2, 1)), axis=-1))  # (n0, n2, n1-1)
+    gamma_thr = _thresholds(np.cumsum(cfg.channel.matrix, axis=-1))  # (n1, ny-1)
+    x2_thr = _thresholds(np.cumsum(cfg.target.pmf.sum(axis=(0, 1))))
+    state_thr = _thresholds(np.cumsum(cfg.prior.probs))
 
     # wide integers: the cell indices computed from the states must not wrap
-    states = _quantize(
-        np.cumsum(cfg.prior.probs), _stream(cfg.seed, _STREAM_STATE).random((blocks, n))
-    ).astype(np.intp)
+    states = _symbols(state_thr, (cfg.seed, _STREAM_STATE, 0), (blocks, n)).astype(np.intp)
     # One buffer for every chunk's masks, a row per mask at least.  Allocating
     # each chunk afresh let the allocator return the memory to the system and
     # fault it back in: on a 2-core Xeon VM that was up to a third of a binary
@@ -460,20 +476,17 @@ def run(cfg: CodingConfig) -> SimResult:
     rows = min(_chunk_rows(max(n, decoder_ref.size)), size * slots)
     chunk = np.empty((max(rows, slots), n))
 
-    def source_row(m: int) -> np.ndarray:
-        return _quantize(x2_cdf, _codebook_row(cfg.seed, _STREAM_SOURCE, 0, m, n))
-
     # The encoder reads the coming block's states, nothing the decoder outputs;
     # among the typical source codewords it keeps the one whose pair
     # statistics sit closest to the target (larger codebooks then cover the
     # target ever more finely).  The last block conveys no index: row 0.
-    source = _stream(cfg.seed, _STREAM_SOURCE).bit_generator
-    encoded = [*_encode_all(source, x2_cdf, size, states[1:], pair_ref, eps, chunk), 0]
+    source = (cfg.seed, _STREAM_SOURCE, 0)
+    encoded = [*_encode_all(source, x2_thr, size, states[1:], pair_ref, eps, chunk), 0]
 
     quad_counts = np.zeros(n0 * n1 * n2 * ny, dtype=np.int64)
     diagnostics: list[BlockDiagnostics] = []
 
-    play_x2 = belief_x2 = source_row(0)
+    play_x2 = belief_x2 = _symbols(x2_thr, source, n)
 
     for b in range(blocks):
         last = b == blocks - 1
@@ -483,11 +496,9 @@ def run(cfg: CodingConfig) -> SimResult:
         enc_failed = m_next is None
         if enc_failed:
             m_next = 0
-        row = _codebook_row(cfg.seed, _STREAM_CODEBOOK, b, m_next, n)
-        x1 = _quantize(cond_cdf[x0, belief_x2], row)
-
-        obs_gen = _stream(cfg.seed, _STREAM_OBSERVATION, b)
-        y = _quantize(gamma_cdf[x1], obs_gen.random(n))
+        codebook = (cfg.seed, _STREAM_CODEBOOK, b)
+        x1 = _symbols(cond_thr[x0, belief_x2], codebook, n, m_next * n)
+        y = _symbols(gamma_thr[x1], (cfg.seed, _STREAM_OBSERVATION, b), n)
 
         played = ((x0 * n1 + x1) * n2 + play_x2) * ny + y
         quad_counts += np.bincount(played, minlength=quad_counts.shape[0])
@@ -496,12 +507,11 @@ def run(cfg: CodingConfig) -> SimResult:
         if not last:
             groups = _indicator((x0 * n2 + play_x2) * ny + y, decoder_ref.shape[0])
             n_typical, m_hat = _decode(
-                lambda: _stream(cfg.seed, _STREAM_CODEBOOK, b).bit_generator,
-                cond_cdf[x0, play_x2], groups, decoder_ref, size, eps, chunk,
+                codebook, cond_thr[x0, play_x2], groups, decoder_ref, size, eps, chunk
             )
             error = m_hat != m_next
-            belief_x2 = source_row(m_next)
-            play_x2 = belief_x2 if m_hat == m_next else source_row(m_hat)
+            belief_x2 = _symbols(x2_thr, source, n, m_next * n)
+            play_x2 = belief_x2 if m_hat == m_next else _symbols(x2_thr, source, n, m_hat * n)
         diagnostics.append(
             BlockDiagnostics(
                 block=b,

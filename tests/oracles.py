@@ -183,3 +183,61 @@ def encode_block(
             if deviation[i] < best_deviation:
                 best, best_deviation = lo + int(typical[i]), deviation[i]
     return best
+
+
+def _h2(p: np.ndarray) -> np.ndarray:
+    """Binary entropy in bits, 0 at 0 and 1."""
+    return -(_xlogx(p) + _xlogx(1 - p)) / _LN2
+
+
+def bsc_block_state_oracle(stages, delta: float):
+    """Exact optimum of the tiny instance (x0 uniform on {0, 1}, payoff 1
+    when x0 = x1 = x2) with S-stage block-constant states, when x1 is
+    observed through a binary symmetric channel that flips it w.p. ``delta``.
+
+    The problem is: maximize P(x1 = x2 = x0) subject to
+    I(X0; X2) / S <= I(X1; Y | X0, X2).  Let a = P(x2 != x0) and b the
+    probability that x1 != x0 where x2 = x0, so the payoff is
+    (1 - a)(1 - b).  Fano's inequality gives I(X0; X2) >= 1 - h2(a).  With
+    b * d = b(1 - d) + (1 - b)d, the map b -> h2(b * delta) is concave, so
+    I(X1; Y | X0, X2) <= (1 - a)(h2(b * delta) - h2(delta)) + a(1 - h2(delta)):
+    the cells with x2 = x0 carry the first term at most and the others at
+    most the channel's capacity.  x2 = x0 flipped w.p. a, and x1 = x0
+    flipped w.p. b where x2 = x0 and uniform elsewhere, meet both bounds.
+    Hence OPT = max_a (1 - a)(1 - b*(a)), where b*(a) is the least b in
+    [0, 1/2] with
+
+        h2(b * delta) >= h2(delta) + ((1 - h2(a)) / S - a (1 - h2(delta))) / (1 - a),
+
+    and an a with no such b is excluded.  At delta = 0 this is the perfect
+    channel's optimum.  a > 1/2 cannot beat the 1/2 reached at a = 1/2, so
+    a grid over [0, 1/2] is refined around its best point three times.  b*
+    is taken by bisection and rounded up, so every value scanned is attained
+    and the result never exceeds the optimum.  ``stages`` is one S or an
+    array of them, answered at once.  Plain numpy, independent of the
+    solver.
+    """
+    s = np.asarray(stages, dtype=float)[..., None]
+    h_delta = float(_h2(np.array(delta)))
+
+    def least_b(target):
+        # h2(b * delta) increases in b on [0, 1/2], from h2(delta) to 1
+        lo = np.zeros_like(target)
+        hi = np.full_like(target, 0.5)
+        for _ in range(54):
+            mid = 0.5 * (lo + hi)
+            short = _h2(mid * (1 - delta) + (1 - mid) * delta) < target
+            lo = np.where(short, mid, lo)
+            hi = np.where(short, hi, mid)
+        return np.where(target > h_delta, hi, 0.0)
+
+    lo, hi = np.zeros(s.shape), np.full(s.shape, 0.5)
+    for _ in range(4):
+        a = lo + (hi - lo) * np.linspace(0.0, 1.0, 1001)
+        target = h_delta + ((1 - _h2(a)) / s - a * (1 - h_delta)) / (1 - a)
+        v = np.where(target <= 1.0, (1 - a) * (1 - least_b(target)), -np.inf)
+        k = v.argmax(axis=-1)[..., None]
+        lo = np.take_along_axis(a, np.maximum(k - 1, 0), axis=-1)
+        hi = np.take_along_axis(a, np.minimum(k + 1, a.shape[-1] - 1), axis=-1)
+    best = np.take_along_axis(v, k, axis=-1)[..., 0]
+    return float(best) if best.ndim == 0 else best

@@ -323,7 +323,7 @@ class TestRunMemory:
         [
             # 65,536 codewords, every block live: both scans read the whole codebook
             lambda: _binary_config(128, 0, 3, 0.125, 0.5),
-            # 567,824 codewords that no block reads: every block fails on an absent cell
+            # 568,051 codewords that no block reads: every block fails on an absent cell
             lambda: _ic_point_config(50),
         ],
         ids=["binary-n128", "ic-16-state-n50"],

@@ -37,13 +37,14 @@ from codedpc.coding import (
     _STREAM_SOURCE,
     _STREAM_STATE,
     _absent_cells_typical,
-    _codebook_row,
     _count_cells,
     _encode_all,
     _indicator,
     _quantize,
     _scan,
     _stream,
+    _symbols,
+    _thresholds,
     _typical_rows,
 )
 from oracles import cell_counts, encode_block, quantize_rows, row_counts
@@ -69,8 +70,9 @@ def edge_words(levels: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 
 @st.composite
-def cdfs_and_uniforms(draw, per_position: bool):
-    """CDF rows for K in 2..5 and uniforms, some exactly on a CDF value."""
+def cdfs_and_words(draw, per_position: bool):
+    """CDF rows for K in 2..5 and 64-bit words, some the first word whose
+    uniform reaches a CDF value or the last one below it."""
     k = draw(st.integers(2, 5))
     n = draw(st.integers(1, 12))
     rows = draw(st.integers(1, 4))
@@ -81,26 +83,31 @@ def cdfs_and_uniforms(draw, per_position: bool):
     cdf *= draw(st.sampled_from([1.0, 1.0 - 2.0**-52, 0.9]))
     if not per_position:
         cdf = cdf[0]
-    u = draw(hnp.arrays(np.float64, (rows, n), elements=unit))
+    words = draw(hnp.arrays(np.uint64, (rows, n), elements=word))
     on_edge = draw(hnp.arrays(np.int64, (rows, n), elements=st.integers(-1, k - 1)))
+    offsets = draw(hnp.arrays(np.int64, (rows, n), elements=st.integers(-1, 0)))
     edge_values = cdf[np.arange(n), on_edge] if per_position else cdf[on_edge]
-    u = np.where(on_edge >= 0, edge_values, u)
-    return cdf, u
+    words = np.where(on_edge >= 0, edge_words(edge_values, offsets), words)
+    return cdf, words
 
 
 @slow_ok
-@given(cdfs_and_uniforms(per_position=True))
+@given(cdfs_and_words(per_position=True))
 def test_quantize_matches_oracle_per_position(case):
-    cdf, u = case
-    assert np.array_equal(_quantize(cdf, u), quantize_rows(cdf, u))
-    assert np.array_equal(_quantize(cdf, u[0]), quantize_rows(cdf, u[0]))
+    cdf, words = case
+    thresholds = _thresholds(cdf)
+    assert np.array_equal(_quantize(thresholds, words), quantize_rows(cdf, uniforms_of(words)))
+    assert np.array_equal(
+        _quantize(thresholds, words[0]), quantize_rows(cdf, uniforms_of(words[0]))
+    )
 
 
 @slow_ok
-@given(cdfs_and_uniforms(per_position=False))
+@given(cdfs_and_words(per_position=False))
 def test_quantize_matches_oracle_one_cdf(case):
-    cdf, u = case
-    assert np.array_equal(_quantize(cdf, u), quantize_rows(cdf, u))
+    cdf, words = case
+    expected = quantize_rows(cdf, uniforms_of(words))
+    assert np.array_equal(_quantize(_thresholds(cdf), words), expected)
 
 
 @st.composite
@@ -214,7 +221,7 @@ def test_threshold_counts_match_oracle(block):
     source = WordSource(words)
     chunk = np.full((chunk_rows, u.shape[1]), np.nan)
     parts = []
-    for lo, masks, counts in _scan(source, len(u), cdf[:, :-1].T, chunk, n_groups):
+    for lo, masks, counts in _scan(source, len(u), _thresholds(cdf), chunk, n_groups):
         assert lo == sum(map(len, parts))
         assert masks.shape == (k - 1, len(counts), u.shape[1])
         parts.append(by_group(_count_cells(masks, indicator, indicator.sum(axis=0), counts)).copy())
@@ -237,11 +244,13 @@ def test_threshold_masks_at_level_edges(level):
     words = [0, 2**64 - 1, *(w for w in (c << 11, (c << 11) - 1) if 0 <= w < 2**64)]
     words = np.array(words, dtype=np.uint64)
     expected = uniforms_of(words) >= level
-    # one level for every position, as the encoder has it, and one per position
-    for levels in (np.array([level]), np.full((1, words.size), level)):
+    # one CDF for every position, as the encoder has it, and one per position
+    for cdf in (np.array([level, 1.0]), np.tile([level, 1.0], (words.size, 1))):
+        thresholds = _thresholds(cdf)
         chunk = np.full((1, words.size), np.nan)
-        [(_, masks, _)] = _scan(WordSource(words), 1, levels, chunk, 1)
+        [(_, masks, _)] = _scan(WordSource(words), 1, thresholds, chunk, 1)
         assert np.array_equal(masks[0, 0], expected)
+        assert np.array_equal(_quantize(thresholds, words), expected)
 
 
 @slow_ok
@@ -313,10 +322,15 @@ def test_encode_all_matches_per_block_oracle(block):
         patch.setattr(coding, "_CHUNK_BYTES", 8 * max(n, n0 * k) * oracle_rows)
         assert coding._chunk_rows(max(n, n0 * k)) == oracle_rows
         oracle = [encode_block(codebook, _indicator(x0, n0), ref, n, eps) for x0 in states]
-    source = WordSource(words)
-    assert _encode_all(source, x2_cdf, size, states, ref, eps, chunk) == oracle
-    # the codebook is drawn once, and not at all when every block fails early
+    source, opened = WordSource(words), []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coding, "_stream", lambda *key: opened.append(key) or source)
+        assert _encode_all((7, _STREAM_SOURCE, 0), _thresholds(x2_cdf), size, states, ref,
+                           eps, chunk) == oracle
+    # the codebook is drawn once, and its stream not even opened when every
+    # block fails early
     live = any(_absent_cells_typical(_indicator(x0, n0), ref, n, eps) for x0 in states)
+    assert opened == ([(7, _STREAM_SOURCE, 0)] if live else [])
     assert source.drawn == (words.size if live else 0)
 
 
@@ -328,14 +342,15 @@ def test_encode_all_matches_per_block_oracle(block):
 )
 def test_stream_matches_keyed_philox(seed, tag, block):
     key = np.array([seed, tag << 32 | block], dtype=np.uint64)
-    expected = np.random.Generator(np.random.Philox(key=key)).random(9)
+    expected = np.random.Philox(key=key).random_raw(9)
     stream, twin = _stream(seed, tag, block), _stream(seed, tag, block)
-    assert np.array_equal(stream.random(9), expected)
+    assert np.array_equal(stream.random_raw(9), expected)
     # a second stream of the same key shares no state with the first
-    assert np.array_equal(twin.random(9), expected)
-    # the words a scan compares are the ones these doubles are made of
-    words = _stream(seed, tag, block).bit_generator.random_raw(9)
-    assert np.array_equal(uniforms_of(words), expected)
+    assert np.array_equal(twin.random_raw(9), expected)
+    # a Generator's doubles are these words' uniforms, the values that the
+    # thresholds stand for
+    doubles = np.random.Generator(np.random.Philox(key=key)).random(9)
+    assert np.array_equal(uniforms_of(expected), doubles)
 
 
 def test_streams_read_no_os_entropy(monkeypatch):
@@ -346,7 +361,7 @@ def test_streams_read_no_os_entropy(monkeypatch):
 
     # Philox(key=...) seeds a SeedSequence from randbits before using the key
     monkeypatch.setattr(bit_generator, "randbits", refuse)
-    _stream(3, _STREAM_CODEBOOK, 7).random(4)
+    _stream(3, _STREAM_CODEBOOK, 7).random_raw(4)
     run(_binary_config(16, 4, 6, 0.4, 1.5))
 
 
@@ -371,15 +386,53 @@ def test_import_loads_no_random_module():
 )
 def test_codebook_row_matches_full_draw(seed, block, n, m):
     assume(m * n % 4)
+    # 256 equal steps: a word's symbol is its top 8 bits, so a row read from
+    # the wrong words shows
+    cdf = np.arange(1, 257) / 256
     for tag in (_STREAM_SOURCE, _STREAM_CODEBOOK):
-        full = _stream(seed, tag, block).random((m + 1, n))
-        assert np.array_equal(_codebook_row(seed, tag, block, m, n), full[m])
+        full = _stream(seed, tag, block).random_raw((m + 1, n))
+        row = _symbols(_thresholds(cdf), (seed, tag, block), n, m * n)
+        assert np.array_equal(row, quantize_rows(cdf, uniforms_of(full[m])))
+        assert np.array_equal(row, full[m] >> np.uint64(56))
+
+
+@st.composite
+def played_rows(draw):
+    """A key, a row m of an (M, n) draw, a CDF for K in 1..4 (one for every
+    position or one per position) and the codewords per scan chunk."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 13))
+    weights = draw(hnp.arrays(np.float64, draw(st.sampled_from([(k,), (n, k)])),
+                              elements=unit | st.just(0.0)))
+    cdf = np.cumsum(weights + 1e-3, axis=-1)
+    cdf /= cdf[..., -1:]
+    key = (draw(st.integers(0, 2**64 - 1)), _STREAM_CODEBOOK, draw(st.integers(0, 2**32 - 1)))
+    return key, n, draw(st.integers(0, 30)), cdf, draw(st.integers(1, 7))
+
+
+@slow_ok
+@given(played_rows())
+def test_played_row_matches_scanned_row(case):
+    # the row that _symbols plays and the row that _scan reads from the same
+    # stream give the same masks, also when the chunks before row m drew a
+    # number of words that leaves the Philox counter in mid-step, so that
+    # row m straddles a counter step
+    key, n, m, cdf, per_chunk = case
+    thresholds, k = _thresholds(cdf), cdf.shape[-1]
+    played = _symbols(thresholds, key, n, m * n)
+    chunk = np.full((per_chunk * max(k - 1, 1), n), np.nan)
+    scanned = None
+    for lo, masks, _ in _scan(_stream(*key), m + 1 + per_chunk, thresholds, chunk, 1):
+        if lo <= m < lo + masks.shape[1]:
+            scanned = masks[:, m - lo].copy()
+    assert scanned is not None and len(scanned) == k - 1
+    for v in range(1, k):
+        assert np.array_equal(scanned[v - 1], played >= v)
 
 
 def test_chunked_draws_match_one_draw():
-    gen = _stream(5, _STREAM_CODEBOOK, 3)
-    chunks = np.concatenate([gen.random((r, 7)) for r in (1, 3, 5, 2)])
-    assert np.array_equal(chunks, _stream(5, _STREAM_CODEBOOK, 3).random((11, 7)))
+    bits = _stream(5, _STREAM_CODEBOOK, 3)
+    chunks = np.concatenate([bits.random_raw((r, 7)) for r in (1, 3, 5, 2)])
+    assert np.array_equal(chunks, _stream(5, _STREAM_CODEBOOK, 3).random_raw((11, 7)))
 
 
 def _wide_x2_config() -> CodingConfig:

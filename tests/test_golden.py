@@ -13,6 +13,10 @@ binary blocks, a noisy observation channel, epsilon >= 1, a ternary action
 with a zero-probability cell, encoder failures with every state present, and
 a codebook larger than one decoder chunk.
 
+``sim_corpus.sha256`` is the hash that ``tests/sim_corpus.py`` prints over
+its 27 reports; it was written before the simulator's draws became raw
+words compared with integer thresholds.
+
 Every ``codedpc ...`` line in the README's fenced blocks must also exit 0.
 Runs are shared: a README command whose resolved settings equal a golden
 run's is not run a second time.
@@ -20,6 +24,7 @@ run's is not run a second time.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -159,6 +164,14 @@ def test_matches_golden_file(run_once, name):
 @pytest.mark.parametrize("name", sorted(SIM_RUNS))
 def test_simulation_matches_golden_file(name):
     assert sim_report(SIM_RUNS[name]()) == (GOLDEN / name).read_bytes()
+
+
+def test_sim_corpus_matches_golden_hash():
+    # imported here: sim_corpus imports this module
+    from sim_corpus import corpus_text
+
+    digest = hashlib.sha256(corpus_text().encode()).hexdigest()
+    assert digest == (GOLDEN / "sim_corpus.sha256").read_text().strip()
 
 
 def test_chunk_golden_spans_several_chunks():

@@ -34,7 +34,7 @@ from codedpc.icmodel import (
 )
 
 import test_solver_bits
-from oracles import InfoKernel, uniform_distribution
+from oracles import InfoKernel, bsc_block_state_oracle, uniform_distribution
 
 
 def tiny_instance():
@@ -400,6 +400,47 @@ class TestNoisyChannel:
         problem = list(test_solver_bits.noisy_problems(3, 43))[42]
         res = solve(*problem)
         assert res.converged and res.iterations <= 100
+
+
+def bsc(flip: float) -> ObservationChannel:
+    return ObservationChannel(np.array([[1.0 - flip, flip], [flip, 1.0 - flip]]))
+
+
+BSC_FLIPS = (0.0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.45)
+BSC_STAGES = (1, 2, 4, 16, 64, 256)
+
+
+class TestBscBlockStateOptimum:
+    """The tiny instance observed through BSC(flip) has a closed-form optimum
+    (``oracles.bsc_block_state_oracle``), so the noisy path (the cells, the
+    noisy gap and the x2 step) is checked against an exact value."""
+
+    def test_certified_at_the_exact_optimum(self):
+        prior, _, payoff = tiny_instance()
+        tol = SolverOptions().tol_payoff
+        points, misses = 0, []
+        for flip in BSC_FLIPS:
+            for stages, opt in zip(BSC_STAGES, bsc_block_state_oracle(BSC_STAGES, flip)):
+                res = solve(prior, bsc(flip), payoff, stages=stages)
+                points += 1
+                if not (res.converged and abs(res.payoff - opt) <= tol
+                        and res.dual_bound >= opt - 1e-9):
+                    misses.append((flip, stages, res.converged, res.payoff - opt,
+                                   res.dual_bound - opt))
+        assert points == 42 and misses == []
+
+    @pytest.mark.parametrize("flip, stages", [(0.1, 1), (0.3, 4), (0.45, 16)])
+    def test_relabelled_actions_keep_the_optimum(self, flip, stages):
+        # swapping the labels of x1 (the payoff's axis 1 and the channel's
+        # rows) and of x2 maps every feasible point to one of equal payoff
+        # and equal information terms; the channel is no longer symmetric
+        prior, _, payoff = tiny_instance()
+        swapped = PayoffTable(payoff.values[:, ::-1, ::-1].copy())
+        channel = ObservationChannel(bsc(flip).matrix[::-1].copy())
+        opt = bsc_block_state_oracle(stages, flip)
+        res = solve(prior, channel, swapped, stages=stages)
+        assert res.converged and abs(res.payoff - opt) <= SolverOptions().tol_payoff
+        assert res.dual_bound >= opt - 1e-9
 
 
 @settings(deadline=None, max_examples=200)
