@@ -62,6 +62,18 @@ Memory and time do not grow with M x n x |alphabet|:
   them.  It is evaluated once; when it fails (p > 0 and eps < 1), no
   codeword is typical and the block's codebook is not generated at all.
   This changes no outcome: it skips only work whose result is known.
+* A codeword with a symbol x1 at position t whose cell (g_t, x1) has
+  reference probability 0 counts more than 0 where the target is 0, so it
+  is not typical.  On perfect monitoring the observation fixes x1, and
+  only codewords that equal the observed sequence can be typical.  Philox
+  is counter-based: word j of a stream is one function of the key and the
+  counter j // 4 + 1.  So the decoder evaluates that function in numpy for
+  the positions that can draw a disallowed symbol, a counter block of four
+  at a time, drops each codeword at its first disallowed symbol, and draws
+  and counts only the few left.  A necessary condition drops only
+  codewords the count would reject, so the verdicts stay the same.  Where
+  no symbol is disallowed (a channel with full-support rows), or random
+  access is not expected to pay, the decoder scans as above.
 """
 
 from __future__ import annotations
@@ -102,6 +114,23 @@ _CHUNK_BYTES = 1 << 19
 #: A uniform is its word's top 53 bits, (w >> 11) * 2**-53.
 _WORD_SHIFT = 11
 _UNIFORM_STEPS = 2.0**53
+
+#: Philox4x64's round multipliers and key increments (Salmon et al., SC 2011).
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_WORD_MASK = (1 << 64) - 1
+_LOW32 = 0xFFFFFFFF
+
+#: The decoder's cost model, in symbols of the count scan: a Philox block
+#: evaluated by random access, the fixed cost of one round of them (numpy's
+#: per-call overhead), and a row drawn alone beyond its n words.  Measured
+#: with numpy 2.4 on a 2-core x86 VM; only the ratios matter.
+_BLOCK_COST = 32.0
+_ROUND_COST = 30_000.0
+_ROW_COST = 2_000.0
+#: Random access works on chunks of ``_chunk_rows(_ACCESS_WIDTH)`` rows
+#: (1,024 at the default chunk size), where numpy's Philox costs least per row.
+_ACCESS_WIDTH = 64
 
 
 class CodingConfigError(ValueError):
@@ -177,6 +206,40 @@ def _symbols(thresholds: np.ndarray, key: tuple, shape, skip: int = 0) -> np.nda
     bits = _stream(*key, counter=skip // 4)
     bits.random_raw(skip % 4)
     return _quantize(thresholds, bits.random_raw(shape))
+
+
+def _mulhilo(a: np.ndarray, m: np.ndarray):
+    """The high and low words of the 128-bit products a * m, from 32-bit
+    halves; every partial sum fits in 64 bits, and uint64 arrays wrap."""
+    a_lo, a_hi = a & _LOW32, a >> 32
+    m_lo, m_hi = m & _LOW32, m >> 32
+    mid = a_hi * m_lo + ((a_lo * m_lo) >> 32)
+    mid2 = a_lo * m_hi + (mid & _LOW32)
+    return a_hi * m_hi + (mid >> 32) + (mid2 >> 32), a * m
+
+
+def _philox_block(key: tuple, counter: np.ndarray) -> np.ndarray:
+    """The (4, rows) words 4c - 4, ..., 4c - 1 of stream ``key``, (seed, tag,
+    block), at each uint64 counter c >= 1, without drawing the words before
+    them.  Philox4x64-10 maps the counter (c, 0, 0, 0) and the key of
+    ``_stream`` to four words; numpy steps the counter before it draws, so
+    word j of a stream is word j % 4 of counter j // 4 + 1."""
+    seed, tag, block = key
+    # the ten round keys, bumped in Python ints: a numpy uint64 scalar warns
+    # when it wraps
+    key_words = (seed, tag << 32 | block)
+    keys = np.array([[(k + r * w) & _WORD_MASK for k, w in zip(key_words, _PHILOX_W)]
+                     for r in range(10)], dtype=np.uint64)[:, :, None]
+    # (x0, x2), which the multipliers act on, and (x1, x3); a round maps them
+    # to (hi(x2) ^ x1 ^ k0, hi(x0) ^ x3 ^ k1) and (lo(x2), lo(x0))
+    even = np.zeros((2, counter.size), dtype=np.uint64)
+    even[0] = counter
+    odd = np.zeros_like(even)
+    for round_key in keys:
+        hi, lo = _mulhilo(even, _PHILOX_M)
+        even, odd = hi[::-1] ^ odd ^ round_key, lo[::-1]
+    # interleaved back to x0, x1, x2, x3
+    return np.stack((even, odd), axis=1).reshape(4, -1)
 
 
 def _chunk_rows(width: int) -> int:
@@ -425,19 +488,112 @@ def _encode_all(key, thresholds, size: int, states, pair_ref, eps: float, chunk)
     return best
 
 
+def _allowed_rows(key, thresholds, allowed, positions: list, size: int) -> np.ndarray:
+    """Rows m < ``size`` of the (size, n) draw of stream ``key``, ascending,
+    that include every row whose symbol, ``_quantize(thresholds[t], word)``,
+    is allowed, ``allowed[t, symbol]``, at each of the ascending
+    ``positions`` t.
+
+    Rows are read by random access, one Philox counter block at a time: row
+    m's position t is word m*n + t, so the rows whose m*n leaves the same
+    remainder mod 4 share the block and lane of every position.  Each block
+    tests all of its positions at once, and only the rows that pass go on,
+    until drawing the rows left whole costs less than another round.
+    """
+    n = allowed.shape[0]
+    few = _ROUND_COST / (n + _ROW_COST)
+    step = _chunk_rows(_ACCESS_WIDTH)
+    kept = []
+    for lo in range(0, size, step):
+        rows = np.arange(lo, min(lo + step, size))
+        for phase in range(4):
+            live = rows[rows * n % 4 == phase]
+            i = 0
+            while i < len(positions) and live.size > few:
+                block = (positions[i] + phase) // 4
+                words = _philox_block(key, (live * n // 4 + block + 1).astype(np.uint64))
+                ok = np.ones(live.size, dtype=bool)
+                while i < len(positions) and (positions[i] + phase) // 4 == block:
+                    t = positions[i]
+                    ok &= allowed[t, _quantize(thresholds[t], words[(t + phase) % 4])]
+                    i += 1
+                live = live[ok]
+            kept.append(live)
+    return np.sort(np.concatenate(kept))
+
+
+def _filter_pays(allowed_mass: np.ndarray, size: int) -> bool:
+    """Whether ``_allowed_rows`` and a check of the rows it keeps are
+    expected to cost less than the count scan of all ``size`` rows, given
+    the probability of an allowed symbol at each position.  Costs are in
+    scanned words; ``_allowed_rows`` works on groups of rows (a chunk of one
+    phase), and each group tests its blocks in order until few rows are
+    left."""
+    n = allowed_mass.size
+    group = min(size, _chunk_rows(_ACCESS_WIDTH)) / (4 // math.gcd(n, 4))
+    per_block = np.pad(allowed_mass, (0, -n % 4), constant_values=1.0).reshape(-1, 4).prod(axis=1)
+    # expected rows entering each restricted block, and left after the last
+    live = group * np.cumprod(np.r_[1.0, per_block[per_block < 1.0]])
+    tested = live[:-1][live[:-1] > _ROUND_COST / (n + _ROW_COST)]
+    cost = (_ROUND_COST * tested.size + _BLOCK_COST * tested.sum()
+            + (n + _ROW_COST) * live[tested.size])
+    return bool(cost * size / group < size * n)
+
+
+def _row_verdicts(key, thresholds, indicator, ref, eps: float, chunk, rows: np.ndarray):
+    """Yield ``part, typical`` per chunk of ``rows`` of stream ``key``: each
+    row drawn alone, as a played row is, and judged by the cell counts and
+    the verdict of ``_typical_chunks``."""
+    n = chunk.shape[1]
+    k = thresholds.shape[-1] + 1
+    step = chunk.shape[0] // max(k - 1, 1)
+    sizes, ref_flat = indicator.sum(axis=0), ref.T.ravel()
+    counts = np.empty((min(step, rows.size), k, ref.shape[0]))
+    for lo in range(0, rows.size, step):
+        part = rows[lo : lo + step]
+        symbols = np.stack([_symbols(thresholds, key, n, int(m) * n) for m in part])
+        masks = chunk[: (k - 1) * part.size].reshape(k - 1, part.size, n)
+        for v, mask in enumerate(masks, 1):
+            np.greater_equal(symbols, v, out=mask, casting="unsafe")
+        cells = _count_cells(masks, indicator, sizes, counts[: part.size])
+        yield part, _typical_rows(cells.reshape(part.size, -1), ref_flat, n, eps)
+
+
 def _decode(key, thresholds, indicator, ref, size: int, eps: float, chunk) -> tuple[int, int]:
     """Count the typical candidate codewords and find the first one.
 
     The ``size`` candidates are read from stream ``key`` with the block's
     (n, |X1| - 1) ``thresholds``; ``ref`` is (groups, |X1|).  Returns the
-    number of typical rows and the first one (0 when none)."""
-    n_typical, first = 0, None
-    for _, lo, _, typical in _typical_chunks(key, size, thresholds, chunk, [indicator], ref, eps):
-        hits = int(typical.sum())
-        if hits and first is None:
-            first = lo + int(np.argmax(typical))
-        n_typical += hits
-    return n_typical, first or 0
+    number of typical rows and the first one (0 when none).
+
+    A symbol x1 is allowed at position t when ref(g_t, x1) > 0 for the
+    position's group g_t.  A row with a disallowed symbol anywhere counts
+    more than 0 in a cell whose target is 0, so it is not typical.  When
+    some positions can draw a disallowed symbol, and reading only those
+    positions is expected to pay, the rows that pass them are found by
+    random access (``_allowed_rows``) and only they are drawn and counted;
+    otherwise every row is scanned.  Both give the same verdicts.
+    """
+    n = chunk.shape[1]
+    if not _absent_cells_typical(indicator, ref, n, eps):
+        return 0, 0
+    allowed = ref[indicator.argmax(axis=1)] > 0.0  # (n, |X1|)
+    # the share of the words that fall on an allowed symbol, per position
+    widths = np.diff(thresholds, axis=1, prepend=np.uint64(0), append=np.uint64(2**53))
+    mass = (widths * allowed).sum(axis=1) / _UNIFORM_STEPS
+    if _filter_pays(mass, size):
+        rows = _allowed_rows(key, thresholds, allowed, np.flatnonzero(mass < 1.0).tolist(), size)
+        found = (part[typical] for part, typical in
+                 _row_verdicts(key, thresholds, indicator, ref, eps, chunk, rows))
+    else:
+        scan = _typical_chunks(key, size, thresholds, chunk, [indicator], ref, eps)
+        found = (lo + np.flatnonzero(typical) for _, lo, _, typical in scan)
+    n_typical, first = 0, 0
+    for hits in found:
+        if hits.size and not n_typical:
+            first = int(hits[0])
+        n_typical += hits.size
+    return n_typical, first
 
 
 def run(cfg: CodingConfig) -> SimResult:

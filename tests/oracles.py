@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from codedpc import JointDistribution, StatePrior, conditional_entropy, entropy
-from codedpc.coding import _absent_cells_typical, _chunk_rows, _typical_rows
+from codedpc.coding import _absent_cells_typical, _chunk_rows, _typical_chunks, _typical_rows
 from codedpc.icmodel import N_STATES, ChannelGainState
 
 
@@ -183,6 +183,20 @@ def encode_block(
             if deviation[i] < best_deviation:
                 best, best_deviation = lo + int(typical[i]), deviation[i]
     return best
+
+
+def scan_decode(key, thresholds, indicator, ref, size: int, eps: float, chunk) -> tuple[int, int]:
+    """The simulator's decoder before it read rows by random access: all
+    ``size`` rows of stream ``key`` scanned and counted by
+    ``_typical_chunks``.  Returns the number of typical rows and the first
+    one (0 when none)."""
+    n_typical, first = 0, None
+    for _, lo, _, typical in _typical_chunks(key, size, thresholds, chunk, [indicator], ref, eps):
+        hits = int(typical.sum())
+        if hits and first is None:
+            first = lo + int(np.argmax(typical))
+        n_typical += hits
+    return n_typical, first or 0
 
 
 def _h2(p: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ from codedpc.icmodel import (
     identity_observation_channel,
     spc_distribution,
 )
-from oracles import info_constraint_gap_entropy_path
+from oracles import bsc_block_state_oracle, info_constraint_gap_entropy_path
 
 SNR_GRID = list(range(0, 41))
 
@@ -217,61 +217,6 @@ def test_criterion_5_positive_gain_at_realistic_snr(default_sweep):
     )
 
 
-def block_state_oracle(stages):
-    """Exact optimum of the tiny instance with S-stage block-constant states.
-
-    The problem is: maximize P(x1 = x2 = x0) subject to
-    I(X0; X2) / S <= H(X1 | X0, X2) (perfect observation of x1), with x0
-    uniform on {0, 1}.  Let a = P(x2 != x0) and b = P(x1 != x0 | x2 = x0),
-    so the payoff is (1 - a)(1 - b).  Fano's inequality gives
-    I(X0; X2) >= 1 - h2(a).  Concavity of h2 gives
-    H(X1 | X0, X2) <= (1 - a) h2(b) + a: the cells with x2 = x0 carry
-    (1 - a) h2(b) at most and the others at most one bit.  Both bounds are
-    met with equality by x2 = x0 flipped with probability a, and x1 = x0
-    flipped with probability b where x2 = x0 and uniform elsewhere.  Hence
-
-        OPT(S) = max_a (1 - a)(1 - b*(a)),
-        b*(a)  = h2^{-1}(max(0, ((1 - h2(a)) / S - a) / (1 - a))),
-
-    with h2^{-1} the inverse of h2 on [0, 1/2].  a > 1/2 cannot beat the
-    value 1/2 reached at a = 1/2, so the scan covers [0, 1/2]: a grid,
-    refined around its best point three times.  For S >= 16 the
-    maximum sits at a = 0, where OPT(S) = 1 - h2^{-1}(1/S).  h2^{-1} is
-    taken by bisection and rounded up, so every value scanned is attained
-    and the result never exceeds the optimum.  Plain numpy throughout,
-    independent of the solver's internals.
-    """
-
-    def h2(p):
-        out = np.zeros_like(p)
-        inner = (p > 0) & (p < 1)
-        q = p[inner]
-        out[inner] = -q * np.log2(q) - (1 - q) * np.log2(1 - q)
-        return out
-
-    def h2_inverse(target):
-        lo = np.zeros_like(target)
-        hi = np.full_like(target, 0.5)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            short = h2(mid) < target
-            lo = np.where(short, mid, lo)
-            hi = np.where(short, hi, mid)
-        return np.where(target > 0, hi, 0.0)
-
-    def value(a):
-        need = np.maximum(0.0, ((1 - h2(a)) / stages - a) / (1 - a))
-        return (1 - a) * (1 - h2_inverse(need))
-
-    lo, hi = 0.0, 0.5
-    for _ in range(4):
-        a = np.linspace(lo, hi, 1001)
-        v = value(a)
-        k = int(v.argmax())
-        lo, hi = a[max(k - 1, 0)], a[min(k + 1, len(a) - 1)]
-    return float(v[k])
-
-
 def test_criterion_6_block_state_relaxation():
     prior, channel, payoff = tiny_instance()
     bound = costless_bound(prior, payoff)
@@ -282,7 +227,7 @@ def test_criterion_6_block_state_relaxation():
     deviations, shortfalls = [], []
     for s in stages:
         result = solve(prior, channel, payoff, stages=s)
-        opt = block_state_oracle(s)
+        opt = bsc_block_state_oracle(s, 0.0)
         deviations.append(result.payoff - opt)
         shortfalls.append(bound - result.payoff)
         exact = exact and (

@@ -38,8 +38,10 @@ from codedpc.coding import (
     _STREAM_STATE,
     _absent_cells_typical,
     _count_cells,
+    _decode,
     _encode_all,
     _indicator,
+    _philox_block,
     _quantize,
     _scan,
     _stream,
@@ -47,8 +49,8 @@ from codedpc.coding import (
     _thresholds,
     _typical_rows,
 )
-from oracles import cell_counts, encode_block, quantize_rows, row_counts
-from test_golden import _BSC, _binary_config, _ternary_config, sim_report
+from oracles import cell_counts, encode_block, quantize_rows, row_counts, scan_decode
+from test_golden import SIM_RUNS, _BSC, _binary_config, _ternary_config, sim_report
 
 unit = st.floats(0.0, 1.0, exclude_max=True)
 # a slow shared machine must not turn a correct example into a failure
@@ -353,6 +355,28 @@ def test_stream_matches_keyed_philox(seed, tag, block):
     assert np.array_equal(uniforms_of(expected), doubles)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    tag=st.sampled_from([_STREAM_STATE, _STREAM_SOURCE, _STREAM_CODEBOOK, _STREAM_OBSERVATION]),
+    block=st.integers(0, 2**32 - 1),
+    counter=st.integers(0, 64) | st.integers(2**32 - 3, 2**32 + 3) | st.integers(0, 2**64 - 8),
+    start=st.integers(0, 3),
+    size=st.integers(1, 13),
+)
+def test_philox_block_matches_stream(seed, tag, block, counter, start, size):
+    # words start, start + 1, ... of the stream after ``counter`` steps, read
+    # by random access from a word in mid-step; at counters of 2**32 and
+    # more the products' 32-bit halves carry
+    expected = _stream(seed, tag, block, counter=counter).random_raw(start + size)[start:]
+    j = range(start, start + size)
+    counters = np.array([counter + 1 + i // 4 for i in j], dtype=np.uint64)
+    lanes = [i % 4 for i in j]
+    words = _philox_block((seed, tag, block), counters)
+    assert words.shape == (4, size) and words.dtype == np.uint64
+    assert np.array_equal(words[lanes, np.arange(size)], expected)
+
+
 def test_streams_read_no_os_entropy(monkeypatch):
     from numpy.random import bit_generator
 
@@ -509,3 +533,118 @@ def test_single_symbol_alphabet_outcomes(shape):
         assert {d.typical_candidates for d in blocks} <= {0, cfg.codebook_size}
     else:
         assert [d.encoded_index for d in blocks] == [0] * len(blocks)
+
+
+@st.composite
+def decoder_blocks(draw):
+    """A keyed channel codebook of ``size`` rows of n symbols (n any
+    remainder mod 4), per-position CDFs for K in 1..4 with zero-probability
+    symbols, each position's group, a (groups, K) reference with zero cells
+    around one row's own frequencies (so that some rows pass the allowed
+    symbols, and the row itself is typical when the reference is its own),
+    an epsilon, and the rows of the scan's buffer and of a random-access
+    chunk."""
+    k, n_groups = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n, size = draw(st.integers(1, 13) | st.integers(33, 64)), draw(st.integers(1, 40))
+    key = (draw(word), _STREAM_CODEBOOK, draw(st.integers(0, 2**32 - 1)))
+    weights = draw(hnp.arrays(np.float64, (n, k), elements=unit | st.just(0.0)))
+    weights[weights.sum(axis=1) == 0.0, 0] = 1.0
+    thresholds = _thresholds(np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1))
+    groups = draw(hnp.arrays(np.int64, n, elements=st.integers(0, n_groups - 1)))
+    row = _symbols(thresholds, key, n, draw(st.integers(0, size - 1)) * n)
+    ref = row_counts((groups * k + row)[None, :], n_groups * k)[0] / n
+    # noise on a group that does not occur decides the block at epsilon < 1
+    kind = draw(st.sampled_from(["own", "own_plus_noise", "noise"]))
+    small = st.floats(1e-4, 0.05)
+    noise = draw(hnp.arrays(np.float64, n_groups * k, elements=unit | st.just(0.0) | small))
+    noise[~np.isin(np.arange(n_groups), groups).repeat(k)] *= draw(st.sampled_from([0.0, 1.0]))
+    if kind != "own" and noise.sum() > 0:
+        ref = (0.5 * ref if kind == "own_plus_noise" else 0.0) + noise / noise.sum() / 2
+    eps = draw(st.sampled_from([0.2, 0.5, 1.0, 1.5]) | st.floats(0.01, 3.0))
+    chunk_rows = max(k - 1, 1) * draw(st.integers(1, 3)) + draw(st.integers(0, 1))
+    return (key, thresholds, _indicator(groups, n_groups), ref.reshape(n_groups, k), size, eps,
+            chunk_rows, draw(st.integers(1, 8)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(decoder_blocks(), st.booleans())
+def test_decode_matches_scan(block, forced):
+    key, thresholds, indicator, ref, size, eps, chunk_rows, access_rows = block
+    chunk = np.full((chunk_rows, thresholds.shape[0]), np.nan)
+    expected = scan_decode(key, thresholds, indicator, ref, size, eps, chunk)
+    with pytest.MonkeyPatch.context() as patch:
+        # random access in chunks of access_rows rows, so that the codebook
+        # spans several of them
+        patch.setattr(coding, "_CHUNK_BYTES", 8 * coding._ACCESS_WIDTH * access_rows)
+        assert coding._chunk_rows(coding._ACCESS_WIDTH) == access_rows
+        if forced:
+            # random access on every codebook, and blocks tested down to
+            # the last live row
+            patch.setattr(coding, "_filter_pays", lambda *args: True)
+            patch.setattr(coding, "_ROUND_COST", 0.0)
+        assert _decode(key, thresholds, indicator, ref, size, eps, chunk) == expected
+
+
+@pytest.mark.parametrize(
+    "make_config",
+    [*SIM_RUNS.values(), *(lambda shape=shape: _single_symbol_config(shape)
+                           for shape in SINGLE_SYMBOL_SHAPES)],
+    ids=[*SIM_RUNS, *("single-symbol-" + "x".join(map(str, s)) for s in SINGLE_SYMBOL_SHAPES)],
+)
+def test_decoder_matches_scan_on_every_block(monkeypatch, make_config):
+    decode, blocks = coding._decode, []
+
+    def checked(*args):
+        result = decode(*args)
+        assert result == scan_decode(*args)
+        blocks.append(result)
+        return result
+
+    monkeypatch.setattr(coding, "_decode", checked)
+    cfg = make_config()
+    run(cfg)
+    assert len(blocks) == cfg.num_blocks - 1
+
+
+def test_identity_channel_decoder_reads_few_words(monkeypatch):
+    # the observations equal the channel codeword, so a candidate is typical
+    # only if it matches them at every position: random access drops almost
+    # every row within a few positions, and the count scan never runs
+    cfg = _binary_config(400, 1, 6, 0.025, 0.5)
+    decode, scan = coding._decode, coding._scan
+    philox, symbols = coding._philox_block, coding._symbols
+    inside, words, scans = [False], [], []
+
+    def counted_decode(*args):
+        words.append(0)
+        scans.append(0)
+        inside[0] = True
+        try:
+            return decode(*args)
+        finally:
+            inside[0] = False
+
+    def counted_scan(*args):
+        if inside[0]:
+            scans[-1] += 1
+        return scan(*args)
+
+    def counted_philox(key, counter):
+        if inside[0]:
+            words[-1] += 4 * counter.size
+        return philox(key, counter)
+
+    def counted_symbols(thresholds, key, shape, skip=0):
+        if inside[0]:
+            words[-1] += int(np.prod(shape)) + skip % 4
+        return symbols(thresholds, key, shape, skip)
+
+    for name, wrapper in [("_decode", counted_decode), ("_scan", counted_scan),
+                          ("_philox_block", counted_philox), ("_symbols", counted_symbols)]:
+        monkeypatch.setattr(coding, name, wrapper)
+    result = run(cfg)
+    assert len(words) == cfg.num_blocks - 1 and scans == [0] * len(words)
+    assert max(words) < cfg.codebook_size * cfg.block_length / 16
+    # the played codeword matches, and is the one decoded
+    assert all(d.typical_candidates >= 1 for d in result.blocks[:-1])
+    assert result.decoder_errors == 0
