@@ -70,15 +70,16 @@ Memory and time do not grow with M x n x |alphabet|:
   counter j // 4 + 1.  So the decoder evaluates that function in numpy for
   the positions that can draw a disallowed symbol, a counter block of four
   at a time, drops each codeword at its first disallowed symbol, and draws
-  and counts only the few left.  A necessary condition drops only
-  codewords the count would reject, so the verdicts stay the same.  Where
-  no symbol is disallowed (a channel with full-support rows), or random
-  access is not expected to pay, the decoder scans as above.
+  and counts only the few left, through the same scan.  A necessary
+  condition drops only codewords the count would reject, so the verdicts
+  stay the same.  Where no symbol is disallowed (a channel with
+  full-support rows), the decoder scans the whole codebook as above.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -121,16 +122,13 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _WORD_MASK = (1 << 64) - 1
 _LOW32 = 0xFFFFFFFF
 
-#: The decoder's cost model, in symbols of the count scan: a Philox block
-#: evaluated by random access, the fixed cost of one round of them (numpy's
-#: per-call overhead), and a row drawn alone beyond its n words.  Measured
-#: with numpy 2.4 on a 2-core x86 VM; only the ratios matter.
-_BLOCK_COST = 32.0
-_ROUND_COST = 30_000.0
-_ROW_COST = 2_000.0
-#: Random access works on chunks of ``_chunk_rows(_ACCESS_WIDTH)`` rows
-#: (1,024 at the default chunk size), where numpy's Philox costs least per row.
-_ACCESS_WIDTH = 64
+#: Random access tests rows in chunks of ``_chunk_rows(_PHILOX_WIDTH)`` (1,024
+#: at the default chunk size); a round's temporaries, about 24 words per row,
+#: then take less than half of ``_CHUNK_BYTES``.
+_PHILOX_WIDTH = 64
+#: Random access stops testing positions once this few rows of a chunk are
+#: left, and they are drawn whole.
+_FEW_ROWS = 16
 
 
 class CodingConfigError(ValueError):
@@ -196,16 +194,21 @@ def _quantize(thresholds: np.ndarray, words: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _symbols(thresholds: np.ndarray, key: tuple, shape, skip: int = 0) -> np.ndarray:
-    """The symbols of ``shape`` words of stream ``key``, (seed, tag, block),
-    from word ``skip`` on; row m of an (M, n) draw starts at skip = m*n.
+def _words(key: tuple, shape, skip: int = 0) -> np.ndarray:
+    """``shape`` words of stream ``key``, (seed, tag, block), from word
+    ``skip`` on; row m of an (M, n) draw starts at skip = m*n.
 
     Philox emits four words per counter step, so starting the counter at
     skip // 4 and discarding skip % 4 words skips exactly ``skip``.
     """
     bits = _stream(*key, counter=skip // 4)
     bits.random_raw(skip % 4)
-    return _quantize(thresholds, bits.random_raw(shape))
+    return bits.random_raw(shape)
+
+
+def _symbols(thresholds: np.ndarray, key: tuple, shape, skip: int = 0) -> np.ndarray:
+    """The symbols of the words ``_words(key, shape, skip)``."""
+    return _quantize(thresholds, _words(key, shape, skip))
 
 
 def _mulhilo(a: np.ndarray, m: np.ndarray):
@@ -280,12 +283,13 @@ def _count_cells(masks, indicator: np.ndarray, sizes: np.ndarray, out: np.ndarra
     return out
 
 
-def _scan(bits, size: int, thresholds: np.ndarray, chunk: np.ndarray, groups: int):
-    """Draw ``size`` codewords from the bit generator ``bits`` in the order of
-    one (size, n) draw and yield ``lo, masks, counts`` per chunk of them, rows
-    lo, lo+1, ...: their (K-1, rows, n) masks of symbol >= 1, ..., K-1 of
-    ``_quantize(thresholds, words)``, and a (rows, K, groups) buffer for their
-    cell counts.  ``thresholds`` is (K-1,) or (n, K-1); the CDF rows are
+def _scan(draw, size: int, thresholds: np.ndarray, chunk: np.ndarray, groups: int):
+    """Draw ``size`` codewords and yield ``lo, masks, counts`` per chunk of
+    them, rows lo, lo+1, ...: their (K-1, rows, n) masks of symbol >= 1, ...,
+    K-1 of ``_quantize(thresholds, words)``, and a (rows, K, groups) buffer
+    for their cell counts.  ``draw(count)`` returns the words of the next
+    count // n codewords; a bit generator's ``random_raw`` reads them in the
+    order of one (size, n) draw.  ``thresholds`` is (K-1,) or (n, K-1); the CDF rows are
     nondecreasing, so symbol >= v exactly when w >> 11 reaches threshold
     v - 1.  The masks split ``chunk``, (rows, n), in K-1 slots.  With K = 1
     there is no mask, and nothing is drawn."""
@@ -299,7 +303,7 @@ def _scan(bits, size: int, thresholds: np.ndarray, chunk: np.ndarray, groups: in
         rows = min(step, size - lo)
         masks = slots[: k - 1, :rows]
         if k > 1:
-            words = bits.random_raw(rows * n).reshape(rows, n)
+            words = draw(rows * n).reshape(rows, n)
             np.right_shift(words, _WORD_SHIFT, out=words)
             for mask, threshold in zip(masks, thresholds):
                 np.greater_equal(words, threshold, out=mask, casting="unsafe")
@@ -321,20 +325,18 @@ def _absent_cells_typical(indicator: np.ndarray, ref: np.ndarray, n: int, eps: f
     return bool(_typical_rows(zeros, ref[absent].ravel(), n, eps)[0])
 
 
-def _typical_chunks(key, size: int, thresholds, chunk, indicators, ref, eps: float):
-    """Scan the ``size`` codewords of stream ``key`` for each block's
-    typicality and yield ``b, lo, cells, typical`` per chunk and live block:
-    the chunk's first row ``lo``, its rows' (rows, K, groups) cell counts
-    against block b's (n, groups) one-hot matrix ``indicators[b]``, and each
-    row's verdict against ``ref``, (groups, K).  A block is live when its
-    absent cells pass; the stream is opened only when some block is."""
+def _typical_chunks(draw, size: int, thresholds, chunk, indicators: dict, ref, eps: float):
+    """Scan ``size`` codewords, drawn by ``draw`` as in ``_scan``, for each
+    block's typicality and yield ``b, lo, cells, typical`` per chunk and
+    block b of ``indicators``: the chunk's first row ``lo``, its rows'
+    (rows, K, groups) cell counts against block b's (n, groups) one-hot
+    matrix ``indicators[b]``, and each row's verdict against ``ref``,
+    (groups, K).  The caller keeps out the blocks whose absent cells fail
+    (``_absent_cells_typical``): no row of theirs is typical."""
     n = chunk.shape[1]
-    live = [(b, i, i.sum(0)) for b, i in enumerate(indicators)
-            if _absent_cells_typical(i, ref, n, eps)]
-    if not live:
-        return
+    live = [(b, i, i.sum(0)) for b, i in indicators.items()]
     ref_flat = ref.T.ravel()
-    for lo, masks, counts in _scan(_stream(*key), size, thresholds, chunk, ref.shape[0]):
+    for lo, masks, counts in _scan(draw, size, thresholds, chunk, ref.shape[0]):
         for b, indicator, sizes in live:
             cells = _count_cells(masks, indicator, sizes, counts)
             yield b, lo, cells, _typical_rows(cells.reshape(len(cells), -1), ref_flat, n, eps)
@@ -474,8 +476,11 @@ def _encode_all(key, thresholds, size: int, states, pair_ref, eps: float, chunk)
     n = chunk.shape[1]
     pair_flat = pair_ref.ravel()
     best, best_deviation = [None] * len(states), [np.inf] * len(states)
-    indicators = [_indicator(x0, pair_ref.shape[0]) for x0 in states]
-    scan = _typical_chunks(key, size, thresholds, chunk, indicators, pair_ref, eps)
+    indicators = (_indicator(x0, pair_ref.shape[0]) for x0 in states)
+    live = {b: i for b, i in enumerate(indicators) if _absent_cells_typical(i, pair_ref, n, eps)}
+    if not live:
+        return best
+    scan = _typical_chunks(_stream(*key).random_raw, size, thresholds, chunk, live, pair_ref, eps)
     for b, lo, cells, verdicts in scan:
         typical = np.flatnonzero(verdicts)
         if typical.size:
@@ -498,18 +503,17 @@ def _allowed_rows(key, thresholds, allowed, positions: list, size: int) -> np.nd
     m's position t is word m*n + t, so the rows whose m*n leaves the same
     remainder mod 4 share the block and lane of every position.  Each block
     tests all of its positions at once, and only the rows that pass go on,
-    until drawing the rows left whole costs less than another round.
+    until at most ``_FEW_ROWS`` are left.
     """
     n = allowed.shape[0]
-    few = _ROUND_COST / (n + _ROW_COST)
-    step = _chunk_rows(_ACCESS_WIDTH)
+    step = _chunk_rows(_PHILOX_WIDTH)
     kept = []
     for lo in range(0, size, step):
         rows = np.arange(lo, min(lo + step, size))
         for phase in range(4):
             live = rows[rows * n % 4 == phase]
             i = 0
-            while i < len(positions) and live.size > few:
+            while i < len(positions) and live.size > _FEW_ROWS:
                 block = (positions[i] + phase) // 4
                 words = _philox_block(key, (live * n // 4 + block + 1).astype(np.uint64))
                 ok = np.ones(live.size, dtype=bool)
@@ -522,41 +526,13 @@ def _allowed_rows(key, thresholds, allowed, positions: list, size: int) -> np.nd
     return np.sort(np.concatenate(kept))
 
 
-def _filter_pays(allowed_mass: np.ndarray, size: int) -> bool:
-    """Whether ``_allowed_rows`` and a check of the rows it keeps are
-    expected to cost less than the count scan of all ``size`` rows, given
-    the probability of an allowed symbol at each position.  Costs are in
-    scanned words; ``_allowed_rows`` works on groups of rows (a chunk of one
-    phase), and each group tests its blocks in order until few rows are
-    left."""
-    n = allowed_mass.size
-    group = min(size, _chunk_rows(_ACCESS_WIDTH)) / (4 // math.gcd(n, 4))
-    per_block = np.pad(allowed_mass, (0, -n % 4), constant_values=1.0).reshape(-1, 4).prod(axis=1)
-    # expected rows entering each restricted block, and left after the last
-    live = group * np.cumprod(np.r_[1.0, per_block[per_block < 1.0]])
-    tested = live[:-1][live[:-1] > _ROUND_COST / (n + _ROW_COST)]
-    cost = (_ROUND_COST * tested.size + _BLOCK_COST * tested.sum()
-            + (n + _ROW_COST) * live[tested.size])
-    return bool(cost * size / group < size * n)
-
-
-def _row_verdicts(key, thresholds, indicator, ref, eps: float, chunk, rows: np.ndarray):
-    """Yield ``part, typical`` per chunk of ``rows`` of stream ``key``: each
-    row drawn alone, as a played row is, and judged by the cell counts and
-    the verdict of ``_typical_chunks``."""
-    n = chunk.shape[1]
-    k = thresholds.shape[-1] + 1
-    step = chunk.shape[0] // max(k - 1, 1)
-    sizes, ref_flat = indicator.sum(axis=0), ref.T.ravel()
-    counts = np.empty((min(step, rows.size), k, ref.shape[0]))
-    for lo in range(0, rows.size, step):
-        part = rows[lo : lo + step]
-        symbols = np.stack([_symbols(thresholds, key, n, int(m) * n) for m in part])
-        masks = chunk[: (k - 1) * part.size].reshape(k - 1, part.size, n)
-        for v, mask in enumerate(masks, 1):
-            np.greater_equal(symbols, v, out=mask, casting="unsafe")
-        cells = _count_cells(masks, indicator, sizes, counts[: part.size])
-        yield part, _typical_rows(cells.reshape(part.size, -1), ref_flat, n, eps)
+def _row_words(key, rows: np.ndarray, n: int):
+    """A ``draw`` for ``_scan`` that reads the ascending ``rows`` of the
+    (M, n) draw of stream ``key``, each alone, as a played row is read."""
+    order = iter(rows.tolist())
+    return lambda count: np.concatenate(
+        [_words(key, n, m * n) for m in itertools.islice(order, count // n)]
+    )
 
 
 def _decode(key, thresholds, indicator, ref, size: int, eps: float, chunk) -> tuple[int, int]:
@@ -569,29 +545,28 @@ def _decode(key, thresholds, indicator, ref, size: int, eps: float, chunk) -> tu
     A symbol x1 is allowed at position t when ref(g_t, x1) > 0 for the
     position's group g_t.  A row with a disallowed symbol anywhere counts
     more than 0 in a cell whose target is 0, so it is not typical.  When
-    some positions can draw a disallowed symbol, and reading only those
-    positions is expected to pay, the rows that pass them are found by
-    random access (``_allowed_rows``) and only they are drawn and counted;
-    otherwise every row is scanned.  Both give the same verdicts.
+    some position can draw a disallowed symbol, the rows that pass every
+    such position are found by random access (``_allowed_rows``), and only
+    they are drawn and counted; otherwise every row is.  Both give the
+    verdicts of the scan of every row.
     """
     n = chunk.shape[1]
     if not _absent_cells_typical(indicator, ref, n, eps):
         return 0, 0
     allowed = ref[indicator.argmax(axis=1)] > 0.0  # (n, |X1|)
-    # the share of the words that fall on an allowed symbol, per position
+    # per position, how many of the 2**53 word steps fall on an allowed symbol
     widths = np.diff(thresholds, axis=1, prepend=np.uint64(0), append=np.uint64(2**53))
-    mass = (widths * allowed).sum(axis=1) / _UNIFORM_STEPS
-    if _filter_pays(mass, size):
-        rows = _allowed_rows(key, thresholds, allowed, np.flatnonzero(mass < 1.0).tolist(), size)
-        found = (part[typical] for part, typical in
-                 _row_verdicts(key, thresholds, indicator, ref, eps, chunk, rows))
+    restricted = np.flatnonzero((widths * allowed).sum(axis=1) < 2**53)
+    if restricted.size:
+        rows = _allowed_rows(key, thresholds, allowed, restricted.tolist(), size)
+        draw, count = _row_words(key, rows, n), rows.size
     else:
-        scan = _typical_chunks(key, size, thresholds, chunk, [indicator], ref, eps)
-        found = (lo + np.flatnonzero(typical) for _, lo, _, typical in scan)
+        rows, draw, count = None, _stream(*key).random_raw, size
     n_typical, first = 0, 0
-    for hits in found:
+    for _, lo, _, typical in _typical_chunks(draw, count, thresholds, chunk, {0: indicator}, ref, eps):
+        hits = lo + np.flatnonzero(typical)
         if hits.size and not n_typical:
-            first = int(hits[0])
+            first = int(hits[0] if rows is None else rows[hits[0]])
         n_typical += hits.size
     return n_typical, first
 

@@ -9,7 +9,13 @@ from __future__ import annotations
 import numpy as np
 
 from codedpc import JointDistribution, StatePrior, conditional_entropy, entropy
-from codedpc.coding import _absent_cells_typical, _chunk_rows, _typical_chunks, _typical_rows
+from codedpc.coding import (
+    _absent_cells_typical,
+    _chunk_rows,
+    _stream,
+    _typical_chunks,
+    _typical_rows,
+)
 from codedpc.icmodel import N_STATES, ChannelGainState
 
 
@@ -190,8 +196,11 @@ def scan_decode(key, thresholds, indicator, ref, size: int, eps: float, chunk) -
     ``size`` rows of stream ``key`` scanned and counted by
     ``_typical_chunks``.  Returns the number of typical rows and the first
     one (0 when none)."""
+    if not _absent_cells_typical(indicator, ref, chunk.shape[1], eps):
+        return 0, 0
     n_typical, first = 0, None
-    for _, lo, _, typical in _typical_chunks(key, size, thresholds, chunk, [indicator], ref, eps):
+    scan = _typical_chunks(_stream(*key).random_raw, size, thresholds, chunk, {0: indicator}, ref, eps)
+    for _, lo, _, typical in scan:
         hits = int(typical.sum())
         if hits and first is None:
             first = lo + int(np.argmax(typical))

@@ -223,7 +223,7 @@ def test_threshold_counts_match_oracle(block):
     source = WordSource(words)
     chunk = np.full((chunk_rows, u.shape[1]), np.nan)
     parts = []
-    for lo, masks, counts in _scan(source, len(u), _thresholds(cdf), chunk, n_groups):
+    for lo, masks, counts in _scan(source.random_raw, len(u), _thresholds(cdf), chunk, n_groups):
         assert lo == sum(map(len, parts))
         assert masks.shape == (k - 1, len(counts), u.shape[1])
         parts.append(by_group(_count_cells(masks, indicator, indicator.sum(axis=0), counts)).copy())
@@ -250,7 +250,7 @@ def test_threshold_masks_at_level_edges(level):
     for cdf in (np.array([level, 1.0]), np.tile([level, 1.0], (words.size, 1))):
         thresholds = _thresholds(cdf)
         chunk = np.full((1, words.size), np.nan)
-        [(_, masks, _)] = _scan(WordSource(words), 1, thresholds, chunk, 1)
+        [(_, masks, _)] = _scan(WordSource(words).random_raw, 1, thresholds, chunk, 1)
         assert np.array_equal(masks[0, 0], expected)
         assert np.array_equal(_quantize(thresholds, words), expected)
 
@@ -445,7 +445,7 @@ def test_played_row_matches_scanned_row(case):
     played = _symbols(thresholds, key, n, m * n)
     chunk = np.full((per_chunk * max(k - 1, 1), n), np.nan)
     scanned = None
-    for lo, masks, _ in _scan(_stream(*key), m + 1 + per_chunk, thresholds, chunk, 1):
+    for lo, masks, _ in _scan(_stream(*key).random_raw, m + 1 + per_chunk, thresholds, chunk, 1):
         if lo <= m < lo + masks.shape[1]:
             scanned = masks[:, m - lo].copy()
     assert scanned is not None and len(scanned) == k - 1
@@ -575,13 +575,11 @@ def test_decode_matches_scan(block, forced):
     with pytest.MonkeyPatch.context() as patch:
         # random access in chunks of access_rows rows, so that the codebook
         # spans several of them
-        patch.setattr(coding, "_CHUNK_BYTES", 8 * coding._ACCESS_WIDTH * access_rows)
-        assert coding._chunk_rows(coding._ACCESS_WIDTH) == access_rows
+        patch.setattr(coding, "_CHUNK_BYTES", 8 * coding._PHILOX_WIDTH * access_rows)
+        assert coding._chunk_rows(coding._PHILOX_WIDTH) == access_rows
         if forced:
-            # random access on every codebook, and blocks tested down to
-            # the last live row
-            patch.setattr(coding, "_filter_pays", lambda *args: True)
-            patch.setattr(coding, "_ROUND_COST", 0.0)
+            # blocks tested down to the last live row
+            patch.setattr(coding, "_FEW_ROWS", 0)
         assert _decode(key, thresholds, indicator, ref, size, eps, chunk) == expected
 
 
@@ -609,41 +607,43 @@ def test_decoder_matches_scan_on_every_block(monkeypatch, make_config):
 def test_identity_channel_decoder_reads_few_words(monkeypatch):
     # the observations equal the channel codeword, so a candidate is typical
     # only if it matches them at every position: random access drops almost
-    # every row within a few positions, and the count scan never runs
+    # every row within a few positions, and the count scan reads only the
+    # few rows left, never the whole codebook
     cfg = _binary_config(400, 1, 6, 0.025, 0.5)
     decode, scan = coding._decode, coding._scan
-    philox, symbols = coding._philox_block, coding._symbols
-    inside, words, scans = [False], [], []
+    philox, raw = coding._philox_block, coding._words
+    inside, words, scanned = [False], [], []
 
     def counted_decode(*args):
         words.append(0)
-        scans.append(0)
+        scanned.append(0)
         inside[0] = True
         try:
             return decode(*args)
         finally:
             inside[0] = False
 
-    def counted_scan(*args):
+    def counted_scan(draw, size, *args):
         if inside[0]:
-            scans[-1] += 1
-        return scan(*args)
+            scanned[-1] += size
+        return scan(draw, size, *args)
 
     def counted_philox(key, counter):
         if inside[0]:
             words[-1] += 4 * counter.size
         return philox(key, counter)
 
-    def counted_symbols(thresholds, key, shape, skip=0):
+    def counted_words(key, shape, skip=0):
         if inside[0]:
             words[-1] += int(np.prod(shape)) + skip % 4
-        return symbols(thresholds, key, shape, skip)
+        return raw(key, shape, skip)
 
     for name, wrapper in [("_decode", counted_decode), ("_scan", counted_scan),
-                          ("_philox_block", counted_philox), ("_symbols", counted_symbols)]:
+                          ("_philox_block", counted_philox), ("_words", counted_words)]:
         monkeypatch.setattr(coding, name, wrapper)
     result = run(cfg)
-    assert len(words) == cfg.num_blocks - 1 and scans == [0] * len(words)
+    assert len(words) == cfg.num_blocks - 1
+    assert max(scanned) < cfg.codebook_size / 16
     assert max(words) < cfg.codebook_size * cfg.block_length / 16
     # the played codeword matches, and is the one decoded
     assert all(d.typical_candidates >= 1 for d in result.blocks[:-1])
