@@ -126,8 +126,8 @@ _LOW32 = 0xFFFFFFFF
 #: at the default chunk size); a round's temporaries, about 24 words per row,
 #: then take less than half of ``_CHUNK_BYTES``.
 _PHILOX_WIDTH = 64
-#: Random access stops testing positions once this few rows of a chunk are
-#: left, and they are drawn whole.
+#: Random access stops testing positions once at most this many rows of a
+#: chunk's group (its rows of one m*n mod 4) are left, and draws them whole.
 _FEW_ROWS = 16
 
 
@@ -289,10 +289,10 @@ def _scan(draw, size: int, thresholds: np.ndarray, chunk: np.ndarray, groups: in
     K-1 of ``_quantize(thresholds, words)``, and a (rows, K, groups) buffer
     for their cell counts.  ``draw(count)`` returns the words of the next
     count // n codewords; a bit generator's ``random_raw`` reads them in the
-    order of one (size, n) draw.  ``thresholds`` is (K-1,) or (n, K-1); the CDF rows are
-    nondecreasing, so symbol >= v exactly when w >> 11 reaches threshold
-    v - 1.  The masks split ``chunk``, (rows, n), in K-1 slots.  With K = 1
-    there is no mask, and nothing is drawn."""
+    order of one (size, n) draw.  ``thresholds`` is (K-1,) or (n, K-1); the
+    CDF rows are nondecreasing, so symbol >= v exactly when w >> 11 reaches
+    threshold v - 1.  The masks split ``chunk``, (rows, n), in K-1 slots.
+    With K = 1 there is no mask, and nothing is drawn."""
     k = thresholds.shape[-1] + 1
     n = chunk.shape[1]
     step = chunk.shape[0] // max(k - 1, 1)
@@ -563,7 +563,8 @@ def _decode(key, thresholds, indicator, ref, size: int, eps: float, chunk) -> tu
     else:
         rows, draw, count = None, _stream(*key).random_raw, size
     n_typical, first = 0, 0
-    for _, lo, _, typical in _typical_chunks(draw, count, thresholds, chunk, {0: indicator}, ref, eps):
+    scan = _typical_chunks(draw, count, thresholds, chunk, {0: indicator}, ref, eps)
+    for _, lo, _, typical in scan:
         hits = lo + np.flatnonzero(typical)
         if hits.size and not n_typical:
             first = int(hits[0] if rows is None else rows[hits[0]])

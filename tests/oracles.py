@@ -199,7 +199,8 @@ def scan_decode(key, thresholds, indicator, ref, size: int, eps: float, chunk) -
     if not _absent_cells_typical(indicator, ref, chunk.shape[1], eps):
         return 0, 0
     n_typical, first = 0, None
-    scan = _typical_chunks(_stream(*key).random_raw, size, thresholds, chunk, {0: indicator}, ref, eps)
+    draw = _stream(*key).random_raw
+    scan = _typical_chunks(draw, size, thresholds, chunk, {0: indicator}, ref, eps)
     for _, lo, _, typical in scan:
         hits = int(typical.sum())
         if hits and first is None:
