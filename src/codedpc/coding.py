@@ -74,6 +74,15 @@ Memory and time do not grow with M x n x |alphabet|:
   condition drops only codewords the count would reject, so the verdicts
   stay the same.  Where no symbol is disallowed (a channel with
   full-support rows), the decoder scans the whole codebook as above.
+  What the informed side sends depends on the encoder's indices alone, so
+  once they are known, so is every block's channel codeword and
+  observation; the decoder's own action differs from the one the encoder
+  assumes only after a decoding error.  Every coded block is therefore
+  decoded at once with the assumed action, and a block that follows a
+  decoding error once more, alone, with the action played.  Decoding the
+  blocks together lets each round of random access evaluate Philox for all
+  of them in a few calls, so the fixed cost of a call, about 200 small
+  numpy operations, is paid per round rather than per block.
 """
 
 from __future__ import annotations
@@ -121,13 +130,18 @@ _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _WORD_MASK = (1 << 64) - 1
 _LOW32 = 0xFFFFFFFF
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> 32
 
-#: Random access tests rows in chunks of ``_chunk_rows(_PHILOX_WIDTH)`` (1,024
-#: at the default chunk size); a round's temporaries, about 24 words per row,
-#: then take less than half of ``_CHUNK_BYTES``.
+#: Random access reads rows in chunks of ``_chunk_rows(_PHILOX_WIDTH)`` (1,024
+#: at the default chunk size).
 _PHILOX_WIDTH = 64
+#: One Philox evaluation covers the live rows of whole groups, up to this many:
+#: a call's fixed cost, about 200 small numpy operations, is that of some 1,000
+#: rows, and its temporaries take about 16 words per row.
+_PHILOX_LANES = 4096
 #: Random access stops testing positions once at most this many rows of a
-#: chunk's group (its rows of one m*n mod 4) are left, and draws them whole.
+#: group (a block's rows of one m*n mod 4 in one chunk) are left, and draws
+#: them whole.
 _FEW_ROWS = 16
 
 
@@ -211,36 +225,46 @@ def _symbols(thresholds: np.ndarray, key: tuple, shape, skip: int = 0) -> np.nda
     return _quantize(thresholds, _words(key, shape, skip))
 
 
-def _mulhilo(a: np.ndarray, m: np.ndarray):
-    """The high and low words of the 128-bit products a * m, from 32-bit
-    halves; every partial sum fits in 64 bits, and uint64 arrays wrap."""
-    a_lo, a_hi = a & _LOW32, a >> 32
-    m_lo, m_hi = m & _LOW32, m >> 32
-    mid = a_hi * m_lo + ((a_lo * m_lo) >> 32)
-    mid2 = a_lo * m_hi + (mid & _LOW32)
-    return a_hi * m_hi + (mid >> 32) + (mid2 >> 32), a * m
+def _mulhilo(a: np.ndarray):
+    """The high and low words of the 128-bit products a * ``_PHILOX_M``,
+    from 32-bit halves; every partial sum fits in 64 bits, and uint64 arrays
+    wrap.  The high words overwrite ``a``, so that fewer arrays of its size
+    are alive at once."""
+    lo = a * _PHILOX_M
+    a_lo = a & _LOW32
+    a >>= 32
+    mid = a * _PHILOX_M_LO + ((a_lo * _PHILOX_M_LO) >> 32)
+    mid2 = a_lo * _PHILOX_M_HI + (mid & _LOW32)
+    a *= _PHILOX_M_HI
+    a += (mid >> 32) + (mid2 >> 32)
+    return a, lo
 
 
-def _philox_block(key: tuple, counter: np.ndarray) -> np.ndarray:
-    """The (4, rows) words 4c - 4, ..., 4c - 1 of stream ``key``, (seed, tag,
-    block), at each uint64 counter c >= 1, without drawing the words before
-    them.  Philox4x64-10 maps the counter (c, 0, 0, 0) and the key of
-    ``_stream`` to four words; numpy steps the counter before it draws, so
-    word j of a stream is word j % 4 of counter j // 4 + 1."""
-    seed, tag, block = key
-    # the ten round keys, bumped in Python ints: a numpy uint64 scalar warns
-    # when it wraps
-    key_words = (seed, tag << 32 | block)
-    keys = np.array([[(k + r * w) & _WORD_MASK for k, w in zip(key_words, _PHILOX_W)]
-                     for r in range(10)], dtype=np.uint64)[:, :, None]
+def _round_keys(keys: list) -> np.ndarray:
+    """The (10, 2, streams) Philox4x64-10 round keys of the streams ``keys``,
+    (seed, tag, block) each, the key of ``_stream`` bumped once per round."""
+    # bumped in Python ints: a numpy uint64 scalar warns when it wraps
+    words = [(seed, tag << 32 | block) for seed, tag, block in keys]
+    return np.array([[[(k[i] + r * w) & _WORD_MASK for k in words] for i, w in enumerate(_PHILOX_W)]
+                     for r in range(10)], dtype=np.uint64)
+
+
+def _philox_block(round_keys: np.ndarray, stream: np.ndarray, counter: np.ndarray) -> np.ndarray:
+    """The (4, lanes) words 4c - 4, ..., 4c - 1 at each lane's uint64 counter
+    c >= 1 of stream ``stream`` of ``round_keys``, a ``_round_keys`` table,
+    without drawing the words before them.  Philox4x64-10 maps the counter
+    (c, 0, 0, 0) and the key to four words; numpy steps the counter before
+    it draws, so word j of a stream is word j % 4 of counter j // 4 + 1."""
     # (x0, x2), which the multipliers act on, and (x1, x3); a round maps them
     # to (hi(x2) ^ x1 ^ k0, hi(x0) ^ x3 ^ k1) and (lo(x2), lo(x0))
     even = np.zeros((2, counter.size), dtype=np.uint64)
     even[0] = counter
     odd = np.zeros_like(even)
-    for round_key in keys:
-        hi, lo = _mulhilo(even, _PHILOX_M)
-        even, odd = hi[::-1] ^ odd ^ round_key, lo[::-1]
+    for keys in round_keys:
+        hi, lo = _mulhilo(even)
+        odd ^= hi[::-1]
+        odd ^= keys[:, stream]
+        even, odd = odd, lo[::-1]
     # interleaved back to x0, x1, x2, x3
     return np.stack((even, odd), axis=1).reshape(4, -1)
 
@@ -313,14 +337,15 @@ def _scan(draw, size: int, thresholds: np.ndarray, chunk: np.ndarray, groups: in
         yield lo, masks, counts[:rows]
 
 
-def _absent_cells_typical(indicator: np.ndarray, ref: np.ndarray, n: int, eps: float) -> bool:
-    """Typicality of the cells whose group does not occur in the block.
+def _absent_cells_typical(groups: np.ndarray, ref: np.ndarray, n: int, eps: float) -> bool:
+    """Typicality of the cells whose group does not occur in the block, whose
+    positions are in ``groups``.
 
     ``ref`` is (groups, K).  Those cells count 0 in every row, so their
     verdict, computed with ``_typical_rows``'s own expression, is the same
     for all rows; when it fails, no row is typical.
     """
-    absent = ~indicator.any(axis=0)
+    absent = np.bincount(groups, minlength=ref.shape[0]) == 0
     zeros = np.zeros((1, int(absent.sum()) * ref.shape[1]))
     return bool(_typical_rows(zeros, ref[absent].ravel(), n, eps)[0])
 
@@ -476,8 +501,8 @@ def _encode_all(key, thresholds, size: int, states, pair_ref, eps: float, chunk)
     n = chunk.shape[1]
     pair_flat = pair_ref.ravel()
     best, best_deviation = [None] * len(states), [np.inf] * len(states)
-    indicators = (_indicator(x0, pair_ref.shape[0]) for x0 in states)
-    live = {b: i for b, i in enumerate(indicators) if _absent_cells_typical(i, pair_ref, n, eps)}
+    live = {b: _indicator(x0, pair_ref.shape[0])
+            for b, x0 in enumerate(states) if _absent_cells_typical(x0, pair_ref, n, eps)}
     if not live:
         return best
     scan = _typical_chunks(_stream(*key).random_raw, size, thresholds, chunk, live, pair_ref, eps)
@@ -493,37 +518,62 @@ def _encode_all(key, thresholds, size: int, states, pair_ref, eps: float, chunk)
     return best
 
 
-def _allowed_rows(key, thresholds, allowed, positions: list, size: int) -> np.ndarray:
-    """Rows m < ``size`` of the (size, n) draw of stream ``key``, ascending,
-    that include every row whose symbol, ``_quantize(thresholds[t], word)``,
-    is allowed, ``allowed[t, symbol]``, at each of the ascending
-    ``positions`` t.
+def _test_groups(call: list, blocks: list, keys: np.ndarray, n: int):
+    """Test the groups ``call`` of ``_allowed_rows`` in their next counter
+    block, with one Philox evaluation, and keep in each the rows that pass."""
+    sizes = [g[2].size for g in call]
+    counters = np.concatenate([rows * n // 4 + (blocks[j][3][i] + phase) // 4 + 1
+                               for j, phase, rows, i in call], dtype=np.uint64, casting="unsafe")
+    words = _philox_block(keys, np.repeat([g[0] for g in call], sizes), counters)
+    for g, group_words in zip(call, np.split(words, np.cumsum(sizes)[:-1], axis=1)):
+        j, phase, rows, i = g
+        _, thresholds, allowed, positions = blocks[j]
+        block = (positions[i] + phase) // 4
+        ok = np.ones(rows.size, dtype=bool)
+        while i < len(positions) and (positions[i] + phase) // 4 == block:
+            t = int(positions[i])
+            ok &= allowed[t, _quantize(thresholds[t], group_words[(t + phase) % 4])]
+            i += 1
+        g[2], g[3] = rows[ok], i
+
+
+def _allowed_rows(blocks: list, size: int, n: int) -> list[np.ndarray]:
+    """Per block ``(key, thresholds, allowed, positions)``, the rows m <
+    ``size`` of the (size, n) draw of stream ``key``, ascending, that include
+    every row whose symbol, ``_quantize(thresholds[t], word)``, is allowed,
+    ``allowed[t, symbol]``, at each of the ascending ``positions`` t.
 
     Rows are read by random access, one Philox counter block at a time: row
     m's position t is word m*n + t, so the rows whose m*n leaves the same
-    remainder mod 4 share the block and lane of every position.  Each block
-    tests all of its positions at once, and only the rows that pass go on,
-    until at most ``_FEW_ROWS`` are left.
+    remainder mod 4 share the block and lane of every position.  A group is
+    such rows of one block in one chunk of rows.  Each round tests every
+    group at all of its positions in its next counter block, and only the
+    rows that pass go on, until at most ``_FEW_ROWS`` of a group are left.
+    The chunk's rounds evaluate Philox for whole groups of every block
+    together, up to ``_PHILOX_LANES`` rows a call, so a call's fixed cost is
+    paid per round, not per block.
     """
-    n = allowed.shape[0]
+    keys = _round_keys([key for key, *_ in blocks])
     step = _chunk_rows(_PHILOX_WIDTH)
-    kept = []
+    kept = [[] for _ in blocks]
     for lo in range(0, size, step):
         rows = np.arange(lo, min(lo + step, size))
-        for phase in range(4):
-            live = rows[rows * n % 4 == phase]
-            i = 0
-            while i < len(positions) and live.size > _FEW_ROWS:
-                block = (positions[i] + phase) // 4
-                words = _philox_block(key, (live * n // 4 + block + 1).astype(np.uint64))
-                ok = np.ones(live.size, dtype=bool)
-                while i < len(positions) and (positions[i] + phase) // 4 == block:
-                    t = positions[i]
-                    ok &= allowed[t, _quantize(thresholds[t], words[(t + phase) % 4])]
-                    i += 1
-                live = live[ok]
-            kept.append(live)
-    return np.sort(np.concatenate(kept))
+        phases = [rows[rows * n % 4 == phase] for phase in range(4)]
+        # [block, m*n mod 4, live rows, index of the next position]
+        groups = [[j, phase, phases[phase], 0] for j in range(len(blocks)) for phase in range(4)]
+        todo = groups
+        while todo := [g for g in todo if g[2].size > _FEW_ROWS and g[3] < len(blocks[g[0]][3])]:
+            call, lanes = [], 0
+            for g in todo:
+                if call and lanes + g[2].size > _PHILOX_LANES:
+                    _test_groups(call, blocks, keys, n)
+                    call, lanes = [], 0
+                call.append(g)
+                lanes += g[2].size
+            _test_groups(call, blocks, keys, n)
+        for j, _, live, _ in groups:
+            kept[j].append(live)
+    return [np.sort(np.concatenate(rows)) for rows in kept]
 
 
 def _row_words(key, rows: np.ndarray, n: int):
@@ -535,41 +585,62 @@ def _row_words(key, rows: np.ndarray, n: int):
     )
 
 
-def _decode(key, thresholds, indicator, ref, size: int, eps: float, chunk) -> tuple[int, int]:
-    """Count the typical candidate codewords and find the first one.
-
-    The ``size`` candidates are read from stream ``key`` with the block's
-    (n, |X1| - 1) ``thresholds``; ``ref`` is (groups, |X1|).  Returns the
-    number of typical rows and the first one (0 when none).
-
-    A symbol x1 is allowed at position t when ref(g_t, x1) > 0 for the
-    position's group g_t.  A row with a disallowed symbol anywhere counts
-    more than 0 in a cell whose target is 0, so it is not typical.  When
-    some position can draw a disallowed symbol, the rows that pass every
-    such position are found by random access (``_allowed_rows``), and only
-    they are drawn and counted; otherwise every row is.  Both give the
-    verdicts of the scan of every row.
-    """
+def _count_typical(block, ref, size: int, eps: float, chunk, rows=None) -> tuple[int, int]:
+    """The number of typical rows of the decoder block ``block`` (see
+    ``_decode``) and the first one (0 when none), counted over its ascending
+    ``rows``, drawn one at a time, or over all ``size`` rows."""
+    key, thresholds, groups = block
     n = chunk.shape[1]
-    if not _absent_cells_typical(indicator, ref, n, eps):
-        return 0, 0
-    allowed = ref[indicator.argmax(axis=1)] > 0.0  # (n, |X1|)
-    # per position, how many of the 2**53 word steps fall on an allowed symbol
-    widths = np.diff(thresholds, axis=1, prepend=np.uint64(0), append=np.uint64(2**53))
-    restricted = np.flatnonzero((widths * allowed).sum(axis=1) < 2**53)
-    if restricted.size:
-        rows = _allowed_rows(key, thresholds, allowed, restricted.tolist(), size)
-        draw, count = _row_words(key, rows, n), rows.size
-    else:
-        rows, draw, count = None, _stream(*key).random_raw, size
+    draw = _stream(*key).random_raw if rows is None else _row_words(key, rows, n)
+    count = size if rows is None else rows.size
+    indicator = {0: _indicator(groups, ref.shape[0])}
     n_typical, first = 0, 0
-    scan = _typical_chunks(draw, count, thresholds, chunk, {0: indicator}, ref, eps)
-    for _, lo, _, typical in scan:
+    for _, lo, _, typical in _typical_chunks(draw, count, thresholds, chunk, indicator, ref, eps):
         hits = lo + np.flatnonzero(typical)
         if hits.size and not n_typical:
             first = int(hits[0] if rows is None else rows[hits[0]])
         n_typical += hits.size
     return n_typical, first
+
+
+def _decode(blocks: list, ref, size: int, eps: float, chunk) -> list[tuple[int, int]]:
+    """Count each block's typical candidate codewords and find the first one.
+
+    A block is ``(key, thresholds, groups)``: its ``size`` candidates are
+    read from stream ``key`` with the (n, |X1| - 1) ``thresholds``, and
+    ``groups`` holds each position's group, a row of ``ref``, (groups,
+    |X1|).  Returns per block the number of typical rows and the first one
+    (0 when none).
+
+    A symbol x1 is allowed at position t when ref(g_t, x1) > 0.  A row with
+    a disallowed symbol anywhere counts more than 0 in a cell whose target
+    is 0, so it is not typical.  When some position of a block can draw a
+    disallowed symbol, the rows that pass every such position are found by
+    random access (``_allowed_rows``), and only they are drawn and counted;
+    otherwise every row is.  Both give the verdicts of the scan of every row.
+    Random access serves as many blocks at once as have ``_chunk_rows(1)``
+    rows between them (one at least), so the rows a pass keeps take at most
+    a chunk's bytes more than one block's.
+    """
+    n = chunk.shape[1]
+    found, access = [(0, 0)] * len(blocks), []
+    for j, (key, thresholds, groups) in enumerate(blocks):
+        if not _absent_cells_typical(groups, ref, n, eps):
+            continue
+        allowed = ref[groups] > 0.0  # (n, |X1|)
+        # per position, how many of the 2**53 word steps fall on an allowed symbol
+        widths = np.diff(thresholds, axis=1, prepend=np.uint64(0), append=np.uint64(2**53))
+        restricted = np.flatnonzero((widths * allowed).sum(axis=1) < 2**53)
+        if restricted.size:
+            access.append((j, (key, thresholds, allowed, restricted)))
+        else:
+            found[j] = _count_typical(blocks[j], ref, size, eps, chunk)
+    per_pass = max(1, _chunk_rows(1) // size)
+    for lo in range(0, len(access), per_pass):
+        batch = access[lo : lo + per_pass]
+        for (j, _), rows in zip(batch, _allowed_rows([b for _, b in batch], size, n)):
+            found[j] = _count_typical(blocks[j], ref, size, eps, chunk, rows)
+    return found
 
 
 def run(cfg: CodingConfig) -> SimResult:
@@ -614,42 +685,48 @@ def run(cfg: CodingConfig) -> SimResult:
     # target ever more finely).  The last block conveys no index: row 0.
     source = (cfg.seed, _STREAM_SOURCE, 0)
     encoded = [*_encode_all(source, x2_thr, size, states[1:], pair_ref, eps, chunk), 0]
+    sent = [0 if m is None else m for m in encoded]
 
+    # What the informed side plays follows from the sent indices alone: block
+    # b's channel codeword is drawn given the source row of block b-1's index
+    # (row 0 in block 0), the partner action the encoder believes in.
+    belief = [_symbols(x2_thr, source, n, m * n) for m in [0, *sent[:-1]]]
+    codebooks = [(cfg.seed, _STREAM_CODEBOOK, b) for b in range(blocks)]
+    x1 = [_symbols(cond_thr[x0, x2], key, n, m * n)
+          for x0, x2, key, m in zip(states, belief, codebooks, sent)]
+    y = [_symbols(gamma_thr[a], (cfg.seed, _STREAM_OBSERVATION, b), n) for b, a in enumerate(x1)]
+
+    def decoder_block(b, x2):
+        """Block b as the decoder sees it while it plays ``x2``."""
+        return codebooks[b], cond_thr[states[b], x2], (states[b] * n2 + x2) * ny + y[b]
+
+    # The decoder plays the belief row unless it misdecoded the block before,
+    # so every coded block is decoded at once with that row, and a block that
+    # follows a decoding error again, with the row the decoder played.
+    decoded = _decode([decoder_block(b, belief[b]) for b in range(blocks - 1)],
+                      decoder_ref, size, eps, chunk)
     quad_counts = np.zeros(n0 * n1 * n2 * ny, dtype=np.int64)
     diagnostics: list[BlockDiagnostics] = []
-
-    play_x2 = belief_x2 = _symbols(x2_thr, source, n)
-
+    play_x2, error = belief[0], None
     for b in range(blocks):
         last = b == blocks - 1
-        x0 = states[b]
-
-        m_next = encoded[b]
-        enc_failed = m_next is None
-        if enc_failed:
-            m_next = 0
-        codebook = (cfg.seed, _STREAM_CODEBOOK, b)
-        x1 = _symbols(cond_thr[x0, belief_x2], codebook, n, m_next * n)
-        y = _symbols(gamma_thr[x1], (cfg.seed, _STREAM_OBSERVATION, b), n)
-
-        played = ((x0 * n1 + x1) * n2 + play_x2) * ny + y
+        played = ((states[b] * n1 + x1[b]) * n2 + play_x2) * ny + y[b]
         quad_counts += np.bincount(played, minlength=quad_counts.shape[0])
 
-        n_typical = m_hat = error = None
-        if not last:
-            groups = _indicator((x0 * n2 + play_x2) * ny + y, decoder_ref.shape[0])
-            n_typical, m_hat = _decode(
-                codebook, cond_thr[x0, play_x2], groups, decoder_ref, size, eps, chunk
-            )
-            error = m_hat != m_next
-            belief_x2 = _symbols(x2_thr, source, n, m_next * n)
-            play_x2 = belief_x2 if m_hat == m_next else _symbols(x2_thr, source, n, m_hat * n)
+        if last:
+            n_typical = m_hat = error = None
+        else:
+            if error:
+                decoded[b] = _decode([decoder_block(b, play_x2)], decoder_ref, size, eps, chunk)[0]
+            n_typical, m_hat = decoded[b]
+            error = m_hat != sent[b]
+            play_x2 = _symbols(x2_thr, source, n, m_hat * n) if error else belief[b + 1]
         diagnostics.append(
             BlockDiagnostics(
                 block=b,
-                encoded_index=None if last else m_next,
+                encoded_index=None if last else sent[b],
                 decoded_index=m_hat,
-                encoder_failed=enc_failed,
+                encoder_failed=encoded[b] is None,
                 typical_candidates=n_typical,
                 decode_error=error,
                 payoff_only=last,

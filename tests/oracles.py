@@ -12,6 +12,7 @@ from codedpc import JointDistribution, StatePrior, conditional_entropy, entropy
 from codedpc.coding import (
     _absent_cells_typical,
     _chunk_rows,
+    _indicator,
     _stream,
     _typical_chunks,
     _typical_rows,
@@ -165,17 +166,18 @@ def cell_counts(symbols: np.ndarray, indicator: np.ndarray, k: int) -> np.ndarra
 
 
 def encode_block(
-    codebook: np.ndarray, indicator: np.ndarray, pair_ref: np.ndarray, n: int, eps: float
+    codebook: np.ndarray, states: np.ndarray, pair_ref: np.ndarray, n: int, eps: float
 ) -> int | None:
     """The simulator's encoder before it served every block in one pass.
 
     Index of the typical source codeword whose (state, action) statistics
     deviate least from ``pair_ref``, the first on ties; None when no
-    codeword is typical with the block's states (``indicator``).  It reads
-    the codebook in chunks of ``_chunk_rows(max(n, |cells|))`` rows.
+    codeword is typical with the block's ``states``.  It reads the codebook
+    in chunks of ``_chunk_rows(max(n, |cells|))`` rows.
     """
-    if not _absent_cells_typical(indicator, pair_ref, n, eps):
+    if not _absent_cells_typical(states, pair_ref, n, eps):
         return None
+    indicator = _indicator(states, pair_ref.shape[0])
     n0, n2 = pair_ref.shape
     pair_flat = pair_ref.ravel()
     best, best_deviation = None, np.inf
@@ -191,16 +193,17 @@ def encode_block(
     return best
 
 
-def scan_decode(key, thresholds, indicator, ref, size: int, eps: float, chunk) -> tuple[int, int]:
-    """The simulator's decoder before it read rows by random access: all
-    ``size`` rows of stream ``key`` scanned and counted by
-    ``_typical_chunks``.  Returns the number of typical rows and the first
-    one (0 when none)."""
-    if not _absent_cells_typical(indicator, ref, chunk.shape[1], eps):
+def scan_decode(key, thresholds, groups, ref, size: int, eps: float, chunk) -> tuple[int, int]:
+    """The simulator's decoder before it read rows by random access, for one
+    block: all ``size`` rows of stream ``key`` scanned and counted by
+    ``_typical_chunks`` against the positions' ``groups``.  Returns the
+    number of typical rows and the first one (0 when none)."""
+    if not _absent_cells_typical(groups, ref, chunk.shape[1], eps):
         return 0, 0
     n_typical, first = 0, None
     draw = _stream(*key).random_raw
-    scan = _typical_chunks(draw, size, thresholds, chunk, {0: indicator}, ref, eps)
+    indicator = {0: _indicator(groups, ref.shape[0])}
+    scan = _typical_chunks(draw, size, thresholds, chunk, indicator, ref, eps)
     for _, lo, _, typical in scan:
         hits = int(typical.sum())
         if hits and first is None:

@@ -43,6 +43,7 @@ from codedpc.coding import (
     _indicator,
     _philox_block,
     _quantize,
+    _round_keys,
     _scan,
     _stream,
     _symbols,
@@ -264,8 +265,7 @@ def test_absent_cell_shortcut_keeps_the_verdict(block):
     oracle = _typical_rows(
         row_counts(groups[None, :] * k + symbols, n_groups * k), ref.ravel(), n, eps
     )
-    indicator = _indicator(groups, n_groups)
-    if _absent_cells_typical(indicator, ref, n, eps):
+    if _absent_cells_typical(groups, ref, n, eps):
         counts = level_counts(symbols, groups, k, n_groups)
         verdict = _typical_rows(counts.reshape(symbols.shape[0], -1), ref.T.ravel(), n, eps)
     else:
@@ -323,7 +323,7 @@ def test_encode_all_matches_per_block_oracle(block):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(coding, "_CHUNK_BYTES", 8 * max(n, n0 * k) * oracle_rows)
         assert coding._chunk_rows(max(n, n0 * k)) == oracle_rows
-        oracle = [encode_block(codebook, _indicator(x0, n0), ref, n, eps) for x0 in states]
+        oracle = [encode_block(codebook, x0, ref, n, eps) for x0 in states]
     source, opened = WordSource(words), []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(coding, "_stream", lambda *key: opened.append(key) or source)
@@ -331,7 +331,7 @@ def test_encode_all_matches_per_block_oracle(block):
                            eps, chunk) == oracle
     # the codebook is drawn once, and its stream not even opened when every
     # block fails early
-    live = any(_absent_cells_typical(_indicator(x0, n0), ref, n, eps) for x0 in states)
+    live = any(_absent_cells_typical(x0, ref, n, eps) for x0 in states)
     assert opened == ([(7, _STREAM_SOURCE, 0)] if live else [])
     assert source.drawn == (words.size if live else 0)
 
@@ -355,26 +355,44 @@ def test_stream_matches_keyed_philox(seed, tag, block):
     assert np.array_equal(uniforms_of(expected), doubles)
 
 
+@st.composite
+def philox_lanes(draw):
+    """1 to 4 streams, each with the words start, start + 1, ... after
+    ``counter`` steps, and the lanes that read them: (stream, counter block,
+    word in the block), shuffled across the streams."""
+    streams = draw(st.lists(st.tuples(
+        word,
+        st.sampled_from([_STREAM_STATE, _STREAM_SOURCE, _STREAM_CODEBOOK, _STREAM_OBSERVATION]),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 64) | st.integers(2**32 - 3, 2**32 + 3) | st.integers(0, 2**64 - 8),
+        st.integers(0, 3),
+        st.integers(1, 13),
+    ), min_size=1, max_size=4))
+    lanes = [(k, counter + 1 + j // 4, j % 4)
+             for k, (*_, counter, start, size) in enumerate(streams)
+             for j in range(start, start + size)]
+    return streams, draw(st.permutations(lanes))
+
+
 @settings(max_examples=80, deadline=None)
-@given(
-    seed=st.integers(0, 2**64 - 1),
-    tag=st.sampled_from([_STREAM_STATE, _STREAM_SOURCE, _STREAM_CODEBOOK, _STREAM_OBSERVATION]),
-    block=st.integers(0, 2**32 - 1),
-    counter=st.integers(0, 64) | st.integers(2**32 - 3, 2**32 + 3) | st.integers(0, 2**64 - 8),
-    start=st.integers(0, 3),
-    size=st.integers(1, 13),
-)
-def test_philox_block_matches_stream(seed, tag, block, counter, start, size):
-    # words start, start + 1, ... of the stream after ``counter`` steps, read
-    # by random access from a word in mid-step; at counters of 2**32 and
-    # more the products' 32-bit halves carry
-    expected = _stream(seed, tag, block, counter=counter).random_raw(start + size)[start:]
-    j = range(start, start + size)
-    counters = np.array([counter + 1 + i // 4 for i in j], dtype=np.uint64)
-    lanes = [i % 4 for i in j]
-    words = _philox_block((seed, tag, block), counters)
-    assert words.shape == (4, size) and words.dtype == np.uint64
-    assert np.array_equal(words[lanes, np.arange(size)], expected)
+@given(philox_lanes())
+def test_philox_block_matches_stream(case):
+    # words read by random access from a word in mid-step, the lanes of
+    # every stream in one call; at counters of 2**32 and more the products'
+    # 32-bit halves carry
+    streams, lanes = case
+    stream = np.array([k for k, _, _ in lanes])
+    counter = np.array([c for _, c, _ in lanes], dtype=np.uint64)
+    lane = np.array([j for _, _, j in lanes])
+    words = _philox_block(_round_keys([s[:3] for s in streams]), stream, counter)
+    assert words.shape == (4, len(lanes)) and words.dtype == np.uint64
+    for k, (seed, tag, block, steps, start, size) in enumerate(streams):
+        key = np.array([seed, tag << 32 | block], dtype=np.uint64)
+        expected = np.random.Philox(key=key, counter=steps).random_raw(start + size)[start:]
+        # the stream's lanes in word order
+        mine = np.flatnonzero(stream == k)
+        mine = mine[np.lexsort((lane[mine], counter[mine]))]
+        assert np.array_equal(words[lane[mine], mine], expected)
 
 
 def test_streams_read_no_os_entropy(monkeypatch):
@@ -536,23 +554,44 @@ def test_single_symbol_alphabet_outcomes(shape):
 
 
 @st.composite
-def decoder_blocks(draw):
-    """A keyed channel codebook of ``size`` rows of n symbols (n any
-    remainder mod 4), per-position CDFs for K in 1..4 with zero-probability
-    symbols, each position's group, a (groups, K) reference with zero cells
-    around one row's own frequencies (so that some rows pass the allowed
-    symbols, and the row itself is typical when the reference is its own),
-    an epsilon, and the rows of the scan's buffer and of a random-access
-    chunk."""
+def decoder_batches(draw):
+    """A batch of 1 to 4 decoder blocks that share n (any remainder mod 4),
+    the codebook size and a (groups, K) reference, for K in 1..4, and the
+    rows of the scan's buffer, of a random-access chunk and of a Philox
+    call.  A block is a keyed channel codebook, per-position CDFs with
+    zero-probability symbols and each position's group; a later block
+    repeats the first, shares its CDFs and groups under another key, or
+    draws its own.  The reference has zero cells around one row of each
+    block (so that some rows of each pass the allowed symbols, and at
+    epsilon >= 1 those rows are typical when the reference is their own)."""
     k, n_groups = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     n, size = draw(st.integers(1, 13) | st.integers(33, 64)), draw(st.integers(1, 40))
-    key = (draw(word), _STREAM_CODEBOOK, draw(st.integers(0, 2**32 - 1)))
-    weights = draw(hnp.arrays(np.float64, (n, k), elements=unit | st.just(0.0)))
-    weights[weights.sum(axis=1) == 0.0, 0] = 1.0
-    thresholds = _thresholds(np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1))
-    groups = draw(hnp.arrays(np.int64, n, elements=st.integers(0, n_groups - 1)))
-    row = _symbols(thresholds, key, n, draw(st.integers(0, size - 1)) * n)
-    ref = row_counts((groups * k + row)[None, :], n_groups * k)[0] / n
+
+    def new_key():
+        return draw(word), _STREAM_CODEBOOK, draw(st.integers(0, 2**32 - 1))
+
+    def new_block():
+        weights = draw(hnp.arrays(np.float64, (n, k), elements=unit | st.just(0.0)))
+        weights[weights.sum(axis=1) == 0.0, 0] = 1.0
+        thresholds = _thresholds(np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1))
+        groups = draw(hnp.arrays(np.int64, n, elements=st.integers(0, n_groups - 1)))
+        return new_key(), thresholds, groups
+
+    first = key, thresholds, groups = new_block()
+    blocks = [first]
+    for _ in range(draw(st.integers(0, 3))):
+        later = draw(st.sampled_from(["repeat", "rekeyed", "new"]))
+        if later == "repeat":
+            blocks.append(first)
+        elif later == "rekeyed":
+            blocks.append((new_key(), thresholds, groups))
+        else:
+            blocks.append(new_block())
+    ref = np.zeros(n_groups * k)
+    anchors = {b[0]: b for b in blocks}.values()
+    for anchor_key, anchor_thresholds, anchor_groups in anchors:
+        row = _symbols(anchor_thresholds, anchor_key, n, draw(st.integers(0, size - 1)) * n)
+        ref += row_counts((anchor_groups * k + row)[None, :], n_groups * k)[0] / n / len(anchors)
     # noise on a group that does not occur decides the block at epsilon < 1
     kind = draw(st.sampled_from(["own", "own_plus_noise", "noise"]))
     small = st.floats(1e-4, 0.05)
@@ -562,25 +601,41 @@ def decoder_blocks(draw):
         ref = (0.5 * ref if kind == "own_plus_noise" else 0.0) + noise / noise.sum() / 2
     eps = draw(st.sampled_from([0.2, 0.5, 1.0, 1.5]) | st.floats(0.01, 3.0))
     chunk_rows = max(k - 1, 1) * draw(st.integers(1, 3)) + draw(st.integers(0, 1))
-    return (key, thresholds, _indicator(groups, n_groups), ref.reshape(n_groups, k), size, eps,
-            chunk_rows, draw(st.integers(1, 8)))
+    return (draw(st.permutations(blocks)), ref.reshape(n_groups, k), size, eps, chunk_rows,
+            draw(st.integers(1, 8)), draw(st.integers(1, 64)))
 
 
 @settings(max_examples=200, deadline=None)
-@given(decoder_blocks(), st.booleans())
-def test_decode_matches_scan(block, forced):
-    key, thresholds, indicator, ref, size, eps, chunk_rows, access_rows = block
-    chunk = np.full((chunk_rows, thresholds.shape[0]), np.nan)
-    expected = scan_decode(key, thresholds, indicator, ref, size, eps, chunk)
+@given(decoder_batches())
+def test_decode_matches_scan(batch):
+    blocks, ref, size, eps, chunk_rows, access_rows, lanes = batch
+    chunk = np.full((chunk_rows, blocks[0][1].shape[0]), np.nan)
+    expected = [scan_decode(*block, ref, size, eps, chunk) for block in blocks]
+    count, counted = coding._count_typical, []
+
+    def rows_counted(block, ref, size, eps, chunk, rows=None):
+        counted.append((block[0], "all" if rows is None else rows.tolist()))
+        return count(block, ref, size, eps, chunk, rows)
+
     with pytest.MonkeyPatch.context() as patch:
-        # random access in chunks of access_rows rows, so that the codebook
-        # spans several of them
+        # random access in chunks of access_rows rows and Philox calls of at
+        # most `lanes` rows, so that a codebook spans several chunks, a round
+        # several calls, and a batch of long codebooks several passes
         patch.setattr(coding, "_CHUNK_BYTES", 8 * coding._PHILOX_WIDTH * access_rows)
+        patch.setattr(coding, "_PHILOX_LANES", lanes)
+        patch.setattr(coding, "_count_typical", rows_counted)
         assert coding._chunk_rows(coding._PHILOX_WIDTH) == access_rows
-        if forced:
-            # blocks tested down to the last live row
-            patch.setattr(coding, "_FEW_ROWS", 0)
-        assert _decode(key, thresholds, indicator, ref, size, eps, chunk) == expected
+        # at _FEW_ROWS = 0, groups are tested down to the last live row
+        for few_rows in (coding._FEW_ROWS, 0):
+            patch.setattr(coding, "_FEW_ROWS", few_rows)
+            counted.clear()
+            assert _decode(blocks, ref, size, eps, chunk) == expected
+            # the batch hands each block the rows that it would read alone
+            batch_rows = sorted(counted, key=repr)
+            counted.clear()
+            for block in blocks:
+                _decode([block], ref, size, eps, chunk)
+            assert sorted(counted, key=repr) == batch_rows
 
 
 @pytest.mark.parametrize(
@@ -590,33 +645,50 @@ def test_decode_matches_scan(block, forced):
     ids=[*SIM_RUNS, *("single-symbol-" + "x".join(map(str, s)) for s in SINGLE_SYMBOL_SHAPES)],
 )
 def test_decoder_matches_scan_on_every_block(monkeypatch, make_config):
-    decode, blocks = coding._decode, []
+    decode, calls = coding._decode, []
 
-    def checked(*args):
-        result = decode(*args)
-        assert result == scan_decode(*args)
-        blocks.append(result)
-        return result
+    def checked(blocks, ref, size, eps, chunk):
+        found = decode(blocks, ref, size, eps, chunk)
+        assert found == [scan_decode(*block, ref, size, eps, chunk) for block in blocks]
+        calls.append([(key[2], groups, result) for (key, _, groups), result in zip(blocks, found)])
+        return found
 
     monkeypatch.setattr(coding, "_decode", checked)
     cfg = make_config()
-    run(cfg)
-    assert len(blocks) == cfg.num_blocks - 1
+    report = run(cfg).blocks
+    coded = range(cfg.num_blocks - 1)
+    # every coded block at once, then alone each block that follows a
+    # decoder error, in order
+    assert [b for b, _, _ in calls[0]] == list(coded)
+    errors = [b for b in coded if b and report[b - 1].decode_error]
+    assert [[b for b, _, _ in call] for call in calls[1:]] == [[b] for b in errors]
+    # a block's last decode is its reported outcome, at the x2 the decoder
+    # played: the source row of the index it decoded in the block before
+    # (row 0 in block 0)
+    last = {b: (groups, result) for call in calls for b, groups, result in call}
+    n, n2, ny = cfg.block_length, cfg.target.pmf.shape[2], cfg.channel.n_outputs
+    x2_thr = _thresholds(np.cumsum(cfg.target.pmf.sum(axis=(0, 1))))
+    for b in coded:
+        groups, result = last[b]
+        assert result == (report[b].typical_candidates, report[b].decoded_index)
+        previous = report[b - 1].decoded_index if b else 0
+        played = _symbols(x2_thr, (cfg.seed, _STREAM_SOURCE, 0), n, previous * n)
+        assert np.array_equal(groups // ny % n2, played)
 
 
 def test_identity_channel_decoder_reads_few_words(monkeypatch):
     # the observations equal the channel codeword, so a candidate is typical
     # only if it matches them at every position: random access drops almost
     # every row within a few positions, and the count scan reads only the
-    # few rows left, never the whole codebook
-    cfg = _binary_config(400, 1, 6, 0.025, 0.5)
+    # few rows left, never the whole codebook.  Every coded block is decoded
+    # in one pass, whose rounds share Philox calls: one block at a time took
+    # 78 calls, two per block, over the same 42,495 rows
+    cfg = _binary_config(400, 1, 40, 0.025, 0.5)
     decode, scan = coding._decode, coding._scan
     philox, raw = coding._philox_block, coding._words
-    inside, words, scanned = [False], [], []
+    inside, words, scanned, lanes = [False], [0], [], []
 
     def counted_decode(*args):
-        words.append(0)
-        scanned.append(0)
         inside[0] = True
         try:
             return decode(*args)
@@ -625,26 +697,31 @@ def test_identity_channel_decoder_reads_few_words(monkeypatch):
 
     def counted_scan(draw, size, *args):
         if inside[0]:
-            scanned[-1] += size
+            scanned.append(size)
         return scan(draw, size, *args)
 
-    def counted_philox(key, counter):
+    def counted_philox(round_keys, stream, counter):
         if inside[0]:
-            words[-1] += 4 * counter.size
-        return philox(key, counter)
+            words[0] += 4 * counter.size
+            lanes.append(counter.size)
+        return philox(round_keys, stream, counter)
 
     def counted_words(key, shape, skip=0):
         if inside[0]:
-            words[-1] += int(np.prod(shape)) + skip % 4
+            words[0] += int(np.prod(shape)) + skip % 4
         return raw(key, shape, skip)
 
     for name, wrapper in [("_decode", counted_decode), ("_scan", counted_scan),
                           ("_philox_block", counted_philox), ("_words", counted_words)]:
         monkeypatch.setattr(coding, name, wrapper)
     result = run(cfg)
-    assert len(words) == cfg.num_blocks - 1
+    coded = cfg.num_blocks - 1
+    # one count scan per block
+    assert len(scanned) == coded
     assert max(scanned) < cfg.codebook_size / 16
-    assert max(words) < cfg.codebook_size * cfg.block_length / 16
+    assert words[0] < coded * cfg.codebook_size * cfg.block_length / 16
+    assert len(lanes) <= 12 and sum(lanes) == 42_495
+    assert max(lanes) <= coding._PHILOX_LANES
     # the played codeword matches, and is the one decoded
     assert all(d.typical_candidates >= 1 for d in result.blocks[:-1])
     assert result.decoder_errors == 0
