@@ -16,10 +16,7 @@ from .probability import (
     ObservationChannel,
     StatePrior,
     compose,
-    conditional_entropy,
     conditional_mutual_information,
-    entropy,
-    marginal,
     total_variation,
 )
 from .constraint import (
@@ -64,15 +61,12 @@ __all__ = [
     "StatePrior",
     "best_actions",
     "compose",
-    "conditional_entropy",
     "conditional_mutual_information",
     "costless_bound",
-    "entropy",
     "expected_payoff",
     "icmodel",
     "info_constraint_gap",
     "is_implementable",
-    "marginal",
     "run",
     "solve",
     "total_variation",

@@ -204,42 +204,18 @@ def compose(qbar: JointDistribution, channel: ObservationChannel) -> JointDistri
     return JointDistribution(q, CANONICAL_AXES)
 
 
-def marginal(dist: JointDistribution, axes) -> JointDistribution:
-    """Marginal of ``dist`` on the requested (nonempty) subset of its axes."""
-    if isinstance(axes, str):
-        axes = (axes,)
-    axes = tuple(axes)
-    if not axes:
-        raise ValueError("marginal requires at least one axis")
-    axes = _as_axes(axes)
-    for name in axes:
-        if name not in dist.axes:
-            raise AlphabetError(f"distribution has no axis {name!r}")
-    keep = _canonical_order(axes)
-    if keep == dist.axes:
-        return dist
-    drop = tuple(i for i, a in enumerate(dist.axes) if a not in keep)
-    return JointDistribution(dist.pmf.sum(axis=drop), keep)
-
-
-def entropy(dist: JointDistribution, axes=None) -> float:
-    """Shannon entropy (bits) of ``dist`` or of one of its marginals."""
-    if axes is not None:
-        dist = marginal(dist, axes)
-    p = dist.pmf.ravel()
+def _entropy(dist: JointDistribution, axes: tuple[str, ...]) -> float:
+    """Shannon entropy (bits) of ``dist``'s marginal on ``axes``.  A marginal
+    that drops an axis is divided by its own sum, as the ``JointDistribution``
+    constructor would; one that keeps every axis is ``dist.pmf`` itself."""
+    drop = tuple(i for i, name in enumerate(dist.axes) if name not in axes)
+    p = dist.pmf
+    if drop:
+        p = p.sum(axis=drop)
+        p = p / float(p.sum())
+    p = p.ravel()
     nz = p[p > 0.0]
     return float(-(nz * np.log2(nz)).sum())
-
-
-def conditional_entropy(dist: JointDistribution, axes, given=()) -> float:
-    """H(A | C) = H(A, C) - H(C), in bits; empty ``given`` means plain H(A)."""
-    axes = _as_axes(axes)
-    given = _as_axes(given) if given else ()
-    if set(axes) & set(given):
-        raise AlphabetError("target and conditioning axes must be disjoint")
-    if not given:
-        return entropy(dist, axes)
-    return entropy(dist, axes + given) - entropy(dist, given)
 
 
 def conditional_mutual_information(
@@ -247,20 +223,25 @@ def conditional_mutual_information(
 ) -> float:
     """I(A; B | C) = H(A|C) + H(B|C) - H(A,B|C), in bits.
 
-    The three variable groups must be disjoint; ``given`` may be empty, in
-    which case this is the plain mutual information.  Values that round to a
-    tiny negative number are clamped to zero.
+    Each conditional entropy is H(., C) - H(C) over the marginals of
+    ``dist``.  The groups ``a`` and ``b`` must be nonempty and the three
+    groups disjoint axes of ``dist``; ``given`` may be empty, in which case
+    this is the plain mutual information.  Values that round to a tiny
+    negative number are clamped to zero.
     """
     a = _as_axes(a)
     b = _as_axes(b)
     given = _as_axes(given) if given else ()
+    if not a or not b:
+        raise ValueError("conditional_mutual_information needs nonempty groups a and b")
     if set(a) & set(b) or set(a) & set(given) or set(b) & set(given):
         raise AlphabetError("variable groups must be disjoint")
-    value = (
-        conditional_entropy(dist, a, given)
-        + conditional_entropy(dist, b, given)
-        - conditional_entropy(dist, a + b, given)
-    )
+    for name in a + b + given:
+        if name not in dist.axes:
+            raise AlphabetError(f"distribution has no axis {name!r}")
+    h_c = _entropy(dist, given) if given else 0.0
+    value = (_entropy(dist, a + given) - h_c) + (_entropy(dist, b + given) - h_c)
+    value -= _entropy(dist, a + b + given) - h_c
     if -1e-9 < value < 0.0:
         return 0.0
     return value

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from codedpc import JointDistribution, StatePrior, conditional_entropy, entropy
+from codedpc import JointDistribution, StatePrior
 from codedpc.coding import (
     _absent_cells_typical,
     _chunk_rows,
@@ -29,14 +29,16 @@ def info_constraint_gap_entropy_path(q: JointDistribution) -> float:
     """The constraint gap via H(X0) - H(Y, X0 | X2) + H(Y | X0, X1, X2).
 
     Algebraically identical to ``info_constraint_gap`` at stages = 1, but
-    built from entropies instead of two conditional mutual informations.
+    built from entropies, each a natural-log sum over a marginal of the 4-D
+    array, instead of two conditional mutual informations.
     """
     assert q.axes == ("x0", "x1", "x2", "y"), q.axes
-    return (
-        entropy(q, "x0")
-        - conditional_entropy(q, ("x0", "y"), ("x2",))
-        + conditional_entropy(q, ("y",), ("x0", "x1", "x2"))
-    )
+
+    def h(*dropped: int) -> float:
+        return float(-_xlogx(q.pmf.sum(axis=dropped)).sum()) / _LN2
+
+    # H(X0) - [H(X0, X2, Y) - H(X2)] + [H(X0, X1, X2, Y) - H(X0, X1, X2)]
+    return h(1, 2, 3) - (h(1) - h(0, 1, 3)) + (h() - h(3))
 
 
 _LN2 = float(np.log(2.0))

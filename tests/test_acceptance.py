@@ -26,10 +26,8 @@ from codedpc import (
     SolverOptions,
     StatePrior,
     compose,
-    conditional_entropy,
     conditional_mutual_information,
     costless_bound,
-    entropy,
     expected_payoff,
     info_constraint_gap,
     run,
@@ -298,10 +296,11 @@ def test_criterion_8_information_identity_suite():
     worst_paths = 0.0
     for _ in range(1000):
         q = JointDistribution(rng.dirichlet(np.ones(16)).reshape(2, 2, 2, 2))
+        # chain rule: I(X0; X1, X2) = I(X0; X1) + I(X0; X2 | X1)
         chain = abs(
-            entropy(q, ("x0", "x1"))
-            - entropy(q, ("x0",))
-            - conditional_entropy(q, ("x1",), ("x0",))
+            conditional_mutual_information(q, "x0", ("x1", "x2"))
+            - conditional_mutual_information(q, "x0", "x1")
+            - conditional_mutual_information(q, "x0", "x2", ("x1",))
         )
         cmi = conditional_mutual_information(q, "x1", "y", ("x0", "x2"))
         paths = abs(info_constraint_gap(q) - info_constraint_gap_entropy_path(q))

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -408,3 +410,26 @@ class TestSimulate:
         assert report["rate"] == pytest.approx(0.4)
         assert len(report["result"]["blocks"]) == 8
         assert report["codebook_size"] >= 2
+
+
+def test_benchmark_tracer_bindings_resolve():
+    """Every (owner, attribute) that ``perfbench``'s tracer wraps exists.
+
+    The tracer replaces functions at each module attribute the workloads
+    call them through, ``cli.compose`` and
+    ``coding.conditional_mutual_information`` among them, although no code
+    in those modules needs them.  Deleting such a binding fails here, not
+    only in a traced benchmark run, where the span would go missing.
+    """
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "bench_trace.py"
+    spec = importlib.util.spec_from_file_location("bench_trace", path)
+    bench_trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_trace)
+    targets = bench_trace._targets()
+    assert len(targets) >= 20
+    missing = [
+        f"{owner.__name__}.{attr}"
+        for owner, attr, *_ in targets
+        if not callable(getattr(owner, attr, None))
+    ]
+    assert missing == []

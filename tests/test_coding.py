@@ -11,7 +11,6 @@ from codedpc import (
     PayoffTable,
     StatePrior,
     expected_payoff,
-    marginal,
     run,
     solve,
     total_variation,
@@ -223,7 +222,7 @@ class TestRunDegenerate:
         assert cfg.info_coordination == 0.0
         result = run(cfg)
         assert result.decoder_errors == 0
-        x2_emp = marginal(result.empirical, ("x2",)).pmf
+        x2_emp = result.empirical.pmf.sum(axis=(0, 1, 3))
         assert np.abs(x2_emp - [0.3, 0.7]).max() < 0.05
 
     def test_constant_action_target(self):
@@ -245,7 +244,8 @@ class TestRunDegenerate:
         assert actions[1, 1] == pytest.approx(1.0, abs=1e-12)
         # deviation from the target comes from state sampling alone
         state_tv = total_variation(
-            marginal(result.empirical, ("x0",)), marginal(target, ("x0",))
+            JointDistribution(result.empirical.pmf.sum(axis=(1, 2, 3)), ("x0",)),
+            JointDistribution(target.pmf.sum(axis=(1, 2)), ("x0",)),
         )
         assert result.tv_to_target == pytest.approx(state_tv, abs=1e-12)
 
@@ -270,7 +270,7 @@ class TestRunStatistics:
     def test_payoff_matches_empirical_distribution(self):
         cfg = weak_config(n=200, seed=2)
         result = run(cfg)
-        emp3 = marginal(result.empirical, ("x0", "x1", "x2"))
+        emp3 = JointDistribution(result.empirical.pmf.sum(axis=3), ("x0", "x1", "x2"))
         assert result.average_payoff == pytest.approx(
             expected_payoff(emp3, cfg.payoff), abs=1e-12
         )

@@ -8,13 +8,11 @@ from codedpc import (
     ObservationChannel,
     StatePrior,
     compose,
-    conditional_entropy,
     conditional_mutual_information,
-    entropy,
-    marginal,
     total_variation,
 )
 from codedpc.icmodel import ICConfig, spc_distribution
+from codedpc.probability import _entropy
 from oracles import uniform_distribution
 
 
@@ -24,21 +22,21 @@ def dirichlet_joint(rng, shape, axes):
 
 def cmi_bruteforce(dist, a_axes, b_axes, c_axes):
     """Definitional sum over cells of p * log2(p * p_C / (p_AC * p_BC))."""
-    joint = marginal(dist, a_axes + b_axes + c_axes)
-    axes = joint.axes
+    axes = tuple(name for name in dist.axes if name in a_axes + b_axes + c_axes)
+    pmf = dist.pmf.sum(axis=tuple(i for i, name in enumerate(dist.axes) if name not in axes))
 
     def project(sub):
         if not sub:
             return None
         drop = tuple(i for i, name in enumerate(axes) if name not in sub)
-        return joint.pmf.sum(axis=drop) if drop else joint.pmf
+        return pmf.sum(axis=drop) if drop else pmf
 
     p_ac = project(tuple(a_axes) + tuple(c_axes))
     p_bc = project(tuple(b_axes) + tuple(c_axes))
     p_c = project(tuple(c_axes))
     total = 0.0
-    for idx in np.ndindex(joint.pmf.shape):
-        p = joint.pmf[idx]
+    for idx in np.ndindex(pmf.shape):
+        p = pmf[idx]
         if p <= 0.0:
             continue
         coord = dict(zip(axes, idx))
@@ -108,8 +106,8 @@ class TestCompose:
         qbar = dirichlet_joint(rng, (4, 2, 3), ("x0", "x1", "x2"))
         gamma = ObservationChannel(rng.dirichlet(np.ones(5), size=2))
         q = compose(qbar, gamma)
-        back = marginal(q, ("x0", "x1", "x2"))
-        assert np.abs(back.pmf - qbar.pmf).max() < 1e-15
+        back = q.pmf.sum(axis=3)
+        assert np.abs(back - qbar.pmf).max() < 1e-15
 
     def test_dimension_mismatch(self):
         qbar = uniform_distribution((2, 3, 2), ("x0", "x1", "x2"))
@@ -117,65 +115,47 @@ class TestCompose:
             compose(qbar, ObservationChannel.identity(2))
 
 
-class TestMarginal:
-    def test_uniform_stays_uniform(self):
-        d = uniform_distribution((2, 2, 2, 2), None)
-        m = marginal(d, ("x1",))
-        assert np.allclose(m.pmf, [0.5, 0.5])
-
-    def test_point_mass_projects(self):
-        arr = np.zeros((2, 2, 2, 2))
-        arr[1, 0, 1, 1] = 1.0
-        m = marginal(JointDistribution(arr), ("x0", "x2"))
-        expect = np.zeros((2, 2))
-        expect[1, 1] = 1.0
-        assert np.array_equal(m.pmf, expect)
-
-    def test_empty_subset_rejected(self):
-        d = uniform_distribution((2, 2), ("x0", "x1"))
-        with pytest.raises(ValueError):
-            marginal(d, ())
-
-    def test_unknown_axis_rejected(self):
-        d = uniform_distribution((2, 2), ("x0", "x1"))
-        with pytest.raises(AlphabetError):
-            marginal(d, ("y",))
-
-
 class TestEntropy:
+    """``_entropy``, the entropy of a marginal under
+    ``conditional_mutual_information``."""
+
     def test_uniform_binary_is_one_bit(self):
         d = JointDistribution(np.array([0.5, 0.5]), ("x0",))
-        assert entropy(d) == 1.0
+        assert _entropy(d, ("x0",)) == 1.0
 
     def test_point_mass_is_zero(self):
         d = JointDistribution(np.array([0.0, 1.0]), ("x0",))
-        assert entropy(d) == 0.0
+        assert _entropy(d, ("x0",)) == 0.0
 
     def test_quarter_three_quarter(self):
         # frozen from direct evaluation of -sum p log2 p
         d = JointDistribution(np.array([0.25, 0.75]), ("x0",))
-        assert entropy(d) == pytest.approx(0.8112781244591328, abs=1e-12)
+        assert _entropy(d, ("x0",)) == pytest.approx(0.8112781244591328, abs=1e-12)
 
     def test_bounded_by_log_alphabet(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            d = dirichlet_joint(rng, (5,), ("x0",))
-            h = entropy(d)
+            d = dirichlet_joint(rng, (5, 3), ("x0", "x1"))
+            h = _entropy(d, ("x0",))
             assert -1e-12 <= h <= np.log2(5) + 1e-9
 
     def test_conditioning_reduces_entropy(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             d = dirichlet_joint(rng, (3, 2, 2), ("x0", "x1", "x2"))
-            assert conditional_entropy(d, ("x0",), ("x2",)) <= entropy(d, ("x0",)) + 1e-9
+            h_x0_given_x2 = _entropy(d, ("x0", "x2")) - _entropy(d, ("x2",))
+            assert h_x0_given_x2 <= _entropy(d, ("x0",)) + 1e-9
 
     def test_chain_rule(self):
+        # H(X0, X1) = H(X0) + sum_x0 p(x0) H(X1 | X0 = x0), the rows'
+        # entropies computed directly
         rng = np.random.default_rng(5)
         for _ in range(50):
             d = dirichlet_joint(rng, (3, 4), ("x0", "x1"))
-            lhs = entropy(d, ("x0", "x1"))
-            rhs = entropy(d, ("x0",)) + conditional_entropy(d, ("x1",), ("x0",))
-            assert lhs == pytest.approx(rhs, abs=1e-9)
+            p0 = d.pmf.sum(axis=1)
+            rows = d.pmf / p0[:, None]
+            rhs = _entropy(d, ("x0",)) - float(p0 @ (rows * np.log2(rows)).sum(axis=1))
+            assert _entropy(d, ("x0", "x1")) == pytest.approx(rhs, abs=1e-9)
 
 
 class TestConditionalMutualInformation:
@@ -215,6 +195,26 @@ class TestConditionalMutualInformation:
             conditional_mutual_information(d, "x0", "x0")
         with pytest.raises(AlphabetError):
             conditional_mutual_information(d, "x0", "x1", ("x1",))
+
+    @pytest.mark.parametrize(
+        "a, b, given, error",
+        [
+            ((), "x1", (), ValueError),
+            ("x0", (), ("x2",), ValueError),
+            ("x0", "x3", (), AlphabetError),
+            ("x0", "x1", ("z",), AlphabetError),
+            ("x0", "y", (), AlphabetError),
+            ("x0", "x1", ("y",), AlphabetError),
+        ],
+        ids=["empty-a", "empty-b", "unknown-b", "unknown-given", "y-of-qbar", "y-given-of-qbar"],
+    )
+    def test_rejections(self, a, b, given, error):
+        # an empty group, a name outside CANONICAL_AXES, and y asked of a
+        # 3-axis qbar
+        qbar = uniform_distribution((2, 2, 2), ("x0", "x1", "x2"))
+        with pytest.raises(error) as caught:
+            conditional_mutual_information(qbar, a, b, given)
+        assert caught.type is error
 
 
 class TestTotalVariation:
