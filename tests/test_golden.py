@@ -1,8 +1,10 @@
 """Golden outputs and README commands, run through ``codedpc.cli.main``.
 
 The CLI files under ``tests/golden`` were written before the solver
-refactor that trimmed ``optimizer.py``; any change to a certified payoff, a
-sweep row or a seeded simulation report shows up here as a byte difference.
+refactor that trimmed ``optimizer.py``, and the ``policies_*.csv`` files
+before the CLI's two CSV writers became one; any change to a certified
+payoff, a sweep or policy row or a seeded simulation report shows up here as
+a byte difference.
 Regenerate a file only when a change of output is intended, with the argv
 listed in ``GOLDEN_RUNS`` and ``--output tests/golden/<name>``.
 
@@ -50,6 +52,10 @@ README = HERE.parent / "README.md"
 GOLDEN_RUNS = {
     "sweep_hir_log.csv": ("sweep", "--regime", "hir", "--payoff", "log"),
     "sweep_lir_linear.csv": ("sweep", "--regime", "lir", "--payoff", "linear"),
+    "policies_hir_log_10db.csv": ("policies", "--regime", "hir", "--snr", "10"),
+    "policies_lir_linear_30db.csv": (
+        "policies", "--regime", "lir", "--payoff", "linear", "--snr", "30",
+    ),
     "simulate_solver_snr10_n40_b40.json": (
         "simulate", "--target", "solver", "--min-slack", "0.1", "--snr", "10",
         "--sim-n", "40", "--sim-blocks", "40",
