@@ -50,6 +50,10 @@ SWEEP_COLUMNS = (
     "gain_costless_vs_spc_pct",
     "status",
 )
+POLICY_COLUMNS = (
+    "state", "g11", "g12", "g21", "g22", "prob",
+    "best_x1", "best_x2", "best_payoff", "spc_x1",
+)
 
 # key -> (parser, default).  Flags use the same names with '-' for '_'.
 CONFIG_SCHEMA: dict[str, tuple] = {
@@ -161,10 +165,6 @@ def _solve_target(prior, channel, payoff, settings: dict):
         raise UsageError(str(exc)) from exc
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".12g")
-
-
 def _gain_pct(payoff: float, baseline: float) -> float:
     """Percent gain of ``payoff`` over ``baseline``; NaN when the baseline is 0."""
     return 100.0 * (payoff / baseline - 1.0) if baseline else math.nan
@@ -185,9 +185,18 @@ def _snr_grid(settings: dict) -> list[float]:
     return [start + k * step for k in range(int(count))]
 
 
+def _table(columns: tuple, rows: list[tuple]) -> str:
+    """CSV text: the header ``columns``, then one line per row, whose strings
+    pass through and whose numbers are written with 12 significant digits."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else format(float(v), ".12g") for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def cmd_sweep(args: argparse.Namespace) -> str:
     settings = _settings(args)
-    rows = [",".join(SWEEP_COLUMNS)]
+    rows = []
     for snr_db in _snr_grid(settings):
         _, prior, channel, payoff = _model(settings, snr_db)
         fpc = expected_payoff(icmodel.partner_full_power(prior, 1), payoff)
@@ -202,23 +211,9 @@ def cmd_sweep(args: argparse.Namespace) -> str:
             if exc.result is None:
                 raise
             ocpc = exc.result.payoff
-        rows.append(
-            ",".join(
-                (
-                    _fmt(snr_db),
-                    _fmt(fpc),
-                    _fmt(spc),
-                    _fmt(ocpc),
-                    _fmt(bound),
-                    _fmt(_gain_pct(ocpc, fpc)),
-                    _fmt(_gain_pct(bound, fpc)),
-                    _fmt(_gain_pct(ocpc, spc)),
-                    _fmt(_gain_pct(bound, spc)),
-                    status,
-                )
-            )
-        )
-    return "\n".join(rows) + "\n"
+        gains = [_gain_pct(value, base) for base in (fpc, spc) for value in (ocpc, bound)]
+        rows.append((snr_db, fpc, spc, ocpc, bound, *gains, status))
+    return _table(SWEEP_COLUMNS, rows)
 
 
 def cmd_policies(args: argparse.Namespace) -> str:
@@ -227,26 +222,12 @@ def cmd_policies(args: argparse.Namespace) -> str:
     pairs = best_actions(payoff)
     spc_x1 = icmodel.spc_best_x1(payoff)
     levels = cfg.power_levels
-    rows = ["state,g11,g12,g21,g22,prob,best_x1,best_x2,best_payoff,spc_x1"]
+    rows = []
     for s, gains in enumerate(icmodel.gain_states(cfg)):
         b1, b2 = pairs[s]
-        rows.append(
-            ",".join(
-                (
-                    str(s),
-                    _fmt(gains.g11),
-                    _fmt(gains.g12),
-                    _fmt(gains.g21),
-                    _fmt(gains.g22),
-                    _fmt(prior.probs[s]),
-                    _fmt(levels[b1]),
-                    _fmt(levels[b2]),
-                    _fmt(payoff.values[s, b1, b2]),
-                    _fmt(levels[spc_x1[s]]),
-                )
-            )
-        )
-    return "\n".join(rows) + "\n"
+        best = (levels[b1], levels[b2], payoff.values[s, b1, b2])
+        rows.append((s, *gains, prior.probs[s], *best, levels[spc_x1[s]]))
+    return _table(POLICY_COLUMNS, rows)
 
 
 def cmd_simulate(args: argparse.Namespace) -> str:

@@ -6,7 +6,7 @@ import pytest
 
 from codedpc import icmodel, optimizer
 from codedpc.cli import (
-    MAX_SNR_POINTS, SWEEP_COLUMNS, UsageError, _snr_grid, main, read_config,
+    MAX_SNR_POINTS, POLICY_COLUMNS, SWEEP_COLUMNS, UsageError, _snr_grid, main, read_config,
 )
 
 
@@ -14,6 +14,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def csv_rows(out, columns):
+    """The rows of the CSV text ``out`` as dicts keyed by ``columns``.
+
+    The header must equal ``columns``, and every line must have exactly as
+    many fields as the header: ``zip`` alone would drop a surplus field.
+    """
+    lines = [line.split(",") for line in out.strip().splitlines()]
+    assert lines[0] == list(columns)
+    assert [len(line) for line in lines] == [len(columns)] * len(lines)
+    return [dict(zip(columns, line)) for line in lines[1:]]
 
 
 class TestConfigFile:
@@ -95,10 +107,7 @@ class TestSweep:
             "--snr-start", "10", "--snr-stop", "10",
         )
         assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == ",".join(SWEEP_COLUMNS)
-        assert len(lines) == 2
-        row = dict(zip(SWEEP_COLUMNS, lines[1].split(",")))
+        (row,) = csv_rows(out, SWEEP_COLUMNS)
         fpc, spc = float(row["fpc"]), float(row["spc"])
         ocpc, cb = float(row["ocpc"]), float(row["costless"])
         assert fpc <= spc + 1e-6 <= ocpc + 2e-6 <= cb + 3e-6
@@ -113,7 +122,7 @@ class TestSweep:
         monkeypatch.setattr(optimizer, "_OUTER_STEPS", 1)
         code, out, _ = run_cli(capsys, "sweep", "--snr-start", "10", "--snr-stop", "10")
         assert code == 0
-        row = dict(zip(SWEEP_COLUMNS, out.strip().splitlines()[1].split(",")))
+        (row,) = csv_rows(out, SWEEP_COLUMNS)
         assert row["status"] == "no_certificate"
         spc, ocpc, cb = (float(row[k]) for k in ("spc", "ocpc", "costless"))
         assert spc < ocpc < cb
@@ -148,7 +157,7 @@ class TestSweep:
             "--snr-start", "10", "--snr-stop", "10",
         )
         assert code == 0
-        row = dict(zip(SWEEP_COLUMNS, out.strip().splitlines()[1].split(",")))
+        (row,) = csv_rows(out, SWEEP_COLUMNS)
         assert float(row["ocpc"]) == pytest.approx(float(row["costless"]), abs=1e-9)
 
     @pytest.mark.parametrize("payoff", ["log", "linear"])
@@ -161,7 +170,7 @@ class TestSweep:
             "--snr-start", "10", "--snr-stop", "10",
         )
         assert code == 0
-        row = dict(zip(SWEEP_COLUMNS, out.strip().splitlines()[1].split(",")))
+        (row,) = csv_rows(out, SWEEP_COLUMNS)
         assert float(row["fpc"]) == float(row["spc"]) == 0.0
         for column in SWEEP_COLUMNS[5:9]:
             assert row[column] == "nan"
@@ -218,8 +227,7 @@ class TestSweep:
             code, outs[slack], _ = run_cli(capsys, *grid, "--min-slack", slack)
             assert code == 0
         rows = {
-            slack: dict(zip(SWEEP_COLUMNS, out.strip().splitlines()[1].split(",")))
-            for slack, out in outs.items()
+            slack: csv_rows(out, SWEEP_COLUMNS)[0] for slack, out in outs.items()
         }
         assert rows["0.3"]["status"] == "ok"
         assert float(rows["0.3"]["ocpc"]) < float(rows["0"]["ocpc"])
@@ -303,24 +311,19 @@ class TestPolicies:
     def test_sixteen_states(self, capsys):
         code, out, _ = run_cli(capsys, "policies", "--regime", "hir", "--snr", "10")
         assert code == 0
-        lines = out.strip().splitlines()
-        assert len(lines) == 17
-        header = lines[0].split(",")
-        assert header[0] == "state" and "spc_x1" in header
+        assert len(csv_rows(out, POLICY_COLUMNS)) == 16
 
     def test_both_off_never_optimal(self, capsys):
         _, out, _ = run_cli(capsys, "policies", "--regime", "lir", "--snr", "10")
-        for line in out.strip().splitlines()[1:]:
-            parts = line.split(",")
-            assert not (float(parts[6]) == 0.0 and float(parts[7]) == 0.0)
+        for row in csv_rows(out, POLICY_COLUMNS):
+            assert not (float(row["best_x1"]) == 0.0 and float(row["best_x2"]) == 0.0)
 
     def test_interference_dominated_state_single_transmitter(self, capsys):
         # all gains high at high SNR with the log payoff: exactly one side
         # transmits; the lowest-index tie-break reports x1 off
         _, out, _ = run_cli(capsys, "policies", "--regime", "hir", "--snr", "30")
-        rows = out.strip().splitlines()[1:]
-        parts = rows[15].split(",")
-        best_x1, best_x2 = float(parts[6]), float(parts[7])
+        row = csv_rows(out, POLICY_COLUMNS)[15]
+        best_x1, best_x2 = float(row["best_x1"]), float(row["best_x2"])
         assert (best_x1 == 0.0) != (best_x2 == 0.0)
         assert best_x1 == 0.0
 
@@ -330,8 +333,7 @@ class TestPolicies:
         # probability 0 and must still report it
         def spc_column(*flags):
             _, out, _ = run_cli(capsys, "policies", "--snr", "10", *flags)
-            rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-            return [(float(r[5]), r[9]) for r in rows]
+            return [(float(r["prob"]), r["spc_x1"]) for r in csv_rows(out, POLICY_COLUMNS)]
 
         zero = spc_column("--p11", "0")
         assert [p for p, _ in zero[:8]] == [0.0] * 8
