@@ -615,9 +615,12 @@ def _decode(blocks: list, ref, size: int, eps: float, chunk) -> list[tuple[int, 
     A symbol x1 is allowed at position t when ref(g_t, x1) > 0.  A row with
     a disallowed symbol anywhere counts more than 0 in a cell whose target
     is 0, so it is not typical.  When some position of a block can draw a
-    disallowed symbol, the rows that pass every such position are found by
-    random access (``_allowed_rows``), and only they are drawn and counted;
-    otherwise every row is.  Both give the verdicts of the scan of every row.
+    disallowed symbol and the codebook has more than ``_FEW_ROWS`` rows, the
+    rows that pass every such position are found by random access
+    (``_allowed_rows``), and only they are drawn and counted; otherwise every
+    row is, from one stream: random access would keep every row of a
+    codebook that small, and read each from a stream of its own.  Both give
+    the verdicts of the scan of every row.
     Random access serves as many blocks at once as have ``_chunk_rows(1)``
     rows between them (one at least), so the rows a pass keeps take at most
     a chunk's bytes more than one block's.
@@ -631,7 +634,7 @@ def _decode(blocks: list, ref, size: int, eps: float, chunk) -> list[tuple[int, 
         # per position, how many of the 2**53 word steps fall on an allowed symbol
         widths = np.diff(thresholds, axis=1, prepend=np.uint64(0), append=np.uint64(2**53))
         restricted = np.flatnonzero((widths * allowed).sum(axis=1) < 2**53)
-        if restricted.size:
+        if restricted.size and size > _FEW_ROWS:
             access.append((j, (key, thresholds, allowed, restricted)))
         else:
             found[j] = _count_typical(blocks[j], ref, size, eps, chunk)

@@ -725,3 +725,21 @@ def test_identity_channel_decoder_reads_few_words(monkeypatch):
     # the played codeword matches, and is the one decoded
     assert all(d.typical_candidates >= 1 for d in result.blocks[:-1])
     assert result.decoder_errors == 0
+
+
+def test_small_codebook_decoder_reads_one_stream(monkeypatch):
+    # random access keeps every row of a codebook of at most _FEW_ROWS rows,
+    # since no group of it is ever larger, and then reads each kept row from
+    # a stream of its own: such blocks are counted from one stream instead.
+    # Through random access this run read rows one at a time 51 times
+    cfg = SIM_RUNS["sim_binary_encoder_fail_n40.json"]()
+    assert cfg.codebook_size <= coding._FEW_ROWS
+    row_words, calls = coding._row_words, []
+
+    def counted(*args):
+        calls.append(args)
+        return row_words(*args)
+
+    monkeypatch.setattr(coding, "_row_words", counted)
+    assert run(cfg).decoder_errors > 0
+    assert calls == []
