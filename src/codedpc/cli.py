@@ -211,6 +211,7 @@ def cmd_sweep(args: argparse.Namespace) -> str:
             if exc.result is None:
                 raise
             ocpc = exc.result.payoff
+        # in SWEEP_COLUMNS order: ocpc and costless over fpc, then over spc
         gains = [_gain_pct(value, base) for base in (fpc, spc) for value in (ocpc, bound)]
         rows.append((snr_db, fpc, spc, ocpc, bound, *gains, status))
     return _table(SWEEP_COLUMNS, rows)
