@@ -25,9 +25,9 @@ It takes about 8 s.  This file is not collected by pytest, but
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
-import sys
 from pathlib import Path
 
 from codedpc import coding
@@ -71,7 +71,11 @@ def corpus_text() -> str:
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Print the sha256 of the simulator corpus.")
+    parser.add_argument("reports", nargs="?", type=Path,
+                        help="also write the corpus reports to this JSON file")
+    args = parser.parse_args()
     text = corpus_text()
-    if len(sys.argv) > 1:
-        Path(sys.argv[1]).write_text(text)
+    if args.reports:
+        args.reports.write_text(text)
     print(hashlib.sha256(text.encode()).hexdigest())

@@ -48,6 +48,7 @@ process.
 
 from __future__ import annotations
 
+import argparse
 import functools
 import hashlib
 import json
@@ -178,15 +179,28 @@ def counts() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--counts"]:
+    parser = argparse.ArgumentParser(
+        description="Print the sha256 of the solver corpus, or run one of its other modes."
+    )
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--counts", action="store_true",
+                      help="print solve counts for the corpus and two fresh noisy corpora")
+    mode.add_argument("--write-intervals", action="store_true",
+                      help=f"write {INTERVALS.name} from the current solver")
+    mode.add_argument("--check", action="store_true",
+                      help=f"check the current solver against {INTERVALS.name}")
+    mode.add_argument("records", nargs="?", type=Path,
+                      help="also write the corpus records to this JSON file")
+    args = parser.parse_args()
+    if args.counts:
         counts()
         sys.exit(0)
-    if sys.argv[1:] == ["--write-intervals"]:
+    if args.write_intervals:
         write_intervals()
         sys.exit(0)
-    if sys.argv[1:] == ["--check"]:
+    if args.check:
         sys.exit(check())
     text = corpus_text()
-    if len(sys.argv) > 1:
-        Path(sys.argv[1]).write_text(text)
+    if args.records:
+        args.records.write_text(text)
     print(hashlib.sha256(text.encode()).hexdigest())

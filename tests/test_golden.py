@@ -21,14 +21,18 @@ words compared with integer thresholds.
 
 Every ``codedpc ...`` line in the README's fenced blocks must also exit 0.
 Runs are shared: a README command whose resolved settings equal a golden
-run's is not run a second time.
+run's is not run a second time.  Every ``python`` block of the README runs
+too, each in a fresh namespace.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +133,12 @@ def readme_commands() -> list[list[str]]:
     return commands
 
 
+def readme_python_blocks() -> list[str]:
+    """The source of each ```python fenced block of the README."""
+    blocks = README.read_text(encoding="utf-8").split("```")[1::2]
+    return [block[len("python\n"):] for block in blocks if block.startswith("python\n")]
+
+
 def _without_output(argv) -> list[str]:
     argv = list(argv)
     if "--output" in argv:
@@ -180,6 +190,21 @@ def test_sim_corpus_matches_golden_hash():
     assert digest == (GOLDEN / "sim_corpus.sha256").read_text().strip()
 
 
+@pytest.mark.parametrize("script", ["sim_corpus.py", "solver_corpus.py"])
+@pytest.mark.parametrize("flag, code", [("--help", 0), ("--chek", 2)])
+def test_corpus_script_parses_arguments(tmp_path, script, flag, code):
+    """``--help`` prints usage and an unknown flag is a usage error; neither
+    runs the corpus or writes a file."""
+    path = os.pathsep.join(filter(None, [str(HERE.parent / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(HERE / script), flag], cwd=tmp_path, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert done.returncode == code, done.stderr
+    assert "usage:" in done.stdout + done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_chunk_golden_spans_several_chunks():
     cfg = SIM_RUNS["sim_binary_chunks_n100.json"]()
     assert cfg.codebook_size * cfg.block_length * 8 > 4 * coding._CHUNK_BYTES
@@ -194,3 +219,16 @@ def test_readme_command_exits_zero(run_once, argv):
     code, produced = run_once(argv)
     assert code == 0
     assert produced
+
+
+def test_readme_python_blocks_run(capsys):
+    outputs = []
+    for block in readme_python_blocks():
+        exec(compile(block, str(README), "exec"), {"__name__": "__readme__"})
+        outputs.append(capsys.readouterr().out)
+    assert outputs
+    # the quick start prints the coded optimum, the SPC baseline and the
+    # costless bound, one per line
+    ocpc, spc, costless = map(float, outputs[0].split())
+    assert np.isfinite([ocpc, spc, costless]).all()
+    assert spc <= ocpc <= costless
