@@ -326,9 +326,5 @@ def main(argv=None) -> int:
         return RUN_ERROR
 
 
-def entrypoint() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
     raise SystemExit(main())

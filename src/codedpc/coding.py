@@ -401,11 +401,11 @@ class CodingConfig:
             raise CodingConfigError(
                 f"target must span ('x0', 'x1', 'x2'), got {self.target.axes}"
             )
-        if self.channel.n_inputs != self.target.axis_size("x1"):
+        if self.channel.n_inputs != self.target.pmf.shape[1]:
             raise CodingConfigError("channel input alphabet does not match target")
         if self.payoff.shape != self.target.pmf.shape:
             raise CodingConfigError("payoff table shape does not match target")
-        if self.prior.n_states != self.target.axis_size("x0"):
+        if self.prior.n_states != self.target.pmf.shape[0]:
             raise CodingConfigError("prior length does not match target states")
         state_marginal = self.target.pmf.sum(axis=(1, 2))
         if np.abs(state_marginal - self.prior.probs).max() > 1e-9:

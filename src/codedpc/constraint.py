@@ -74,10 +74,9 @@ def is_implementable(
     slack >= 0 means implementable.
     """
     _require_axes(qbar, "is_implementable")
-    if qbar.axis_size("x0") != prior.n_states:
+    if qbar.pmf.shape[0] != prior.n_states:
         raise AlphabetError(
-            f"qbar has {qbar.axis_size('x0')} states but prior has "
-            f"{prior.n_states}"
+            f"qbar has {qbar.pmf.shape[0]} states but prior has {prior.n_states}"
         )
     state_marginal = qbar.pmf.sum(axis=(1, 2))
     off = np.abs(state_marginal - prior.probs)

@@ -1,9 +1,11 @@
 """Finite-alphabet probability toolkit for coordination-through-actions models.
 
-Everything here operates on distributions over (subsets of) the product
+Everything here operates on distributions over a prefix of the product
 alphabet X0 x X1 x X2 x Y, where X0 indexes a random system state, X1 and X2
 are the action alphabets of the informed and the observing decision maker,
-and Y is the noisy observation of X1 available to the latter.
+and Y is the noisy observation of X1 available to the latter.  In practice
+that is the policy over (x0, x1, x2) and its extension by the observation
+channel to (x0, x1, x2, y).
 
 All entropies and mutual informations are in bits (base-2 logarithms), with
 the usual continuity convention 0 * log 0 = 0.  Objects are immutable after
@@ -13,7 +15,6 @@ construction and safe to share across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -60,11 +61,6 @@ def _is_real(value) -> bool:
     return _is_integer(value) or isinstance(value, (float, np.floating))
 
 
-def _canonical_order(axes: Iterable[str]) -> tuple[str, ...]:
-    present = set(axes)
-    return tuple(a for a in CANONICAL_AXES if a in present)
-
-
 def _clean_probs(arr: np.ndarray, what: str) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
     if arr.size == 0:
@@ -109,12 +105,14 @@ def _require_inputs(channel: "ObservationChannel", n1: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
-    """Probability mass function over a subset of the canonical axes.
+    """Probability mass function over a prefix of the canonical axes.
 
-    ``pmf`` has one array dimension per entry of ``axes`` (which must appear
-    in canonical order).  The constructor validates nonnegativity, requires
-    the total mass to be 1 within 1e-9, and renormalizes the stored array so
-    downstream identities hold to machine precision.
+    ``pmf`` has one array dimension per entry of ``axes``, and ``axes`` must
+    be the first ``pmf.ndim`` names of ``CANONICAL_AXES``: (x0), (x0, x1),
+    (x0, x1, x2) or (x0, x1, x2, y); ``None`` names all four.  The
+    constructor validates nonnegativity, requires the total mass to be 1
+    within 1e-9, and renormalizes the stored array so downstream identities
+    hold to machine precision.
     """
 
     pmf: np.ndarray
@@ -122,31 +120,14 @@ class JointDistribution:
 
     def __post_init__(self):
         arr = _clean_probs(self.pmf, "probability array")
-        axes = self.axes
-        if axes is None:
-            if arr.ndim != len(CANONICAL_AXES):
-                raise AlphabetError(
-                    "axes must be given unless the array spans all of "
-                    f"{CANONICAL_AXES}"
-                )
-            axes = CANONICAL_AXES
-        axes = _as_axes(axes)
-        if axes != _canonical_order(axes):
+        axes = CANONICAL_AXES if self.axes is None else self.axes
+        axes = (axes,) if isinstance(axes, str) else tuple(axes)
+        if not 0 < len(axes) == arr.ndim or axes != CANONICAL_AXES[: arr.ndim]:
             raise AlphabetError(
-                f"axes must appear in canonical order {CANONICAL_AXES}, got {axes}"
-            )
-        if arr.ndim != len(axes):
-            raise AlphabetError(
-                f"array has {arr.ndim} dimensions but {len(axes)} axes were named"
+                f"axes {axes} are not the prefix of {CANONICAL_AXES} of length {arr.ndim}"
             )
         object.__setattr__(self, "pmf", _normalized(arr, "probability array"))
         object.__setattr__(self, "axes", axes)
-
-    def axis_size(self, axis: str) -> int:
-        name = _as_axes(axis)[0]
-        if name not in self.axes:
-            raise AlphabetError(f"distribution has no axis {name!r}")
-        return self.pmf.shape[self.axes.index(name)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,9 +230,8 @@ def conditional_mutual_information(
 
 def total_variation(q1: JointDistribution, q2: JointDistribution) -> float:
     """Total-variation distance (1/2) sum |q1 - q2|, in [0, 1]."""
-    if q1.axes != q2.axes or q1.pmf.shape != q2.pmf.shape:
+    if q1.pmf.shape != q2.pmf.shape:
         raise AlphabetError(
-            f"distributions disagree on alphabet: {q1.axes}{q1.pmf.shape} vs "
-            f"{q2.axes}{q2.pmf.shape}"
+            f"distributions disagree on alphabet: {q1.pmf.shape} vs {q2.pmf.shape}"
         )
     return float(0.5 * np.abs(q1.pmf - q2.pmf).sum())

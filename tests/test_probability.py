@@ -69,6 +69,42 @@ class TestJointDistribution:
         with pytest.raises(AlphabetError):
             JointDistribution(np.full((2, 2), 0.25), ("x1", "x0"))
 
+    @pytest.mark.parametrize(
+        "ndim, axes",
+        [
+            (2, ("x0", "x2")),
+            (1, ("x1",)),
+            (1, ("y",)),
+            (2, ("x1", "y")),
+            (3, ("x0", "x1", "y")),
+            (2, ("x0", "x0")),
+            (2, ("x0", "z")),
+            (2, ("x0", "x1", "x2")),
+            (3, None),
+            (0, ()),
+            (5, None),
+            (5, ("x0", "x1", "x2", "y")),
+        ],
+        ids=str,
+    )
+    def test_non_prefix_span_rejected(self, ndim, axes):
+        """A distribution spans (x0), (x0, x1), (x0, x1, x2) or (x0, x1, x2, y),
+        one name per array dimension; ``None`` names all four.  A 0-D array
+        spans nothing and is rejected too."""
+        with pytest.raises(AlphabetError):
+            JointDistribution(np.full((2,) * ndim, 0.5**ndim), axes)
+
+    @pytest.mark.parametrize(
+        "axes",
+        ["x0", ("x0",), ("x0", "x1"), ["x0", "x1", "x2"], ("x0", "x1", "x2", "y"), None],
+        ids=str,
+    )
+    def test_prefix_span_accepted(self, axes):
+        ndim = 4 if axes is None else 1 if isinstance(axes, str) else len(axes)
+        d = JointDistribution(np.full((2,) * ndim, 0.5**ndim), axes)
+        assert d.axes == ("x0", "x1", "x2", "y")[:ndim]
+        assert isinstance(d.axes, tuple)
+
 
 class TestCompose:
     def test_identity_channel_uniform(self):
