@@ -110,6 +110,10 @@ from .probability import (
 #: configuration error so memory stays desk-scale.
 MAX_CODEBOOK = 2**20
 
+#: Hard cap on the stages ``block_length * num_blocks`` of one run: ``run``
+#: holds a few arrays of one word per stage, about 32 MB each at the cap.
+MAX_STAGES = 2**22
+
 _DEGENERATE_INFO = 1e-12
 
 _STREAM_STATE = 0
@@ -376,7 +380,8 @@ class CodingConfig:
     value must lie strictly inside that interval.  When the coordination
     information is zero there is nothing to convey and any finite positive
     rate is accepted.  The codebook holds ceil(2**(n*rate)) sequences,
-    capped at ``MAX_CODEBOOK``.
+    capped at ``MAX_CODEBOOK``, and a run's ``block_length * num_blocks``
+    stages are capped at ``MAX_STAGES``.
     """
 
     target: JointDistribution
@@ -397,14 +402,11 @@ class CodingConfig:
     reference: JointDistribution = field(init=False)
 
     def __post_init__(self):
-        if self.target.axes != ("x0", "x1", "x2"):
-            raise CodingConfigError(
-                f"target must span ('x0', 'x1', 'x2'), got {self.target.axes}"
-            )
-        if self.channel.n_inputs != self.target.pmf.shape[1]:
-            raise CodingConfigError("channel input alphabet does not match target")
+        # the payoff table is 3-D, so this also rejects a target of other rank
         if self.payoff.shape != self.target.pmf.shape:
             raise CodingConfigError("payoff table shape does not match target")
+        if self.channel.n_inputs != self.target.pmf.shape[1]:
+            raise CodingConfigError("channel input alphabet does not match target")
         if self.prior.n_states != self.target.pmf.shape[0]:
             raise CodingConfigError("prior length does not match target states")
         state_marginal = self.target.pmf.sum(axis=(1, 2))
@@ -418,6 +420,8 @@ class CodingConfig:
                 raise CodingConfigError(f"{name} must be >= {least}, got {value!r}")
             # numpy integers overflow the Philox key and counter arithmetic
             object.__setattr__(self, name, int(value))
+        if self.block_length * self.num_blocks > MAX_STAGES:
+            raise CodingConfigError(f"block_length * num_blocks exceeds the cap {MAX_STAGES}")
         # the seed is one 64-bit word of the Philox key; a wider one would alias
         if self.seed >= 2**64:
             raise CodingConfigError(f"seed must be < 2**64, got {self.seed!r}")

@@ -21,14 +21,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .probability import (
-    CANONICAL_AXES,
     DistributionError,
     AlphabetError,
     JointDistribution,
     ObservationChannel,
     StatePrior,
     _is_integer,
-    _require_axes,
     compose,
     conditional_mutual_information,
 )
@@ -46,10 +44,10 @@ def _check_stages(stages: int) -> None:
 def info_constraint_gap(q: JointDistribution, stages: int = 1) -> float:
     """I(X0; X2) / stages - I(X1; Y | X0, X2), in bits.
 
-    ``q`` must span all four variables.  A value <= 0 means the behaviour is
-    achievable; ``stages`` > 1 gives the relaxed block-constant-state form.
+    ``q`` must span all four variables; the information function checks
+    its axes.  A value <= 0 means the behaviour is achievable; ``stages`` > 1
+    gives the relaxed block-constant-state form.
     """
-    _require_axes(q, "the constraint functional", CANONICAL_AXES)
     _check_stages(stages)
     i_coord = conditional_mutual_information(q, "x0", "x2")
     i_channel = conditional_mutual_information(q, "x1", "y", ("x0", "x2"))
@@ -69,11 +67,12 @@ def is_implementable(
     """Decide achievability of ``qbar`` under ``channel`` and ``prior``.
 
     Requires the X0-marginal of ``qbar`` to match ``prior`` within
-    ``FEASIBILITY_TOL``, which is also the tolerance of the verdict.
+    ``FEASIBILITY_TOL``, which is also the tolerance of the verdict.  The
+    channel is checked against ``qbar`` (by ``compose``) before the states.
     Returns the boolean verdict together with the slack (minus the gap);
     slack >= 0 means implementable.
     """
-    _require_axes(qbar, "is_implementable")
+    q = compose(qbar, channel)
     if qbar.pmf.shape[0] != prior.n_states:
         raise AlphabetError(
             f"qbar has {qbar.pmf.shape[0]} states but prior has {prior.n_states}"
@@ -87,5 +86,5 @@ def is_implementable(
             f"state marginal mismatch at x0={i}: qbar gives "
             f"{state_marginal[i]!r} but the prior says {prior.probs[i]!r}"
         )
-    gap = info_constraint_gap(compose(qbar, channel))
+    gap = info_constraint_gap(q)
     return ImplementabilityResult(bool(gap <= FEASIBILITY_TOL), float(-gap + 0.0))

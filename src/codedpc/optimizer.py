@@ -45,7 +45,6 @@ from .probability import (
     ObservationChannel,
     StatePrior,
     _is_real,
-    _require_axes,
     _require_inputs,
 )
 
@@ -145,7 +144,6 @@ class OptimizationResult:
 
 def expected_payoff(dist: JointDistribution, payoff: PayoffTable) -> float:
     """E[w] under a distribution over (x0, x1, x2)."""
-    _require_axes(dist, "expected_payoff")
     if dist.pmf.shape != payoff.shape:
         raise AlphabetError(
             f"distribution shape {dist.pmf.shape} does not match payoff "

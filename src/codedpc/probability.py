@@ -36,20 +36,6 @@ class DistributionError(ValueError):
     """Input violates a distribution invariant (negativity, normalization)."""
 
 
-def _as_axes(axes) -> tuple[str, ...]:
-    if isinstance(axes, str):
-        axes = (axes,)
-    out = tuple(axes)
-    for name in out:
-        if name not in CANONICAL_AXES:
-            raise AlphabetError(
-                f"unknown axis {name!r}; expected one of {CANONICAL_AXES}"
-            )
-    if len(set(out)) != len(out):
-        raise AlphabetError(f"duplicate axes in {out}")
-    return out
-
-
 def _is_integer(value) -> bool:
     """True for Python and numpy integers, False for bool and everything else."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -89,13 +75,6 @@ def _normalized(arr: np.ndarray, what: str, rows: bool = False) -> np.ndarray:
     arr = arr / total
     arr.flags.writeable = False
     return arr
-
-
-def _require_axes(dist: "JointDistribution", who: str, axes=CANONICAL_AXES[:3]) -> None:
-    """Raise ``AlphabetError`` unless ``dist`` spans ``axes``, by default
-    (x0, x1, x2)."""
-    if dist.axes != axes:
-        raise AlphabetError(f"{who} needs axes {axes}, got {dist.axes}")
 
 
 def _require_inputs(channel: "ObservationChannel", n1: int) -> None:
@@ -179,7 +158,8 @@ def compose(qbar: JointDistribution, channel: ObservationChannel) -> JointDistri
     q(x0, x1, x2, y) = qbar(x0, x1, x2) * P(y | x1); summing the result over
     y recovers ``qbar`` exactly.
     """
-    _require_axes(qbar, "compose")
+    if qbar.pmf.ndim != 3:
+        raise AlphabetError(f"compose needs axes {CANONICAL_AXES[:3]}, got {qbar.axes}")
     _require_inputs(channel, qbar.pmf.shape[1])
     q = qbar.pmf[:, :, :, None] * channel.matrix[None, :, None, :]
     return JointDistribution(q, CANONICAL_AXES)
@@ -205,21 +185,21 @@ def conditional_mutual_information(
     """I(A; B | C) = H(A|C) + H(B|C) - H(A,B|C), in bits.
 
     Each conditional entropy is H(., C) - H(C) over the marginals of
-    ``dist``.  The groups ``a`` and ``b`` must be nonempty and the three
-    groups disjoint axes of ``dist``; ``given`` may be empty, in which case
-    this is the plain mutual information.  Values that round to a tiny
-    negative number are clamped to zero.
+    ``dist``.  A group is one axis name or an iterable of names.  The groups
+    ``a`` and ``b`` must be nonempty, and no axis of ``dist`` may appear
+    twice across the three groups; an empty or ``None`` ``given`` means no
+    conditioning, in which case this is the plain mutual information.
+    Values that round to a tiny negative number are clamped to zero.
     """
-    a = _as_axes(a)
-    b = _as_axes(b)
-    given = _as_axes(given) if given else ()
+    a, b, given = ((g,) if isinstance(g, str) else tuple(g) for g in (a, b, given or ()))
     if not a or not b:
         raise ValueError("conditional_mutual_information needs nonempty groups a and b")
-    if set(a) & set(b) or set(a) & set(given) or set(b) & set(given):
-        raise AlphabetError("variable groups must be disjoint")
-    for name in a + b + given:
+    names = a + b + given
+    for name in names:
         if name not in dist.axes:
             raise AlphabetError(f"distribution has no axis {name!r}")
+    if len(set(names)) < len(names):
+        raise AlphabetError(f"variable groups repeat an axis: {a}, {b}, {given}")
     h_c = _entropy(dist, given) if given else 0.0
     value = (_entropy(dist, a + given) - h_c) + (_entropy(dist, b + given) - h_c)
     value -= _entropy(dist, a + b + given) - h_c

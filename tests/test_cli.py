@@ -28,6 +28,17 @@ def csv_rows(out, columns):
     return [dict(zip(columns, line)) for line in lines[1:]]
 
 
+def test_console_script_resolves():
+    # the installed `codedpc` command calls the function that
+    # [project.scripts] names; a rename would break it silently
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"codedpc": "codedpc.cli:main"}
+    module, _, attr = scripts["codedpc"].partition(":")
+    assert callable(getattr(importlib.import_module(module), attr))
+
+
 class TestConfigFile:
     def test_parse_and_types(self, tmp_path):
         path = tmp_path / "run.cfg"

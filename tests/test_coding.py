@@ -15,7 +15,7 @@ from codedpc import (
     solve,
     total_variation,
 )
-from codedpc.coding import _count_cells, _indicator, _typical_rows
+from codedpc.coding import MAX_STAGES, _count_cells, _indicator, _typical_rows
 from test_golden import _binary_config
 from codedpc.icmodel import (
     ICConfig,
@@ -169,6 +169,42 @@ class TestCodingConfig:
     def test_block_count_minimum(self):
         with pytest.raises(CodingConfigError):
             weak_config(n=10, seed=0, blocks=1)
+
+    @pytest.mark.parametrize(
+        "shape, axes",
+        [((2,), ("x0",)), ((2, 2), ("x0", "x1")), ((2, 2, 2, 2), None)],
+        ids=["1-D", "2-D", "4-D"],
+    )
+    def test_target_needs_three_axes(self, shape, axes):
+        _, channel, prior, payoff = weakly_coordinated_target()
+        target = JointDistribution(np.full(shape, 1.0 / np.prod(shape)), axes)
+        with pytest.raises(CodingConfigError):
+            CodingConfig(
+                target=target, channel=channel, prior=prior, payoff=payoff,
+                block_length=10, num_blocks=5, rate=0.1,
+            )
+
+    # built only, never run: a run over the cap would allocate its words
+    @pytest.mark.parametrize(
+        "n, blocks, accepted",
+        [(2**10, 2**12, True), (2**10, 2**12 + 1, False), (200, 10**8, False)],
+        ids=["at-cap", "one-block-over", "1e8-blocks"],
+    )
+    def test_stage_cap(self, n, blocks, accepted):
+        # a zero-coordination target: M = 2 whatever the block length
+        cfg_ic = ICConfig.for_regime("hir", 10.0)
+        kwargs = dict(
+            target=fpc_distribution(cfg_ic),
+            channel=identity_observation_channel(),
+            prior=build_state_prior(cfg_ic),
+            payoff=build_payoff_table(cfg_ic),
+            block_length=n, num_blocks=blocks,
+        )
+        if accepted:
+            assert CodingConfig(**kwargs).codebook_size == 2
+        else:
+            with pytest.raises(CodingConfigError, match=f"cap {MAX_STAGES}"):
+                CodingConfig(**kwargs)
 
     @pytest.mark.parametrize(
         "field, value",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from codedpc import (
+    AlphabetError,
     DistributionError,
     JointDistribution,
     ObservationChannel,
@@ -136,6 +137,12 @@ class TestStages:
             info_constraint_gap(q, stages=True)
 
 
+def test_gap_needs_four_axes():
+    # a qbar has no y: the information function rejects it
+    with pytest.raises(AlphabetError, match="'y'"):
+        info_constraint_gap(uniform_distribution((2, 2, 2), ("x0", "x1", "x2")))
+
+
 class TestIsImplementable:
     def test_fpc_feasible_with_zero_slack(self):
         cfg = ICConfig.for_regime("lir", 10.0)
@@ -176,3 +183,18 @@ class TestIsImplementable:
         prior = StatePrior(np.array([0.25, 0.75]))
         with pytest.raises(DistributionError, match="x0=0"):
             is_implementable(qbar, ObservationChannel.identity(2), prior)
+
+    @pytest.mark.parametrize(
+        "shape, axes", [((2, 2), ("x0", "x1")), ((2, 2, 2, 2), None)], ids=["2-D", "4-D"]
+    )
+    def test_needs_three_axes(self, shape, axes):
+        qbar = uniform_distribution(shape, axes)
+        with pytest.raises(AlphabetError):
+            is_implementable(qbar, ObservationChannel.identity(2), StatePrior(np.full(2, 0.5)))
+
+    def test_channel_checked_before_states(self):
+        # three states against a two-state prior, and a 3-row channel for
+        # |X1| = 2: the channel is reported
+        qbar = uniform_distribution((3, 2, 2), ("x0", "x1", "x2"))
+        with pytest.raises(AlphabetError, match="input rows"):
+            is_implementable(qbar, ObservationChannel.identity(3), StatePrior(np.full(2, 0.5)))

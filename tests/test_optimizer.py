@@ -72,6 +72,14 @@ class TestExpectedPayoff:
         with pytest.raises(AlphabetError):
             expected_payoff(d, PayoffTable(np.zeros((2, 2, 3))))
 
+    @pytest.mark.parametrize(
+        "shape, axes", [((2, 2), ("x0", "x1")), ((2, 2, 2, 2), None)], ids=["2-D", "4-D"]
+    )
+    def test_needs_three_axes(self, shape, axes):
+        d = uniform_distribution(shape, axes)
+        with pytest.raises(AlphabetError):
+            expected_payoff(d, PayoffTable(np.zeros((2, 2, 2))))
+
 
 class TestCostlessBound:
     def test_constant_payoff(self):

@@ -150,6 +150,14 @@ class TestCompose:
         with pytest.raises(AlphabetError):
             compose(qbar, ObservationChannel.identity(2))
 
+    @pytest.mark.parametrize(
+        "shape, axes", [((2, 2), ("x0", "x1")), ((2, 2, 2, 2), None)], ids=["2-D", "4-D"]
+    )
+    def test_needs_three_axes(self, shape, axes):
+        qbar = uniform_distribution(shape, axes)
+        with pytest.raises(AlphabetError):
+            compose(qbar, ObservationChannel.identity(2))
+
 
 class TestEntropy:
     """``_entropy``, the entropy of a marginal under
@@ -241,16 +249,25 @@ class TestConditionalMutualInformation:
             ("x0", "x1", ("z",), AlphabetError),
             ("x0", "y", (), AlphabetError),
             ("x0", "x1", ("y",), AlphabetError),
+            (("x0", "x0"), "x1", (), AlphabetError),
+            ("x0", [["x1"]], (), AlphabetError),
         ],
-        ids=["empty-a", "empty-b", "unknown-b", "unknown-given", "y-of-qbar", "y-given-of-qbar"],
+        ids=["empty-a", "empty-b", "unknown-b", "unknown-given", "y-of-qbar", "y-given-of-qbar",
+             "repeat-in-a", "unhashable-b"],
     )
     def test_rejections(self, a, b, given, error):
-        # an empty group, a name outside CANONICAL_AXES, and y asked of a
-        # 3-axis qbar
+        # an empty group, a name outside CANONICAL_AXES, y asked of a 3-axis
+        # qbar, an axis repeated inside one group, and a name that is a list
         qbar = uniform_distribution((2, 2, 2), ("x0", "x1", "x2"))
         with pytest.raises(error) as caught:
             conditional_mutual_information(qbar, a, b, given)
         assert caught.type is error
+
+    @pytest.mark.parametrize("given", [None, ""], ids=["none", "empty-string"])
+    def test_falsy_given_means_no_conditioning(self, given):
+        d = dirichlet_joint(np.random.default_rng(8), (2, 3, 2), ("x0", "x1", "x2"))
+        plain = conditional_mutual_information(d, "x0", "x2", ())
+        assert conditional_mutual_information(d, "x0", "x2", given) == plain
 
 
 class TestTotalVariation:
