@@ -49,14 +49,17 @@ Memory and time do not grow with M x n x |alphabet|:
   opening one reads no OS entropy.
 * Every cell of the typicality test splits into a part fixed by the block
   (the state for the encoder; state, partner action and observation for the
-  decoder) and a symbol that varies with the codeword.  Each block builds an
-  (n, fixed parts) one-hot matrix once; its product with the codewords'
-  ``symbol >= v`` mask counts symbol >= v, and count(v) is the difference of
-  two such counts.  A mask compares the words with one threshold, so a scan
+  decoder) and a symbol that varies with the codeword.  The blocks of a scan
+  stack their (n, fixed parts) one-hot matrices into one (n, blocks x fixed
+  parts) matrix; its product with the codewords' ``symbol >= v`` mask counts
+  symbol >= v in every block at once, and count(v) is the difference of two
+  such counts.  A mask compares the words with one threshold, so a scan
   never forms the symbols of the codewords it reads.
 * The encoder and the decoder share this scan.  The encoder reads only the
   coming block's states, so all blocks' indices are found up front, in one
-  scan of the source codebook whose masks serve every block.
+  scan of the source codebook: a chunk's counts, verdicts and deviations are
+  each one array over every block, and the blocks go in groups only where
+  those arrays would outgrow a chunk's bytes.
 * A cell whose fixed part does not occur in the block counts 0 in every
   codeword, so its verdict, |0 - n p| <= eps n p, is the same for all of
   them.  It is evaluated once; when it fails (p > 0 and eps < 1), no
@@ -70,7 +73,9 @@ Memory and time do not grow with M x n x |alphabet|:
   counter j // 4 + 1.  So the decoder evaluates that function in numpy for
   the positions that can draw a disallowed symbol, a counter block of four
   at a time, drops each codeword at its first disallowed symbol, and draws
-  and counts only the few left, through the same scan.  A necessary
+  only the few left, each alone as a played row is.  The rows left in every
+  block of a pass are counted together: one bincount over their (row, cell)
+  codes and one typicality test give every verdict.  A necessary
   condition drops only codewords the count would reject, so the verdicts
   stay the same.  Where no symbol is disallowed (a channel with
   full-support rows), the decoder scans the whole codebook as above.
@@ -88,7 +93,6 @@ Memory and time do not grow with M x n x |alphabet|:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -122,7 +126,10 @@ _STREAM_CODEBOOK = 2
 _STREAM_OBSERVATION = 3
 
 #: Codewords are drawn and tested in chunks of about this many bytes of
-#: float64 masks, so memory does not grow with the codebook.
+#: float64 masks, so memory does not grow with the codebook.  A chunk's cell
+#: counts over all the blocks of a scan, with their scratch copy, and a chunk
+#: of the decoder's kept rows of all blocks take at most as much again, so it
+#: does not grow with the blocks either.
 _CHUNK_BYTES = 1 << 19
 
 #: A uniform is its word's top 53 bits, (w >> 11) * 2**-53.
@@ -130,18 +137,17 @@ _WORD_SHIFT = 11
 _UNIFORM_STEPS = 2.0**53
 
 #: Philox4x64's round multipliers and key increments (Salmon et al., SC 2011).
-_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _WORD_MASK = (1 << 64) - 1
 _LOW32 = 0xFFFFFFFF
-_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> 32
 
 #: Random access reads rows in chunks of ``_chunk_rows(_PHILOX_WIDTH)`` (1,024
 #: at the default chunk size).
 _PHILOX_WIDTH = 64
 #: One Philox evaluation covers the live rows of whole groups, up to this many:
 #: a call's fixed cost, about 200 small numpy operations, is that of some 1,000
-#: rows, and its temporaries take about 16 words per row.
+#: rows, and its temporaries take about 9 words per row.
 _PHILOX_LANES = 4096
 #: Random access stops testing positions once at most this many rows of a
 #: group (a block's rows of one m*n mod 4 in one chunk) are left, and draws
@@ -229,18 +235,23 @@ def _symbols(thresholds: np.ndarray, key: tuple, shape, skip: int = 0) -> np.nda
     return _quantize(thresholds, _words(key, shape, skip))
 
 
-def _mulhilo(a: np.ndarray):
-    """The high and low words of the 128-bit products a * ``_PHILOX_M``,
-    from 32-bit halves; every partial sum fits in 64 bits, and uint64 arrays
-    wrap.  The high words overwrite ``a``, so that fewer arrays of its size
-    are alive at once."""
-    lo = a * _PHILOX_M
+def _mulhilo(a: np.ndarray, m: int):
+    """The high and low words of the 128-bit products a * m, from 32-bit
+    halves; every partial sum fits in 64 bits, and uint64 arrays wrap.  The
+    high words overwrite ``a``, and the partial sums are formed in place, so
+    that few arrays of its size are alive at once."""
+    m_lo, m_hi = np.uint64(m & _LOW32), np.uint64(m >> 32)
+    lo = a * np.uint64(m)
     a_lo = a & _LOW32
     a >>= 32
-    mid = a * _PHILOX_M_LO + ((a_lo * _PHILOX_M_LO) >> 32)
-    mid2 = a_lo * _PHILOX_M_HI + (mid & _LOW32)
-    a *= _PHILOX_M_HI
-    a += (mid >> 32) + (mid2 >> 32)
+    mid = (a_lo * m_lo) >> 32
+    mid += a * m_lo
+    # a_lo * hi(m) + lo(mid), whose high half carries into the high word
+    a_lo *= m_hi
+    a_lo += mid & _LOW32
+    a *= m_hi
+    a += mid >> 32
+    a += a_lo >> 32
     return a, lo
 
 
@@ -259,18 +270,18 @@ def _philox_block(round_keys: np.ndarray, stream: np.ndarray, counter: np.ndarra
     without drawing the words before them.  Philox4x64-10 maps the counter
     (c, 0, 0, 0) and the key to four words; numpy steps the counter before
     it draws, so word j of a stream is word j % 4 of counter j // 4 + 1."""
-    # (x0, x2), which the multipliers act on, and (x1, x3); a round maps them
-    # to (hi(x2) ^ x1 ^ k0, hi(x0) ^ x3 ^ k1) and (lo(x2), lo(x0))
-    even = np.zeros((2, counter.size), dtype=np.uint64)
-    even[0] = counter
-    odd = np.zeros_like(even)
-    for keys in round_keys:
-        hi, lo = _mulhilo(even)
-        odd ^= hi[::-1]
-        odd ^= keys[:, stream]
-        even, odd = odd, lo[::-1]
-    # interleaved back to x0, x1, x2, x3
-    return np.stack((even, odd), axis=1).reshape(4, -1)
+    # a round maps (x0, x1, x2, x3) to (hi(x2) ^ x1 ^ k0, lo(x2), hi(x0) ^ x3
+    # ^ k1, lo(x0)); one array per word, since a multiplier of one row per
+    # word would be broadcast through a buffer
+    x0 = counter.astype(np.uint64)
+    x1, x2, x3 = (np.zeros_like(x0) for _ in range(3))
+    for k0, k1 in round_keys:
+        hi0, lo0 = _mulhilo(x0, _PHILOX_M[0])
+        hi2, lo2 = _mulhilo(x2, _PHILOX_M[1])
+        hi2 ^= x1 ^ k0[stream]
+        hi0 ^= x3 ^ k1[stream]
+        x0, x1, x2, x3 = hi2, lo2, hi0, lo0
+    return np.stack((x0, x1, x2, x3))
 
 
 def _chunk_rows(width: int) -> int:
@@ -281,51 +292,40 @@ def _chunk_rows(width: int) -> int:
 def _typical_rows(counts: np.ndarray, ref: np.ndarray, n: int, eps: float) -> np.ndarray:
     """Robust typicality per row: every cell count within eps * n * p of n * p.
 
-    Cells with zero reference probability must be unoccupied.
+    Cells with zero reference probability must be unoccupied.  The deviation
+    is formed in one scratch copy of ``counts``.
     """
     target = n * ref
-    return (np.abs(counts - target) <= eps * target).all(axis=-1)
+    deviation = counts - target
+    np.abs(deviation, out=deviation)
+    return (deviation <= eps * target).all(axis=-1)
 
 
 def _indicator(groups: np.ndarray, n_groups: int) -> np.ndarray:
-    """A block's (n, n_groups) one-hot matrix of each position's group.
+    """The one-hot matrix of ``groups``, one more axis of size ``n_groups``:
+    (n, n_groups) for one block's positions, (n, blocks, n_groups) for the
+    (n, blocks) positions of several.
 
     A cell is (group, symbol): the group (state, partner action, observation
     for the decoder; the state for the encoder) is fixed by the block, the
     symbol varies with the codebook row.
     """
-    out = np.zeros((groups.size, n_groups))
-    out[np.arange(groups.size), groups] = 1.0
-    return out
+    return np.eye(n_groups)[groups]
 
 
-def _count_cells(masks, indicator: np.ndarray, sizes: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """(rows, K, groups) counts of each (symbol, group) cell of each row, from
-    ``masks``, the rows' (K-1, rows, n) 0/1 masks of symbol >= 1, ..., K-1,
-    and ``sizes = indicator.sum(0)``, the count of symbol >= 0.  The sums of
-    0s and 1s are exact in float64 below 2**53."""
-    out[:, 0] = sizes
-    for v, mask in enumerate(masks, 1):
-        np.matmul(mask, indicator, out=out[:, v])
-        out[:, v - 1] -= out[:, v]
-    return out
-
-
-def _scan(draw, size: int, thresholds: np.ndarray, chunk: np.ndarray, groups: int):
-    """Draw ``size`` codewords and yield ``lo, masks, counts`` per chunk of
-    them, rows lo, lo+1, ...: their (K-1, rows, n) masks of symbol >= 1, ...,
-    K-1 of ``_quantize(thresholds, words)``, and a (rows, K, groups) buffer
-    for their cell counts.  ``draw(count)`` returns the words of the next
-    count // n codewords; a bit generator's ``random_raw`` reads them in the
-    order of one (size, n) draw.  ``thresholds`` is (K-1,) or (n, K-1); the
-    CDF rows are nondecreasing, so symbol >= v exactly when w >> 11 reaches
-    threshold v - 1.  The masks split ``chunk``, (rows, n), in K-1 slots.
-    With K = 1 there is no mask, and nothing is drawn."""
+def _scan(draw, size: int, thresholds: np.ndarray, chunk: np.ndarray):
+    """Draw ``size`` codewords and yield ``lo, masks`` per chunk of them,
+    rows lo, lo+1, ...: their (K-1, rows, n) masks of symbol >= 1, ..., K-1
+    of ``_quantize(thresholds, words)``.  ``draw(count)`` returns the words
+    of the next count // n codewords; a bit generator's ``random_raw`` reads
+    them in the order of one (size, n) draw.  ``thresholds`` is (K-1,) or
+    (n, K-1); the CDF rows are nondecreasing, so symbol >= v exactly when
+    w >> 11 reaches threshold v - 1.  The masks split ``chunk``, (rows, n),
+    in K-1 slots.  With K = 1 there is no mask, and nothing is drawn."""
     k = thresholds.shape[-1] + 1
     n = chunk.shape[1]
     step = chunk.shape[0] // max(k - 1, 1)
     slots = chunk[: max(k - 1, 1) * step].reshape(-1, step, n)
-    counts = np.empty((step, k, groups))
     thresholds = np.ascontiguousarray(np.moveaxis(thresholds, -1, 0))
     for lo in range(0, size, step):
         rows = min(step, size - lo)
@@ -338,7 +338,7 @@ def _scan(draw, size: int, thresholds: np.ndarray, chunk: np.ndarray, groups: in
             # freed before the next draw, so that draw reuses its pages
             # instead of faulting in fresh ones
             del words
-        yield lo, masks, counts[:rows]
+        yield lo, masks
 
 
 def _absent_cells_typical(groups: np.ndarray, ref: np.ndarray, n: int, eps: float) -> bool:
@@ -354,21 +354,40 @@ def _absent_cells_typical(groups: np.ndarray, ref: np.ndarray, n: int, eps: floa
     return bool(_typical_rows(zeros, ref[absent].ravel(), n, eps)[0])
 
 
-def _typical_chunks(draw, size: int, thresholds, chunk, indicators: dict, ref, eps: float):
-    """Scan ``size`` codewords, drawn by ``draw`` as in ``_scan``, for each
-    block's typicality and yield ``b, lo, cells, typical`` per chunk and
-    block b of ``indicators``: the chunk's first row ``lo``, its rows'
-    (rows, K, groups) cell counts against block b's (n, groups) one-hot
-    matrix ``indicators[b]``, and each row's verdict against ``ref``,
-    (groups, K).  The caller keeps out the blocks whose absent cells fail
-    (``_absent_cells_typical``): no row of theirs is typical."""
-    n = chunk.shape[1]
-    live = [(b, i, i.sum(0)) for b, i in indicators.items()]
-    ref_flat = ref.T.ravel()
-    for lo, masks, counts in _scan(draw, size, thresholds, chunk, ref.shape[0]):
-        for b, indicator, sizes in live:
-            cells = _count_cells(masks, indicator, sizes, counts)
-            yield b, lo, cells, _typical_rows(cells.reshape(len(cells), -1), ref_flat, n, eps)
+def _typical_chunks(draw, size: int, thresholds, chunk, indicator: np.ndarray, ref, eps: float):
+    """Scan ``size`` codewords, drawn by ``draw`` as in ``_scan``, for their
+    typicality in every block of ``indicator``, the blocks' (n, blocks,
+    groups) one-hot matrix, against ``ref``, (groups, K).  Yields ``lo,
+    first, counts, typical`` per chunk and group of blocks first, first + 1,
+    ...: the chunk's first row ``lo``, the (rows, blocks, groups * K) counts
+    of each row's (group, symbol) cells in each block, which the caller may
+    overwrite, and the (rows, blocks) verdicts.  The caller keeps out the
+    blocks whose absent cells fail (``_absent_cells_typical``): no row of
+    theirs is typical.
+
+    The product of the rows' symbol >= v mask with the one-hot matrix counts
+    symbol >= v, and count(v) is the difference of two such counts; the sums
+    of 0s and 1s are exact in float64 below 2**53.  A group holds as many
+    blocks as keep its counts and their scratch copy within ``_CHUNK_BYTES``.
+    """
+    n, blocks, groups = indicator.shape
+    k = ref.shape[1]
+    step = chunk.shape[0] // max(k - 1, 1)
+    per = max(1, _CHUNK_BYTES // (16 * step * groups * k))
+    parts = [(b, indicator[:, b : b + per].reshape(n, -1)) for b in range(0, blocks, per)]
+    ref_flat = ref.ravel()
+    for lo, masks in _scan(draw, size, thresholds, chunk):
+        rows = masks.shape[1]
+        for first, one_hot in parts:
+            cells = np.empty((rows, one_hot.shape[1] // groups, groups * k))
+            by_level = cells.reshape(rows, -1, k)
+            by_level[..., 0] = one_hot.sum(axis=0)
+            for v, mask in enumerate(masks, 1):
+                np.matmul(mask, one_hot, out=by_level[..., v])
+                by_level[..., v - 1] -= by_level[..., v]
+            yield lo, first, cells, _typical_rows(cells, ref_flat, n, eps)
+            # freed before the next group's counts and the next chunk's words
+            del cells, by_level
 
 
 @dataclass(frozen=True, eq=False)
@@ -503,26 +522,30 @@ def _encode_all(key, thresholds, size: int, states, pair_ref, eps: float, chunk)
     none is typical.  The ``size`` codewords are read from stream ``key``
     with the action's ``thresholds``; each chunk serves every block."""
     n = chunk.shape[1]
-    pair_flat = pair_ref.ravel()
     best, best_deviation = [None] * len(states), [np.inf] * len(states)
-    live = {b: _indicator(x0, pair_ref.shape[0])
-            for b, x0 in enumerate(states) if _absent_cells_typical(x0, pair_ref, n, eps)}
+    live = [b for b, x0 in enumerate(states) if _absent_cells_typical(x0, pair_ref, n, eps)]
     if not live:
         return best
-    scan = _typical_chunks(_stream(*key).random_raw, size, thresholds, chunk, live, pair_ref, eps)
-    for b, lo, cells, verdicts in scan:
-        typical = np.flatnonzero(verdicts)
-        if typical.size:
-            # summed in (group, symbol) order: a float sum's bits follow its order
-            by_group = cells[typical].transpose(0, 2, 1).reshape(typical.size, -1)
-            deviation = np.abs(by_group / n - pair_flat).sum(axis=1)
-            i = int(np.argmin(deviation))
-            if deviation[i] < best_deviation[b]:
-                best[b], best_deviation[b] = lo + int(typical[i]), deviation[i]
+    indicator = _indicator(states[live].T, pair_ref.shape[0])
+    scan = _typical_chunks(_stream(*key).random_raw, size, thresholds, chunk, indicator, pair_ref, eps)
+    for lo, first, cells, typical in scan:
+        # summed over the contiguous (group, symbol) axis: a float sum's bits
+        # follow its order
+        cells /= n
+        cells -= pair_ref.ravel()
+        np.abs(cells, out=cells)
+        deviation = cells.sum(axis=-1)
+        deviation[~typical] = np.inf
+        # argmin takes the first row on ties, and the strict < the first chunk
+        rows, least = deviation.argmin(axis=0).tolist(), deviation.min(axis=0).tolist()
+        for b, row, value in zip(live[first:], rows, least):
+            if value < best_deviation[b]:
+                best[b], best_deviation[b] = lo + row, value
+        del cells, typical, deviation  # freed before the scan draws again
     return best
 
 
-def _test_groups(call: list, blocks: list, keys: np.ndarray, n: int):
+def _test_groups(call: list, blocks: list, allowed: np.ndarray, keys: np.ndarray, n: int):
     """Test the groups ``call`` of ``_allowed_rows`` in their next counter
     block, with one Philox evaluation, and keep in each the rows that pass."""
     sizes = [g[2].size for g in call]
@@ -531,21 +554,22 @@ def _test_groups(call: list, blocks: list, keys: np.ndarray, n: int):
     words = _philox_block(keys, np.repeat([g[0] for g in call], sizes), counters)
     for g, group_words in zip(call, np.split(words, np.cumsum(sizes)[:-1], axis=1)):
         j, phase, rows, i = g
-        _, thresholds, allowed, positions = blocks[j]
+        _, thresholds, cell_groups, positions = blocks[j]
         block = (positions[i] + phase) // 4
         ok = np.ones(rows.size, dtype=bool)
         while i < len(positions) and (positions[i] + phase) // 4 == block:
             t = int(positions[i])
-            ok &= allowed[t, _quantize(thresholds[t], group_words[(t + phase) % 4])]
+            ok &= allowed[cell_groups[t], _quantize(thresholds[t], group_words[(t + phase) % 4])]
             i += 1
         g[2], g[3] = rows[ok], i
 
 
-def _allowed_rows(blocks: list, size: int, n: int) -> list[np.ndarray]:
-    """Per block ``(key, thresholds, allowed, positions)``, the rows m <
+def _allowed_rows(blocks: list, allowed: np.ndarray, size: int, n: int) -> list[np.ndarray]:
+    """Per block ``(key, thresholds, cell_groups, positions)``, the rows m <
     ``size`` of the (size, n) draw of stream ``key``, ascending, that include
     every row whose symbol, ``_quantize(thresholds[t], word)``, is allowed,
-    ``allowed[t, symbol]``, at each of the ascending ``positions`` t.
+    ``allowed[cell_groups[t], symbol]``, at each of the ascending
+    ``positions`` t.
 
     Rows are read by random access, one Philox counter block at a time: row
     m's position t is word m*n + t, so the rows whose m*n leaves the same
@@ -570,41 +594,65 @@ def _allowed_rows(blocks: list, size: int, n: int) -> list[np.ndarray]:
             call, lanes = [], 0
             for g in todo:
                 if call and lanes + g[2].size > _PHILOX_LANES:
-                    _test_groups(call, blocks, keys, n)
+                    _test_groups(call, blocks, allowed, keys, n)
                     call, lanes = [], 0
                 call.append(g)
                 lanes += g[2].size
-            _test_groups(call, blocks, keys, n)
+            _test_groups(call, blocks, allowed, keys, n)
         for j, _, live, _ in groups:
             kept[j].append(live)
     return [np.sort(np.concatenate(rows)) for rows in kept]
 
 
-def _row_words(key, rows: np.ndarray, n: int):
-    """A ``draw`` for ``_scan`` that reads the ascending ``rows`` of the
-    (M, n) draw of stream ``key``, each alone, as a played row is read."""
-    order = iter(rows.tolist())
-    return lambda count: np.concatenate(
-        [_words(key, n, m * n) for m in itertools.islice(order, count // n)]
-    )
-
-
-def _count_typical(block, ref, size: int, eps: float, chunk, rows=None) -> tuple[int, int]:
-    """The number of typical rows of the decoder block ``block`` (see
-    ``_decode``) and the first one (0 when none), counted over its ascending
-    ``rows``, drawn one at a time, or over all ``size`` rows."""
+def _count_typical(block, ref, size: int, eps: float, chunk) -> tuple[int, int]:
+    """The number of typical rows among all ``size`` rows of the decoder block
+    ``block`` (see ``_decode``) and the first one (0 when none)."""
     key, thresholds, groups = block
-    n = chunk.shape[1]
-    draw = _stream(*key).random_raw if rows is None else _row_words(key, rows, n)
-    count = size if rows is None else rows.size
-    indicator = {0: _indicator(groups, ref.shape[0])}
+    indicator = _indicator(groups[:, None], ref.shape[0])
+    scan = _typical_chunks(_stream(*key).random_raw, size, thresholds, chunk, indicator, ref, eps)
     n_typical, first = 0, 0
-    for _, lo, _, typical in _typical_chunks(draw, count, thresholds, chunk, indicator, ref, eps):
+    for lo, _, _, typical in scan:
         hits = lo + np.flatnonzero(typical)
         if hits.size and not n_typical:
-            first = int(hits[0] if rows is None else rows[hits[0]])
+            first = int(hits[0])
         n_typical += hits.size
     return n_typical, first
+
+
+def _count_kept(blocks: list, kept: list, ref, eps: float) -> list[tuple[int, int]]:
+    """Per decoder block (see ``_decode``), the number of typical rows among
+    its ascending ``kept`` rows and the first one (0 when none).
+
+    Every kept row is read alone, as a played row is, and the kept rows of
+    all blocks are counted together, ``_chunk_rows(2 * n)`` at a time: a
+    row's cells are group * K + symbol, offset by the row's place in the
+    chunk, so that one bincount counts every row's cells.  The chunk's
+    words, then its cells, take half a chunk's bytes.
+    """
+    n = blocks[0][1].shape[0]
+    owner = np.repeat(np.arange(len(blocks)), [rows.size for rows in kept])
+    rows = np.concatenate(kept)
+    hits = [[] for _ in blocks]
+    step = _chunk_rows(2 * n)
+    buffer = np.empty((min(step, rows.size), n), dtype=np.uint64)
+    for lo in range(0, rows.size, step):
+        part = list(zip(owner[lo : lo + step].tolist(), rows[lo : lo + step].tolist()))
+        words = buffer[: len(part)]
+        for i, (j, m) in enumerate(part):
+            words[i] = _words(blocks[j][0], n, m * n)
+        # the cells overwrite the words they come from, a block's rows at once
+        cells = words.view(np.intp)
+        starts = [i for i in range(len(part)) if not i or part[i][0] != part[i - 1][0]]
+        for start, end in zip(starts, [*starts[1:], len(part)]):
+            _, thresholds, groups = blocks[part[start][0]]
+            cells[start:end] = groups * ref.shape[1] + _quantize(thresholds, words[start:end])
+        cells += (np.arange(len(part)) * ref.size)[:, None]
+        counts = np.bincount(cells.ravel(), minlength=len(part) * ref.size)
+        typical = _typical_rows(counts.reshape(len(part), -1), ref.ravel(), n, eps)
+        for i in np.flatnonzero(typical).tolist():
+            j, m = part[i]
+            hits[j].append(m)
+    return [(len(h), h[0] if h else 0) for h in hits]
 
 
 def _decode(blocks: list, ref, size: int, eps: float, chunk) -> list[tuple[int, int]]:
@@ -621,8 +669,9 @@ def _decode(blocks: list, ref, size: int, eps: float, chunk) -> list[tuple[int, 
     is 0, so it is not typical.  When some position of a block can draw a
     disallowed symbol and the codebook has more than ``_FEW_ROWS`` rows, the
     rows that pass every such position are found by random access
-    (``_allowed_rows``), and only they are drawn and counted; otherwise every
-    row is, from one stream: random access would keep every row of a
+    (``_allowed_rows``), and only they are drawn and counted, with the kept
+    rows of every block of the pass (``_count_kept``); otherwise every row
+    is scanned, from one stream: random access would keep every row of a
     codebook that small, and read each from a stream of its own.  Both give
     the verdicts of the scan of every row.
     Random access serves as many blocks at once as have ``_chunk_rows(1)``
@@ -631,22 +680,23 @@ def _decode(blocks: list, ref, size: int, eps: float, chunk) -> list[tuple[int, 
     """
     n = chunk.shape[1]
     found, access = [(0, 0)] * len(blocks), []
+    allowed = ref > 0.0
     for j, (key, thresholds, groups) in enumerate(blocks):
         if not _absent_cells_typical(groups, ref, n, eps):
             continue
-        allowed = ref[groups] > 0.0  # (n, |X1|)
         # per position, how many of the 2**53 word steps fall on an allowed symbol
         widths = np.diff(thresholds, axis=1, prepend=np.uint64(0), append=np.uint64(2**53))
-        restricted = np.flatnonzero((widths * allowed).sum(axis=1) < 2**53)
+        restricted = np.flatnonzero((widths * allowed[groups]).sum(axis=1) < 2**53)
         if restricted.size and size > _FEW_ROWS:
-            access.append((j, (key, thresholds, allowed, restricted)))
+            access.append((j, restricted))
         else:
             found[j] = _count_typical(blocks[j], ref, size, eps, chunk)
     per_pass = max(1, _chunk_rows(1) // size)
     for lo in range(0, len(access), per_pass):
         batch = access[lo : lo + per_pass]
-        for (j, _), rows in zip(batch, _allowed_rows([b for _, b in batch], size, n)):
-            found[j] = _count_typical(blocks[j], ref, size, eps, chunk, rows)
+        kept = _allowed_rows([(*blocks[j], positions) for j, positions in batch], allowed, size, n)
+        for (j, _), result in zip(batch, _count_kept([blocks[j] for j, _ in batch], kept, ref, eps)):
+            found[j] = result
     return found
 
 

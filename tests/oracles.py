@@ -13,8 +13,7 @@ from codedpc.coding import (
     _absent_cells_typical,
     _chunk_rows,
     _indicator,
-    _stream,
-    _typical_chunks,
+    _symbols,
     _typical_rows,
 )
 from codedpc.icmodel import N_STATES, ChannelGainState
@@ -197,21 +196,20 @@ def encode_block(
 
 def scan_decode(key, thresholds, groups, ref, size: int, eps: float, chunk) -> tuple[int, int]:
     """The simulator's decoder before it read rows by random access, for one
-    block: all ``size`` rows of stream ``key`` scanned and counted by
-    ``_typical_chunks`` against the positions' ``groups``.  Returns the
-    number of typical rows and the first one (0 when none)."""
-    if not _absent_cells_typical(groups, ref, chunk.shape[1], eps):
+    block: all ``size`` rows of stream ``key`` drawn as played rows are, with
+    ``_symbols``, and their (group, symbol) cells counted by ``row_counts``
+    against the positions' ``groups``.  Returns the number of typical rows
+    and the first one (0 when none)."""
+    n = chunk.shape[1]
+    if not _absent_cells_typical(groups, ref, n, eps):
         return 0, 0
-    n_typical, first = 0, None
-    draw = _stream(*key).random_raw
-    indicator = {0: _indicator(groups, ref.shape[0])}
-    scan = _typical_chunks(draw, size, thresholds, chunk, indicator, ref, eps)
-    for _, lo, _, typical in scan:
-        hits = int(typical.sum())
-        if hits and first is None:
-            first = lo + int(np.argmax(typical))
-        n_typical += hits
-    return n_typical, first or 0
+    hits = []
+    step = 4096
+    for lo in range(0, size, step):
+        symbols = _symbols(thresholds, key, (min(step, size - lo), n), lo * n)
+        counts = row_counts(groups * ref.shape[1] + symbols, ref.size)
+        hits.extend(lo + np.flatnonzero(_typical_rows(counts, ref.ravel(), n, eps)))
+    return len(hits), int(hits[0]) if hits else 0
 
 
 def _h2(p: np.ndarray) -> np.ndarray:

@@ -10,12 +10,13 @@ from codedpc import (
     ObservationChannel,
     PayoffTable,
     StatePrior,
+    coding,
     expected_payoff,
     run,
     solve,
     total_variation,
 )
-from codedpc.coding import MAX_STAGES, _count_cells, _indicator, _typical_rows
+from codedpc.coding import MAX_STAGES, _indicator, _typical_chunks
 from test_golden import _binary_config
 from codedpc.icmodel import (
     ICConfig,
@@ -59,12 +60,15 @@ def weak_config(n, seed, blocks=40, eps=0.5, rate=0.025):
 
 def typical(groups, symbols, ref, eps):
     """The simulator's typicality verdict on one sequence of (group, symbol)
-    cells; ``ref`` is (groups, symbols)."""
+    cells; ``ref`` is (groups, symbols).  The word whose top 53 bits are the
+    symbol reaches exactly the levels 1, ..., symbol."""
     n_groups, k = ref.shape
-    indicator = _indicator(groups, n_groups)
-    masks = [(symbols[None, :] >= v).astype(float) for v in range(1, k)]
-    counts = _count_cells(masks, indicator, indicator.sum(axis=0), np.empty((1, k, n_groups)))
-    return bool(_typical_rows(counts.reshape(1, -1), ref.T.ravel(), groups.size, eps)[0])
+    words = symbols.astype(np.uint64) << np.uint64(11)
+    scan = _typical_chunks(lambda count: words.copy(), 1, np.arange(1, k, dtype=np.uint64),
+                           np.empty((max(k - 1, 1), groups.size)),
+                           _indicator(groups[:, None], n_groups), ref, eps)
+    [(_, _, _, verdict)] = scan
+    return bool(verdict[0, 0])
 
 
 class TestTypicalSetTest:
@@ -374,3 +378,39 @@ class TestRunMemory:
         finally:
             tracemalloc.stop()
         assert peak < cfg.codebook_size * cfg.block_length / 4
+
+    def test_all_block_passes_take_at_most_a_chunk_more_than_one_block(self, monkeypatch):
+        # the encoder's all-block counts and the decoder's pass over every
+        # block's kept rows grow with the blocks they serve: over the binary
+        # benchmark run's 39 coded blocks each may take at most one chunk's
+        # bytes more than over one block
+        cfg = _binary_config(400, 1, 40, 0.025, 0.5)
+        calls = {}
+        for name in ("_encode_all", "_decode"):
+            def first_call(*args, f=getattr(coding, name), name=name):
+                calls.setdefault(name, args)
+                return f(*args)
+
+            monkeypatch.setattr(coding, name, first_call)
+        run(cfg)
+        monkeypatch.undo()
+        key, thresholds, size, states, pair_ref, eps, chunk = calls["_encode_all"]
+        blocks, *decoder_args = calls["_decode"]
+        assert len(states) == len(blocks) == 39
+        assert all(coding._absent_cells_typical(x0, pair_ref, cfg.block_length, eps)
+                   for x0 in states)
+
+        def traced_peak(f, *args):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                f(*args)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        one, every = (traced_peak(coding._encode_all, key, thresholds, size, x0, pair_ref, eps,
+                                  chunk) for x0 in (states[:1], states))
+        assert every <= one + coding._CHUNK_BYTES
+        one, every = (traced_peak(coding._decode, b, *decoder_args) for b in (blocks[:1], blocks))
+        assert every <= one + coding._CHUNK_BYTES

@@ -37,7 +37,6 @@ from codedpc.coding import (
     _STREAM_SOURCE,
     _STREAM_STATE,
     _absent_cells_typical,
-    _count_cells,
     _decode,
     _encode_all,
     _indicator,
@@ -48,6 +47,7 @@ from codedpc.coding import (
     _stream,
     _symbols,
     _thresholds,
+    _typical_chunks,
     _typical_rows,
 )
 from oracles import cell_counts, encode_block, quantize_rows, row_counts, scan_decode
@@ -158,19 +158,17 @@ class WordSource:
 
 
 def level_counts(symbols: np.ndarray, groups: np.ndarray, k: int, n_groups: int) -> np.ndarray:
-    """(rows, K, groups) cell counts the way the encoder forms them: masks
-    of the integer symbols against the levels 1..K-1, in a float buffer."""
-    masks = np.empty((max(k - 1, 0), *symbols.shape))
-    for v in range(1, k):
-        np.greater_equal(symbols, v, out=masks[v - 1], casting="unsafe")
-    indicator = _indicator(groups, n_groups)
-    out = np.empty((symbols.shape[0], k, n_groups))
-    return _count_cells(masks, indicator, indicator.sum(axis=0), out)
-
-
-def by_group(counts: np.ndarray) -> np.ndarray:
-    """(rows, K, groups) counts in the oracle's (rows, groups * K) layout."""
-    return counts.transpose(0, 2, 1).reshape(counts.shape[0], -1)
+    """(rows, groups * K) cell counts the way the scan forms them: from
+    words whose top 53 bits are the symbols, so that a word reaches exactly
+    the levels 1, ..., symbol, in one chunk of float masks."""
+    words = symbols.astype(np.uint64) << np.uint64(11)
+    chunk = np.empty((max(k - 1, 1) * symbols.shape[0], symbols.shape[1]))
+    ref = np.full((n_groups, k), 1.0 / (n_groups * k))
+    [(_, _, cells, _)] = _typical_chunks(
+        WordSource(words).random_raw, symbols.shape[0], np.arange(1, k, dtype=np.uint64), chunk,
+        _indicator(groups[:, None], n_groups), ref, 1.0,
+    )
+    return cells[:, 0]
 
 
 @slow_ok
@@ -179,7 +177,7 @@ def test_grouped_counts_match_oracle(block):
     groups, symbols, ref, _ = block
     n_groups, k = ref.shape
     oracle = row_counts(groups[None, :] * k + symbols, n_groups * k)
-    assert np.array_equal(by_group(level_counts(symbols, groups, k, n_groups)), oracle)
+    assert np.array_equal(level_counts(symbols, groups, k, n_groups), oracle)
     assert np.array_equal(cell_counts(symbols, _indicator(groups, n_groups), k), oracle)
 
 
@@ -220,17 +218,23 @@ def test_threshold_counts_match_oracle(block):
     k = cdf.shape[1]
     u = uniforms_of(words)
     oracle = row_counts(groups[None, :] * k + quantize_rows(cdf, u), n_groups * k)
-    indicator = _indicator(groups, n_groups)
+    indicator = _indicator(groups[:, None], n_groups)
     source = WordSource(words)
     chunk = np.full((chunk_rows, u.shape[1]), np.nan)
     parts = []
-    for lo, masks, counts in _scan(source.random_raw, len(u), _thresholds(cdf), chunk, n_groups):
-        assert lo == sum(map(len, parts))
-        assert masks.shape == (k - 1, len(counts), u.shape[1])
-        parts.append(by_group(_count_cells(masks, indicator, indicator.sum(axis=0), counts)).copy())
+    ref = np.full((n_groups, k), 1.0 / (n_groups * k))
+    scan = _typical_chunks(source.random_raw, len(u), _thresholds(cdf), chunk, indicator, ref, 1.0)
+    for lo, first, cells, _ in scan:
+        assert lo == sum(map(len, parts)) and first == 0
+        parts.append(cells[:, 0].copy())
     # with one symbol no mask reads a word, so none is drawn
     assert source.drawn == (u.size if k > 1 else 0)
     assert np.array_equal(np.concatenate(parts), oracle)
+    # each chunk's masks: K - 1 of them, over the chunk's rows
+    scan = _scan(WordSource(words).random_raw, len(u), _thresholds(cdf), chunk)
+    shapes = [masks.shape for _, masks in scan]
+    assert [rows for _, rows, _ in shapes] == list(map(len, parts))
+    assert {(levels, n) for levels, _, n in shapes} == {(k - 1, u.shape[1])}
 
 
 _GRID = [0.5, 0.75, 3 * 2.0**-53]
@@ -251,7 +255,7 @@ def test_threshold_masks_at_level_edges(level):
     for cdf in (np.array([level, 1.0]), np.tile([level, 1.0], (words.size, 1))):
         thresholds = _thresholds(cdf)
         chunk = np.full((1, words.size), np.nan)
-        [(_, masks, _)] = _scan(WordSource(words).random_raw, 1, thresholds, chunk, 1)
+        [(_, masks)] = _scan(WordSource(words).random_raw, 1, thresholds, chunk)
         assert np.array_equal(masks[0, 0], expected)
         assert np.array_equal(_quantize(thresholds, words), expected)
 
@@ -266,8 +270,7 @@ def test_absent_cell_shortcut_keeps_the_verdict(block):
         row_counts(groups[None, :] * k + symbols, n_groups * k), ref.ravel(), n, eps
     )
     if _absent_cells_typical(groups, ref, n, eps):
-        counts = level_counts(symbols, groups, k, n_groups)
-        verdict = _typical_rows(counts.reshape(symbols.shape[0], -1), ref.T.ravel(), n, eps)
+        verdict = _typical_rows(level_counts(symbols, groups, k, n_groups), ref.ravel(), n, eps)
     else:
         verdict = np.zeros(symbols.shape[0], dtype=bool)
     assert np.array_equal(verdict, oracle)
@@ -278,9 +281,10 @@ def encoder_blocks(draw):
     """The words of a source codebook with repeated rows (so deviations tie),
     some the first word whose uniform reaches a value of the action CDF or
     the last one below it, that CDF, the states of several blocks, a
-    (state, action) reference, an epsilon, and rows per chunk for the
+    (state, action) reference, an epsilon, rows per chunk for the
     all-blocks encoder and for the per-block oracle, with the codebook at
-    least three chunks long for both."""
+    least three chunks long for both, and the blocks per group of the
+    all-blocks encoder."""
     k = draw(st.integers(2, 4))
     n0 = draw(st.integers(1, 3))
     n = draw(st.integers(1, 12))
@@ -297,7 +301,7 @@ def encoder_blocks(draw):
     pick = draw(hnp.arrays(np.int64, size, elements=st.integers(0, distinct.shape[0] - 1)))
     words = distinct[pick]
     codebook = quantize_rows(x2_cdf, uniforms_of(words))
-    states = draw(hnp.arrays(np.int64, (draw(st.integers(1, 5)), n),
+    states = draw(hnp.arrays(np.int64, (draw(st.integers(1, 40)), n),
                              elements=st.integers(0, n0 - 1)))
     own = row_counts(states[:1] * k + codebook[:1], n0 * k)[0] / n
     kind = draw(st.sampled_from(["own", "own_plus_absent", "random"]))
@@ -310,13 +314,14 @@ def encoder_blocks(draw):
             # mass on every cell, so a block missing a state fails at eps < 1
             ref = 0.9 * own + 0.1 / own.size
     eps = draw(st.sampled_from([0.2, 0.5, 1.0, 1.5]) | st.floats(0.05, 2.0))
-    return words, x2_cdf, codebook, states, ref.reshape(n0, k), eps, new_rows, oracle_rows
+    per_group = draw(st.integers(1, 3))
+    return words, x2_cdf, codebook, states, ref.reshape(n0, k), eps, new_rows, oracle_rows, per_group
 
 
 @settings(max_examples=200, deadline=None)
 @given(encoder_blocks())
 def test_encode_all_matches_per_block_oracle(block):
-    words, x2_cdf, codebook, states, ref, eps, new_rows, oracle_rows = block
+    words, x2_cdf, codebook, states, ref, eps, new_rows, oracle_rows, per_group = block
     n0, k = ref.shape
     size, n = codebook.shape
     chunk = np.full((new_rows * (k - 1), n), np.nan)
@@ -324,16 +329,28 @@ def test_encode_all_matches_per_block_oracle(block):
         patch.setattr(coding, "_CHUNK_BYTES", 8 * max(n, n0 * k) * oracle_rows)
         assert coding._chunk_rows(max(n, n0 * k)) == oracle_rows
         oracle = [encode_block(codebook, x0, ref, n, eps) for x0 in states]
-    source, opened = WordSource(words), []
+    source, opened, firsts = WordSource(words), [], []
+    scan = coding._typical_chunks
+
+    def grouped(*args):
+        for lo, first, *rest in scan(*args):
+            firsts.append((lo, first))
+            yield lo, first, *rest
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(coding, "_stream", lambda *key: opened.append(key) or source)
+        patch.setattr(coding, "_typical_chunks", grouped)
+        # a group's counts and their scratch copy take 16 bytes a cell
+        patch.setattr(coding, "_CHUNK_BYTES", 16 * new_rows * n0 * k * per_group)
         assert _encode_all((7, _STREAM_SOURCE, 0), _thresholds(x2_cdf), size, states, ref,
                            eps, chunk) == oracle
     # the codebook is drawn once, and its stream not even opened when every
-    # block fails early
-    live = any(_absent_cells_typical(x0, ref, n, eps) for x0 in states)
+    # block fails early; each chunk serves every group of live blocks
+    live = sum(_absent_cells_typical(x0, ref, n, eps) for x0 in states)
     assert opened == ([(7, _STREAM_SOURCE, 0)] if live else [])
     assert source.drawn == (words.size if live else 0)
+    chunks = range(0, size, new_rows)
+    assert firsts == [(lo, first) for lo in chunks for first in range(0, live, per_group)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -463,7 +480,7 @@ def test_played_row_matches_scanned_row(case):
     played = _symbols(thresholds, key, n, m * n)
     chunk = np.full((per_chunk * max(k - 1, 1), n), np.nan)
     scanned = None
-    for lo, masks, _ in _scan(_stream(*key).random_raw, m + 1 + per_chunk, thresholds, chunk, 1):
+    for lo, masks in _scan(_stream(*key).random_raw, m + 1 + per_chunk, thresholds, chunk):
         if lo <= m < lo + masks.shape[1]:
             scanned = masks[:, m - lo].copy()
     assert scanned is not None and len(scanned) == k - 1
@@ -611,11 +628,21 @@ def test_decode_matches_scan(batch):
     blocks, ref, size, eps, chunk_rows, access_rows, lanes = batch
     chunk = np.full((chunk_rows, blocks[0][1].shape[0]), np.nan)
     expected = [scan_decode(*block, ref, size, eps, chunk) for block in blocks]
-    count, counted = coding._count_typical, []
+    count, allowed_rows, words = coding._count_typical, coding._allowed_rows, coding._words
+    handed, drawn = [], []
 
-    def rows_counted(block, ref, size, eps, chunk, rows=None):
-        counted.append((block[0], "all" if rows is None else rows.tolist()))
-        return count(block, ref, size, eps, chunk, rows)
+    def whole(block, *args):
+        handed.append((block[0], "all"))
+        return count(block, *args)
+
+    def kept(access, allowed, size, n):
+        rows = allowed_rows(access, allowed, size, n)
+        handed.extend((key, r.tolist()) for (key, *_), r in zip(access, rows))
+        return rows
+
+    def row_words(key, n, skip=0):
+        drawn.append((key, skip // n))
+        return words(key, n, skip)
 
     with pytest.MonkeyPatch.context() as patch:
         # random access in chunks of access_rows rows and Philox calls of at
@@ -623,19 +650,25 @@ def test_decode_matches_scan(batch):
         # several calls, and a batch of long codebooks several passes
         patch.setattr(coding, "_CHUNK_BYTES", 8 * coding._PHILOX_WIDTH * access_rows)
         patch.setattr(coding, "_PHILOX_LANES", lanes)
-        patch.setattr(coding, "_count_typical", rows_counted)
+        patch.setattr(coding, "_count_typical", whole)
+        patch.setattr(coding, "_allowed_rows", kept)
+        patch.setattr(coding, "_words", row_words)
         assert coding._chunk_rows(coding._PHILOX_WIDTH) == access_rows
         # at _FEW_ROWS = 0, groups are tested down to the last live row
         for few_rows in (coding._FEW_ROWS, 0):
             patch.setattr(coding, "_FEW_ROWS", few_rows)
-            counted.clear()
+            handed.clear()
+            drawn.clear()
             assert _decode(blocks, ref, size, eps, chunk) == expected
+            # every row that random access keeps is drawn, and no other
+            assert sorted(drawn) == sorted((key, m) for key, rows in handed if rows != "all"
+                                           for m in rows)
             # the batch hands each block the rows that it would read alone
-            batch_rows = sorted(counted, key=repr)
-            counted.clear()
+            batch_rows = sorted(handed, key=repr)
+            handed.clear()
             for block in blocks:
                 _decode([block], ref, size, eps, chunk)
-            assert sorted(counted, key=repr) == batch_rows
+            assert sorted(handed, key=repr) == batch_rows
 
 
 @pytest.mark.parametrize(
@@ -679,10 +712,11 @@ def test_decoder_matches_scan_on_every_block(monkeypatch, make_config):
 def test_identity_channel_decoder_reads_few_words(monkeypatch):
     # the observations equal the channel codeword, so a candidate is typical
     # only if it matches them at every position: random access drops almost
-    # every row within a few positions, and the count scan reads only the
-    # few rows left, never the whole codebook.  Every coded block is decoded
-    # in one pass, whose rounds share Philox calls: one block at a time took
-    # 78 calls, two per block, over the same 42,495 rows
+    # every row within a few positions, the few rows left are drawn alone
+    # and counted together, and no count scan reads the codebook.  Every
+    # coded block is decoded in one pass, whose rounds share Philox calls:
+    # one block at a time took 78 calls, two per block, over the same 42,495
+    # rows
     cfg = _binary_config(400, 1, 40, 0.025, 0.5)
     decode, scan = coding._decode, coding._scan
     philox, raw = coding._philox_block, coding._words
@@ -716,9 +750,8 @@ def test_identity_channel_decoder_reads_few_words(monkeypatch):
         monkeypatch.setattr(coding, name, wrapper)
     result = run(cfg)
     coded = cfg.num_blocks - 1
-    # one count scan per block
-    assert len(scanned) == coded
-    assert max(scanned) < cfg.codebook_size / 16
+    # no count scan
+    assert scanned == []
     assert words[0] < coded * cfg.codebook_size * cfg.block_length / 16
     assert len(lanes) <= 12 and sum(lanes) == 42_495
     assert max(lanes) <= coding._PHILOX_LANES
@@ -731,15 +764,17 @@ def test_small_codebook_decoder_reads_one_stream(monkeypatch):
     # random access keeps every row of a codebook of at most _FEW_ROWS rows,
     # since no group of it is ever larger, and then reads each kept row from
     # a stream of its own: such blocks are counted from one stream instead.
-    # Through random access this run read rows one at a time 51 times
+    # Through random access this run opened 931 streams
     cfg = SIM_RUNS["sim_binary_encoder_fail_n40.json"]()
     assert cfg.codebook_size <= coding._FEW_ROWS
-    row_words, calls = coding._row_words, []
+    allowed_rows, stream, calls, opened = coding._allowed_rows, coding._stream, [], []
 
     def counted(*args):
         calls.append(args)
-        return row_words(*args)
+        return allowed_rows(*args)
 
-    monkeypatch.setattr(coding, "_row_words", counted)
+    monkeypatch.setattr(coding, "_allowed_rows", counted)
+    monkeypatch.setattr(coding, "_stream", lambda *args, **kw: opened.append(args) or stream(*args, **kw))
     assert run(cfg).decoder_errors > 0
     assert calls == []
+    assert len(opened) == 166
