@@ -73,12 +73,12 @@ Memory and time do not grow with M x n x |alphabet|:
   counter j // 4 + 1.  So the decoder evaluates that function in numpy for
   the positions that can draw a disallowed symbol, a counter block of four
   at a time, drops each codeword at its first disallowed symbol, and draws
-  only the few left, each alone as a played row is.  The rows left in every
-  block of a pass are counted together: one bincount over their (row, cell)
-  codes and one typicality test give every verdict.  A necessary
-  condition drops only codewords the count would reject, so the verdicts
-  stay the same.  Where no symbol is disallowed (a channel with
-  full-support rows), the decoder scans the whole codebook as above.
+  only the few left, each alone as a played row is.  A block's rows left
+  are counted a chunk at a time: one bincount over their (row, cell) codes
+  and one typicality test give every verdict.  A necessary condition drops
+  only codewords the count would reject, so the verdicts stay the same.
+  Where no symbol is disallowed (a channel with full-support rows), the
+  decoder scans the whole codebook as above.
   What the informed side sends depends on the encoder's indices alone, so
   once they are known, so is every block's channel codeword and
   observation; the decoder's own action differs from the one the encoder
@@ -127,9 +127,9 @@ _STREAM_OBSERVATION = 3
 
 #: Codewords are drawn and tested in chunks of about this many bytes of
 #: float64 masks, so memory does not grow with the codebook.  A chunk's cell
-#: counts over all the blocks of a scan, with their scratch copy, and a chunk
-#: of the decoder's kept rows of all blocks take at most as much again, so it
-#: does not grow with the blocks either.
+#: counts over all the blocks of a scan, with their scratch copy, take at most
+#: as much again, so it does not grow with the blocks either; so do a chunk of
+#: one block's rows that the decoder keeps.
 _CHUNK_BYTES = 1 << 19
 
 #: A uniform is its word's top 53 bits, (w >> 11) * 2**-53.
@@ -547,7 +547,12 @@ def _encode_all(key, thresholds, size: int, states, pair_ref, eps: float, chunk)
 
 def _test_groups(call: list, blocks: list, allowed: np.ndarray, keys: np.ndarray, n: int):
     """Test the groups ``call`` of ``_allowed_rows`` in their next counter
-    block, with one Philox evaluation, and keep in each the rows that pass."""
+    block, with one Philox evaluation, and keep in each the rows that pass.
+
+    A group's positions in the block are tested at once: position t reads
+    lane (t + phase) % 4, and one comparison of the lanes' top bits with
+    ``thresholds[t]`` gives every (position, row) symbol, as ``_quantize``
+    would."""
     sizes = [g[2].size for g in call]
     counters = np.concatenate([rows * n // 4 + (blocks[j][3][i] + phase) // 4 + 1
                                for j, phase, rows, i in call], dtype=np.uint64, casting="unsafe")
@@ -555,13 +560,14 @@ def _test_groups(call: list, blocks: list, allowed: np.ndarray, keys: np.ndarray
     for g, group_words in zip(call, np.split(words, np.cumsum(sizes)[:-1], axis=1)):
         j, phase, rows, i = g
         _, thresholds, cell_groups, positions = blocks[j]
-        block = (positions[i] + phase) // 4
-        ok = np.ones(rows.size, dtype=bool)
-        while i < len(positions) and (positions[i] + phase) // 4 == block:
-            t = int(positions[i])
-            ok &= allowed[cell_groups[t], _quantize(thresholds[t], group_words[(t + phase) % 4])]
-            i += 1
-        g[2], g[3] = rows[ok], i
+        # the positions before the next counter block's first word
+        end = int(np.searchsorted(positions, ((positions[i] + phase) // 4 + 1) * 4 - phase))
+        t = positions[i:end]
+        top = group_words[(t + phase) % 4] >> _WORD_SHIFT
+        # summed over a leading axis, a slice at a time: summing the last
+        # axis, of K-1 entries, took twice as long at 1,024 rows and K = 3
+        symbols = (top >= thresholds[t].T[:, :, None]).sum(axis=0)
+        g[2], g[3] = rows[allowed[cell_groups[t, None], symbols].all(axis=0)], end
 
 
 def _allowed_rows(blocks: list, allowed: np.ndarray, size: int, n: int) -> list[np.ndarray]:
@@ -619,40 +625,27 @@ def _count_typical(block, ref, size: int, eps: float, chunk) -> tuple[int, int]:
     return n_typical, first
 
 
-def _count_kept(blocks: list, kept: list, ref, eps: float) -> list[tuple[int, int]]:
-    """Per decoder block (see ``_decode``), the number of typical rows among
-    its ascending ``kept`` rows and the first one (0 when none).
+def _count_kept(block, rows: np.ndarray, ref, eps: float) -> tuple[int, int]:
+    """The number of typical rows among the ascending ``rows`` of the decoder
+    block ``block`` (see ``_decode``) and the first one (0 when none).
 
-    Every kept row is read alone, as a played row is, and the kept rows of
-    all blocks are counted together, ``_chunk_rows(2 * n)`` at a time: a
-    row's cells are group * K + symbol, offset by the row's place in the
-    chunk, so that one bincount counts every row's cells.  The chunk's
-    words, then its cells, take half a chunk's bytes.
+    Each row is read alone, as a played row is, and ``_chunk_rows(2 * n)``
+    rows are counted at a time: a row's cells are group * K + symbol, offset
+    by the row's place in the chunk, so that one bincount counts every row's
+    cells.  The chunk's words and its cells take half a chunk's bytes each.
     """
-    n = blocks[0][1].shape[0]
-    owner = np.repeat(np.arange(len(blocks)), [rows.size for rows in kept])
-    rows = np.concatenate(kept)
-    hits = [[] for _ in blocks]
+    key, thresholds, groups = block
+    n = groups.size
+    hits = []
     step = _chunk_rows(2 * n)
-    buffer = np.empty((min(step, rows.size), n), dtype=np.uint64)
     for lo in range(0, rows.size, step):
-        part = list(zip(owner[lo : lo + step].tolist(), rows[lo : lo + step].tolist()))
-        words = buffer[: len(part)]
-        for i, (j, m) in enumerate(part):
-            words[i] = _words(blocks[j][0], n, m * n)
-        # the cells overwrite the words they come from, a block's rows at once
-        cells = words.view(np.intp)
-        starts = [i for i in range(len(part)) if not i or part[i][0] != part[i - 1][0]]
-        for start, end in zip(starts, [*starts[1:], len(part)]):
-            _, thresholds, groups = blocks[part[start][0]]
-            cells[start:end] = groups * ref.shape[1] + _quantize(thresholds, words[start:end])
-        cells += (np.arange(len(part)) * ref.size)[:, None]
-        counts = np.bincount(cells.ravel(), minlength=len(part) * ref.size)
-        typical = _typical_rows(counts.reshape(len(part), -1), ref.ravel(), n, eps)
-        for i in np.flatnonzero(typical).tolist():
-            j, m = part[i]
-            hits[j].append(m)
-    return [(len(h), h[0] if h else 0) for h in hits]
+        part = rows[lo : lo + step]
+        words = np.array([_words(key, n, m * n) for m in part.tolist()])
+        cells = groups * ref.shape[1] + _quantize(thresholds, words)
+        cells += (np.arange(part.size) * ref.size)[:, None]
+        counts = np.bincount(cells.ravel(), minlength=part.size * ref.size)
+        hits += part[_typical_rows(counts.reshape(part.size, -1), ref.ravel(), n, eps)].tolist()
+    return len(hits), hits[0] if hits else 0
 
 
 def _decode(blocks: list, ref, size: int, eps: float, chunk) -> list[tuple[int, int]]:
@@ -669,11 +662,11 @@ def _decode(blocks: list, ref, size: int, eps: float, chunk) -> list[tuple[int, 
     is 0, so it is not typical.  When some position of a block can draw a
     disallowed symbol and the codebook has more than ``_FEW_ROWS`` rows, the
     rows that pass every such position are found by random access
-    (``_allowed_rows``), and only they are drawn and counted, with the kept
-    rows of every block of the pass (``_count_kept``); otherwise every row
-    is scanned, from one stream: random access would keep every row of a
-    codebook that small, and read each from a stream of its own.  Both give
-    the verdicts of the scan of every row.
+    (``_allowed_rows``), and only they are drawn and counted, one block at a
+    time (``_count_kept``); otherwise every row is scanned, from one stream:
+    random access would keep every row of a codebook that small, and read
+    each from a stream of its own.  Both give the verdicts of the scan of
+    every row.
     Random access serves as many blocks at once as have ``_chunk_rows(1)``
     rows between them (one at least), so the rows a pass keeps take at most
     a chunk's bytes more than one block's.
@@ -695,8 +688,8 @@ def _decode(blocks: list, ref, size: int, eps: float, chunk) -> list[tuple[int, 
     for lo in range(0, len(access), per_pass):
         batch = access[lo : lo + per_pass]
         kept = _allowed_rows([(*blocks[j], positions) for j, positions in batch], allowed, size, n)
-        for (j, _), result in zip(batch, _count_kept([blocks[j] for j, _ in batch], kept, ref, eps)):
-            found[j] = result
+        for (j, _), rows in zip(batch, kept):
+            found[j] = _count_kept(blocks[j], rows, ref, eps)
     return found
 
 

@@ -537,6 +537,61 @@ def test_noisy_channel_solves_certify(problem):
     assert res.dual_bound >= partners.max() - 1e-9
 
 
+PROPERTY_SETTINGS = ((1, 0.0), (2, 0.1))  # (stages, min_slack)
+
+
+def test_dual_bound_bounds_every_strictly_feasible_point():
+    # random points with the prior's state marginal, half of them mixed with
+    # the result's qbar at weights down to 1e-6 so that some sit within the
+    # tolerance of the optimum; every point the generic gap finds strictly
+    # feasible has at most the optimal payoff, which the dual bound bounds
+    problems = [*test_solver_bits.noisy_problems(test_solver_bits.NOISY_SEED,
+                                                 test_solver_bits.NOISY_COUNT),
+                *(test_solver_bits.ic_problem(regime, "log", 10.0) for regime in ("hir", "lir"))]
+    rng = np.random.default_rng(0)
+    counted, worst = 0, -np.inf
+    for prior, channel, payoff in problems:
+        n0, n1, n2 = payoff.shape
+        for stages, min_slack in PROPERTY_SETTINGS:
+            res = solve(prior, channel, payoff, stages=stages, min_slack=min_slack)
+            cond = rng.dirichlet(np.ones(n1 * n2), size=(100, n0)).reshape(100, n0, n1, n2)
+            points = prior.probs[:, None, None] * cond
+            weight = 10.0 ** rng.uniform(-6.0, 0.0, size=(50, 1, 1, 1))
+            points[:50] = weight * points[:50] + (1.0 - weight) * res.qbar.pmf
+            for pmf in points:
+                q = JointDistribution(pmf, ("x0", "x1", "x2"))
+                if info_constraint_gap(compose(q, channel), stages) + min_slack <= -1e-9:
+                    counted += 1
+                    worst = max(worst, expected_payoff(q, payoff) - res.dual_bound)
+    assert counted > 1000
+    assert worst <= 1e-9
+
+
+def test_relabelled_alphabets_keep_each_others_bounds():
+    # relabelling x1 (the channel's rows and the payoff's axis 1), x2 and y
+    # (the channel's columns) maps feasible points to feasible points of
+    # equal payoff, so each solve's dual bound bounds the other's payoff.  A
+    # relabelled y turns 7 of the 12 identity channels into permutation
+    # matrices, which take the noisy path
+    problems = [*test_solver_bits.noisy_problems(test_solver_bits.NOISY_SEED,
+                                                 test_solver_bits.NOISY_COUNT),
+                *(test_solver_bits.ic_problem(regime, form, snr) for regime in ("hir", "lir")
+                  for form in ("log", "linear") for snr in (0.0, 10.0, 40.0))]
+    rng = np.random.default_rng(0)
+    misses = []
+    for i, (prior, channel, payoff) in enumerate(problems):
+        _, n1, n2 = payoff.shape
+        p1, p2, py = (rng.permutation(k) for k in (n1, n2, channel.n_outputs))
+        relabelled = (ObservationChannel(channel.matrix[p1][:, py]),
+                      PayoffTable(payoff.values[:, p1][:, :, p2]))
+        for stages, min_slack in PROPERTY_SETTINGS:
+            a, b = (solve(prior, c, w, stages=stages, min_slack=min_slack)
+                    for c, w in ((channel, payoff), relabelled))
+            if a.payoff > b.dual_bound + 1e-9 or b.payoff > a.dual_bound + 1e-9:
+                misses.append((i, stages, a.payoff, a.dual_bound, b.payoff, b.dual_bound))
+    assert misses == []
+
+
 class TestSolve:
     def test_partner_irrelevant_payoff_hits_costless_bound(self):
         # w does not depend on x2: the per-state argmax with a constant
