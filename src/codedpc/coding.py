@@ -50,11 +50,14 @@ Memory and time do not grow with M x n x |alphabet|:
 * Every cell of the typicality test splits into a part fixed by the block
   (the state for the encoder; state, partner action and observation for the
   decoder) and a symbol that varies with the codeword.  The blocks of a scan
-  stack their (n, fixed parts) one-hot matrices into one (n, blocks x fixed
-  parts) matrix; its product with the codewords' ``symbol >= v`` mask counts
-  symbol >= v in every block at once, and count(v) is the difference of two
-  such counts.  A mask compares the words with one threshold, so a scan
-  never forms the symbols of the codewords it reads.
+  share one (fixed parts x blocks, n) one-hot matrix, written in that layout;
+  its product with the codewords' transposed ``symbol >= v`` mask counts
+  symbol >= v in every block at once, into one slab of the cell-first
+  (cells, blocks, rows) counts, and count(v) is the difference of two such
+  slabs.  The typicality test and the encoder's deviation are then ufuncs
+  over whole slabs, along the long axes (blocks and rows), not the few
+  cells.  A mask compares the words with one threshold, so a scan never
+  forms the symbols of the codewords it reads.
 * The encoder and the decoder share this scan.  The encoder reads only the
   coming block's states, so all blocks' indices are found up front, in one
   scan of the source codebook: a chunk's counts, verdicts and deviations are
@@ -62,9 +65,11 @@ Memory and time do not grow with M x n x |alphabet|:
   those arrays would outgrow a chunk's bytes.
 * A cell whose fixed part does not occur in the block counts 0 in every
   codeword, so its verdict, |0 - n p| <= eps n p, is the same for all of
-  them.  It is evaluated once; when it fails (p > 0 and eps < 1), no
-  codeword is typical and the block's codebook is not generated at all.
-  This changes no outcome: it skips only work whose result is known.
+  them.  It is evaluated once per fixed part, and one bincount finds the
+  fixed parts absent from every block; when the verdict fails (p > 0 and
+  eps < 1), no codeword is typical and the block's codebook is not
+  generated at all.  This changes no outcome: it skips only work whose
+  result is known.
 * A codeword with a symbol x1 at position t whose cell (g_t, x1) has
   reference probability 0 counts more than 0 where the target is 0, so it
   is not typical.  On perfect monitoring the observation fixes x1, and
@@ -72,13 +77,17 @@ Memory and time do not grow with M x n x |alphabet|:
   is counter-based: word j of a stream is one function of the key and the
   counter j // 4 + 1.  So the decoder evaluates that function in numpy for
   the positions that can draw a disallowed symbol, a counter block of four
-  at a time, drops each codeword at its first disallowed symbol, and draws
+  at a time (each lane's key is gathered once per evaluation and bumped in
+  place), drops each codeword at its first disallowed symbol, and draws
   only the few left, each alone as a played row is.  A block's rows left
   are counted a chunk at a time: one bincount over their (row, cell) codes
   and one typicality test give every verdict.  A necessary condition drops
   only codewords the count would reject, so the verdicts stay the same.
   Where no symbol is disallowed (a channel with full-support rows), the
-  decoder scans the whole codebook as above.
+  decoder scans the whole codebook as above.  A decoder cell's fixed part
+  (state, partner action, observation) fixes x1's CDF, so one table of
+  thresholds per fixed part serves every block, and so does one verdict per
+  fixed part on whether a disallowed symbol can be drawn.
   What the informed side sends depends on the encoder's indices alone, so
   once they are known, so is every block's channel codeword and
   observation; the decoder's own action differs from the one the encoder
@@ -138,8 +147,7 @@ _UNIFORM_STEPS = 2.0**53
 
 #: Philox4x64's round multipliers and key increments (Salmon et al., SC 2011).
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_WORD_MASK = (1 << 64) - 1
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 _LOW32 = 0xFFFFFFFF
 
 #: Random access reads rows in chunks of ``_chunk_rows(_PHILOX_WIDTH)`` (1,024
@@ -256,31 +264,40 @@ def _mulhilo(a: np.ndarray, m: int):
 
 
 def _round_keys(keys: list) -> np.ndarray:
-    """The (10, 2, streams) Philox4x64-10 round keys of the streams ``keys``,
-    (seed, tag, block) each, the key of ``_stream`` bumped once per round."""
-    # bumped in Python ints: a numpy uint64 scalar warns when it wraps
-    words = [(seed, tag << 32 | block) for seed, tag, block in keys]
-    return np.array([[[(k[i] + r * w) & _WORD_MASK for k in words] for i, w in enumerate(_PHILOX_W)]
-                     for r in range(10)], dtype=np.uint64)
+    """The (4, streams) Philox4x64-10 table of the streams ``keys``, (seed,
+    tag, block) each: the key (k0, k1) of ``_stream``, then the high and low
+    words of k0 * M0, the product that round 2 forms in every lane."""
+    k0, k1 = np.array([(seed, tag << 32 | block) for seed, tag, block in keys], dtype=np.uint64).T
+    return np.stack((k0, k1, *_mulhilo(k0.copy(), _PHILOX_M[0])))
 
 
-def _philox_block(round_keys: np.ndarray, stream: np.ndarray, counter: np.ndarray) -> np.ndarray:
+def _philox_block(table: np.ndarray, stream: np.ndarray, counter: np.ndarray) -> np.ndarray:
     """The (4, lanes) words 4c - 4, ..., 4c - 1 at each lane's uint64 counter
-    c >= 1 of stream ``stream`` of ``round_keys``, a ``_round_keys`` table,
+    c >= 1 of stream ``stream`` of ``table``, a ``_round_keys`` table,
     without drawing the words before them.  Philox4x64-10 maps the counter
     (c, 0, 0, 0) and the key to four words; numpy steps the counter before
     it draws, so word j of a stream is word j % 4 of counter j // 4 + 1."""
     # a round maps (x0, x1, x2, x3) to (hi(x2) ^ x1 ^ k0, lo(x2), hi(x0) ^ x3
-    # ^ k1, lo(x0)); one array per word, since a multiplier of one row per
-    # word would be broadcast through a buffer
-    x0 = counter.astype(np.uint64)
-    x1, x2, x3 = (np.zeros_like(x0) for _ in range(3))
-    for k0, k1 in round_keys:
-        hi0, lo0 = _mulhilo(x0, _PHILOX_M[0])
-        hi2, lo2 = _mulhilo(x2, _PHILOX_M[1])
-        hi2 ^= x1 ^ k0[stream]
-        hi0 ^= x3 ^ k1[stream]
-        x0, x1, x2, x3 = hi2, lo2, hi0, lo0
+    # ^ k1, lo(x0)) and then bumps the key by _PHILOX_W; one array per word,
+    # since a multiplier of one row per word would be broadcast through a
+    # buffer.  Each lane's key is gathered once and bumped in place.
+    k0, k1, hi0, lo0 = (row[stream] for row in table)
+    # round 1 maps (c, 0, 0, 0) to (k0, 0, hi(c) ^ k1, lo(c)), and round 2's
+    # product of x0 = k0 is the table's
+    x2, x3 = _mulhilo(counter.astype(np.uint64), _PHILOX_M[0])
+    x2 ^= k1
+    for r in range(9):
+        k0 += _PHILOX_W[0]
+        k1 += _PHILOX_W[1]
+        if r:
+            hi0, lo0 = _mulhilo(x0, _PHILOX_M[0])
+        # x3 is freed before the second product's temporaries are made
+        hi0 ^= x3 ^ k1
+        x3 = lo0
+        x0, lo2 = _mulhilo(x2, _PHILOX_M[1])
+        x0 ^= (x1 ^ k0) if r else k0
+        x1, x2 = lo2, hi0
+    del k0, k1  # freed before the words are stacked
     return np.stack((x0, x1, x2, x3))
 
 
@@ -292,25 +309,29 @@ def _chunk_rows(width: int) -> int:
 def _typical_rows(counts: np.ndarray, ref: np.ndarray, n: int, eps: float) -> np.ndarray:
     """Robust typicality per row: every cell count within eps * n * p of n * p.
 
-    Cells with zero reference probability must be unoccupied.  The deviation
-    is formed in one scratch copy of ``counts``.
+    ``counts`` is cell-first, (cells, ...), and ``ref`` broadcasts against
+    it; the verdicts are (...).  Cells with zero reference probability must
+    be unoccupied.  The deviation is formed in one scratch copy of
+    ``counts``, and each step runs over a whole slab of one cell.
     """
     target = n * ref
     deviation = counts - target
     np.abs(deviation, out=deviation)
-    return (deviation <= eps * target).all(axis=-1)
+    return (deviation <= eps * target).all(axis=0)
 
 
 def _indicator(groups: np.ndarray, n_groups: int) -> np.ndarray:
-    """The one-hot matrix of ``groups``, one more axis of size ``n_groups``:
-    (n, n_groups) for one block's positions, (n, blocks, n_groups) for the
-    (n, blocks) positions of several.
+    """The one-hot matrix of ``groups``, one more leading axis of size
+    ``n_groups``: (n_groups, n) for one block's positions, (n_groups, blocks,
+    n) for the (blocks, n) positions of several, whose rows are then (group,
+    block) pairs of one 2-D matrix.  It is written in place, in that layout.
 
     A cell is (group, symbol): the group (state, partner action, observation
     for the decoder; the state for the encoder) is fixed by the block, the
     symbol varies with the codebook row.
     """
-    return np.eye(n_groups)[groups]
+    return np.equal(np.arange(n_groups).reshape(-1, *[1] * groups.ndim), groups,
+                    out=np.empty((n_groups, *groups.shape)), casting="unsafe")
 
 
 def _scan(draw, size: int, thresholds: np.ndarray, chunk: np.ndarray):
@@ -341,51 +362,57 @@ def _scan(draw, size: int, thresholds: np.ndarray, chunk: np.ndarray):
         yield lo, masks
 
 
-def _absent_cells_typical(groups: np.ndarray, ref: np.ndarray, n: int, eps: float) -> bool:
-    """Typicality of the cells whose group does not occur in the block, whose
-    positions are in ``groups``.
+def _absent_cells_typical(groups, ref: np.ndarray, n: int, eps: float) -> np.ndarray:
+    """Per block, the typicality of the cells whose group does not occur in
+    it: ``groups`` holds each block's positions' groups, (blocks, n), a list
+    of (n,) arrays, or one (n,) array for one block.
 
     ``ref`` is (groups, K).  Those cells count 0 in every row, so their
     verdict, computed with ``_typical_rows``'s own expression, is the same
-    for all rows; when it fails, no row is typical.
+    for all rows; when it fails, no row is typical.  Each group's verdict on
+    zero counts is computed once, and one bincount over (block, group) codes
+    finds the groups absent from every block.
     """
-    absent = np.bincount(groups, minlength=ref.shape[0]) == 0
-    zeros = np.zeros((1, int(absent.sum()) * ref.shape[1]))
-    return bool(_typical_rows(zeros, ref[absent].ravel(), n, eps)[0])
+    codes = np.array(groups, dtype=np.intp, ndmin=2)
+    codes += ref.shape[0] * np.arange(len(codes))[:, None]
+    counts = np.bincount(codes.ravel(), minlength=len(codes) * ref.shape[0]).reshape(len(codes), -1)
+    return ((counts > 0) | _typical_rows(np.zeros(ref.T.shape), ref.T, n, eps)).all(axis=1)
 
 
-def _typical_chunks(draw, size: int, thresholds, chunk, indicator: np.ndarray, ref, eps: float):
+def _typical_chunks(draw, size: int, thresholds, chunk, groups: np.ndarray, ref, eps: float):
     """Scan ``size`` codewords, drawn by ``draw`` as in ``_scan``, for their
-    typicality in every block of ``indicator``, the blocks' (n, blocks,
-    groups) one-hot matrix, against ``ref``, (groups, K).  Yields ``lo,
-    first, counts, typical`` per chunk and group of blocks first, first + 1,
-    ...: the chunk's first row ``lo``, the (rows, blocks, groups * K) counts
-    of each row's (group, symbol) cells in each block, which the caller may
-    overwrite, and the (rows, blocks) verdicts.  The caller keeps out the
+    typicality in every block of ``groups``, the (blocks, n) groups of the
+    blocks' positions, against ``ref``, (groups, K).  Yields ``lo, first,
+    counts, typical`` per chunk and group of blocks first, first + 1, ...:
+    the chunk's first row ``lo``, the cell-first (K * groups, blocks, rows)
+    counts, cell v * groups + g for symbol v of group g, which the caller may
+    overwrite, and the (blocks, rows) verdicts.  The caller keeps out the
     blocks whose absent cells fail (``_absent_cells_typical``): no row of
     theirs is typical.
 
-    The product of the rows' symbol >= v mask with the one-hot matrix counts
-    symbol >= v, and count(v) is the difference of two such counts; the sums
-    of 0s and 1s are exact in float64 below 2**53.  A group holds as many
-    blocks as keep its counts and their scratch copy within ``_CHUNK_BYTES``.
+    The product of the (groups x blocks, n) one-hot matrix with the rows'
+    transposed symbol >= v mask counts symbol >= v into one slab of cells,
+    and count(v) is the difference of two such slabs; the sums of 0s and 1s
+    are exact in float64 below 2**53.  A group holds as many blocks as keep
+    its counts and their scratch copy within ``_CHUNK_BYTES``.
     """
-    n, blocks, groups = indicator.shape
-    k = ref.shape[1]
+    n_groups, k = ref.shape
+    blocks, n = groups.shape
     step = chunk.shape[0] // max(k - 1, 1)
-    per = max(1, _CHUNK_BYTES // (16 * step * groups * k))
-    parts = [(b, indicator[:, b : b + per].reshape(n, -1)) for b in range(0, blocks, per)]
-    ref_flat = ref.ravel()
+    per = max(1, _CHUNK_BYTES // (16 * step * n_groups * k))
+    parts = [(b, _indicator(groups[b : b + per], n_groups).reshape(-1, n)) for b in range(0, blocks, per)]
+    parts = [(b, one_hot, one_hot.sum(axis=1)[:, None]) for b, one_hot in parts]
+    ref_cells = ref.T.reshape(-1, 1, 1)
     for lo, masks in _scan(draw, size, thresholds, chunk):
         rows = masks.shape[1]
-        for first, one_hot in parts:
-            cells = np.empty((rows, one_hot.shape[1] // groups, groups * k))
-            by_level = cells.reshape(rows, -1, k)
-            by_level[..., 0] = one_hot.sum(axis=0)
+        for first, one_hot, present in parts:
+            by_level = np.empty((k, one_hot.shape[0], rows))
+            by_level[0] = present
             for v, mask in enumerate(masks, 1):
-                np.matmul(mask, one_hot, out=by_level[..., v])
-                by_level[..., v - 1] -= by_level[..., v]
-            yield lo, first, cells, _typical_rows(cells, ref_flat, n, eps)
+                np.matmul(one_hot, mask.T, out=by_level[v])
+                by_level[v - 1] -= by_level[v]
+            cells = by_level.reshape(k * n_groups, -1, rows)
+            yield lo, first, cells, _typical_rows(cells, ref_cells, n, eps)
             # freed before the next group's counts and the next chunk's words
             del cells, by_level
 
@@ -522,22 +549,29 @@ def _encode_all(key, thresholds, size: int, states, pair_ref, eps: float, chunk)
     none is typical.  The ``size`` codewords are read from stream ``key``
     with the action's ``thresholds``; each chunk serves every block."""
     n = chunk.shape[1]
+    n_groups, k = pair_ref.shape
     best, best_deviation = [None] * len(states), [np.inf] * len(states)
-    live = [b for b, x0 in enumerate(states) if _absent_cells_typical(x0, pair_ref, n, eps)]
+    live = np.flatnonzero(_absent_cells_typical(states, pair_ref, n, eps)).tolist()
     if not live:
         return best
-    indicator = _indicator(states[live].T, pair_ref.shape[0])
-    scan = _typical_chunks(_stream(*key).random_raw, size, thresholds, chunk, indicator, pair_ref, eps)
+    # usually every block is live, and then the states are read in place
+    # rather than copied
+    groups = states if len(live) == len(states) else states[live]
+    scan = _typical_chunks(_stream(*key).random_raw, size, thresholds, chunk, groups, pair_ref, eps)
     for lo, first, cells, typical in scan:
-        # summed over the contiguous (group, symbol) axis: a float sum's bits
-        # follow its order
         cells /= n
-        cells -= pair_ref.ravel()
+        cells -= pair_ref.T.reshape(-1, 1, 1)
         np.abs(cells, out=cells)
-        deviation = cells.sum(axis=-1)
+        # summed in the (group, symbol) order of a contiguous cell axis, since
+        # a float sum's bits follow its order: numpy adds fewer than 8 entries
+        # one by one, and more pairwise
+        if cells.shape[0] < 8:
+            deviation = sum(cells[v * n_groups + g] for g in range(n_groups) for v in range(k))
+        else:
+            deviation = cells.reshape(k, n_groups, -1).T.copy().reshape(*typical.shape, -1).sum(axis=-1)
         deviation[~typical] = np.inf
         # argmin takes the first row on ties, and the strict < the first chunk
-        rows, least = deviation.argmin(axis=0).tolist(), deviation.min(axis=0).tolist()
+        rows, least = deviation.argmin(axis=1).tolist(), deviation.min(axis=1).tolist()
         for b, row, value in zip(live[first:], rows, least):
             if value < best_deviation[b]:
                 best[b], best_deviation[b] = lo + row, value
@@ -545,37 +579,47 @@ def _encode_all(key, thresholds, size: int, states, pair_ref, eps: float, chunk)
     return best
 
 
-def _test_groups(call: list, blocks: list, allowed: np.ndarray, keys: np.ndarray, n: int):
+def _restricted(table: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Per group, whether a word can fall on a symbol that ``allowed``, (groups,
+    K), does not allow under the group's thresholds, a row of ``table``."""
+    # how many of the 2**53 word steps fall on an allowed symbol
+    widths = np.diff(table, axis=1, prepend=np.uint64(0), append=np.uint64(2**53))
+    return (widths * allowed).sum(axis=1) < 2**53
+
+
+def _test_groups(call: list, blocks: list, table: np.ndarray, allowed: np.ndarray, keys, n: int):
     """Test the groups ``call`` of ``_allowed_rows`` in their next counter
     block, with one Philox evaluation, and keep in each the rows that pass.
 
     A group's positions in the block are tested at once: position t reads
-    lane (t + phase) % 4, and one comparison of the lanes' top bits with
-    ``thresholds[t]`` gives every (position, row) symbol, as ``_quantize``
-    would."""
+    lane (t + phase) % 4, and one comparison of the lanes' top bits with its
+    cell group's thresholds gives every (position, row) symbol, as
+    ``_quantize`` would; one flat lookup of (cell group, symbol) in
+    ``allowed`` tells which are allowed."""
     sizes = [g[2].size for g in call]
-    counters = np.concatenate([rows * n // 4 + (blocks[j][3][i] + phase) // 4 + 1
+    counters = np.concatenate([rows * n // 4 + (blocks[j][2][i] + phase) // 4 + 1
                                for j, phase, rows, i in call], dtype=np.uint64, casting="unsafe")
     words = _philox_block(keys, np.repeat([g[0] for g in call], sizes), counters)
     for g, group_words in zip(call, np.split(words, np.cumsum(sizes)[:-1], axis=1)):
         j, phase, rows, i = g
-        _, thresholds, cell_groups, positions = blocks[j]
+        _, cell_groups, positions = blocks[j]
         # the positions before the next counter block's first word
         end = int(np.searchsorted(positions, ((positions[i] + phase) // 4 + 1) * 4 - phase))
         t = positions[i:end]
+        cells = cell_groups[t]
         top = group_words[(t + phase) % 4] >> _WORD_SHIFT
         # summed over a leading axis, a slice at a time: summing the last
         # axis, of K-1 entries, took twice as long at 1,024 rows and K = 3
-        symbols = (top >= thresholds[t].T[:, :, None]).sum(axis=0)
-        g[2], g[3] = rows[allowed[cell_groups[t, None], symbols].all(axis=0)], end
+        symbols = (top >= table[cells].T[:, :, None]).sum(axis=0)
+        g[2], g[3] = rows[allowed.take(symbols + (cells * allowed.shape[1])[:, None]).all(axis=0)], end
 
 
-def _allowed_rows(blocks: list, allowed: np.ndarray, size: int, n: int) -> list[np.ndarray]:
-    """Per block ``(key, thresholds, cell_groups, positions)``, the rows m <
-    ``size`` of the (size, n) draw of stream ``key``, ascending, that include
-    every row whose symbol, ``_quantize(thresholds[t], word)``, is allowed,
-    ``allowed[cell_groups[t], symbol]``, at each of the ascending
-    ``positions`` t.
+def _allowed_rows(blocks: list, table: np.ndarray, allowed: np.ndarray, size: int, n: int) -> list[np.ndarray]:
+    """Per block ``(key, cell_groups, positions)``, the rows m < ``size`` of
+    the (size, n) draw of stream ``key``, ascending, that include every row
+    whose symbol at each of the ascending ``positions`` t, ``_quantize(
+    table[cell_groups[t]], word)``, is allowed, ``allowed[cell_groups[t],
+    symbol]``.
 
     Rows are read by random access, one Philox counter block at a time: row
     m's position t is word m*n + t, so the rows whose m*n leaves the same
@@ -596,26 +640,25 @@ def _allowed_rows(blocks: list, allowed: np.ndarray, size: int, n: int) -> list[
         # [block, m*n mod 4, live rows, index of the next position]
         groups = [[j, phase, phases[phase], 0] for j in range(len(blocks)) for phase in range(4)]
         todo = groups
-        while todo := [g for g in todo if g[2].size > _FEW_ROWS and g[3] < len(blocks[g[0]][3])]:
+        while todo := [g for g in todo if g[2].size > _FEW_ROWS and g[3] < len(blocks[g[0]][2])]:
             call, lanes = [], 0
             for g in todo:
                 if call and lanes + g[2].size > _PHILOX_LANES:
-                    _test_groups(call, blocks, allowed, keys, n)
+                    _test_groups(call, blocks, table, allowed, keys, n)
                     call, lanes = [], 0
                 call.append(g)
                 lanes += g[2].size
-            _test_groups(call, blocks, allowed, keys, n)
+            _test_groups(call, blocks, table, allowed, keys, n)
         for j, _, live, _ in groups:
             kept[j].append(live)
     return [np.sort(np.concatenate(rows)) for rows in kept]
 
 
-def _count_typical(block, ref, size: int, eps: float, chunk) -> tuple[int, int]:
+def _count_typical(block, table, ref, size: int, eps: float, chunk) -> tuple[int, int]:
     """The number of typical rows among all ``size`` rows of the decoder block
     ``block`` (see ``_decode``) and the first one (0 when none)."""
-    key, thresholds, groups = block
-    indicator = _indicator(groups[:, None], ref.shape[0])
-    scan = _typical_chunks(_stream(*key).random_raw, size, thresholds, chunk, indicator, ref, eps)
+    key, groups = block
+    scan = _typical_chunks(_stream(*key).random_raw, size, table[groups], chunk, groups[None], ref, eps)
     n_typical, first = 0, 0
     for lo, _, _, typical in scan:
         hits = lo + np.flatnonzero(typical)
@@ -625,7 +668,7 @@ def _count_typical(block, ref, size: int, eps: float, chunk) -> tuple[int, int]:
     return n_typical, first
 
 
-def _count_kept(block, rows: np.ndarray, ref, eps: float) -> tuple[int, int]:
+def _count_kept(block, rows: np.ndarray, table, ref, eps: float) -> tuple[int, int]:
     """The number of typical rows among the ascending ``rows`` of the decoder
     block ``block`` (see ``_decode``) and the first one (0 when none).
 
@@ -634,39 +677,41 @@ def _count_kept(block, rows: np.ndarray, ref, eps: float) -> tuple[int, int]:
     by the row's place in the chunk, so that one bincount counts every row's
     cells.  The chunk's words and its cells take half a chunk's bytes each.
     """
-    key, thresholds, groups = block
+    key, groups = block
     n = groups.size
     hits = []
     step = _chunk_rows(2 * n)
     for lo in range(0, rows.size, step):
         part = rows[lo : lo + step]
         words = np.array([_words(key, n, m * n) for m in part.tolist()])
-        cells = groups * ref.shape[1] + _quantize(thresholds, words)
+        cells = groups * ref.shape[1] + _quantize(table[groups], words)
         cells += (np.arange(part.size) * ref.size)[:, None]
         counts = np.bincount(cells.ravel(), minlength=part.size * ref.size)
-        hits += part[_typical_rows(counts.reshape(part.size, -1), ref.ravel(), n, eps)].tolist()
+        hits += part[_typical_rows(counts.reshape(part.size, -1).T, ref.reshape(-1, 1), n, eps)].tolist()
     return len(hits), hits[0] if hits else 0
 
 
-def _decode(blocks: list, ref, size: int, eps: float, chunk) -> list[tuple[int, int]]:
+def _decode(blocks: list, table, ref, size: int, eps: float, chunk) -> list[tuple[int, int]]:
     """Count each block's typical candidate codewords and find the first one.
 
-    A block is ``(key, thresholds, groups)``: its ``size`` candidates are
-    read from stream ``key`` with the (n, |X1| - 1) ``thresholds``, and
-    ``groups`` holds each position's group, a row of ``ref``, (groups,
-    |X1|).  Returns per block the number of typical rows and the first one
-    (0 when none).
+    A block is ``(key, groups)``: its ``size`` candidates are read from
+    stream ``key``, and ``groups`` holds each position's group, a row of
+    ``ref``, (groups, |X1|), and of ``table``, the (groups, |X1| - 1)
+    thresholds of x1 that the group fixes.  Returns per block the number of
+    typical rows and the first one (0 when none).
 
     A symbol x1 is allowed at position t when ref(g_t, x1) > 0.  A row with
     a disallowed symbol anywhere counts more than 0 in a cell whose target
-    is 0, so it is not typical.  When some position of a block can draw a
-    disallowed symbol and the codebook has more than ``_FEW_ROWS`` rows, the
-    rows that pass every such position are found by random access
-    (``_allowed_rows``), and only they are drawn and counted, one block at a
-    time (``_count_kept``); otherwise every row is scanned, from one stream:
-    random access would keep every row of a codebook that small, and read
-    each from a stream of its own.  Both give the verdicts of the scan of
-    every row.
+    is 0, so it is not typical.  Whether a position can draw a disallowed
+    symbol depends on its group alone, and so does the verdict of a group
+    that does not occur in a block, so both are found once for every block.
+    When some position of a block can draw a disallowed symbol and the
+    codebook has more than ``_FEW_ROWS`` rows, the rows that pass every such
+    position are found by random access (``_allowed_rows``), and only they
+    are drawn and counted, one block at a time (``_count_kept``); otherwise
+    every row is scanned, from one stream: random access would keep every
+    row of a codebook that small, and read each from a stream of its own.
+    Both give the verdicts of the scan of every row.
     Random access serves as many blocks at once as have ``_chunk_rows(1)``
     rows between them (one at least), so the rows a pass keeps take at most
     a chunk's bytes more than one block's.
@@ -674,22 +719,20 @@ def _decode(blocks: list, ref, size: int, eps: float, chunk) -> list[tuple[int, 
     n = chunk.shape[1]
     found, access = [(0, 0)] * len(blocks), []
     allowed = ref > 0.0
-    for j, (key, thresholds, groups) in enumerate(blocks):
-        if not _absent_cells_typical(groups, ref, n, eps):
-            continue
-        # per position, how many of the 2**53 word steps fall on an allowed symbol
-        widths = np.diff(thresholds, axis=1, prepend=np.uint64(0), append=np.uint64(2**53))
-        restricted = np.flatnonzero((widths * allowed[groups]).sum(axis=1) < 2**53)
-        if restricted.size and size > _FEW_ROWS:
-            access.append((j, restricted))
+    restricted = _restricted(table, allowed)
+    live = _absent_cells_typical([groups for _, groups in blocks], ref, n, eps)
+    for j in np.flatnonzero(live).tolist():
+        positions = np.flatnonzero(restricted[blocks[j][1]])
+        if positions.size and size > _FEW_ROWS:
+            access.append((j, positions))
         else:
-            found[j] = _count_typical(blocks[j], ref, size, eps, chunk)
+            found[j] = _count_typical(blocks[j], table, ref, size, eps, chunk)
     per_pass = max(1, _chunk_rows(1) // size)
     for lo in range(0, len(access), per_pass):
         batch = access[lo : lo + per_pass]
-        kept = _allowed_rows([(*blocks[j], positions) for j, positions in batch], allowed, size, n)
+        kept = _allowed_rows([(*blocks[j], positions) for j, positions in batch], table, allowed, size, n)
         for (j, _), rows in zip(batch, kept):
-            found[j] = _count_kept(blocks[j], rows, ref, eps)
+            found[j] = _count_kept(blocks[j], rows, table, ref, eps)
     return found
 
 
@@ -746,15 +789,18 @@ def run(cfg: CodingConfig) -> SimResult:
           for x0, x2, key, m in zip(states, belief, codebooks, sent)]
     y = [_symbols(gamma_thr[a], (cfg.seed, _STREAM_OBSERVATION, b), n) for b, a in enumerate(x1)]
 
+    # x1's thresholds per decoder group (x0, x2, y): (x0, x2) fix them
+    group_thr = np.repeat(cond_thr.reshape(n0 * n2, n1 - 1), ny, axis=0)
+
     def decoder_block(b, x2):
         """Block b as the decoder sees it while it plays ``x2``."""
-        return codebooks[b], cond_thr[states[b], x2], (states[b] * n2 + x2) * ny + y[b]
+        return codebooks[b], (states[b] * n2 + x2) * ny + y[b]
 
     # The decoder plays the belief row unless it misdecoded the block before,
     # so every coded block is decoded at once with that row, and a block that
     # follows a decoding error again, with the row the decoder played.
     decoded = _decode([decoder_block(b, belief[b]) for b in range(blocks - 1)],
-                      decoder_ref, size, eps, chunk)
+                      group_thr, decoder_ref, size, eps, chunk)
     quad_counts = np.zeros(n0 * n1 * n2 * ny, dtype=np.int64)
     diagnostics: list[BlockDiagnostics] = []
     play_x2, error = belief[0], None
@@ -767,7 +813,7 @@ def run(cfg: CodingConfig) -> SimResult:
             n_typical = m_hat = error = None
         else:
             if error:
-                decoded[b] = _decode([decoder_block(b, play_x2)], decoder_ref, size, eps, chunk)[0]
+                decoded[b] = _decode([decoder_block(b, play_x2)], group_thr, decoder_ref, size, eps, chunk)[0]
             n_typical, m_hat = decoded[b]
             error = m_hat != sent[b]
             play_x2 = _symbols(x2_thr, source, n, m_hat * n) if error else belief[b + 1]

@@ -176,16 +176,16 @@ def encode_block(
     codeword is typical with the block's ``states``.  It reads the codebook
     in chunks of ``_chunk_rows(max(n, |cells|))`` rows.
     """
-    if not _absent_cells_typical(states, pair_ref, n, eps):
+    if not _absent_cells_typical(states, pair_ref, n, eps)[0]:
         return None
-    indicator = _indicator(states, pair_ref.shape[0])
+    indicator = _indicator(states, pair_ref.shape[0]).T
     n0, n2 = pair_ref.shape
     pair_flat = pair_ref.ravel()
     best, best_deviation = None, np.inf
     step = _chunk_rows(max(n, n0 * n2))
     for lo in range(0, codebook.shape[0], step):
         counts = cell_counts(codebook[lo : lo + step], indicator, n2)
-        typical = np.flatnonzero(_typical_rows(counts, pair_flat, n, eps))
+        typical = np.flatnonzero(_typical_rows(counts.T, pair_flat[:, None], n, eps))
         if typical.size:
             deviation = np.abs(counts[typical] / n - pair_flat).sum(axis=1)
             i = int(np.argmin(deviation))
@@ -201,14 +201,14 @@ def scan_decode(key, thresholds, groups, ref, size: int, eps: float, chunk) -> t
     against the positions' ``groups``.  Returns the number of typical rows
     and the first one (0 when none)."""
     n = chunk.shape[1]
-    if not _absent_cells_typical(groups, ref, n, eps):
+    if not _absent_cells_typical(groups, ref, n, eps)[0]:
         return 0, 0
     hits = []
     step = 4096
     for lo in range(0, size, step):
         symbols = _symbols(thresholds, key, (min(step, size - lo), n), lo * n)
         counts = row_counts(groups * ref.shape[1] + symbols, ref.size)
-        hits.extend(lo + np.flatnonzero(_typical_rows(counts, ref.ravel(), n, eps)))
+        hits.extend(lo + np.flatnonzero(_typical_rows(counts.T, ref.reshape(-1, 1), n, eps)))
     return len(hits), int(hits[0]) if hits else 0
 
 

@@ -16,7 +16,7 @@ from codedpc import (
     solve,
     total_variation,
 )
-from codedpc.coding import MAX_STAGES, _indicator, _typical_chunks
+from codedpc.coding import MAX_STAGES, _typical_chunks
 from test_golden import _binary_config
 from codedpc.icmodel import (
     ICConfig,
@@ -65,8 +65,7 @@ def typical(groups, symbols, ref, eps):
     n_groups, k = ref.shape
     words = symbols.astype(np.uint64) << np.uint64(11)
     scan = _typical_chunks(lambda count: words.copy(), 1, np.arange(1, k, dtype=np.uint64),
-                           np.empty((max(k - 1, 1), groups.size)),
-                           _indicator(groups[:, None], n_groups), ref, eps)
+                           np.empty((max(k - 1, 1), groups.size)), groups[None, :], ref, eps)
     [(_, _, _, verdict)] = scan
     return bool(verdict[0, 0])
 

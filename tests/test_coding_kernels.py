@@ -157,6 +157,14 @@ class WordSource:
         return out
 
 
+def by_row(cells: np.ndarray, n_groups: int) -> np.ndarray:
+    """The first block's counts of ``_typical_chunks``, cell-first (K *
+    groups, blocks, rows) with cell v * groups + g, as (rows, groups * K)
+    with cell g * K + v, the layout of ``row_counts``."""
+    k = cells.shape[0] // n_groups
+    return cells[:, 0].reshape(k, n_groups, -1).transpose(2, 1, 0).reshape(cells.shape[2], -1)
+
+
 def level_counts(symbols: np.ndarray, groups: np.ndarray, k: int, n_groups: int) -> np.ndarray:
     """(rows, groups * K) cell counts the way the scan forms them: from
     words whose top 53 bits are the symbols, so that a word reaches exactly
@@ -166,9 +174,9 @@ def level_counts(symbols: np.ndarray, groups: np.ndarray, k: int, n_groups: int)
     ref = np.full((n_groups, k), 1.0 / (n_groups * k))
     [(_, _, cells, _)] = _typical_chunks(
         WordSource(words).random_raw, symbols.shape[0], np.arange(1, k, dtype=np.uint64), chunk,
-        _indicator(groups[:, None], n_groups), ref, 1.0,
+        groups[None, :], ref, 1.0,
     )
-    return cells[:, 0]
+    return by_row(cells, n_groups)
 
 
 @slow_ok
@@ -178,7 +186,8 @@ def test_grouped_counts_match_oracle(block):
     n_groups, k = ref.shape
     oracle = row_counts(groups[None, :] * k + symbols, n_groups * k)
     assert np.array_equal(level_counts(symbols, groups, k, n_groups), oracle)
-    assert np.array_equal(cell_counts(symbols, _indicator(groups, n_groups), k), oracle)
+    # the one-hot matrix is (groups, n): the oracle multiplies by its transpose
+    assert np.array_equal(cell_counts(symbols, _indicator(groups, n_groups).T, k), oracle)
 
 
 @st.composite
@@ -218,15 +227,15 @@ def test_threshold_counts_match_oracle(block):
     k = cdf.shape[1]
     u = uniforms_of(words)
     oracle = row_counts(groups[None, :] * k + quantize_rows(cdf, u), n_groups * k)
-    indicator = _indicator(groups[:, None], n_groups)
     source = WordSource(words)
     chunk = np.full((chunk_rows, u.shape[1]), np.nan)
     parts = []
     ref = np.full((n_groups, k), 1.0 / (n_groups * k))
-    scan = _typical_chunks(source.random_raw, len(u), _thresholds(cdf), chunk, indicator, ref, 1.0)
+    scan = _typical_chunks(source.random_raw, len(u), _thresholds(cdf), chunk, groups[None, :],
+                           ref, 1.0)
     for lo, first, cells, _ in scan:
         assert lo == sum(map(len, parts)) and first == 0
-        parts.append(cells[:, 0].copy())
+        parts.append(by_row(cells, n_groups))
     # with one symbol no mask reads a word, so none is drawn
     assert source.drawn == (u.size if k > 1 else 0)
     assert np.array_equal(np.concatenate(parts), oracle)
@@ -266,11 +275,18 @@ def test_absent_cell_shortcut_keeps_the_verdict(block):
     groups, symbols, ref, eps = block
     n_groups, k = ref.shape
     n = groups.size
+    # _typical_rows takes cell-first counts: (cells, rows)
     oracle = _typical_rows(
-        row_counts(groups[None, :] * k + symbols, n_groups * k), ref.ravel(), n, eps
+        row_counts(groups[None, :] * k + symbols, n_groups * k).T, ref.reshape(-1, 1), n, eps
     )
-    if _absent_cells_typical(groups, ref, n, eps):
-        verdict = _typical_rows(level_counts(symbols, groups, k, n_groups), ref.ravel(), n, eps)
+    [absent_ok] = _absent_cells_typical(groups, ref, n, eps)
+    # one bincount serves several blocks: each gets its own verdict
+    other = np.zeros_like(groups)
+    assert list(_absent_cells_typical(np.stack([groups, other]), ref, n, eps)) == [
+        absent_ok, *_absent_cells_typical(other, ref, n, eps)]
+    if absent_ok:
+        verdict = _typical_rows(level_counts(symbols, groups, k, n_groups).T, ref.reshape(-1, 1),
+                                n, eps)
     else:
         verdict = np.zeros(symbols.shape[0], dtype=bool)
     assert np.array_equal(verdict, oracle)
@@ -346,11 +362,63 @@ def test_encode_all_matches_per_block_oracle(block):
                            eps, chunk) == oracle
     # the codebook is drawn once, and its stream not even opened when every
     # block fails early; each chunk serves every group of live blocks
-    live = sum(_absent_cells_typical(x0, ref, n, eps) for x0 in states)
+    live = sum(bool(_absent_cells_typical(x0, ref, n, eps)[0]) for x0 in states)
     assert opened == ([(7, _STREAM_SOURCE, 0)] if live else [])
     assert source.drawn == (words.size if live else 0)
     chunks = range(0, size, new_rows)
     assert firsts == [(lo, first) for lo in chunks for first in range(0, live, per_group)]
+
+
+# Two codewords whose deviations tie when summed in (state, action) order
+# and differ in the last bit when summed in another order: one case below 8
+# cells, where numpy adds a row's cells one by one, one from 8 on, where it
+# adds them pairwise.  Each is (states, pair reference, the counts of the
+# first codeword, of the second).
+ORDER_CASES = [
+    ([0, 0, 1, 1, 1, 1, 1, 1],
+     [[0.3242520552416313, 0.13659378409903464, 0.19472165588599297],
+      [0.07117587737458361, 0.17523591035394603, 0.09802071704481152]],
+     [[0, 0, 2], [0, 5, 1]], [[0, 0, 2], [0, 2, 4]]),
+    ([0, 0, 1, 2, 2, 2, 2],
+     [[0.07830831652534363, 0.10243829600774244, 0.18995422357593866],
+      [0.09938083358745349, 0.12976531481718545, 0.016785504840765377],
+      [0.1738979806668277, 0.12728720092720106, 0.08218232905154205]],
+     [[0, 0, 2], [0, 0, 1], [0, 3, 1]], [[0, 0, 2], [0, 0, 1], [0, 1, 3]]),
+]
+
+
+@pytest.mark.parametrize("states, pair, first, second", ORDER_CASES, ids=["6-cells", "9-cells"])
+def test_encoder_sums_deviations_in_cell_order(states, pair, first, second):
+    # the parent's deviation summed a contiguous (state, action) axis, so the
+    # cell-first encoder must add in that order for argmin ties to fall the
+    # same way: here the two codewords tie, and the first one is kept
+    states, pair = np.array([states]), np.array(pair)
+    n0, k = pair.shape
+    n = states.shape[1]
+    cdf = np.arange(1, k + 1) / k
+    thresholds = _thresholds(cdf)
+    first_word = np.array([0, *(int(t) << 11 for t in thresholds)], dtype=np.uint64)
+    rows = []
+    for counts in (first, second):
+        # each state's positions take its symbols in order, counts[x0][v] of v
+        symbols = np.empty(n, dtype=np.int64)
+        for x0 in range(n0):
+            symbols[states[0] == x0] = np.repeat(np.arange(k), counts[x0])
+        rows.append(first_word[symbols])
+    words = np.array(rows)
+    codebook = quantize_rows(cdf, uniforms_of(words))
+    deviations = [np.abs(row_counts(states * k + row, n0 * k)[0] / n - pair.ravel())
+                  for row in codebook]
+    assert deviations[0].sum() == deviations[1].sum()
+    # summed one symbol after another, the second codeword would win
+    by_symbol = [sum(d.reshape(n0, k).T.ravel()) for d in deviations]
+    assert by_symbol[1] < by_symbol[0]
+    eps = 2.0 / pair.min()
+    assert encode_block(codebook, states[0], pair, n, eps) == 0
+    chunk = np.full((2 * (k - 1), n), np.nan)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coding, "_stream", lambda *key: WordSource(words))
+        assert _encode_all((7, _STREAM_SOURCE, 0), thresholds, 2, states, pair, eps, chunk) == [0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -573,41 +641,41 @@ def test_single_symbol_alphabet_outcomes(shape):
 @st.composite
 def decoder_batches(draw):
     """A batch of 1 to 4 decoder blocks that share n (any remainder mod 4),
-    the codebook size and a (groups, K) reference, for K in 1..4, and the
+    the codebook size, a (groups, K) reference and the (groups, K - 1)
+    thresholds of the CDF that each group fixes, for K in 1..4, and the
     rows of the scan's buffer, of a random-access chunk and of a Philox
-    call.  A block is a keyed channel codebook, per-position CDFs with
-    zero-probability symbols and each position's group; a later block
-    repeats the first, shares its CDFs and groups under another key, or
-    draws its own.  The reference has zero cells around one row of each
-    block (so that some rows of each pass the allowed symbols, and at
-    epsilon >= 1 those rows are typical when the reference is their own)."""
+    call.  The CDFs have zero-probability symbols.  A block is a keyed
+    channel codebook and each position's group; a later block repeats the
+    first, shares its groups under another key, or draws its own.  The
+    reference has zero cells around one row of each block (so that some rows
+    of each pass the allowed symbols, and at epsilon >= 1 those rows are
+    typical when the reference is their own)."""
     k, n_groups = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     n, size = draw(st.integers(1, 13) | st.integers(33, 64)), draw(st.integers(1, 40))
+    weights = draw(hnp.arrays(np.float64, (n_groups, k), elements=unit | st.just(0.0)))
+    weights[weights.sum(axis=1) == 0.0, 0] = 1.0
+    table = _thresholds(np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1))
 
     def new_key():
         return draw(word), _STREAM_CODEBOOK, draw(st.integers(0, 2**32 - 1))
 
     def new_block():
-        weights = draw(hnp.arrays(np.float64, (n, k), elements=unit | st.just(0.0)))
-        weights[weights.sum(axis=1) == 0.0, 0] = 1.0
-        thresholds = _thresholds(np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1))
-        groups = draw(hnp.arrays(np.int64, n, elements=st.integers(0, n_groups - 1)))
-        return new_key(), thresholds, groups
+        return new_key(), draw(hnp.arrays(np.int64, n, elements=st.integers(0, n_groups - 1)))
 
-    first = key, thresholds, groups = new_block()
+    first = key, groups = new_block()
     blocks = [first]
     for _ in range(draw(st.integers(0, 3))):
         later = draw(st.sampled_from(["repeat", "rekeyed", "new"]))
         if later == "repeat":
             blocks.append(first)
         elif later == "rekeyed":
-            blocks.append((new_key(), thresholds, groups))
+            blocks.append((new_key(), groups))
         else:
             blocks.append(new_block())
     ref = np.zeros(n_groups * k)
     anchors = {b[0]: b for b in blocks}.values()
-    for anchor_key, anchor_thresholds, anchor_groups in anchors:
-        row = _symbols(anchor_thresholds, anchor_key, n, draw(st.integers(0, size - 1)) * n)
+    for anchor_key, anchor_groups in anchors:
+        row = _symbols(table[anchor_groups], anchor_key, n, draw(st.integers(0, size - 1)) * n)
         ref += row_counts((anchor_groups * k + row)[None, :], n_groups * k)[0] / n / len(anchors)
     # noise on a group that does not occur decides the block at epsilon < 1
     kind = draw(st.sampled_from(["own", "own_plus_noise", "noise"]))
@@ -618,16 +686,17 @@ def decoder_batches(draw):
         ref = (0.5 * ref if kind == "own_plus_noise" else 0.0) + noise / noise.sum() / 2
     eps = draw(st.sampled_from([0.2, 0.5, 1.0, 1.5]) | st.floats(0.01, 3.0))
     chunk_rows = max(k - 1, 1) * draw(st.integers(1, 3)) + draw(st.integers(0, 1))
-    return (draw(st.permutations(blocks)), ref.reshape(n_groups, k), size, eps, chunk_rows,
+    return (draw(st.permutations(blocks)), table, ref.reshape(n_groups, k), size, eps, chunk_rows,
             draw(st.integers(1, 8)), draw(st.integers(1, 64)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(decoder_batches())
 def test_decode_matches_scan(batch):
-    blocks, ref, size, eps, chunk_rows, access_rows, lanes = batch
+    blocks, table, ref, size, eps, chunk_rows, access_rows, lanes = batch
     chunk = np.full((chunk_rows, blocks[0][1].shape[0]), np.nan)
-    expected = [scan_decode(*block, ref, size, eps, chunk) for block in blocks]
+    expected = [scan_decode(key, table[groups], groups, ref, size, eps, chunk)
+                for key, groups in blocks]
     count, allowed_rows, words = coding._count_typical, coding._allowed_rows, coding._words
     handed, drawn = [], []
 
@@ -635,8 +704,8 @@ def test_decode_matches_scan(batch):
         handed.append((block[0], "all"))
         return count(block, *args)
 
-    def kept(access, allowed, size, n):
-        rows = allowed_rows(access, allowed, size, n)
+    def kept(access, table, allowed, size, n):
+        rows = allowed_rows(access, table, allowed, size, n)
         handed.extend((key, r.tolist()) for (key, *_), r in zip(access, rows))
         return rows
 
@@ -659,7 +728,7 @@ def test_decode_matches_scan(batch):
             patch.setattr(coding, "_FEW_ROWS", few_rows)
             handed.clear()
             drawn.clear()
-            assert _decode(blocks, ref, size, eps, chunk) == expected
+            assert _decode(blocks, table, ref, size, eps, chunk) == expected
             # every row that random access keeps is drawn, and no other
             assert sorted(drawn) == sorted((key, m) for key, rows in handed if rows != "all"
                                            for m in rows)
@@ -667,8 +736,43 @@ def test_decode_matches_scan(batch):
             batch_rows = sorted(handed, key=repr)
             handed.clear()
             for block in blocks:
-                _decode([block], ref, size, eps, chunk)
+                _decode([block], table, ref, size, eps, chunk)
             assert sorted(handed, key=repr) == batch_rows
+
+
+@st.composite
+def restricted_tables(draw):
+    """Per group, the thresholds of a CDF over K in 1..5 symbols, some of
+    zero width, whose last entry reaches 1.0 or falls short of it; which
+    (group, symbol) cells are allowed; and each position's group."""
+    k, n_groups, n = draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 30))
+    weights = draw(hnp.arrays(np.float64, (n_groups, k), elements=unit | st.just(0.0)))
+    weights[weights.sum(axis=1) == 0.0, 0] = 1.0
+    cdf = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
+    cdf *= draw(hnp.arrays(np.float64, (n_groups, 1),
+                           elements=st.sampled_from([1.0, 1.0 - 2.0**-52, 0.9])))
+    allowed = draw(hnp.arrays(np.bool_, (n_groups, k)))
+    groups = draw(hnp.arrays(np.int64, n, elements=st.integers(0, n_groups - 1)))
+    return _thresholds(cdf), allowed, groups
+
+
+@slow_ok
+@given(restricted_tables())
+def test_restricted_groups_match_per_position_rule(case):
+    table, allowed, groups = case
+    restricted = np.flatnonzero(coding._restricted(table, allowed)[groups])
+    # the rule per position that one table per group replaced: how many of
+    # the 2**53 word steps fall on an allowed symbol at that position
+    thresholds = table[groups]
+    widths = np.diff(thresholds, axis=1, prepend=np.uint64(0), append=np.uint64(2**53))
+    assert np.array_equal(restricted, np.flatnonzero((widths * allowed[groups]).sum(axis=1) < 2**53))
+    # and what it means: the first word of some disallowed symbol's steps
+    # maps to that symbol
+    starts = np.concatenate([np.zeros((len(table), 1), np.uint64), table], axis=1)
+    reach = [[s < 2**53 and _quantize(row, np.uint64(int(s) << 11)) == x for x, s in enumerate(starts[g])]
+             for g, row in enumerate(table)]
+    can_miss = [any(r and not a for r, a in zip(reach[g], allowed[g])) for g in range(len(table))]
+    assert restricted.tolist() == [t for t, g in enumerate(groups) if can_miss[g]]
 
 
 @pytest.mark.parametrize(
@@ -680,10 +784,11 @@ def test_decode_matches_scan(batch):
 def test_decoder_matches_scan_on_every_block(monkeypatch, make_config):
     decode, calls = coding._decode, []
 
-    def checked(blocks, ref, size, eps, chunk):
-        found = decode(blocks, ref, size, eps, chunk)
-        assert found == [scan_decode(*block, ref, size, eps, chunk) for block in blocks]
-        calls.append([(key[2], groups, result) for (key, _, groups), result in zip(blocks, found)])
+    def checked(blocks, table, ref, size, eps, chunk):
+        found = decode(blocks, table, ref, size, eps, chunk)
+        assert found == [scan_decode(key, table[groups], groups, ref, size, eps, chunk)
+                         for key, groups in blocks]
+        calls.append([(key[2], groups, result) for (key, groups), result in zip(blocks, found)])
         return found
 
     monkeypatch.setattr(coding, "_decode", checked)

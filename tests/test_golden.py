@@ -190,11 +190,11 @@ def test_sim_corpus_matches_golden_hash():
     assert digest == (GOLDEN / "sim_corpus.sha256").read_text().strip()
 
 
-@pytest.mark.parametrize("script", ["sim_corpus.py", "solver_corpus.py"])
+@pytest.mark.parametrize("script", ["sim_corpus.py", "solver_corpus.py", "bench_pairs.py"])
 @pytest.mark.parametrize("flag, code", [("--help", 0), ("--chek", 2)])
 def test_corpus_script_parses_arguments(tmp_path, script, flag, code):
     """``--help`` prints usage and an unknown flag is a usage error; neither
-    runs the corpus or writes a file."""
+    runs the script's work (a corpus, benchmark runs) or writes a file."""
     path = os.pathsep.join(filter(None, [str(HERE.parent / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, str(HERE / script), flag], cwd=tmp_path, capture_output=True,
