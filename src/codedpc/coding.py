@@ -264,38 +264,35 @@ def _mulhilo(a: np.ndarray, m: int):
 
 
 def _round_keys(keys: list) -> np.ndarray:
-    """The (4, streams) Philox4x64-10 table of the streams ``keys``, (seed,
-    tag, block) each: the key (k0, k1) of ``_stream``, then the high and low
-    words of k0 * M0, the product that round 2 forms in every lane."""
-    k0, k1 = np.array([(seed, tag << 32 | block) for seed, tag, block in keys], dtype=np.uint64).T
-    return np.stack((k0, k1, *_mulhilo(k0.copy(), _PHILOX_M[0])))
+    """The (2, streams) Philox4x64-10 keys (k0, k1) of the streams ``keys``,
+    (seed, tag, block) each, as ``_stream`` keys them."""
+    return np.array([(seed, tag << 32 | block) for seed, tag, block in keys], dtype=np.uint64).T
 
 
-def _philox_block(table: np.ndarray, stream: np.ndarray, counter: np.ndarray) -> np.ndarray:
+def _philox_block(keys: np.ndarray, stream: np.ndarray, counter: np.ndarray) -> np.ndarray:
     """The (4, lanes) words 4c - 4, ..., 4c - 1 at each lane's uint64 counter
-    c >= 1 of stream ``stream`` of ``table``, a ``_round_keys`` table,
+    c >= 1 of stream ``stream`` of ``keys``, ``_round_keys``' (2, streams),
     without drawing the words before them.  Philox4x64-10 maps the counter
     (c, 0, 0, 0) and the key to four words; numpy steps the counter before
     it draws, so word j of a stream is word j % 4 of counter j // 4 + 1."""
     # a round maps (x0, x1, x2, x3) to (hi(x2) ^ x1 ^ k0, lo(x2), hi(x0) ^ x3
-    # ^ k1, lo(x0)) and then bumps the key by _PHILOX_W; one array per word,
-    # since a multiplier of one row per word would be broadcast through a
-    # buffer.  Each lane's key is gathered once and bumped in place.
-    k0, k1, hi0, lo0 = (row[stream] for row in table)
-    # round 1 maps (c, 0, 0, 0) to (k0, 0, hi(c) ^ k1, lo(c)), and round 2's
-    # product of x0 = k0 is the table's
-    x2, x3 = _mulhilo(counter.astype(np.uint64), _PHILOX_M[0])
-    x2 ^= k1
-    for r in range(9):
-        k0 += _PHILOX_W[0]
-        k1 += _PHILOX_W[1]
+    # ^ k1, lo(x0)), and the key is bumped by _PHILOX_W between rounds; one
+    # array per word, since a multiplier of one row per word would be
+    # broadcast through a buffer.  Each lane's key is gathered once and
+    # bumped in place.
+    k0, k1 = (row[stream] for row in keys)
+    x0 = counter.astype(np.uint64)
+    x1, x2, x3 = (np.zeros_like(x0) for _ in range(3))
+    for r in range(10):
         if r:
-            hi0, lo0 = _mulhilo(x0, _PHILOX_M[0])
+            k0 += _PHILOX_W[0]
+            k1 += _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(x0, _PHILOX_M[0])
         # x3 is freed before the second product's temporaries are made
         hi0 ^= x3 ^ k1
         x3 = lo0
         x0, lo2 = _mulhilo(x2, _PHILOX_M[1])
-        x0 ^= (x1 ^ k0) if r else k0
+        x0 ^= x1 ^ k0
         x1, x2 = lo2, hi0
     del k0, k1  # freed before the words are stacked
     return np.stack((x0, x1, x2, x3))

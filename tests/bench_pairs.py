@@ -4,20 +4,20 @@
     python tests/bench_pairs.py PARENT_DIR CHANGE_DIR --workload coding-binary --pairs 10
 
 Each directory is a checkout of this repository.  Pair i runs
-``perfbench/run.py --workload W --seed S --seconds T --trace 0`` in each
-checkout, one run at a time, the parent first when i is even and the
-change first when it is odd.  ``--workload`` may be given more than once;
-the workloads run one after the other.  Runs made with ``--trace 1`` are
-recorded with their per-layer metrics but left out of the summary.
+``perfbench/run.py --workload W --seed S --trace T`` in each checkout, one
+run at a time, the parent first when i is even and the change first when
+it is odd; the run length is the benchmark's own.  ``--workload`` may be
+given more than once; the workloads run one after the other.  Runs made
+with ``--trace 1`` are recorded with their per-layer metrics but left out
+of the summary.
 
-The result is the JSON object ``{"runs": [...], "summary": {...}}`` that a
-``BENCH_*.json`` file carries: one record per run (its checks, its metrics,
-its exact counts), and per workload and metric the median and quartiles of
-each side, the change's median over the parent's, the parent's
-interquartile range, and the pairs in which the change read lower or
-higher.  It is printed, or with ``--output FILE`` written to FILE: the runs
-already in FILE are kept, the new ones added, the summary recomputed over
-all of them, and every other key of FILE left as it is.
+The result, printed to stdout, is the JSON object ``{"runs": [...],
+"summary": {...}}`` that a ``BENCH_*.json`` file carries: one record per
+run (its seed, its checks, its metrics, its exact counts), and per
+workload and metric the median and quartiles of each side, the change's
+median over the parent's, the parent's interquartile range, and the pairs
+in which the change read lower or higher.  Each call makes one series of
+one seed; a series of another seed is a separate document.
 """
 
 from __future__ import annotations
@@ -31,14 +31,14 @@ import time
 from pathlib import Path
 
 #: Fields of a run record that are not metrics.
-_FIELDS = {"workload", "side", "pair", "first", "trace", "elapsed_s", "returncode", "correct",
+_FIELDS = {"workload", "side", "pair", "first", "seed", "trace", "elapsed_s", "returncode", "correct",
            "attempted", "failed", "counts", "seed1_reference", "error"}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     """One ``perfbench/run.py`` run in ``checkout``, as a run record."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
+            "--trace", str(trace)]
     start = time.perf_counter()
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     record = {"elapsed_s": round(time.perf_counter() - start, 1), "returncode": proc.returncode}
@@ -105,30 +105,21 @@ def main(argv=None) -> int:
                         help="a perfbench workload; may be repeated")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--output", type=Path, help="JSON file to add the runs to")
     args = parser.parse_args(argv)
 
-    document = json.loads(args.output.read_text()) if args.output and args.output.exists() else {}
-    runs = document.get("runs", [])
+    runs = []
     for workload in args.workload:
-        start = 1 + max((r["pair"] for r in runs if r["workload"] == workload
-                         and r["trace"] == args.trace), default=-1)
-        for pair in range(start, start + args.pairs):
+        for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                record = run_once(getattr(args, side), workload, args.seed, args.seconds, args.trace)
+                record = run_once(getattr(args, side), workload, args.seed, args.trace)
                 runs.append({"workload": workload, "side": side, "pair": pair, "first": order[0],
-                             "trace": args.trace, **record})
+                             "seed": args.seed, "trace": args.trace, **record})
                 print(f"{workload} pair {pair} {side}: wall_s {record.get('wall_s')}",
                       file=sys.stderr)
-    document.update(runs=runs, summary=summarize([r for r in runs if r["trace"] == 0]))
-    text = json.dumps(document, indent=1) + "\n"
-    if args.output:
-        args.output.write_text(text)
-    else:
-        sys.stdout.write(text)
+    summary = summarize(runs) if args.trace == 0 else {}
+    sys.stdout.write(json.dumps({"runs": runs, "summary": summary}, indent=1) + "\n")
     return 0 if all(r["correct"] for r in runs) else 1
 
 
