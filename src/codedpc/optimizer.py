@@ -21,14 +21,14 @@ fallback.  The dual bound there is Cover's bound plus the most a cell's
 bound exceeds its value.  The maximizer's excess gap is decreasing in the
 multiplier, so the search starts at the payoff the per-state argmax gains
 per bit of its excess, doubles to a feasible multiplier and then takes
-false-position steps on a bracket, each kept a quarter of the bracket off
-either end; when the constraint is inactive the argmax is returned
-directly.  The returned point is the best feasible one among the inner
-maximizers, always feasible candidates (uniform; constant partner with best
-response) and blends across the constraint boundary; the dual bound is the
-least one over the multipliers tried.  The step budgets of the inner solves
-and of the multiplier search are fixed; the only option is the certified
-tolerance.
+Illinois false-position steps on a bracket (an end kept twice in a row has
+its excess's weight halved); when the constraint is inactive the argmax is
+returned directly.  The returned point is the best feasible one, exactly
+feasible where that certifies, among the inner maximizers, always feasible
+candidates (uniform; constant partner with best response) and blends across
+the constraint boundary; the dual bound is the least one over the
+multipliers tried.  The step budgets of the inner solves and of the
+multiplier search are fixed; the only option is the certified tolerance.
 """
 
 from __future__ import annotations
@@ -55,13 +55,6 @@ _MAX_MULTIPLIER = 2.0**40
 # tests/solver_corpus.py reaches either.
 _MAX_INNER_STEPS = 50_000
 _OUTER_STEPS = 60
-# A false-position step keeps its multiplier this share of the bracket off
-# either end.  Each step thus cuts at least a quarter of the bracket and
-# leaves at most 3/4 of it (bisection 1/2: at most 2.41 times bisection's
-# steps), and a root within a quarter of one end puts the next point beyond
-# it, so both ends move instead of one end creeping up on the root as in
-# plain false position.
-_OFF_END = 0.25
 # Cover's iterates r are floored here: a state's best partner action keeps
 # r >= _R_FLOOR, so its normalizer z >= _R_FLOOR and rho / z stays finite.
 # Noisy cells are floored here too, so an input an earlier step dropped can
@@ -129,8 +122,8 @@ class OptimizationResult:
 
     A point counts as feasible when its gap plus ``min_slack`` is at most
     ``FEASIBILITY_TOL``, and the dual bound is that of the exact constraint.
-    So the payoff can exceed the exact optimum, and the dual bound, by up to
-    ``multiplier * FEASIBILITY_TOL``.
+    Where no exactly feasible point certifies, the payoff can thus exceed the
+    exact optimum, and the dual bound, by up to ``multiplier * FEASIBILITY_TOL``.
     """
 
     qbar: JointDistribution
@@ -418,8 +411,10 @@ def solve(
     multiplier search starts at the chord slope (argmax payoff - best
     candidate payoff) / argmax excess, doubles the multiplier until the
     inner maximizer is feasible, then narrows the bracket between the last
-    infeasible multiplier (or 0) and the feasible one, and at every step
-    blends the maximizers at its two ends onto the constraint boundary.
+    infeasible multiplier (or 0) and the feasible one by Illinois false
+    position, and at every step blends the maximizers at its two ends onto
+    the constraint boundary.  It returns the best exactly feasible point if
+    that certifies, else the best one within ``FEASIBILITY_TOL``.
     Raises ``ConvergenceError`` (carrying the best feasible iterate) if the
     certificate cannot be established within the step budgets or below the
     multiplier cap; its message names the exit taken.
@@ -463,8 +458,8 @@ def solve(
             )
         return result
 
-    best_pay = -np.inf
-    best_q = best_gap = None
+    best_pay = exact_pay = -np.inf
+    best_q = best_gap = exact = None
     # Best iterate seen on the wrong side of the constraint, kept for
     # cross-boundary blending: a convex combination of a feasible and an
     # infeasible near-optimal point stays feasible (the gap functional is
@@ -475,7 +470,7 @@ def solve(
 
     def consider(q_active: np.ndarray, gap: float | None = None) -> float:
         """Offer a point to the pool; returns its excess gap + min_slack."""
-        nonlocal best_pay, best_q, best_gap, outside_q, outside_excess
+        nonlocal best_pay, best_q, best_gap, exact_pay, exact, outside_q, outside_excess
         if gap is None:
             gap = kernel.gap(q_active)
         excess = gap + offset
@@ -483,9 +478,16 @@ def solve(
             pay = float((q_active * w).sum())
             if pay > best_pay:
                 best_pay, best_q, best_gap = pay, q_active, gap
+            if excess <= 0.0 and pay > exact_pay:
+                exact_pay, exact = pay, (q_active, gap)
         elif excess < outside_excess:
             outside_q, outside_excess = q_active, excess
         return excess
+
+    def finish_best(multiplier, stop):
+        """Finish at the best exactly feasible point if it certifies."""
+        q, gap = exact if dual_bound - exact_pay <= opts.tol_payoff else (best_q, best_gap)
+        return finish(q, gap, multiplier, dual_bound, total_iters, stop)
 
     def blend(inside, inside_excess, outside, outside_excess) -> None:
         """Offer the mix of an inside and an outside point that the linear
@@ -565,13 +567,21 @@ def solve(
                     "no feasible point found: the requested slack exceeds what "
                     "the observation channel supports"
                 )
-            return finish(best_q, best_gap, lam_hi, dual_bound, total_iters,
-                          f"at the multiplier cap 2**{math.log2(_MAX_MULTIPLIER):g}")
+            return finish_best(lam_hi, f"at the multiplier cap 2**{math.log2(_MAX_MULTIPLIER):g}")
         lam_lo, lo = lam_hi, hi
         lam_hi = min(2.0 * lam_hi, _MAX_MULTIPLIER)
         hi = maximize_at(lam_hi)
 
     stop = f"after {_OUTER_STEPS} multiplier steps"
+    # False position: the excess is decreasing in the multiplier (minus the
+    # slope of the convex dual), so where the line through the ends' weighted
+    # excesses crosses zero is a guess at the optimal multiplier.  Illinois
+    # weights (Dowell & Jarratt, BIT 11, 1971): an end replaced gets weight 1
+    # and one kept twice in a row has it halved, so the next point lands past
+    # the root instead of creeping up on it from one side.  1/2 is the factor
+    # of that analysis (order 3**(1/3) per inner solve), exact in binary.  A
+    # feasible end above 0 (by FEASIBILITY_TOL at most) counts as 0.
+    weight, last = [1.0, 1.0], None  # lo's and hi's
     for step in range(_OUTER_STEPS):
         blend(best_q, best_gap + offset, outside_q, outside_excess)
         # The maximizers at the bracket's ends straddle the boundary; their
@@ -581,18 +591,18 @@ def solve(
         blend(*hi, *lo)
         if dual_bound - best_pay <= opts.tol_payoff:
             break
-        # False position: the excess is decreasing in the multiplier (minus
-        # the slope of the convex dual), so the multiplier where the line
-        # through the ends' excesses crosses zero is a guess at the optimal
-        # one.
-        frac = lo[1] / (lo[1] - hi[1])
-        lam = lam_lo + (lam_hi - lam_lo) * min(max(frac, _OFF_END), 1.0 - _OFF_END)
+        e_lo, e_hi = weight[0] * lo[1], weight[1] * min(hi[1], 0.0)
+        lam = lam_lo + (lam_hi - lam_lo) * (e_lo / (e_lo - e_hi))
         if lam in (lam_lo, lam_hi):
             stop = f"at a collapsed multiplier bracket after {step} steps"
             break
         end = maximize_at(lam)
-        if end[1] <= FEASIBILITY_TOL:
+        feasible = end[1] <= FEASIBILITY_TOL
+        if feasible:
             lam_hi, hi = lam, end
         else:
             lam_lo, lo = lam, end
-    return finish(best_q, best_gap, lam_hi, dual_bound, total_iters, stop)
+        if feasible == last:
+            weight[not feasible] *= 0.5
+        weight[feasible], last = 1.0, feasible
+    return finish_best(lam_hi, stop)

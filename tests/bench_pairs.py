@@ -13,7 +13,8 @@ of the summary.
 
 The result, printed to stdout, is the JSON object ``{"runs": [...],
 "summary": {...}}`` that a ``BENCH_*.json`` file carries: one record per
-run (its seed, its checks, its metrics, its exact counts), and per
+run (its seed, its checks, its metrics, the raw ``wall_clock_s`` and the
+reference clock's ``speed_median`` from its report, its exact counts), and per
 workload and metric the median and quartiles of each side, the change's
 median over the parent's, the parent's interquartile range, and the pairs
 in which the change read lower or higher.  Each call makes one series of
@@ -48,6 +49,10 @@ def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     report, line = json.loads(lines[-2]), json.loads(lines[-1])
     record.update(correct=line["correct"], attempted=line["attempted"], failed=line["failed"])
     record.update({name: m["value"] for name, m in line["metrics"].items()})
+    # raw seconds and the reference clock's speed, so that a gain in wall_s
+    # can be read in raw seconds too
+    record.update({name: report["workload_metrics"][name]["value"]
+                   for name in ("wall_clock_s", "speed_median")})
     record["counts"] = report["counts"]
     if "seed1_reference" in report:
         record["seed1_reference"] = report["seed1_reference"]

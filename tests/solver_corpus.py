@@ -37,7 +37,8 @@ with status 1 if there is one.
 
     PYTHONPATH=src python tests/solver_corpus.py --counts
 
-prints, for the corpus and for the fresh noisy corpora ``default_rng(2)``
+prints, for the 164 sweep points (the grid of the benchmark's ``ic-sweep``
+workload), the whole corpus and the fresh noisy corpora ``default_rng(2)``
 and ``default_rng(3)`` (200 problems each): the certified solves, the inner
 solves (multipliers tried, counted by wrapping ``optimizer._x2_step``), the
 inner steps, the solve that tried the most multipliers, the longest search
@@ -130,8 +131,8 @@ def check() -> int:
     return 1 if failed else 0
 
 
-def count_line(name: str, problems) -> str:
-    """One ``--counts`` line over (label, problem, kwargs) triples."""
+def solve_counts(problems) -> dict:
+    """Counts of ``solve`` over (label, problem, kwargs) triples."""
     x2_step, inner_solves, first_feasible = optimizer._x2_step, [], []
 
     def counted(*args):
@@ -163,14 +164,28 @@ def count_line(name: str, problems) -> str:
             slowest = max(slowest, (seconds, label))
     finally:
         optimizer._x2_step = x2_step
-    return (f"{name}: {certified}/{len(inner_solves)} certified, "
-            f"{sum(inner_solves):,} inner solves, {steps:,} inner steps, "
-            f"most multipliers {most[0]} ({most[1]}), "
-            f"longest search {longest[0]} ({longest[1]}), "
-            f"slowest {slowest[0]:.3f} s ({slowest[1]})")
+    return {"solves": len(inner_solves), "certified": certified,
+            "inner_solves": sum(inner_solves), "inner_steps": steps,
+            "most": most, "longest": longest, "slowest": slowest}
+
+
+def count_line(name: str, problems) -> str:
+    """One ``--counts`` line over (label, problem, kwargs) triples."""
+    c = solve_counts(problems)
+    return (f"{name}: {c['certified']}/{c['solves']} certified, "
+            f"{c['inner_solves']:,} inner solves, {c['inner_steps']:,} inner steps, "
+            f"most multipliers {c['most'][0]} ({c['most'][1]}), "
+            f"longest search {c['longest'][0]} ({c['longest'][1]}), "
+            f"slowest {c['slowest'][0]:.3f} s ({c['slowest'][1]})")
+
+
+def sweep():
+    """The 164 points of the SNR sweep, the grid of perfbench's ic-sweep."""
+    return (case for case in corpus() if case[0].startswith("sweep-"))
 
 
 def counts() -> None:
+    print(count_line("sweep", sweep()))
     print(count_line("corpus", corpus()))
     for seed in (2, 3):
         fresh = ((f"noisy-{seed}-{i}", problem, {})

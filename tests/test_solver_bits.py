@@ -184,6 +184,11 @@ def golden_point_bits() -> dict:
     return solver_bits(cases())
 
 
+@functools.cache
+def exit_point_bits() -> dict:
+    return solver_bits(exit_cases())
+
+
 def tol_payoff(kwargs) -> float:
     return kwargs.get("options", SolverOptions()).tol_payoff
 
@@ -234,7 +239,29 @@ def test_solver_corpus_meets_recorded_intervals():
 
 
 def test_solver_exits_match_golden():
-    assert_matches(EXITS_GOLDEN, solver_bits(exit_cases()))
+    assert_matches(EXITS_GOLDEN, exit_point_bits())
+
+
+def test_certified_payoff_is_at_most_its_dual_bound():
+    # A point up to FEASIBILITY_TOL outside the constraint can pay more than
+    # the optimum, and than the bound; the blind channel's did, by 5.3e-6 at
+    # multiplier 2**14.  A certified result may exceed its bound by rounding
+    # only.
+    from solver_corpus import corpus_bits
+
+    for label, record in {**corpus_bits(), **exit_point_bits()}.items():
+        pay, bound = (float.fromhex(record[k]) for k in ("payoff", "dual_bound"))
+        assert not record["certified"] or pay <= bound + 1e-12 * max(1.0, abs(bound)), label
+
+
+def test_sweep_takes_fewer_inner_solves_than_a_creeping_search():
+    # The 164 sweep points took 951 inner solves under a false-position step
+    # kept a quarter of the bracket off either end; Illinois weights take 756.
+    from solver_corpus import solve_counts, sweep
+
+    counts = solve_counts(sweep())
+    assert counts["certified"] == counts["solves"] == 164
+    assert counts["inner_solves"] < 951
 
 
 def test_solver_corpus_matches_golden_hash():
