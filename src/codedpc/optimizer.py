@@ -231,11 +231,12 @@ def _newton_direction(k, rhs, on, reg):
     k's diagonal on the support.  Batched over any leading axes."""
     n = k.shape[-1]
     kkt = np.zeros(k.shape[:-2] + (n + 1, n + 1))
-    kkt[..., :n, :n] = np.where(on[..., :, None] & on[..., None, :], k, 0.0)
-    np.einsum("...bb->...b", kkt[..., :n, :n])[...] += np.where(on, reg, 1.0)
+    np.copyto(kkt[..., :n, :n], k, where=on[..., :, None] & on[..., None, :])
+    # the first n diagonal entries, every (n + 2)-th of the flattened matrix
+    kkt.reshape(kkt.shape[:-2] + (-1,))[..., : n * (n + 2) : n + 2] += np.where(on, reg, 1.0)
     kkt[..., :n, n] = kkt[..., n, :n] = on
     b = np.zeros(kkt.shape[:-1] + (1,))
-    b[..., :n, 0] = np.where(on, rhs, 0.0)
+    np.copyto(b[..., :n, 0], rhs, where=on)
     return np.linalg.solve(kkt, b)[..., :n, 0]
 
 
@@ -254,8 +255,11 @@ def _newton_step(p, k, rhs, reg):
     if drop.any():
         d = _newton_direction(k, rhs, on & ~drop, reg)
     t = np.where(p >= 1e-10, p / np.maximum(-d, p), 1.0).min(axis=-1, keepdims=True)
-    cand = np.maximum(p + t * d, _R_FLOOR)
-    return cand / cand.sum(axis=-1, keepdims=True)
+    cand = t * d
+    cand += p
+    np.maximum(cand, _R_FLOOR, out=cand)
+    cand /= cand.sum(axis=-1, keepdims=True)
+    return cand
 
 
 def _cell_step(p, kernel, w, lam, max_iter, target):
@@ -298,22 +302,22 @@ def _cell_step(p, kernel, w, lam, max_iter, target):
         s = w + lam * (row - np.log2(np.maximum(out, 5e-324)) @ gamma.T)
         return s, (p * s).sum(axis=-1), s.max(axis=-1), out
 
-    def newton(p, s, up, out):
+    def newton(p, diff, out):
         # The cell's Hessian is -lam / ln 2 times K = channel diag(1 / out)
         # channel^T, singular where channel rows coincide: its diagonal is
         # raised by one part in 1e12, and the inputs off the support are fixed.
         k = (gamma / np.maximum(out, 1e-300)[:, None, :]) @ gamma.T
-        rhs = (s - up[:, None]) * (_LN2 / lam)
-        return _newton_step(p, k, rhs, 1e-12 * np.einsum("cbb->cb", k))
+        return _newton_step(p, k, diff * (_LN2 / lam), 1e-12 * np.einsum("cbb->cb", k))
 
     s, low, up, out = score(p)
     power = np.ones(len(p))
     iters = 0
     while (up - low).max() > max(target, (_FLAT - 1.0) * np.abs(s).max()) and iters < max_iter:
         iters += 1
-        ba = np.maximum(p * np.exp2(power[:, None] * (s - up[:, None]) / lam), _R_FLOOR)
+        diff = s - up[:, None]
+        ba = np.maximum(p * np.exp2(power[:, None] * diff / lam), _R_FLOOR)
         ba /= ba.sum(axis=1, keepdims=True)
-        cand = np.stack([ba, newton(p, s, up, out)])
+        cand = np.stack([ba, newton(p, diff, out)])
         s, lows, up, out = score(cand)
         power = np.where(lows[0] >= low, np.minimum(power * 1.3, 1e8), np.maximum(0.5 * power, 1.0))
         pick = (lows[1] > lows[0]).astype(int)
@@ -512,7 +516,7 @@ def solve(
         consider(cand)
 
     # Constraint inactive at multiplier zero: the per-state best pairs win.
-    x1, x2 = np.array(best_actions(payoff))[active].T
+    x1, x2 = np.divmod(w.reshape(len(rho), -1).argmax(axis=1), n2)
     vertex = np.zeros_like(w)
     vertex[states, x1, x2] = rho
     dual_bound = float((vertex * w).sum())
