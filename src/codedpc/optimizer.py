@@ -271,14 +271,16 @@ def _cell_step(p, kernel, w, lam, max_iter, target):
     On a noisy channel all cells are solved as (cells, n1) arrays from the
     warm start ``p``.  With s(b) = w(b) + lam * D(channel_b || p channel),
     the value at p is low = sum_b p(b) s(b), and up = max_b s(b) bounds the
-    maximum (Blahut) at every p.  Each step forms per cell two candidates,
-    the Blahut-Arimoto one p * 2^(power * (s - up) / lam), whose exponent
-    grows by 1.3 while that candidate does not lower the previous low and
-    halves, down to 1, when it does, and a Newton step (``_newton_step``);
-    the cell moves to whichever has the larger low.  low need not rise at
-    every step: the certificate rests on up alone.  It stops when up - low
-    is within ``target`` (or rounding, ``_FLAT``) in every cell, or after
-    ``max_iter``.
+    maximum (Blahut) at every p.  Each step takes per cell a Newton step
+    (``_newton_step``), and a cell keeps it alone where it at least halves
+    the cell's gap up - low, or where that gap was already within
+    ``target``.  Where a cell falls short, the step also forms the
+    Blahut-Arimoto candidate p * 2^(power * (s - up) / lam), and that cell
+    moves to whichever of the two has the larger low; its exponent grows by
+    1.3 while the Blahut-Arimoto candidate does not lower the previous low
+    and halves, down to 1, when it does.  low need not rise at every step:
+    the certificate rests on up alone.  It stops when up - low is within
+    ``target`` (or rounding, ``_FLAT``) in every cell, or after ``max_iter``.
 
     Returns the cells as an (n0, n1, n2) array, their ``low`` and ``up`` as
     (n0, n2) arrays, the step count and the next warm start.
@@ -314,14 +316,23 @@ def _cell_step(p, kernel, w, lam, max_iter, target):
     iters = 0
     while (up - low).max() > max(target, (_FLAT - 1.0) * np.abs(s).max()) and iters < max_iter:
         iters += 1
-        diff = s - up[:, None]
-        ba = np.maximum(p * np.exp2(power[:, None] * diff / lam), _R_FLOOR)
-        ba /= ba.sum(axis=1, keepdims=True)
-        cand = np.stack([ba, newton(p, diff, out)])
-        s, lows, up, out = score(cand)
-        power = np.where(lows[0] >= low, np.minimum(power * 1.3, 1e8), np.maximum(0.5 * power, 1.0))
-        pick = (lows[1] > lows[0]).astype(int)
-        p, s, low, up, out = (v[pick, cells] for v in (cand, s, lows, up, out))
+        diff, gap = s - up[:, None], up - low
+        step = (cand := newton(p, diff, out), *score(cand))
+        # Inside Newton's quadratic region the gap shrinks far more than
+        # twofold per step.  A step that does not halve it shows the cell is
+        # outside that region (its support changes, a floored input comes
+        # back, or rounding dominates), and there Blahut-Arimoto's
+        # multiplicative step, safe at any p, is worth forming as well.
+        short = (step[3] - step[2] > 0.5 * gap) & (gap > target)
+        if short.any():
+            ba = np.maximum(p * np.exp2(power[:, None] * diff / lam), _R_FLOOR)
+            ba /= ba.sum(axis=1, keepdims=True)
+            both = [np.stack(v) for v in zip((ba, *score(ba)), step)]
+            grow = np.where(both[2][0] >= low, np.minimum(power * 1.3, 1e8), np.maximum(0.5 * power, 1.0))
+            power = np.where(short, grow, power)
+            pick = (~short | (both[2][1] > both[2][0])).astype(int)
+            step = (v[pick, cells] for v in both)
+        p, s, low, up, out = step
     cell = p.reshape(n0, n2, n1).transpose(0, 2, 1)
     return cell, low.reshape(n0, n2), up.reshape(n0, n2), iters, p
 

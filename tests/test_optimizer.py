@@ -409,6 +409,23 @@ class TestNoisyChannel:
         res = solve(*problem)
         assert res.converged and res.iterations <= 100
 
+    def test_fallback_cells_move_to_the_better_candidate(self):
+        # Blahut-Arimoto in place of the Newton step wherever that step did
+        # not raise low or was cut at the simplex boundary took 149 inner
+        # steps here, and 317 with its exponent held at 1
+        problem = list(test_solver_bits.noisy_problems(3, 200))[146]
+        res = solve(*problem)
+        assert res.converged and res.iterations <= 100
+
+    def test_fallback_exponent_grows(self):
+        # the halving rule with the Blahut-Arimoto exponent held at 1 ran
+        # 50,059 inner steps here, its budget at one multiplier; that step in
+        # place of Newton wherever Newton did not raise low or was cut, also
+        # with exponent 1, took 446
+        problem = list(test_solver_bits.noisy_problems(5, 200))[63]
+        res = solve(*problem)
+        assert res.converged and res.iterations <= 150
+
 
 def bsc(flip: float) -> ObservationChannel:
     return ObservationChannel(np.array([[1.0 - flip, flip], [flip, 1.0 - flip]]))
