@@ -17,8 +17,10 @@ run (its seed, its checks, its metrics, the raw ``wall_clock_s`` and the
 reference clock's ``speed_median`` from its report, its exact counts), and per
 workload and metric the median and quartiles of each side, the change's
 median over the parent's, the parent's interquartile range, and the pairs
-in which the change read lower or higher.  Each call makes one series of
-one seed; a series of another seed is a separate document.
+in which the change read lower or higher; per workload also whether each
+side's exact counts are constant over its own runs (``counts_equal``) and
+which counts differ between the sides (``counts_moved``).  Each call makes
+one series of one seed; a series of another seed is a separate document.
 """
 
 from __future__ import annotations
@@ -97,7 +99,17 @@ def summarize(runs: list) -> dict:
             }
         entry["failed"] = {s: sum(r.get("failed", 0) for r in sides[s].values()) for s in sides}
         entry["all_correct"] = all(r["correct"] and r["returncode"] == 0 for r in mine)
-        entry["counts_equal"] = len({json.dumps(r.get("counts"), sort_keys=True) for r in mine}) == 1
+        # per side: its exact counts are the same in all its runs; a change
+        # of algorithm may move a count between the sides on purpose
+        seen = {s: [r.get("counts") or {} for r in sides[s].values()] for s in sides}
+        entry["counts_equal"] = {
+            s: len({json.dumps(c, sort_keys=True) for c in seen[s]}) <= 1 for s in sides
+        }
+        entry["counts_moved"] = [
+            k for k in dict.fromkeys(k for s in sides for c in seen[s] for k in c)
+            if {json.dumps(c.get(k)) for c in seen["parent"]}
+            != {json.dumps(c.get(k)) for c in seen["change"]}
+        ]
         summary[workload] = entry
     return summary
 

@@ -41,7 +41,8 @@ prints, for the 164 sweep points (the grid of the benchmark's ``ic-sweep``
 workload), the whole corpus and the fresh noisy corpora ``default_rng(2)``
 and ``default_rng(3)`` (200 problems each): the certified solves, the inner
 solves (multipliers tried, counted by wrapping ``optimizer._x2_step``), the
-inner steps, the solve that tried the most multipliers, the longest search
+inner steps, split into the noisy cells' steps and the x2 steps (counted by
+wrapping ``optimizer._cell_step`` and ``_x2_step``), the solve that tried the most multipliers, the longest search
 after the first feasible multiplier (the inner solves after the first one
 whose returned gap plus ``min_slack`` is feasible) and the slowest solve in
 process.
@@ -133,11 +134,18 @@ def check() -> int:
 
 def solve_counts(problems) -> dict:
     """Counts of ``solve`` over (label, problem, kwargs) triples."""
-    x2_step, inner_solves, first_feasible = optimizer._x2_step, [], []
+    x2_step, cell_step = optimizer._x2_step, optimizer._cell_step
+    inner_solves, first_feasible, split = [], [], {"cell": 0, "x2": 0}
+
+    def counted_cells(*args):
+        out = cell_step(*args)
+        split["cell"] += out[3]
+        return out
 
     def counted(*args):
         out = x2_step(*args)
         inner_solves[-1] += 1
+        split["x2"] += out[3]
         # out[1] is the maximizer's gap and args[6] the offset, min_slack
         if first_feasible[-1] is None and out[1] + args[6] <= FEASIBILITY_TOL:
             first_feasible[-1] = inner_solves[-1]
@@ -145,7 +153,7 @@ def solve_counts(problems) -> dict:
 
     certified = steps = 0
     most, longest, slowest = (0, ""), (0, ""), (0.0, "")
-    optimizer._x2_step = counted
+    optimizer._x2_step, optimizer._cell_step = counted, counted_cells
     try:
         for label, problem, kwargs in problems:
             inner_solves.append(0)
@@ -163,9 +171,10 @@ def solve_counts(problems) -> dict:
                 longest = max(longest, (inner_solves[-1] - first_feasible[-1], label))
             slowest = max(slowest, (seconds, label))
     finally:
-        optimizer._x2_step = x2_step
+        optimizer._x2_step, optimizer._cell_step = x2_step, cell_step
     return {"solves": len(inner_solves), "certified": certified,
             "inner_solves": sum(inner_solves), "inner_steps": steps,
+            "cell_steps": split["cell"], "x2_steps": split["x2"],
             "most": most, "longest": longest, "slowest": slowest}
 
 
@@ -173,7 +182,8 @@ def count_line(name: str, problems) -> str:
     """One ``--counts`` line over (label, problem, kwargs) triples."""
     c = solve_counts(problems)
     return (f"{name}: {c['certified']}/{c['solves']} certified, "
-            f"{c['inner_solves']:,} inner solves, {c['inner_steps']:,} inner steps, "
+            f"{c['inner_solves']:,} inner solves, {c['inner_steps']:,} inner steps "
+            f"({c['cell_steps']:,} cell, {c['x2_steps']:,} x2), "
             f"most multipliers {c['most'][0]} ({c['most'][1]}), "
             f"longest search {c['longest'][0]} ({c['longest'][1]}), "
             f"slowest {c['slowest'][0]:.3f} s ({c['slowest'][1]})")

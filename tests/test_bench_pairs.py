@@ -1,0 +1,32 @@
+"""``bench_pairs.summarize`` on synthetic run records: no benchmark runs."""
+
+from bench_pairs import summarize
+
+
+def runs(parent_iters, change_iters):
+    """One workload's run records, pair i holding the i-th count of each side."""
+    out = []
+    for side, iters in (("parent", parent_iters), ("change", change_iters)):
+        for pair, n in enumerate(iters):
+            out.append({"workload": "noisy-random", "side": side, "pair": pair,
+                        "correct": True, "returncode": 0, "failed": 0, "wall_s": 1.0,
+                        "counts": {"solves": 100, "inner_iters": n}})
+    return out
+
+
+def test_counts_moved_between_constant_sides():
+    entry = summarize(runs([2485, 2485, 2485], [2489, 2489, 2489]))["noisy-random"]
+    assert entry["counts_equal"] == {"parent": True, "change": True}
+    assert entry["counts_moved"] == ["inner_iters"]
+
+
+def test_counts_varying_within_one_side():
+    entry = summarize(runs([2485, 2485, 2485], [2485, 2489, 2485]))["noisy-random"]
+    assert entry["counts_equal"] == {"parent": True, "change": False}
+    assert entry["counts_moved"] == ["inner_iters"]
+
+
+def test_equal_counts_move_nothing():
+    entry = summarize(runs([2485, 2485], [2485, 2485]))["noisy-random"]
+    assert entry["counts_equal"] == {"parent": True, "change": True}
+    assert entry["counts_moved"] == []
