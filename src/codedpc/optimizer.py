@@ -317,7 +317,7 @@ def _cell_step(p, kernel, w, lam, max_iter, target):
     while (up - low).max() > max(target, (_FLAT - 1.0) * np.abs(s).max()) and iters < max_iter:
         iters += 1
         diff, gap = s - up[:, None], up - low
-        step = (cand := newton(p, diff, out), *score(cand))
+        step = (cand := newton(p, diff, out), *score(cand))  # (p, s, low, up, out)
         # Inside Newton's quadratic region the gap shrinks far more than
         # twofold per step.  A step that does not halve it shows the cell is
         # outside that region (its support changes, a floored input comes
@@ -328,9 +328,10 @@ def _cell_step(p, kernel, w, lam, max_iter, target):
             ba = np.maximum(p * np.exp2(power[:, None] * diff / lam), _R_FLOOR)
             ba /= ba.sum(axis=1, keepdims=True)
             both = [np.stack(v) for v in zip((ba, *score(ba)), step)]
-            grow = np.where(both[2][0] >= low, np.minimum(power * 1.3, 1e8), np.maximum(0.5 * power, 1.0))
+            lows = both[2]
+            grow = np.where(lows[0] >= low, np.minimum(power * 1.3, 1e8), np.maximum(0.5 * power, 1.0))
             power = np.where(short, grow, power)
-            pick = (~short | (both[2][1] > both[2][0])).astype(int)
+            pick = (~short | (lows[1] > lows[0])).astype(int)
             step = (v[pick, cells] for v in both)
         p, s, low, up, out = step
     cell = p.reshape(n0, n2, n1).transpose(0, 2, 1)
