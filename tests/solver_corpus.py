@@ -42,10 +42,10 @@ workload), the whole corpus and the fresh noisy corpora ``default_rng(2)``
 and ``default_rng(3)`` (200 problems each): the certified solves, the inner
 solves (multipliers tried, counted by wrapping ``optimizer._x2_step``), the
 inner steps, split into the noisy cells' steps and the x2 steps (counted by
-wrapping ``optimizer._cell_step`` and ``_x2_step``), the solve that tried the most multipliers, the longest search
-after the first feasible multiplier (the inner solves after the first one
-whose returned gap plus ``min_slack`` is feasible) and the slowest solve in
-process.
+wrapping ``optimizer._cell_step`` and ``_x2_step``), the solve that tried
+the most multipliers, the longest search after the first feasible
+multiplier (the inner solves after the first one whose returned gap plus
+``min_slack`` is feasible) and the slowest solve in process.
 """
 
 from __future__ import annotations
