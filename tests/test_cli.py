@@ -294,6 +294,26 @@ def test_nonfinite_snr_is_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "config, argv, message",
+    [
+        ("regime lir\n", ("policies",), "run.cfg:1: expected key = value"),
+        ("", ("simulate", "--target", "best"), "target must be solver, spc or fpc"),
+        ("", ("sweep", "--snr-step", "0"), "snr_step must be positive"),
+        ("", ("sweep", "--snr-step", "-1"), "snr_step must be positive"),
+        ("", ("sweep", "--snr-start", "10", "--snr-stop", "5"), "empty SNR grid"),
+    ],
+    ids=["no '='", "bad target", "zero step", "negative step", "start above stop"],
+)
+def test_rejected_settings_are_usage_errors(tmp_path, capsys, config, argv, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    code, out, err = run_cli(capsys, *argv, "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("policies", "--gmax", "inf"),

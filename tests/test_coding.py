@@ -142,6 +142,21 @@ class TestCodingConfig:
                 block_length=10, num_blocks=5, rate=0.1,
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("channel", ObservationChannel.identity(3)), ("prior", StatePrior(np.full(3, 1 / 3)))],
+        ids=["channel", "prior"],
+    )
+    def test_alphabet_mismatch_rejected(self, field, value):
+        # a three-input channel or a three-state prior for the binary target
+        target, channel, prior, payoff = weakly_coordinated_target()
+        parts = {"channel": channel, "prior": prior, field: value}
+        with pytest.raises(CodingConfigError, match=field):
+            CodingConfig(
+                target=target, payoff=payoff, **parts,
+                block_length=10, num_blocks=5, rate=0.1,
+            )
+
     # bool is an int subclass: rate=True used to run as 1.0; a string used to
     # raise TypeError from math.isfinite
     @pytest.mark.parametrize("rate", [float("nan"), float("inf"), True, "0.1"])

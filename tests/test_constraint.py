@@ -192,6 +192,14 @@ class TestIsImplementable:
         with pytest.raises(AlphabetError):
             is_implementable(qbar, ObservationChannel.identity(2), StatePrior(np.full(2, 0.5)))
 
+    @pytest.mark.parametrize("n_qbar, n_prior", [(3, 2), (2, 3)])
+    def test_state_count_mismatch(self, n_qbar, n_prior):
+        qbar = uniform_distribution((n_qbar, 2, 2), ("x0", "x1", "x2"))
+        with pytest.raises(AlphabetError, match="states"):
+            is_implementable(
+                qbar, ObservationChannel.identity(2), StatePrior(np.full(n_prior, 1 / n_prior))
+            )
+
     def test_channel_checked_before_states(self):
         # three states against a two-state prior, and a 3-row channel for
         # |X1| = 2: the channel is reported

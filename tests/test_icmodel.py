@@ -48,6 +48,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="snr_db must be finite"):
             ICConfig(snr_db=snr_db, p_gmin=(0.5,) * 4)
 
+    @pytest.mark.parametrize("p_gmin", [(0.5,) * 3, (0.5,) * 5, ()], ids=len)
+    def test_p_gmin_needs_four_entries(self, p_gmin):
+        with pytest.raises(ValueError, match="p_gmin needs 4 entries"):
+            ICConfig(snr_db=10.0, p_gmin=p_gmin)
+
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -81,6 +81,20 @@ class TestExpectedPayoff:
             expected_payoff(d, PayoffTable(np.zeros((2, 2, 2))))
 
 
+@pytest.mark.parametrize(
+    "values, error, message",
+    [
+        (np.zeros((2, 4)), AlphabetError, "3-D"),
+        (np.full((2, 2, 2), np.nan), ValueError, "non-finite"),
+        (np.full((2, 2, 2), np.inf), ValueError, "non-finite"),
+    ],
+    ids=["2-D", "nan", "inf"],
+)
+def test_malformed_payoff_table_rejected(values, error, message):
+    with pytest.raises(error, match=message):
+        PayoffTable(values)
+
+
 class TestCostlessBound:
     def test_constant_payoff(self):
         prior = StatePrior(np.array([0.2, 0.8]))

@@ -60,6 +60,10 @@ class TestJointDistribution:
         d = JointDistribution(np.array([0.5, 0.5 + 1e-10]), ("x0",))
         assert d.pmf.sum() == 1.0
 
+    def test_clips_rounding_negative_to_zero(self):
+        d = JointDistribution(np.array([0.5, 0.5 + 1e-13, -1e-13]), ("x0",))
+        assert d.pmf[2] == 0.0 and d.pmf.min() >= 0.0
+
     def test_immutable(self):
         d = uniform_distribution((2, 2), ("x0", "x1"))
         with pytest.raises(ValueError):
@@ -307,3 +311,18 @@ class TestStatePrior:
     def test_validates(self):
         with pytest.raises(DistributionError):
             StatePrior(np.array([0.5, 0.6]))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: JointDistribution(np.array([]), ("x0",)), DistributionError, "empty"),
+        (lambda: StatePrior(np.array([0.5, np.nan])), DistributionError, "non-finite"),
+        (lambda: ObservationChannel(np.full(2, 0.5)), AlphabetError, "2-D"),
+        (lambda: StatePrior(np.full((2, 2), 0.25)), AlphabetError, "1-D"),
+    ],
+    ids=["empty", "non-finite", "1-D channel", "2-D prior"],
+)
+def test_malformed_arrays_rejected(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
