@@ -29,11 +29,13 @@ bits (see ``test_solver_bits.py``):
     PYTHONPATH=src python tests/solver_corpus.py --write-intervals
     PYTHONPATH=src python tests/solver_corpus.py --check
 
-The first, run before the change, writes ``golden/solver_intervals.json``:
-the certified flag, payoff and dual bound of every corpus solve and of every
-``solver_bits.json`` point.  The second checks the current solver against
-that file at all 382 corpus solves, prints each failing condition and exits
-with status 1 if there is one.
+The first writes ``golden/solver_intervals.json``: the certified flag,
+payoff and dual bound of every corpus solve and of every ``solver_bits.json``
+point.  The committed file is the current solver's (a tier-1 test checks
+it), so a change of algorithm rewrites it together with the other bit
+goldens.  The second checks the current solver against that file at all
+382 corpus solves, prints each failing condition and exits with status 1 if
+there is one.
 
     PYTHONPATH=src python tests/solver_corpus.py --counts
 
@@ -103,12 +105,13 @@ def interval(record: dict) -> dict:
     return {k: record[k] for k in ("certified", "payoff", "dual_bound")}
 
 
-def write_intervals() -> None:
-    intervals = {
+def intervals() -> dict:
+    """The content of ``golden/solver_intervals.json`` as the current solver
+    writes it."""
+    return {
         "corpus": {label: interval(r) for label, r in corpus_bits().items()},
         "golden_points": {label: interval(r) for label, r in golden_point_bits().items()},
     }
-    INTERVALS.write_text(json.dumps(intervals, indent=1) + "\n")
 
 
 def violations() -> list[str]:
@@ -221,7 +224,7 @@ if __name__ == "__main__":
         counts()
         sys.exit(0)
     if args.write_intervals:
-        write_intervals()
+        INTERVALS.write_text(json.dumps(intervals(), indent=1) + "\n")
         sys.exit(0)
     if args.check:
         sys.exit(check())

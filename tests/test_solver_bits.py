@@ -38,13 +38,16 @@ The one exit neither file reaches is ``ConvergenceError`` without a result
 (no feasible point at all); ``test_optimizer.py`` covers it.
 
 ``golden/solver_intervals.json`` keeps, per point, only the certified flag,
-the payoff and the dual bound, written by the solver before a change of
-algorithm (``python tests/solver_corpus.py --write-intervals``).  A new
+the payoff and the dual bound, as the current solver writes them
+(``python tests/solver_corpus.py --write-intervals``);
+``test_recorded_intervals_are_the_current_solvers`` checks that.  A new
 algorithm cannot keep the bits, so it must instead meet the four
 conditions of ``interval_violations`` at every point; only then are the
-bit goldens rewritten.  ``test_solver_meets_recorded_intervals`` checks the
-points of ``solver_bits.json``, and ``test_solver_corpus_meets_recorded_intervals``
-and ``solver_corpus.py --check`` all 382 corpus solves.
+bit goldens rewritten, the intervals among them, so that they hold the new
+solver for the next change.  ``test_solver_meets_recorded_intervals`` checks
+the points of ``solver_bits.json``, and
+``test_solver_corpus_meets_recorded_intervals`` and ``solver_corpus.py
+--check`` all 382 corpus solves.
 """
 
 from __future__ import annotations
@@ -236,6 +239,13 @@ def test_solver_corpus_meets_recorded_intervals():
     from solver_corpus import violations
 
     assert violations() == []
+
+
+def test_recorded_intervals_are_the_current_solvers():
+    # imported here: solver_corpus imports this module
+    from solver_corpus import intervals
+
+    assert INTERVALS.read_text() == json.dumps(intervals(), indent=1) + "\n"
 
 
 def test_solver_exits_match_golden():
