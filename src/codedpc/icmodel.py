@@ -22,7 +22,7 @@ from typing import Literal, NamedTuple
 import numpy as np
 
 from .optimizer import PayoffTable
-from .probability import JointDistribution, ObservationChannel, StatePrior
+from .probability import JointDistribution, ObservationChannel, StatePrior, _is_real
 
 N_STATES = 16
 
@@ -63,16 +63,16 @@ class ICConfig:
     payoff_form: Literal["log", "linear"] = "log"
 
     def __post_init__(self):
-        if not math.isfinite(self.snr_db):
+        # bool is an int subclass: snr_db=True used to run at 1 dB
+        if not (_is_real(self.snr_db) and math.isfinite(self.snr_db)):
             raise ValueError(f"snr_db must be finite, got {self.snr_db!r}")
-        if len(self.p_gmin) != 4:
+        if not (isinstance(self.p_gmin, (tuple, list)) and len(self.p_gmin) == 4):
             raise ValueError(f"p_gmin needs 4 entries, got {self.p_gmin!r}")
-        if any(not 0.0 <= p <= 1.0 for p in self.p_gmin):
+        if not all(_is_real(p) and 0.0 <= p <= 1.0 for p in self.p_gmin):
             raise ValueError(f"p_gmin entries must lie in [0, 1]: {self.p_gmin!r}")
-        if not (0.0 <= self.g_min < self.g_max and math.isfinite(self.g_max)):
-            raise ValueError(
-                f"need finite 0 <= g_min < g_max, got {self.g_min!r} and {self.g_max!r}"
-            )
+        g_min, g_max = self.g_min, self.g_max
+        if not (_is_real(g_min) and _is_real(g_max) and 0.0 <= g_min < g_max < math.inf):
+            raise ValueError(f"need finite 0 <= g_min < g_max, got {g_min!r} and {g_max!r}")
         if self.payoff_form not in ("log", "linear"):
             raise ValueError(f"payoff_form must be 'log' or 'linear', got {self.payoff_form!r}")
         # Every SINR is at most peak with a denominator of at most 1 + peak,
@@ -94,10 +94,9 @@ class ICConfig:
 
     @classmethod
     def for_regime(cls, regime: str, snr_db: float, **kwargs) -> "ICConfig":
-        key = regime.lower()
-        if key not in REGIME_PROBS:
+        if not (isinstance(regime, str) and regime.lower() in REGIME_PROBS):
             raise ValueError(f"unknown regime {regime!r}; expected one of {sorted(REGIME_PROBS)}")
-        return cls(snr_db=snr_db, p_gmin=REGIME_PROBS[key], **kwargs)
+        return cls(snr_db=snr_db, p_gmin=REGIME_PROBS[regime.lower()], **kwargs)
 
 
 def gain_states(cfg: ICConfig) -> list[ChannelGainState]:

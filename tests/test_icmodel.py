@@ -48,6 +48,34 @@ class TestConfig:
         with pytest.raises(ValueError, match="snr_db must be finite"):
             ICConfig(snr_db=snr_db, p_gmin=(0.5,) * 4)
 
+    # bool is an int subclass: snr_db=True used to run at 1 dB, and True
+    # passed as a probability or a gain; a string or a scalar p_gmin used to
+    # raise TypeError
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"snr_db": True}, "snr_db must be finite"),
+            ({"snr_db": "10"}, "snr_db must be finite"),
+            ({"p_gmin": (True, 0.5, 0.5, 0.5)}, "p_gmin entries"),
+            ({"p_gmin": ("0.5",) * 4}, "p_gmin entries"),
+            ({"p_gmin": 0.5}, "p_gmin needs 4 entries"),
+            ({"g_max": True}, "g_min < g_max"),
+            ({"g_min": "0.1"}, "g_min < g_max"),
+            ({"g_min": False}, "g_min < g_max"),
+        ],
+        ids=repr,
+    )
+    def test_non_numbers_rejected(self, kwargs, message):
+        fields = {"snr_db": 10.0, "p_gmin": (0.5,) * 4, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            ICConfig(**fields)
+
+    @pytest.mark.parametrize("regime", [5, None, ("hir",)], ids=repr)
+    def test_regime_must_be_a_name(self, regime):
+        # a non-string regime used to raise AttributeError
+        with pytest.raises(ValueError, match="unknown regime"):
+            ICConfig.for_regime(regime, 10.0)
+
     @pytest.mark.parametrize("p_gmin", [(0.5,) * 3, (0.5,) * 5, ()], ids=len)
     def test_p_gmin_needs_four_entries(self, p_gmin):
         with pytest.raises(ValueError, match="p_gmin needs 4 entries"):
