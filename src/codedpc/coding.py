@@ -114,6 +114,7 @@ from .probability import (
     StatePrior,
     _is_integer,
     _is_real,
+    _require_agreement,
     compose,
     conditional_mutual_information,
     total_variation,
@@ -446,15 +447,10 @@ class CodingConfig:
 
     def __post_init__(self):
         # the payoff table is 3-D, so this also rejects a target of other rank
-        if self.payoff.shape != self.target.pmf.shape:
-            raise CodingConfigError("payoff table shape does not match target")
-        if self.channel.n_inputs != self.target.pmf.shape[1]:
-            raise CodingConfigError("channel input alphabet does not match target")
-        if self.prior.n_states != self.target.pmf.shape[0]:
-            raise CodingConfigError("prior length does not match target states")
-        state_marginal = self.target.pmf.sum(axis=(1, 2))
-        if np.abs(state_marginal - self.prior.probs).max() > 1e-9:
-            raise CodingConfigError("target's state marginal disagrees with the prior")
+        try:
+            _require_agreement(self.target.pmf, self.payoff, self.channel, self.prior)
+        except ValueError as exc:
+            raise CodingConfigError(str(exc)) from exc
         for name, least in (("block_length", 1), ("num_blocks", 2), ("seed", 0)):
             value = getattr(self, name)
             if not _is_integer(value):

@@ -18,15 +18,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
 from .probability import (
-    DistributionError,
-    AlphabetError,
     JointDistribution,
     ObservationChannel,
     StatePrior,
     _is_integer,
+    _require_agreement,
     compose,
     conditional_mutual_information,
 )
@@ -66,25 +63,14 @@ def is_implementable(
 ) -> ImplementabilityResult:
     """Decide achievability of ``qbar`` under ``channel`` and ``prior``.
 
-    Requires the X0-marginal of ``qbar`` to match ``prior`` within
-    ``FEASIBILITY_TOL``, which is also the tolerance of the verdict.  The
-    channel is checked against ``qbar`` (by ``compose``) before the states.
+    Requires the X0-marginal of ``qbar`` to match ``prior`` within 1e-9, the
+    constructors' normalization tolerance; ``FEASIBILITY_TOL`` is the
+    tolerance of the verdict.  The channel is checked against ``qbar`` (by
+    ``compose``) before the states.
     Returns the boolean verdict together with the slack (minus the gap);
     slack >= 0 means implementable.
     """
     q = compose(qbar, channel)
-    if qbar.pmf.shape[0] != prior.n_states:
-        raise AlphabetError(
-            f"qbar has {qbar.pmf.shape[0]} states but prior has {prior.n_states}"
-        )
-    state_marginal = qbar.pmf.sum(axis=(1, 2))
-    off = np.abs(state_marginal - prior.probs)
-    bad = np.nonzero(off > FEASIBILITY_TOL)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise DistributionError(
-            f"state marginal mismatch at x0={i}: qbar gives "
-            f"{state_marginal[i]!r} but the prior says {prior.probs[i]!r}"
-        )
+    _require_agreement(qbar.pmf, prior=prior)
     gap = info_constraint_gap(q)
     return ImplementabilityResult(bool(gap <= FEASIBILITY_TOL), float(-gap + 0.0))

@@ -45,7 +45,7 @@ from .probability import (
     ObservationChannel,
     StatePrior,
     _is_real,
-    _require_inputs,
+    _require_agreement,
 )
 
 _LN2 = float(np.log(2.0))
@@ -137,11 +137,7 @@ class OptimizationResult:
 
 def expected_payoff(dist: JointDistribution, payoff: PayoffTable) -> float:
     """E[w] under a distribution over (x0, x1, x2)."""
-    if dist.pmf.shape != payoff.shape:
-        raise AlphabetError(
-            f"distribution shape {dist.pmf.shape} does not match payoff "
-            f"shape {payoff.shape}"
-        )
+    _require_agreement(dist.pmf, payoff)
     return float((dist.pmf * payoff.values).sum())
 
 
@@ -153,17 +149,12 @@ def best_actions(payoff: PayoffTable) -> list[tuple[int, int]]:
     return [(int(i // n2), int(i % n2)) for i in idx]
 
 
-def _require_states(prior: StatePrior, payoff: PayoffTable) -> None:
-    if prior.n_states != payoff.shape[0]:
-        raise AlphabetError(f"prior has {prior.n_states} states but payoff has {payoff.shape[0]}")
-
-
 def costless_bound(prior: StatePrior, payoff: PayoffTable) -> float:
     """Upper bound on the optimum: per-state maximum payoff averaged by the prior.
 
     Attained when the informed side can reveal the coming state for free.
     """
-    _require_states(prior, payoff)
+    _require_agreement(None, payoff, prior=prior)
     per_state = payoff.values.reshape(payoff.shape[0], -1).max(axis=1)
     return float(prior.probs @ per_state)
 
@@ -441,8 +432,7 @@ def solve(
         raise ValueError(f"min_slack must be finite and nonnegative, got {min_slack!r}")
     w_full = payoff.values
     n0, n1, n2 = w_full.shape
-    _require_states(prior, payoff)
-    _require_inputs(channel, n1)
+    _require_agreement(None, payoff, channel, prior)
     kernel = _InfoKernel(channel.matrix, 1.0 / stages)
     offset = float(min_slack)
 

@@ -23,7 +23,8 @@ CANONICAL_AXES = ("x0", "x1", "x2", "y")
 
 # Constructors renormalize inputs whose total is off by less than _SUM_SLACK
 # and reject anything worse; tiny negative entries (rounding noise) are
-# clipped, genuinely negative ones rejected.
+# clipped, genuinely negative ones rejected.  A policy's state marginal may
+# differ from the prior by _SUM_SLACK too.
 _SUM_SLACK = 1e-9
 _NEG_SLACK = 1e-12
 
@@ -77,9 +78,30 @@ def _normalized(arr: np.ndarray, what: str, rows: bool = False) -> np.ndarray:
     return arr
 
 
-def _require_inputs(channel: "ObservationChannel", n1: int) -> None:
-    if channel.n_inputs != n1:
-        raise AlphabetError(f"channel has {channel.n_inputs} input rows but |X1| = {n1}")
+def _require_agreement(q, payoff=None, channel=None, prior=None) -> None:
+    """Check that a policy array ``q`` over (x0, x1, x2), a payoff table, a
+    channel and a prior fit together; each may be ``None``, ``q`` only when
+    ``payoff`` is given.  In this order: ``q`` has the payoff's shape, the
+    channel has |X1| input rows, the prior has |X0| states (``AlphabetError``
+    for each), and ``q``'s state marginal is the prior within ``_SUM_SLACK``
+    (``DistributionError``)."""
+    shape = payoff.shape if q is None else q.shape
+    if q is not None and payoff is not None and q.shape != payoff.shape:
+        raise AlphabetError(f"policy shape {q.shape} does not match payoff shape {payoff.shape}")
+    if channel is not None and channel.n_inputs != shape[1]:
+        raise AlphabetError(f"channel has {channel.n_inputs} input rows but |X1| = {shape[1]}")
+    if prior is not None and prior.n_states != shape[0]:
+        raise AlphabetError(f"prior has {prior.n_states} states but |X0| = {shape[0]}")
+    if q is None or prior is None:
+        return
+    marginal = q.sum(axis=(1, 2))
+    bad = np.nonzero(np.abs(marginal - prior.probs) > _SUM_SLACK)[0]
+    if bad.size:
+        i = int(bad[0])
+        raise DistributionError(
+            f"state marginal mismatch at x0={i}: the policy gives "
+            f"{float(marginal[i])!r} but the prior says {float(prior.probs[i])!r}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +182,7 @@ def compose(qbar: JointDistribution, channel: ObservationChannel) -> JointDistri
     """
     if qbar.pmf.ndim != 3:
         raise AlphabetError(f"compose needs axes {CANONICAL_AXES[:3]}, got {qbar.axes}")
-    _require_inputs(channel, qbar.pmf.shape[1])
+    _require_agreement(qbar.pmf, channel=channel)
     q = qbar.pmf[:, :, :, None] * channel.matrix[None, :, None, :]
     return JointDistribution(q, CANONICAL_AXES)
 
