@@ -66,7 +66,7 @@ class ICConfig:
         # bool is an int subclass: snr_db=True used to run at 1 dB
         if not (_is_real(self.snr_db) and math.isfinite(self.snr_db)):
             raise ValueError(f"snr_db must be finite, got {self.snr_db!r}")
-        if not (isinstance(self.p_gmin, (tuple, list)) and len(self.p_gmin) == 4):
+        if not (np.ndim(self.p_gmin) == 1 and len(self.p_gmin) == 4):
             raise ValueError(f"p_gmin needs 4 entries, got {self.p_gmin!r}")
         if not all(_is_real(p) and 0.0 <= p <= 1.0 for p in self.p_gmin):
             raise ValueError(f"p_gmin entries must lie in [0, 1]: {self.p_gmin!r}")

@@ -70,6 +70,10 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             ICConfig(**fields)
 
+    def test_p_gmin_may_be_an_array(self):
+        cfg = ICConfig(snr_db=10.0, p_gmin=np.full(4, 0.5))
+        assert np.array_equal(build_state_prior(cfg).probs, np.full(N_STATES, 1 / N_STATES))
+
     @pytest.mark.parametrize("regime", [5, None, ("hir",)], ids=repr)
     def test_regime_must_be_a_name(self, regime):
         # a non-string regime used to raise AttributeError
