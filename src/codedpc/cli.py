@@ -13,6 +13,7 @@ simulation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -196,10 +197,16 @@ def _table(columns: tuple, rows: list[tuple]) -> str:
 
 def cmd_sweep(args: argparse.Namespace) -> str:
     settings = _settings(args)
+    grid = _snr_grid(settings)
+    # The prior reads only the gain probabilities, so it, the channel and the
+    # FPC policy hold over the grid; each point checks its own config.
+    prior = icmodel.build_state_prior(_ic_config(settings, grid[0]))
+    channel = icmodel.identity_observation_channel()
+    fpc_policy = icmodel.partner_full_power(prior, 1)
     rows = []
-    for snr_db in _snr_grid(settings):
-        _, prior, channel, payoff = _model(settings, snr_db)
-        fpc = expected_payoff(icmodel.partner_full_power(prior, 1), payoff)
+    for snr_db in grid:
+        payoff = icmodel.build_payoff_table(_ic_config(settings, snr_db))
+        fpc = expected_payoff(fpc_policy, payoff)
         spc_x1 = icmodel.spc_best_x1(payoff)
         spc = expected_payoff(icmodel.partner_full_power(prior, spc_x1), payoff)
         bound = costless_bound(prior, payoff)
@@ -275,6 +282,7 @@ def cmd_simulate(args: argparse.Namespace) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+@functools.cache  # one parser per process, built on first use, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="codedpc",

@@ -776,7 +776,10 @@ def run(cfg: CodingConfig) -> SimResult:
     # What the informed side plays follows from the sent indices alone: block
     # b's channel codeword is drawn given the source row of block b-1's index
     # (row 0 in block 0), the partner action the encoder believes in.
-    belief = [_symbols(x2_thr, source, n, m * n) for m in [0, *sent[:-1]]]
+    # Each distinct row is drawn once: after encoder failures most are row 0.
+    believed = [0, *sent[:-1]]
+    drawn = {m: _symbols(x2_thr, source, n, m * n) for m in set(believed)}
+    belief = [drawn[m] for m in believed]
     codebooks = [(cfg.seed, _STREAM_CODEBOOK, b) for b in range(blocks)]
     x1 = [_symbols(cond_thr[x0, x2], key, n, m * n)
           for x0, x2, key, m in zip(states, belief, codebooks, sent)]

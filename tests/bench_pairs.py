@@ -18,9 +18,12 @@ reference clock's ``speed_median`` from its report, its exact counts), and per
 workload and metric the median and quartiles of each side, the change's
 median over the parent's, the parent's interquartile range, and the pairs
 in which the change read lower or higher; per workload also whether each
-side's exact counts are constant over its own runs (``counts_equal``) and
-which counts differ between the sides (``counts_moved``).  Each call makes
-one series of one seed; a series of another seed is a separate document.
+side's exact counts are constant over its own runs (``counts_equal``),
+which counts differ between the sides (``counts_moved``), and whether the
+reference and raw clocks agree (``clocks_agree``: the median ratios of
+``wall_s`` and ``wall_clock_s`` fall on the same side of 1; null when a
+ratio is missing).  Each call makes one series of one seed; a series of
+another seed is a separate document.
 """
 
 from __future__ import annotations
@@ -110,6 +113,10 @@ def summarize(runs: list) -> dict:
             if {json.dumps(c.get(k)) for c in seen["parent"]}
             != {json.dumps(c.get(k)) for c in seen["change"]}
         ]
+        # a gain read in reference seconds should hold in raw seconds too
+        ratios = [entry.get(name, {}).get("ratio") for name in ("wall_s", "wall_clock_s")]
+        entry["clocks_agree"] = (None if None in ratios
+                                 else len({(r > 1) - (r < 1) for r in ratios}) == 1)
         summary[workload] = entry
     return summary
 

@@ -30,3 +30,26 @@ def test_equal_counts_move_nothing():
     entry = summarize(runs([2485, 2485], [2485, 2485]))["noisy-random"]
     assert entry["counts_equal"] == {"parent": True, "change": True}
     assert entry["counts_moved"] == []
+
+
+def timed_runs(parent, change):
+    """One workload's run records: pair i holds the i-th (wall_s,
+    wall_clock_s) of each side."""
+    return [{"workload": "ic-sweep", "side": side, "pair": pair, "correct": True,
+             "returncode": 0, "failed": 0, "wall_s": ref, "wall_clock_s": raw}
+            for side, times in (("parent", parent), ("change", change))
+            for pair, (ref, raw) in enumerate(times)]
+
+
+def test_clocks_agree_when_both_read_lower():
+    entry = summarize(timed_runs([(0.23, 0.50)] * 3, [(0.21, 0.46)] * 3))["ic-sweep"]
+    assert entry["clocks_agree"] is True
+
+
+def test_clocks_disagree_when_raw_reads_higher():
+    entry = summarize(timed_runs([(0.23, 0.50)] * 3, [(0.21, 0.52)] * 3))["ic-sweep"]
+    assert entry["clocks_agree"] is False
+
+
+def test_clocks_agree_is_null_without_raw_seconds():
+    assert summarize(runs([2485], [2485]))["noisy-random"]["clocks_agree"] is None

@@ -6,7 +6,8 @@ import pytest
 
 from codedpc import icmodel, optimizer
 from codedpc.cli import (
-    MAX_SNR_POINTS, POLICY_COLUMNS, SWEEP_COLUMNS, UsageError, _snr_grid, main, read_config,
+    MAX_SNR_POINTS, POLICY_COLUMNS, SWEEP_COLUMNS, UsageError, _snr_grid, build_parser, main,
+    read_config,
 )
 
 
@@ -37,6 +38,20 @@ def test_console_script_resolves():
     assert scripts == {"codedpc": "codedpc.cli:main"}
     module, _, attr = scripts["codedpc"].partition(":")
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_cached_parser_holds_no_state_between_calls(capsys):
+    # main parses with one parser per process; no call may leave a trace in it
+    assert build_parser() is build_parser()
+    sweep = ("sweep", "--regime", "lir", "--snr-start", "3", "--snr-stop", "5")
+    code, first, err = run_cli(capsys, *sweep)
+    assert code == 0 and err == ""
+    assert run_cli(capsys, "policies")[0] == 0
+    assert run_cli(capsys, "sweep", "--snr-step", "0")[0] == 1
+    assert run_cli(capsys, "sweep", "--snr-step", "fast")[0] == 1
+    assert run_cli(capsys, "--help")[0] == 0
+    assert run_cli(capsys, "simulate", "--target", "fpc", "--sim-n", "16", "--sim-blocks", "3")[0] == 0
+    assert run_cli(capsys, *sweep) == (0, first, "")
 
 
 class TestConfigFile:
@@ -138,20 +153,21 @@ class TestSweep:
         spc, ocpc, cb = (float(row[k]) for k in ("spc", "ocpc", "costless"))
         assert spc < ocpc < cb
 
-    def test_each_point_builds_its_model_once(self, capsys, monkeypatch):
-        # fpc and spc are read off the point's own prior and payoff table
-        calls = {"build_state_prior": 0, "build_payoff_table": 0}
+    def test_sweep_builds_grid_invariants_once(self, capsys, monkeypatch):
+        # fpc and spc are read off the grid's one prior and each point's own
+        # payoff table: one FPC policy per grid, one SPC policy per point
+        calls = {"build_state_prior": 0, "build_payoff_table": 0, "partner_full_power": 0}
         for name in calls:
             build = getattr(icmodel, name)
 
-            def counted(cfg, name=name, build=build):
+            def counted(*args, name=name, build=build):
                 calls[name] += 1
-                return build(cfg)
+                return build(*args)
 
             monkeypatch.setattr(icmodel, name, counted)
         code, _, _ = run_cli(capsys, "sweep", "--snr-start", "3", "--snr-stop", "5")
         assert code == 0
-        assert calls == {"build_state_prior": 3, "build_payoff_table": 3}
+        assert calls == {"build_state_prior": 1, "build_payoff_table": 3, "partner_full_power": 1 + 3}
 
     def test_deterministic_output(self, capsys):
         args = ("sweep", "--regime", "lir", "--snr-start", "3", "--snr-stop", "5")

@@ -428,3 +428,26 @@ class TestRunMemory:
         assert every <= one + coding._CHUNK_BYTES
         one, every = (traced_peak(coding._decode, b, *decoder_args) for b in (blocks[:1], blocks))
         assert every <= one + coding._CHUNK_BYTES
+
+
+@pytest.mark.parametrize(
+    "make_config, rows",
+    [(lambda: _ic_point_config(50), 1), (lambda: _binary_config(400, 1, 40, 0.025, 0.5), 35)],
+    ids=["ic-16-state-n50-encoder-always-fails", "binary-n400-seed1"],
+)
+def test_each_believed_source_row_is_drawn_once(make_config, rows, monkeypatch):
+    # the belief rows are the source rows of the sent indices, row 0 first
+    draws = []
+
+    def counted(thresholds, key, shape, skip=0, symbols=coding._symbols):
+        if key[1] == coding._STREAM_SOURCE:
+            draws.append(skip)
+        return symbols(thresholds, key, shape, skip)
+
+    monkeypatch.setattr(coding, "_symbols", counted)
+    cfg = make_config()
+    coded = [d for d in run(cfg).blocks if not d.payoff_only]
+    # a misdecoded block would draw the decoded index's row for the decoder too
+    assert not any(d.decode_error for d in coded)
+    assert sorted(draws) == sorted({0, *(d.encoded_index * cfg.block_length for d in coded)})
+    assert len(draws) == rows

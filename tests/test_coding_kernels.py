@@ -869,7 +869,8 @@ def test_small_codebook_decoder_reads_one_stream(monkeypatch):
     # random access keeps every row of a codebook of at most _FEW_ROWS rows,
     # since no group of it is ever larger, and then reads each kept row from
     # a stream of its own: such blocks are counted from one stream instead.
-    # Through random access this run opened 931 streams
+    # Through random access this run opened 931 streams, and 166 while each
+    # of its 30 blocks drew its believed source row, 9 of them distinct
     cfg = SIM_RUNS["sim_binary_encoder_fail_n40.json"]()
     assert cfg.codebook_size <= coding._FEW_ROWS
     allowed_rows, stream, calls, opened = coding._allowed_rows, coding._stream, [], []
@@ -882,4 +883,4 @@ def test_small_codebook_decoder_reads_one_stream(monkeypatch):
     monkeypatch.setattr(coding, "_stream", lambda *args, **kw: opened.append(args) or stream(*args, **kw))
     assert run(cfg).decoder_errors > 0
     assert calls == []
-    assert len(opened) == 166
+    assert len(opened) == 145
