@@ -265,11 +265,12 @@ def _cell_step(p, kernel, w, lam, max_iter, target):
     maximum (Blahut) at every p.  Each step takes per cell a Newton step
     (``_newton_step``), and a cell keeps it alone where it at least halves
     the cell's gap up - low, or where that gap was already within
-    ``target``.  Where a cell falls short, the step also forms the
-    Blahut-Arimoto candidate p * 2^(power * (s - up) / lam), and that cell
-    moves to whichever of the two has the larger low; its exponent grows by
-    1.3 while the Blahut-Arimoto candidate does not lower the previous low
-    and halves, down to 1, when it does.  low need not rise at every step:
+    ``target``.  In a step where any cell falls short, the step also forms
+    the Blahut-Arimoto candidate p * 2^(power * (s - up) / lam) for every
+    cell, and each cell that fell short moves to whichever of the two has
+    the larger low, to Blahut-Arimoto on ties; its exponent grows by 1.3
+    while the Blahut-Arimoto candidate does not lower the previous low and
+    halves, down to 1, when it does.  low need not rise at every step:
     the certificate rests on up alone.  It stops when up - low is within
     ``target`` (or rounding, ``_FLAT``) in every cell, or after ``max_iter``.
 
@@ -288,7 +289,6 @@ def _cell_step(p, kernel, w, lam, max_iter, target):
     gamma = kernel.gamma
     w = w.transpose(0, 2, 1).reshape(-1, n1)
     row = kernel.row_plogp / _LN2
-    cells = np.arange(len(p))
 
     def score(p):
         out = p @ gamma
@@ -300,31 +300,32 @@ def _cell_step(p, kernel, w, lam, max_iter, target):
         # channel^T, singular where channel rows coincide: its diagonal is
         # raised by one part in 1e12, and the inputs off the support are fixed.
         k = (gamma / np.maximum(out, 1e-300)[:, None, :]) @ gamma.T
-        return _newton_step(p, k, diff * (_LN2 / lam), 1e-12 * np.einsum("cbb->cb", k))
+        return _newton_step(p, k, diff * (_LN2 / lam), 1e-12 * k.diagonal(axis1=1, axis2=2))
 
     s, low, up, out = score(p)
     power = np.ones(len(p))
     iters = 0
-    while (up - low).max() > max(target, (_FLAT - 1.0) * np.abs(s).max()) and iters < max_iter:
+    while (gap := up - low).max() > max(target, (_FLAT - 1.0) * np.abs(s).max()) and iters < max_iter:
         iters += 1
-        diff, gap = s - up[:, None], up - low
-        step = (cand := newton(p, diff, out), *score(cand))  # (p, s, low, up, out)
+        diff = s - up[:, None]
+        new_s, new_low, new_up, new_out = score(new := newton(p, diff, out))
         # Inside Newton's quadratic region the gap shrinks far more than
         # twofold per step.  A step that does not halve it shows the cell is
         # outside that region (its support changes, a floored input comes
         # back, or rounding dominates), and there Blahut-Arimoto's
         # multiplicative step, safe at any p, is worth forming as well.
-        short = (step[3] - step[2] > 0.5 * gap) & (gap > target)
+        short = (new_up - new_low > 0.5 * gap) & (gap > target)
         if short.any():
             ba = np.maximum(p * np.exp2(power[:, None] * diff / lam), _R_FLOOR)
             ba /= ba.sum(axis=1, keepdims=True)
-            both = [np.stack(v) for v in zip((ba, *score(ba)), step)]
-            lows = both[2]
-            grow = np.where(lows[0] >= low, np.minimum(power * 1.3, 1e8), np.maximum(0.5 * power, 1.0))
+            ba_s, ba_low, ba_up, ba_out = score(ba)
+            grow = np.where(ba_low >= low, np.minimum(power * 1.3, 1e8), np.maximum(0.5 * power, 1.0))
             power = np.where(short, grow, power)
-            pick = (~short | (lows[1] > lows[0])).astype(int)
-            step = (v[pick, cells] for v in both)
-        p, s, low, up, out = step
+            take = short & ~(new_low > ba_low)  # ties go to Blahut-Arimoto
+            rows = take[:, None]
+            new, new_s, new_out = (np.where(rows, *v) for v in ((ba, new), (ba_s, new_s), (ba_out, new_out)))
+            new_low, new_up = np.where(take, ba_low, new_low), np.where(take, ba_up, new_up)
+        p, s, low, up, out = new, new_s, new_low, new_up, new_out
     cell = p.reshape(n0, n2, n1).transpose(0, 2, 1)
     return cell, low.reshape(n0, n2), up.reshape(n0, n2), iters, p
 

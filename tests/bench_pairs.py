@@ -16,8 +16,11 @@ The result, printed to stdout, is the JSON object ``{"runs": [...],
 run (its seed, its checks, its metrics, the raw ``wall_clock_s`` and the
 reference clock's ``speed_median`` from its report, its exact counts), and per
 workload and metric the median and quartiles of each side, the change's
-median over the parent's, the parent's interquartile range, and the pairs
-in which the change read lower or higher; per workload also whether each
+median over the parent's, the parent's interquartile range, the pairs
+in which the change read lower or higher, and ``gain_rule_met``, the rule
+a claimed gain of a lower-is-better metric must meet: the change read
+lower in at least 9 of every 10 pairs and its median is below the parent's
+by more than the parent's interquartile range; per workload also whether each
 side's exact counts are constant over its own runs (``counts_equal``),
 which counts differ between the sides (``counts_moved``), and whether the
 reference and raw clocks agree (``clocks_agree``: the median ratios of
@@ -88,17 +91,20 @@ def summarize(runs: list) -> dict:
             parent = [sides["parent"][p][name] for p in both]
             change = [sides["change"][p][name] for p in both]
             quartiles = _quartiles(parent)
+            parent_median, change_median = statistics.median(parent), statistics.median(change)
+            iqr = quartiles[1] - quartiles[0]
+            lower = sum(c < p for p, c in zip(parent, change))
             entry[name] = {
-                "parent_median": statistics.median(parent),
+                "parent_median": parent_median,
                 "parent_quartiles": quartiles,
-                "change_median": statistics.median(change),
+                "change_median": change_median,
                 "change_quartiles": _quartiles(change),
-                "ratio": statistics.median(change) / statistics.median(parent)
-                if statistics.median(parent) else None,
-                "parent_iqr": quartiles[1] - quartiles[0],
+                "ratio": change_median / parent_median if parent_median else None,
+                "parent_iqr": iqr,
                 "pairs": len(both),
-                "change_lower": sum(c < p for p, c in zip(parent, change)),
+                "change_lower": lower,
                 "change_higher": sum(c > p for p, c in zip(parent, change)),
+                "gain_rule_met": 10 * lower >= 9 * len(both) and parent_median - change_median > iqr,
             }
         entry["failed"] = {s: sum(r.get("failed", 0) for r in sides[s].values()) for s in sides}
         entry["all_correct"] = all(r["correct"] and r["returncode"] == 0 for r in mine)

@@ -53,3 +53,21 @@ def test_clocks_disagree_when_raw_reads_higher():
 
 def test_clocks_agree_is_null_without_raw_seconds():
     assert summarize(runs([2485], [2485]))["noisy-random"]["clocks_agree"] is None
+
+
+def test_gain_rule_met_at_nine_of_ten_lower_beyond_the_iqr():
+    parent = [(0.34 + 0.001 * i, 0.3) for i in range(10)]
+    change = [(0.32, 0.3)] * 9 + [(0.36, 0.3)]
+    entry = summarize(timed_runs(parent, change))["ic-sweep"]
+    assert entry["wall_s"]["change_lower"] == 9
+    assert entry["wall_s"]["gain_rule_met"] is True
+    assert entry["wall_clock_s"]["gain_rule_met"] is False
+
+
+def test_gain_rule_not_met_at_eight_of_ten_lower():
+    parent = [(0.34 + 0.001 * i, 0.3) for i in range(10)]
+    change = [(0.32, 0.3)] * 8 + [(0.36, 0.3)] * 2
+    entry = summarize(timed_runs(parent, change))["ic-sweep"]
+    assert entry["wall_s"]["change_lower"] == 8
+    assert entry["wall_s"]["parent_median"] - entry["wall_s"]["change_median"] > entry["wall_s"]["parent_iqr"]
+    assert entry["wall_s"]["gain_rule_met"] is False

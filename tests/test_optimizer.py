@@ -568,6 +568,44 @@ def test_noisy_channel_solves_certify(problem):
     assert res.dual_bound >= partners.max() - 1e-9
 
 
+def test_noisy_cell_step_takes_newton_unless_short_then_the_larger_low():
+    # one step from the uniform cells of a noisy-corpus problem at lam = 0.5,
+    # in which some cells halve their gap with Newton's step and some do not
+    prior, channel, payoff = next(test_solver_bits.noisy_problems(test_solver_bits.NOISY_SEED, 1))
+    n0, n1, n2 = payoff.shape
+    gamma, lam, target = channel.matrix, 0.5, 0.25 * SolverOptions().tol_payoff
+    kernel = _InfoKernel(gamma, 1.0)
+    w = payoff.values.transpose(0, 2, 1).reshape(-1, n1)
+    p = np.full((n0 * n2, n1), 1.0 / n1)
+
+    def score(p):
+        out = p @ gamma
+        s = w + lam * (kernel.row_plogp / optimizer._LN2 - np.log2(np.maximum(out, 5e-324)) @ gamma.T)
+        return s, (p * s).sum(axis=-1), s.max(axis=-1), out
+
+    s, low, up, out = score(p)
+    diff = s - up[:, None]
+    k = (gamma / np.maximum(out, 1e-300)[:, None, :]) @ gamma.T
+    newton = optimizer._newton_step(p, k, diff * (optimizer._LN2 / lam),
+                                    1e-12 * np.einsum("cbb->cb", k))
+    ba = np.maximum(p * np.exp2(diff / lam), optimizer._R_FLOOR)  # exponent 1 on the first step
+    ba /= ba.sum(axis=1, keepdims=True)
+    _, newton_low, newton_up, _ = score(newton)
+    _, ba_low, _, _ = score(ba)
+    short = (newton_up - newton_low > 0.5 * (up - low)) & (up - low > target)
+    assert short.any() and not short.all()
+    # each candidate is the larger among the short cells, and Blahut-Arimoto
+    # in a cell that is not short, which keeps Newton's step all the same
+    assert 0 < (short & (newton_low > ba_low)).sum() < short.sum()
+    assert (~short & ~(newton_low > ba_low)).any()
+
+    *_, iters, stepped = optimizer._cell_step(p, kernel, payoff.values, lam, 1, target)
+    assert iters == 1
+    assert np.array_equal(stepped[~short], newton[~short])
+    larger = np.where((newton_low > ba_low)[:, None], newton, ba)
+    assert np.array_equal(stepped[short], larger[short])
+
+
 PROPERTY_SETTINGS = ((1, 0.0), (2, 0.1))  # (stages, min_slack)
 
 
