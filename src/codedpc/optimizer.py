@@ -27,7 +27,9 @@ returned directly.  The returned point is the best feasible one, exactly
 feasible where that certifies, among the inner maximizers, always feasible
 candidates (uniform; constant partner with best response) and blends across
 the constraint boundary; the dual bound is the least one over the
-multipliers tried.  The step budgets of the inner solves and of the
+multipliers tried.  Each point but a blend is q(x0, x2) times cells of known
+channel information, so its gap is read in closed form; a blend's comes
+from the information kernel.  The step budgets of the inner solves and of the
 multiplier search are fixed; the only option is the certified tolerance.
 """
 
@@ -178,7 +180,8 @@ class _InfoKernel:
     sum over y: there I(X1;Y|X0,X2) = H(X1|X0,X2), q(x0, x2, y) is qbar with
     its last two axes swapped and every channel row has zero entropy.  Both
     paths give the same bits.  ``perfect`` also selects ``solve``'s
-    closed-form cells.
+    closed-form cells.  ``solve`` reads every other point's gap from its own
+    quantities and calls ``gap`` only for blends.
     """
 
     def __init__(self, gamma: np.ndarray, inv_stages: float):
@@ -274,18 +277,24 @@ def _cell_step(p, kernel, w, lam, max_iter, target):
     the certificate rests on up alone.  It stops when up - low is within
     ``target`` (or rounding, ``_FLAT``) in every cell, or after ``max_iter``.
 
-    Returns the cells as an (n0, n1, n2) array, their ``low`` and ``up`` as
-    (n0, n2) arrays, the step count and the next warm start.
+    Returns the cells as an (n0, n1, n2) array, their channel informations
+    I(cell; channel) in bits, ``low`` and ``up``, each as an (n0, n2) array,
+    the step count and the next warm start.  The information is the softmax's
+    entropy on the identity channel and sum_b p(b) D(channel_b || p channel)
+    on a noisy one, not (low - E[w]) / lam, which cancels at large payoffs.
     """
     n0, n1, n2 = w.shape
     if kernel.perfect:
         # log-sum-exp shift: every power of two below has exponent <= 0
         top_w = w.max(axis=1, keepdims=True)
-        cell = np.exp2((w - top_w) / lam)
+        exponent = (w - top_w) / lam
+        cell = np.exp2(exponent)
         mass = cell.sum(axis=1, keepdims=True)
         cell /= mass
-        cap = (top_w + lam * np.log2(mass))[:, 0, :]
-        return cell, cap, cap, 0, p
+        log_mass = np.log2(mass)
+        cap = (top_w + lam * log_mass)[:, 0, :]
+        entropy = (log_mass - (cell * exponent).sum(axis=1, keepdims=True))[:, 0, :]
+        return cell, entropy, cap, cap, 0, p
     gamma = kernel.gamma
     w = w.transpose(0, 2, 1).reshape(-1, n1)
     row = kernel.row_plogp / _LN2
@@ -327,10 +336,11 @@ def _cell_step(p, kernel, w, lam, max_iter, target):
             new_low, new_up = np.where(take, ba_low, new_low), np.where(take, ba_up, new_up)
         p, s, low, up, out = new, new_s, new_low, new_up, new_out
     cell = p.reshape(n0, n2, n1).transpose(0, 2, 1)
-    return cell, low.reshape(n0, n2), up.reshape(n0, n2), iters, p
+    info = (p * (row - np.log2(np.maximum(out, 5e-324)) @ gamma.T)).sum(axis=-1)
+    return cell, info.reshape(n0, n2), low.reshape(n0, n2), up.reshape(n0, n2), iters, p
 
 
-def _x2_step(r, rho, kernel, cap, cell, lam, offset, max_iter, cover_target):
+def _x2_step(r, rho, kernel, cap, cell, info, lam, offset, max_iter, cover_target):
     """Maximize over the x2 distribution with the cells fixed.
 
     With cell values ``cap`` and mu = lam * inv_stages, what remains of the
@@ -349,9 +359,11 @@ def _x2_step(r, rho, kernel, cap, cell, lam, offset, max_iter, cover_target):
     boundary.  It stops when Cover's bound is within ``cover_target``, after
     ``max_iter`` steps, or at ``_FLAT``.
 
-    Returns the primal point q(x0, x2) ~ rho * r * 2^(cap / mu) times
-    ``cell``, its constraint gap, the bound, the step count and r for the
-    next warm start.
+    Returns the primal point q(x0, x2) = rho * r * tilt / z times ``cell``,
+    its constraint gap, the bound, the step count and r for the next warm
+    start.  The gap is I(X0; X2) / stages minus the cells' informations
+    ``info`` weighted by q(x0, x2); as q(x2) = r * grad, q(x2 | x0) / q(x2)
+    is tilt / (z * grad), and entries with q(x0, x2) = 0 count 0.
     """
     mu = lam * kernel.inv_stages
     top_cap = cap.max(axis=1)
@@ -395,8 +407,10 @@ def _x2_step(r, rho, kernel, cap, cell, lam, offset, max_iter, cover_target):
         r, z, value = cand, cand_z, cand_value
         grad = (rho / z) @ tilt
     bound = float(rho @ top_cap) + mu * value + max(cover, 0.0) - lam * offset
-    q = (rho / z)[:, None, None] * (r * tilt)[:, None, :] * cell
-    return q, kernel.gap(q), bound, iters, r
+    q02 = (rho / z)[:, None] * (r * tilt)
+    i_coord = float((q02 * (_log_pos(tilt / z[:, None]) - _log_pos(grad))).sum()) / _LN2
+    gap = kernel.inv_stages * i_coord - float((q02 * info).sum())
+    return q02[:, None, :] * cell, gap, bound, iters, r
 
 
 def solve(
@@ -451,7 +465,7 @@ def solve(
         result = OptimizationResult(
             qbar=JointDistribution(full, ("x0", "x1", "x2")),
             payoff=pay,
-            slack=float(-gap),
+            slack=-gap + 0.0,
             multiplier=float(multiplier),
             dual_bound=float(dual_bound),
             iterations=int(iterations),
@@ -475,11 +489,10 @@ def solve(
     outside_excess = np.inf
     interior = rho[:, None, None] * np.full((1, n1, n2), 1.0 / (n1 * n2))
 
-    def consider(q_active: np.ndarray, gap: float | None = None) -> float:
-        """Offer a point to the pool; returns its excess gap + min_slack."""
+    def consider(q_active: np.ndarray, gap: float) -> float:
+        """Offer a point and its gap to the pool; returns its excess gap +
+        min_slack."""
         nonlocal best_pay, best_q, best_gap, exact_pay, exact, outside_q, outside_excess
-        if gap is None:
-            gap = kernel.gap(q_active)
         excess = gap + offset
         if excess <= FEASIBILITY_TOL:
             pay = float((q_active * w).sum())
@@ -501,29 +514,37 @@ def solve(
         interpolation of their excesses puts on the boundary.  The gap is
         convex, so the mix is feasible up to rounding, which
         ``FEASIBILITY_TOL`` absorbs.  The inside point pays at most
-        ``best_pay``, so the mix is skipped when it pays no more than that."""
+        ``best_pay``, so the mix is skipped when it pays no more than that.
+        A mix of two product points is not one, so the kernel gives its gap."""
         if outside is None or inside_excess >= 0.0:
             return
         t = -inside_excess / (outside_excess - inside_excess)
         if (1.0 - t) * float((inside * w).sum()) + t * float((outside * w).sum()) > best_pay:
-            consider((1.0 - t) * inside + t * outside)
+            mix = (1.0 - t) * inside + t * outside
+            consider(mix, kernel.gap(mix))
 
-    consider(interior)
-    # For each fixed x2, the per-state best response in x1: always feasible
-    # when the gap functional is, since a constant X2 carries no state
-    # information.
+    # Every other point is q(x0, x2) times cells of known information, and
+    # its gap is read in closed form.  The uniform point's X2 says nothing
+    # about X0, and its cells are the uniform input: gap -I(uniform; Y).
+    mean_row = kernel.gamma.mean(axis=0)
+    consider(interior, float(mean_row @ _log_pos(mean_row) - kernel.row_plogp.mean()) / _LN2)
+    # For each fixed x2, the per-state best response in x1: a constant X2
+    # carries no state information, and x1 is a function of x0, so the gap
+    # is exactly 0.
     states = np.arange(len(rho))
     for c in range(n2):
         cand = np.zeros_like(w)
         cand[states, w[:, :, c].argmax(axis=1), c] = rho
-        consider(cand)
+        consider(cand, 0.0)
 
     # Constraint inactive at multiplier zero: the per-state best pairs win.
+    # x1 and x2 are functions of x0, so the gap is H(X2) / stages.
     x1, x2 = np.divmod(w.reshape(len(rho), -1).argmax(axis=1), n2)
     vertex = np.zeros_like(w)
     vertex[states, x1, x2] = rho
     dual_bound = float((vertex * w).sum())
-    vertex_gap = kernel.gap(vertex)
+    q2 = np.bincount(x2, weights=rho, minlength=n2)
+    vertex_gap = -kernel.inv_stages * float(q2 @ _log_pos(q2)) / _LN2
     if vertex_gap + offset <= FEASIBILITY_TOL:
         return finish(vertex, vertex_gap, 0.0, dual_bound, 0, "at multiplier 0")
 
@@ -538,11 +559,11 @@ def solve(
         """Inner solve at ``lam`` from the last one: tighten the dual bound,
         offer the maximizer to the pool, return it and its excess gap."""
         nonlocal total_iters, dual_bound, warm_r, warm_cells
-        cell, low, up, cell_iters, warm_cells = _cell_step(
+        cell, info, low, up, cell_iters, warm_cells = _cell_step(
             warm_cells, kernel, w, lam, _MAX_INNER_STEPS, target
         )
         q, gap, bound, x2_iters, warm_r = _x2_step(
-            warm_r, rho, kernel, low, cell, lam, offset,
+            warm_r, rho, kernel, low, cell, info, lam, offset,
             _MAX_INNER_STEPS - cell_iters, target,
         )
         total_iters += cell_iters + x2_iters

@@ -25,8 +25,10 @@ side's exact counts are constant over its own runs (``counts_equal``),
 which counts differ between the sides (``counts_moved``), and whether the
 reference and raw clocks agree (``clocks_agree``: the median ratios of
 ``wall_s`` and ``wall_clock_s`` fall on the same side of 1; null when a
-ratio is missing).  Each call makes one series of one seed; a series of
-another seed is a separate document.
+ratio is missing).  Per workload, ``calls`` holds each side's profiled calls
+of one warm pass (``call_counts.py``, run once per side before the pairs)
+and the change's over the parent's.  Each call makes one series of one
+seed; a series of another seed is a separate document.
 """
 
 from __future__ import annotations
@@ -67,6 +69,15 @@ def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     return record
 
 
+def call_count(checkout: Path, workload: str, seed: int) -> int | None:
+    """``call_counts.py``'s profiled calls of ``workload`` in ``checkout``,
+    None if it fails."""
+    argv = [sys.executable, str(Path(__file__).with_name("call_counts.py")), str(checkout),
+            "--workload", workload, "--seed", str(seed)]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    return json.loads(proc.stdout)["total_calls"] if proc.returncode == 0 else None
+
+
 def _quartiles(values: list) -> list:
     if len(values) < 2:
         return [values[0], values[0]]
@@ -74,9 +85,10 @@ def _quartiles(values: list) -> list:
     return [q1, q3]
 
 
-def summarize(runs: list) -> dict:
+def summarize(runs: list, calls: dict | None = None) -> dict:
     """Per workload and metric, both sides' medians and quartiles over the
-    pairs that have both runs, and how the pairs compare."""
+    pairs that have both runs, and how the pairs compare; with ``calls``
+    (workload -> side -> profiled calls), each side's calls and their ratio."""
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
@@ -123,6 +135,10 @@ def summarize(runs: list) -> dict:
         ratios = [entry.get(name, {}).get("ratio") for name in ("wall_s", "wall_clock_s")]
         entry["clocks_agree"] = (None if None in ratios
                                  else len({(r > 1) - (r < 1) for r in ratios}) == 1)
+        if calls and workload in calls:
+            parent, change = (calls[workload].get(s) for s in ("parent", "change"))
+            entry["calls"] = {"parent": parent, "change": change,
+                              "ratio": change / parent if parent and change is not None else None}
         summary[workload] = entry
     return summary
 
@@ -138,8 +154,11 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
-    runs = []
+    runs, calls = [], {}
     for workload in args.workload:
+        calls[workload] = {side: call_count(getattr(args, side), workload, args.seed)
+                           for side in ("parent", "change")}
+        print(f"{workload} calls: {calls[workload]}", file=sys.stderr)
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
@@ -148,7 +167,7 @@ def main(argv=None) -> int:
                              "seed": args.seed, "trace": args.trace, **record})
                 print(f"{workload} pair {pair} {side}: wall_s {record.get('wall_s')}",
                       file=sys.stderr)
-    summary = summarize(runs) if args.trace == 0 else {}
+    summary = summarize(runs, calls) if args.trace == 0 else {}
     sys.stdout.write(json.dumps({"runs": runs, "summary": summary}, indent=1) + "\n")
     return 0 if all(r["correct"] for r in runs) else 1
 

@@ -142,15 +142,15 @@ def solve_counts(problems) -> dict:
 
     def counted_cells(*args):
         out = cell_step(*args)
-        split["cell"] += out[3]
+        split["cell"] += out[4]
         return out
 
     def counted(*args):
         out = x2_step(*args)
         inner_solves[-1] += 1
         split["x2"] += out[3]
-        # out[1] is the maximizer's gap and args[6] the offset, min_slack
-        if first_feasible[-1] is None and out[1] + args[6] <= FEASIBILITY_TOL:
+        # out[1] is the maximizer's gap and args[7] the offset, min_slack
+        if first_feasible[-1] is None and out[1] + args[7] <= FEASIBILITY_TOL:
             first_feasible[-1] = inner_solves[-1]
         return out
 

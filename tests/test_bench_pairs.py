@@ -1,5 +1,11 @@
 """``bench_pairs.summarize`` on synthetic run records: no benchmark runs."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from bench_pairs import summarize
 
 
@@ -71,3 +77,30 @@ def test_gain_rule_not_met_at_eight_of_ten_lower():
     assert entry["wall_s"]["change_lower"] == 8
     assert entry["wall_s"]["parent_median"] - entry["wall_s"]["change_median"] > entry["wall_s"]["parent_iqr"]
     assert entry["wall_s"]["gain_rule_met"] is False
+
+
+def test_calls_per_side_and_their_ratio():
+    calls = {"noisy-random": {"parent": 254958, "change": 233143}}
+    entry = summarize(runs([2489], [2489]), calls)["noisy-random"]
+    assert entry["calls"]["parent"] == 254958 and entry["calls"]["change"] == 233143
+    assert entry["calls"]["ratio"] == 233143 / 254958
+
+
+def test_failed_call_count_has_no_ratio():
+    calls = {"noisy-random": {"parent": 254958, "change": None}}
+    assert summarize(runs([2489], [2489]), calls)["noisy-random"]["calls"]["ratio"] is None
+
+
+def test_no_calls_without_counts():
+    assert "calls" not in summarize(runs([2489], [2489]))["noisy-random"]
+
+
+def test_call_count_is_deterministic():
+    # two processes count the same calls on the tiny noisy-random inputs
+    here = Path(__file__).parent
+    argv = [sys.executable, str(here / "call_counts.py"), str(here.parent),
+            "--workload", "noisy-random", "--tiny"]
+    env = {**os.environ, "PYTHONPATH": ""}
+    counts = [json.loads(subprocess.run(argv, capture_output=True, text=True, env=env,
+                                        check=True).stdout)["total_calls"] for _ in range(2)]
+    assert counts[0] == counts[1] > 0

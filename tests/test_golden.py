@@ -190,7 +190,8 @@ def test_sim_corpus_matches_golden_hash():
     assert digest == (GOLDEN / "sim_corpus.sha256").read_text().strip()
 
 
-@pytest.mark.parametrize("script", ["sim_corpus.py", "solver_corpus.py", "bench_pairs.py"])
+@pytest.mark.parametrize("script", ["sim_corpus.py", "solver_corpus.py", "bench_pairs.py",
+                                    "call_counts.py"])
 @pytest.mark.parametrize("flag, code", [("--help", 0), ("--chek", 2)])
 def test_corpus_script_parses_arguments(tmp_path, script, flag, code):
     """``--help`` prints usage and an unknown flag is a usage error; neither

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -317,6 +318,27 @@ def ic_instance(regime: str, snr_db: float):
     return build_state_prior(cfg), identity_observation_channel(), build_payoff_table(cfg)
 
 
+def tiny_state_problem():
+    # the other states drive r toward the partner action this 1e-300 state
+    # is alone in wanting, while 2^(C / mu) of its other action underflows;
+    # unfloored, r underflows too and its normalizer is 0 (solve at 256 stages)
+    w = np.array([
+        [[-459, -276, 515, 445], [884, -1164, -270, -285]],
+        [[118, -311, -353, 538], [122, -802, 918, 685]],
+        [[-395, 572, -506, 774], [-150, -552, -257, -527]],
+        [[132, 120, 25, -383], [-2517, 64, -1304, 168]],
+    ], dtype=float)
+    prior = StatePrior(np.array([1e-300, 0.41, 0.46, 0.13]))
+    return prior, ObservationChannel.identity(2), PayoffTable(w)
+
+
+def huge_payoff_problem():
+    # at payoffs near 1e11 the multiplier reaches 1e9, where grad's rounding
+    # outweighs Cover's target
+    prior, channel, payoff = ic_instance("lir", 40.0)
+    return prior, channel, PayoffTable(1e10 * payoff.values)
+
+
 class TestClosedForm:
     """The identity channel's inner step: softmax cells and Cover's update."""
 
@@ -332,17 +354,7 @@ class TestClosedForm:
         assert scaled.payoff / 1e3 == pytest.approx(plain.payoff, abs=2 * tol)
 
     def test_tiny_state_keeps_its_partner_action(self):
-        # the other states drive r toward the partner action this 1e-300
-        # state is alone in wanting, while 2^(C / mu) of its other action
-        # underflows; unfloored, r underflows too and its normalizer is 0
-        w = np.array([
-            [[-459, -276, 515, 445], [884, -1164, -270, -285]],
-            [[118, -311, -353, 538], [122, -802, 918, 685]],
-            [[-395, 572, -506, 774], [-150, -552, -257, -527]],
-            [[132, 120, 25, -383], [-2517, 64, -1304, 168]],
-        ], dtype=float)
-        prior = StatePrior(np.array([1e-300, 0.41, 0.46, 0.13]))
-        res = solve(prior, ObservationChannel.identity(2), PayoffTable(w), stages=256)
+        res = solve(*tiny_state_problem(), stages=256)
         assert res.converged and res.slack >= -FEASIBILITY_TOL
 
     def test_abandoned_partner_action_is_revived(self):
@@ -357,11 +369,8 @@ class TestClosedForm:
         assert res.payoff == pytest.approx(0.5 * (3.738 + 0.757), abs=1e-6)
 
     def test_rounding_ends_the_update_at_huge_multipliers(self):
-        # at payoffs near 1e11 the multiplier reaches 1e9, where grad's
-        # rounding outweighs Cover's target; no multiplier may spend the
-        # whole inner budget on it
-        prior, channel, payoff = ic_instance("lir", 40.0)
-        res = solve(prior, channel, PayoffTable(1e10 * payoff.values))
+        # no multiplier may spend the whole inner budget on the rounding
+        res = solve(*huge_payoff_problem())
         assert res.converged
         assert res.iterations < optimizer._MAX_INNER_STEPS
 
@@ -501,7 +510,7 @@ def test_x2_step_reaches_the_grid_maximum(cap_rho, lam, start):
     r = np.maximum(np.array([start, 1.0 - start]), optimizer._R_FLOOR)
     kernel = _InfoKernel(np.eye(1), 1.0)
     _, _, bound, _, r = optimizer._x2_step(
-        r / r.sum(), rho, kernel, cap, np.ones((len(rho), 1, 2)), lam, 0.0,
+        r / r.sum(), rho, kernel, cap, np.ones((len(rho), 1, 2)), np.zeros_like(cap), lam, 0.0,
         optimizer._MAX_INNER_STEPS, target,
     )
     top = cap.max(axis=1)
@@ -604,6 +613,67 @@ def test_noisy_cell_step_takes_newton_unless_short_then_the_larger_low():
     assert np.array_equal(stepped[~short], newton[~short])
     larger = np.where((newton_low > ba_low)[:, None], newton, ba)
     assert np.array_equal(stepped[short], larger[short])
+
+
+def agreement_problems():
+    """(problem, kwargs) of the noisy corpus, the sweep and the stages points
+    of ``solver_corpus.py``, the 1e-300 state and the payoff scaled by 1e10."""
+    from solver_corpus import corpus
+
+    for label, problem, kwargs in corpus():
+        if not label.startswith("min-slack"):
+            yield problem, kwargs
+    yield tiny_state_problem(), {"stages": 256}
+    yield huge_payoff_problem(), {}
+
+
+def test_closed_form_gaps_match_the_kernel(monkeypatch):
+    # every gap but a blend's is read from the solve's own quantities: the
+    # maximizers' within 1e-12 bits of the kernel, the constant-partner
+    # candidates' exactly 0, the vertex's H(X2) / stages and the uniform
+    # point's -I(uniform X1; Y); RuntimeWarning is an error
+    maximizers = []
+    x2_step = optimizer._x2_step
+
+    def captured(*args):
+        out = x2_step(*args)
+        maximizers.append((args[2], out[0], out[1]))  # kernel, q, gap
+        return out
+
+    monkeypatch.setattr(optimizer, "_x2_step", captured)
+    for (prior, channel, payoff), kwargs in agreement_problems():
+        solve(prior, channel, payoff, **kwargs)
+        kernel = _InfoKernel(channel.matrix, 1.0 / kwargs.get("stages", 1))
+        rho = prior.probs[prior.probs > 0.0]
+        w = payoff.values[prior.probs > 0.0]
+        n0, n1, n2 = w.shape
+        states = np.arange(n0)
+        for c in range(n2):
+            cand = np.zeros_like(w)
+            cand[states, w[:, :, c].argmax(axis=1), c] = rho
+            assert abs(kernel.gap(cand)) <= 1e-15
+        x1, x2 = np.divmod(w.reshape(n0, -1).argmax(axis=1), n2)
+        vertex = np.zeros_like(w)
+        vertex[states, x1, x2] = rho
+        q2 = np.bincount(x2, weights=rho, minlength=n2)
+        entropy = -sum(m * np.log2(m) for m in q2 if m > 0.0)
+        assert abs(kernel.gap(vertex) - kernel.inv_stages * entropy) <= 1e-12
+        gamma, mean_row = channel.matrix, channel.matrix.mean(axis=0)
+        uniform_info = np.mean([sum(g * np.log2(g / m) for g, m in zip(row, mean_row) if g > 0.0)
+                                for row in gamma])
+        interior = rho[:, None, None] * np.full((1, n1, n2), 1.0 / (n1 * n2))
+        assert abs(kernel.gap(interior) + uniform_info) <= 1e-12
+    assert len(maximizers) > 1000
+    for kernel, q, gap in maximizers:
+        assert abs(gap - kernel.gap(q)) <= 1e-12
+
+
+def test_constant_partner_slack_is_positive_zero():
+    # the blind channel's optimum is a constant-partner candidate, whose gap
+    # is exactly 0: its slack is 0.0, not -0.0
+    res = solve(*test_solver_bits.binary_problem(ObservationChannel(np.full((2, 2), 0.5))))
+    assert res.converged and res.slack == 0.0
+    assert math.copysign(1.0, res.slack) == 1.0
 
 
 PROPERTY_SETTINGS = ((1, 0.0), (2, 0.1))  # (stages, min_slack)
