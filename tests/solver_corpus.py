@@ -8,7 +8,9 @@ multiplier, iteration count and qbar bytes (the record format of
     PYTHONPATH=src python tests/solver_corpus.py [records.json]
 
 With a path, the records are also written there as JSON, so two runs that
-disagree can be diffed label by label.  The corpus:
+disagree can be diffed label by label.  The committed records,
+``golden/solver_corpus.json``, are written this way, so their sha256 is
+the printed hash.  The corpus:
 
 * the 164 points of the SNR sweep: HIR/LIR, log/linear payoff, perfect
   monitoring, 0 to 40 dB in steps of 1 dB;
@@ -19,23 +21,19 @@ disagree can be diffed label by label.  The corpus:
   0 to 40 dB in steps of 10 dB).
 
 It takes about 2 s.  This file is not collected by pytest, but
-``test_solver_bits.py`` solves the corpus once per session, compares its
-hash with ``golden/solver_corpus.sha256`` and checks every record against
-the recorded intervals.
+``test_solver_bits.py`` solves the corpus once per session, compares it
+with ``golden/solver_corpus.json`` label by label and then byte for byte,
+and checks every record against the committed one's interval.
 
-Two more modes serve a change of solver algorithm, which cannot keep the
-bits (see ``test_solver_bits.py``):
+A change of solver algorithm cannot keep the bits (see
+``test_solver_bits.py``):
 
-    PYTHONPATH=src python tests/solver_corpus.py --write-intervals
     PYTHONPATH=src python tests/solver_corpus.py --check
 
-The first writes ``golden/solver_intervals.json``: the certified flag,
-payoff and dual bound of every corpus solve and of every ``solver_bits.json``
-point.  The committed file is the current solver's (a tier-1 test checks
-it), so a change of algorithm rewrites it together with the other bit
-goldens.  The second checks the current solver against that file at all
-382 corpus solves, prints each failing condition and exits with status 1 if
-there is one.
+checks the current solver against the committed records, which are the
+parent solver's until the change rewrites them: at all 382 corpus solves it
+prints each failing condition of ``interval_violations`` and exits with
+status 1 if there is one.
 
     PYTHONPATH=src python tests/solver_corpus.py --counts
 
@@ -60,15 +58,13 @@ import sys
 import time
 from pathlib import Path
 
-from codedpc import FEASIBILITY_TOL, ConvergenceError, optimizer, solve
+from codedpc import FEASIBILITY_TOL, ConvergenceError, SolverOptions, optimizer, solve
 from test_solver_bits import (
-    INTERVALS,
+    CORPUS,
     bits,
-    golden_point_bits,
     ic_problem,
     interval_violations,
     noisy_problems,
-    tol_payoff,
 )
 
 COMBOS = [(regime, form) for regime in ("hir", "lir") for form in ("log", "linear")]
@@ -101,37 +97,21 @@ def corpus_text() -> str:
     return json.dumps(corpus_bits(), indent=1) + "\n"
 
 
-def interval(record: dict) -> dict:
-    return {k: record[k] for k in ("certified", "payoff", "dual_bound")}
-
-
-def intervals() -> dict:
-    """The content of ``golden/solver_intervals.json`` as the current solver
-    writes it."""
-    return {
-        "corpus": {label: interval(r) for label, r in corpus_bits().items()},
-        "golden_points": {label: interval(r) for label, r in golden_point_bits().items()},
-    }
-
-
 def violations() -> list[str]:
     """Each failing condition of ``interval_violations`` at a corpus solve,
-    against ``golden/solver_intervals.json``."""
-    recorded = json.loads(INTERVALS.read_text())["corpus"]
+    against the committed records.  Every corpus solve takes the default
+    ``tol_payoff``."""
+    recorded = json.loads(CORPUS.read_text())
     actual = corpus_bits()
     assert list(actual) == list(recorded)
-    return [
-        f"{label}: {violation}"
-        for label, _, kwargs in corpus()
-        for violation in interval_violations(recorded[label], actual[label], tol_payoff(kwargs))
-    ]
+    tol = SolverOptions().tol_payoff
+    return [f"{label}: {violation}" for label, old in recorded.items()
+            for violation in interval_violations(old, actual[label], tol)]
 
 
 def check() -> int:
     failed = violations()
-    for line in failed:
-        print(line)
-    print(f"{len(failed)} violations over {len(corpus_bits())} solves")
+    print(*failed, f"{len(failed)} violations over {len(corpus_bits())} solves", sep="\n")
     return 1 if failed else 0
 
 
@@ -213,18 +193,13 @@ if __name__ == "__main__":
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--counts", action="store_true",
                       help="print solve counts for the corpus and two fresh noisy corpora")
-    mode.add_argument("--write-intervals", action="store_true",
-                      help=f"write {INTERVALS.name} from the current solver")
     mode.add_argument("--check", action="store_true",
-                      help=f"check the current solver against {INTERVALS.name}")
+                      help=f"check the current solver against {CORPUS.name}")
     mode.add_argument("records", nargs="?", type=Path,
                       help="also write the corpus records to this JSON file")
     args = parser.parse_args()
     if args.counts:
         counts()
-        sys.exit(0)
-    if args.write_intervals:
-        INTERVALS.write_text(json.dumps(intervals(), indent=1) + "\n")
         sys.exit(0)
     if args.check:
         sys.exit(check())

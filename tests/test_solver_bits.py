@@ -1,18 +1,19 @@
 """Bit-level goldens of ``solve`` on the interference model and noisy problems.
 
-``golden/solver_bits.json`` and ``golden/solver_exits.json`` record, for
-every solve below, the certified flag, the payoff, dual bound, slack and
-multiplier as ``float.hex()``, the inner-iteration count and a sha256 of the
-returned qbar bytes.  A change to the solver's arithmetic that moves any
-answer by one ulp shows up here.  Regenerate both files only when such a
-change is intended:
+``golden/solver_corpus.json`` and ``golden/solver_exits.json`` record, for
+every solve of ``solver_corpus.py``'s corpus and of ``exit_cases`` below,
+the certified flag, the payoff, dual bound, slack and multiplier as
+``float.hex()``, the inner-iteration count and a sha256 of the returned
+qbar bytes.  A change to the solver's arithmetic that moves any
+answer by one ulp shows up here.  Regenerate them only when such a change
+is intended, the corpus records with the records mode of ``solver_corpus.py``
+and the exits with this file:
 
+    PYTHONPATH=src python tests/solver_corpus.py tests/golden/solver_corpus.json
     PYTHONPATH=src python tests/test_solver_bits.py
 
-``solver_bits.json`` holds the interference model (HIR/LIR, log/linear
-payoff, perfect monitoring) at 0, 10, 20, 30 and 40 dB, one
-``min_slack=0.1`` point, and the first 15 problems of the ``default_rng(1)``
-noisy-channel corpus.
+``solver_corpus.json`` holds the 382 solves of ``solver_corpus.py``'s
+corpus; its sha256 is the hash that script prints.
 
 ``solver_exits.json`` drives each way out of the solver at least once:
 
@@ -37,17 +38,12 @@ The collapsed multiplier bracket is reached by the 3-step inner budget.
 The one exit neither file reaches is ``ConvergenceError`` without a result
 (no feasible point at all); ``test_optimizer.py`` covers it.
 
-``golden/solver_intervals.json`` keeps, per point, only the certified flag,
-the payoff and the dual bound, as the current solver writes them
-(``python tests/solver_corpus.py --write-intervals``);
-``test_recorded_intervals_are_the_current_solvers`` checks that.  A new
-algorithm cannot keep the bits, so it must instead meet the four
-conditions of ``interval_violations`` at every point; only then are the
-bit goldens rewritten, the intervals among them, so that they hold the new
-solver for the next change.  ``test_solver_meets_recorded_intervals`` checks
-the points of ``solver_bits.json``, and
+A new algorithm cannot keep the bits, so it must instead meet the four
+conditions of ``interval_violations`` at every corpus solve, against the
+committed records, which are the parent solver's;
 ``test_solver_corpus_meets_recorded_intervals`` and ``solver_corpus.py
---check`` all 382 corpus solves.
+--check`` check that.  Only then are the bit goldens rewritten, so that
+they hold the new solver for the next change.
 """
 
 from __future__ import annotations
@@ -56,9 +52,12 @@ import contextlib
 import functools
 import hashlib
 import json
+import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import pytest
 
 from codedpc import (
     ConvergenceError,
@@ -70,14 +69,11 @@ from codedpc import (
 )
 from codedpc import icmodel, optimizer
 
-GOLDEN = Path(__file__).parent / "golden" / "solver_bits.json"
+CORPUS = Path(__file__).parent / "golden" / "solver_corpus.json"
 EXITS_GOLDEN = Path(__file__).parent / "golden" / "solver_exits.json"
-INTERVALS = Path(__file__).parent / "golden" / "solver_intervals.json"
-CORPUS_SHA256 = Path(__file__).parent / "golden" / "solver_corpus.sha256"
 # Slack for the cross-bounds: a dual bound may sit this far below the other
 # solver's payoff and still count as a bound on it.
 CROSS_TOL = 1e-9
-IC_SNRS_DB = (0.0, 10.0, 20.0, 30.0, 40.0)
 NOISY_SEED = 1
 NOISY_COUNT = 15
 
@@ -113,28 +109,10 @@ def binary_problem(channel=None):
     return StatePrior(np.array([0.5, 0.5])), channel, PayoffTable(w)
 
 
-def cases():
-    for regime in ("hir", "lir"):
-        for form in ("log", "linear"):
-            for snr in IC_SNRS_DB:
-                yield f"ic-{regime}-{form}-{snr:g}dB", ic_problem(regime, form, snr), {}
-    yield "ic-hir-log-10dB-min-slack-0.1", ic_problem("hir", "log", 10.0), {"min_slack": 0.1}
-    for i, problem in enumerate(noisy_problems(NOISY_SEED, NOISY_COUNT)):
-        yield f"noisy-{NOISY_SEED}-{i}", problem, {}
-
-
-@contextlib.contextmanager
 def step_budgets(**budgets):
     """Solve with the named step budgets of ``codedpc.optimizer`` replaced,
     e.g. ``step_budgets(_OUTER_STEPS=2)``."""
-    saved = {name: getattr(optimizer, name) for name in budgets}
-    for name, value in budgets.items():
-        setattr(optimizer, name, value)
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            setattr(optimizer, name, value)
+    return mock.patch.multiple(optimizer, **budgets) if budgets else contextlib.nullcontext()
 
 
 def exit_cases():
@@ -178,22 +156,9 @@ def bits(problem, kwargs) -> dict:
     }
 
 
-def solver_bits(case_list) -> dict:
-    return {label: bits(problem, kwargs) for label, problem, kwargs in case_list}
-
-
-@functools.cache
-def golden_point_bits() -> dict:
-    return solver_bits(cases())
-
-
 @functools.cache
 def exit_point_bits() -> dict:
-    return solver_bits(exit_cases())
-
-
-def tol_payoff(kwargs) -> float:
-    return kwargs.get("options", SolverOptions()).tol_payoff
+    return {label: bits(problem, kwargs) for label, problem, kwargs in exit_cases()}
 
 
 def interval_violations(old: dict, new: dict, tol: float) -> list[str]:
@@ -222,16 +187,29 @@ def assert_matches(golden: Path, actual: dict) -> None:
         assert actual[label] == record, label
 
 
-def test_solver_bits_match_golden():
-    assert_matches(GOLDEN, golden_point_bits())
+GATE_TOL = SolverOptions().tol_payoff
+# The least payoff and dual bound that pass against a payoff of 1.0, and one
+# ulp below them
+PAY_EDGE, CROSS_EDGE = 1.0 - GATE_TOL, 1.0 - CROSS_TOL
+PAY_OVER, CROSS_OVER = math.nextafter(PAY_EDGE, 0), math.nextafter(CROSS_EDGE, 0)
 
 
-def test_solver_meets_recorded_intervals():
-    recorded = json.loads(INTERVALS.read_text())["golden_points"]
-    actual = golden_point_bits()
-    assert list(actual) == list(recorded)
-    for label, _, kwargs in cases():
-        assert not interval_violations(recorded[label], actual[label], tol_payoff(kwargs)), label
+@pytest.mark.parametrize("old, new, flagged", [
+    pytest.param((True, 1.0, 1.0), (False, 1.0, 1.0), "certifies", id="certificate-lost"),
+    pytest.param((True, 1.0, 1.0), (True, PAY_OVER, 1.0), "new payoff", id="payoff-over-tol"),
+    pytest.param((True, 1.0, 1.0), (True, 1.0, CROSS_OVER), "new dual", id="new-bound-over"),
+    pytest.param((True, 1.0, CROSS_OVER), (True, 1.0, 1.0), "old dual", id="old-bound-over"),
+    pytest.param((False, 1.0, 1.0), (False, 1.0, 1.0), None, id="never-certified"),
+    pytest.param((True, 1.0, 1.0), (True, PAY_EDGE, 1.0), None, id="payoff-at-tol"),
+    pytest.param((True, 1.0, 1.0), (True, 1.0, CROSS_EDGE), None, id="new-bound-at-edge"),
+    pytest.param((True, 1.0, CROSS_EDGE), (True, 1.0, 1.0), None, id="old-bound-at-edge"),
+])
+def test_interval_violations_flag_each_condition(old, new, flagged):
+    # (certified, payoff, dual bound) records: each flagged pair fails one
+    # condition (a bound by one ulp), each other pair sits on its boundary.
+    old, new = ({"certified": c, "payoff": p.hex(), "dual_bound": d.hex()} for c, p, d in (old, new))
+    found = interval_violations(old, new, GATE_TOL)
+    assert [v.startswith(flagged) for v in found] == ([True] if flagged else []), found
 
 
 def test_solver_corpus_meets_recorded_intervals():
@@ -239,13 +217,6 @@ def test_solver_corpus_meets_recorded_intervals():
     from solver_corpus import violations
 
     assert violations() == []
-
-
-def test_recorded_intervals_are_the_current_solvers():
-    # imported here: solver_corpus imports this module
-    from solver_corpus import intervals
-
-    assert INTERVALS.read_text() == json.dumps(intervals(), indent=1) + "\n"
 
 
 def test_solver_exits_match_golden():
@@ -274,14 +245,13 @@ def test_sweep_takes_fewer_inner_solves_than_a_creeping_search():
     assert counts["inner_solves"] < 951
 
 
-def test_solver_corpus_matches_golden_hash():
+def test_solver_corpus_matches_golden():
     # imported here: solver_corpus imports this module
-    from solver_corpus import corpus_text
+    from solver_corpus import corpus_bits, corpus_text
 
-    digest = hashlib.sha256(corpus_text().encode()).hexdigest()
-    assert digest == CORPUS_SHA256.read_text().strip()
+    assert_matches(CORPUS, corpus_bits())
+    assert corpus_text() == CORPUS.read_text()
 
 
 if __name__ == "__main__":
-    for golden, case_list in ((GOLDEN, cases()), (EXITS_GOLDEN, exit_cases())):
-        golden.write_text(json.dumps(solver_bits(case_list), indent=1) + "\n")
+    EXITS_GOLDEN.write_text(json.dumps(exit_point_bits(), indent=1) + "\n")
