@@ -28,8 +28,9 @@ from .probability import (
     conditional_mutual_information,
 )
 
-#: Boundary tolerance (bits) for feasibility decisions.  Optimizer
-#: iterates approach the boundary from inside, so exact zero is too strict.
+#: Boundary tolerance (bits) of ``is_implementable``'s verdict and of which
+#: end of ``solve``'s multiplier bracket a maximizer takes.  ``solve`` returns
+#: only exactly feasible points (gap plus ``min_slack`` at most 0).
 FEASIBILITY_TOL = 1e-9
 
 

@@ -23,10 +23,11 @@ multiplier, so the search starts at the payoff the per-state argmax gains
 per bit of its excess, doubles to a feasible multiplier and then takes
 Illinois false-position steps on a bracket (an end kept twice in a row has
 its excess's weight halved); when the constraint is inactive the argmax is
-returned directly.  The returned point is the best feasible one, exactly
-feasible where that certifies, among the inner maximizers, always feasible
+returned directly.  The returned point is the best exactly feasible one
+(gap plus min_slack at most 0) among the inner maximizers, always feasible
 candidates (uniform; constant partner with best response) and blends across
-the constraint boundary; the dual bound is the least one over the
+the constraint boundary; ``FEASIBILITY_TOL`` only decides which end of the
+bracket a maximizer takes.  The dual bound is the least one over the
 multipliers tried.  Each point but a blend is q(x0, x2) times cells of known
 channel information, so its gap is read in closed form; a blend's comes
 from the information kernel.  The step budgets of the inner solves and of the
@@ -115,17 +116,18 @@ class SolverOptions:
 class OptimizationResult:
     """Feasible near-optimal point plus solver diagnostics.
 
-    ``slack`` is minus the constraint gap at ``qbar`` (nonnegative up to the
-    feasibility tolerance), ``multiplier`` the dual variable of the
-    information constraint, and ``dual_bound`` a certified upper bound on
-    the optimal payoff, so dual_bound - payoff bounds the suboptimality.
+    ``slack`` is minus the constraint gap at ``qbar``, at least ``min_slack``,
+    ``multiplier`` the dual variable of the information constraint, and
+    ``dual_bound`` a certified upper bound on the optimal payoff, so
+    dual_bound - payoff bounds the suboptimality.
     ``iterations`` sums the inner steps over the multipliers tried: cell
     steps (none on the identity channel) and x2 steps.
 
-    A point counts as feasible when its gap plus ``min_slack`` is at most
-    ``FEASIBILITY_TOL``, and the dual bound is that of the exact constraint.
-    Where no exactly feasible point certifies, the payoff can thus exceed the
-    exact optimum, and the dual bound, by up to ``multiplier * FEASIBILITY_TOL``.
+    The returned point is exactly feasible: its gap plus ``min_slack``, as
+    the solver computes the gap, is at most 0.  ``FEASIBILITY_TOL`` only
+    classifies the ends of the multiplier bracket.  A gap recomputed another
+    way, e.g. by ``info_constraint_gap``, can differ from the solver's by
+    rounding.
     """
 
     qbar: JointDistribution
@@ -435,11 +437,13 @@ def solve(
     inner maximizer is feasible, then narrows the bracket between the last
     infeasible multiplier (or 0) and the feasible one by Illinois false
     position, and at every step blends the maximizers at its two ends onto
-    the constraint boundary.  It returns the best exactly feasible point if
-    that certifies, else the best one within ``FEASIBILITY_TOL``.
+    the constraint boundary.  It returns the best exactly feasible point
+    seen (gap plus ``min_slack`` at most 0); ``FEASIBILITY_TOL`` only decides
+    which end of the bracket a maximizer takes.
     Raises ``ConvergenceError`` (carrying the best feasible iterate) if the
     certificate cannot be established within the step budgets or below the
-    multiplier cap; its message names the exit taken.
+    multiplier cap; its message names the exit taken.  It carries no result
+    when no exactly feasible point was found.
     """
     opts = options or SolverOptions()
     _check_stages(stages)
@@ -479,8 +483,7 @@ def solve(
             )
         return result
 
-    best_pay = exact_pay = -np.inf
-    best_q = best_gap = exact = None
+    best_pay, best_q, best_gap = -np.inf, None, math.inf
     # Best iterate seen on the wrong side of the constraint, kept for
     # cross-boundary blending: a convex combination of a feasible and an
     # infeasible near-optimal point stays feasible (the gap functional is
@@ -492,28 +495,28 @@ def solve(
     def consider(q_active: np.ndarray, gap: float) -> float:
         """Offer a point and its gap to the pool; returns its excess gap +
         min_slack."""
-        nonlocal best_pay, best_q, best_gap, exact_pay, exact, outside_q, outside_excess
+        nonlocal best_pay, best_q, best_gap, outside_q, outside_excess
         excess = gap + offset
-        if excess <= FEASIBILITY_TOL:
+        if excess <= 0.0:
             pay = float((q_active * w).sum())
             if pay > best_pay:
                 best_pay, best_q, best_gap = pay, q_active, gap
-            if excess <= 0.0 and pay > exact_pay:
-                exact_pay, exact = pay, (q_active, gap)
         elif excess < outside_excess:
             outside_q, outside_excess = q_active, excess
         return excess
 
     def finish_best(multiplier, stop):
-        """Finish at the best exactly feasible point if it certifies."""
-        q, gap = exact if dual_bound - exact_pay <= opts.tol_payoff else (best_q, best_gap)
-        return finish(q, gap, multiplier, dual_bound, total_iters, stop)
+        """Finish at the pool's best point; raise if the pool is empty."""
+        if best_q is None:
+            raise ConvergenceError("no feasible point found: the requested slack exceeds "
+                                   "what the observation channel supports")
+        return finish(best_q, best_gap, multiplier, dual_bound, total_iters, stop)
 
     def blend(inside, inside_excess, outside, outside_excess) -> None:
         """Offer the mix of an inside and an outside point that the linear
         interpolation of their excesses puts on the boundary.  The gap is
-        convex, so the mix is feasible up to rounding, which
-        ``FEASIBILITY_TOL`` absorbs.  The inside point pays at most
+        convex, so the mix is feasible up to rounding; a mix that rounds
+        outside is offered as an outside point.  The inside point pays at most
         ``best_pay``, so the mix is skipped when it pays no more than that.
         A mix of two product points is not one, so the kernel gives its gap."""
         if outside is None or inside_excess >= 0.0:
@@ -545,7 +548,7 @@ def solve(
     dual_bound = float((vertex * w).sum())
     q2 = np.bincount(x2, weights=rho, minlength=n2)
     vertex_gap = -kernel.inv_stages * float(q2 @ _log_pos(q2)) / _LN2
-    if vertex_gap + offset <= FEASIBILITY_TOL:
+    if vertex_gap + offset <= 0.0:
         return finish(vertex, vertex_gap, 0.0, dual_bound, 0, "at multiplier 0")
 
     target = 0.25 * opts.tol_payoff
@@ -590,11 +593,6 @@ def solve(
         if lam_hi >= _MAX_MULTIPLIER:
             # No multiplier makes the inner maximizer feasible (degenerate
             # channel); certify against the best feasible candidate if possible.
-            if best_q is None:
-                raise ConvergenceError(
-                    "no feasible point found: the requested slack exceeds what "
-                    "the observation channel supports"
-                )
             return finish_best(lam_hi, f"at the multiplier cap 2**{math.log2(_MAX_MULTIPLIER):g}")
         lam_lo, lo = lam_hi, hi
         lam_hi = min(2.0 * lam_hi, _MAX_MULTIPLIER)

@@ -31,9 +31,10 @@ A change of solver algorithm cannot keep the bits (see
     PYTHONPATH=src python tests/solver_corpus.py --check
 
 checks the current solver against the committed records, which are the
-parent solver's until the change rewrites them: at all 382 corpus solves it
-prints each failing condition of ``interval_violations`` and exits with
-status 1 if there is one.
+parent solver's until the change rewrites them.  It first prints how many
+records differ from the committed ones and their labels; then, at all 382
+corpus solves, each failing condition of ``interval_violations``.  It exits
+with status 1 if a condition fails.
 
     PYTHONPATH=src python tests/solver_corpus.py --counts
 
@@ -111,6 +112,9 @@ def violations() -> list[str]:
 
 def check() -> int:
     failed = violations()
+    recorded = json.loads(CORPUS.read_text())
+    moved = [label for label, record in corpus_bits().items() if record != recorded[label]]
+    print(f"{len(moved)} of {len(recorded)} records differ from {CORPUS.name}", *moved, sep="\n  ")
     print(*failed, f"{len(failed)} violations over {len(corpus_bits())} solves", sep="\n")
     return 1 if failed else 0
 

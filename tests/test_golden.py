@@ -1,23 +1,28 @@
 """Golden outputs and README commands, run through ``codedpc.cli.main``.
 
-The CLI files under ``tests/golden`` were written before the solver
-refactor that trimmed ``optimizer.py``, and the ``policies_*.csv`` files
-before the CLI's two CSV writers became one; any change to a certified
-payoff, a sweep or policy row or a seeded simulation report shows up here as
-a byte difference.
-Regenerate a file only when a change of output is intended, with the argv
-listed in ``GOLDEN_RUNS`` and ``--output tests/golden/<name>``.
+Any change to a certified payoff, a sweep or policy row or a seeded
+simulation report shows up here as a byte difference.  Regenerate a file
+only when a change of output is intended, with the argv listed in
+``GOLDEN_RUNS`` and ``--output tests/golden/<name>``.
 
-The ``sim_*.json`` files are ``coding.run(cfg).to_dict()`` reports, written
-by ``sim_report`` before the simulator's per-block loop was rewritten.  Their
-configurations (``SIM_RUNS``) reach paths the CLI simulation does not: long
-binary blocks, a noisy observation channel, epsilon >= 1, a ternary action
-with a zero-probability cell, encoder failures with every state present, and
-a codebook larger than one decoder chunk.
+Some of these files depend on ``solve``'s bits, and a change of solver
+algorithm, made under the protocol of ``test_solver_bits.py``, may rewrite
+them: the two ``sweep_*.csv`` files, ``simulate_solver_snr10_n40_b40.json``
+(its target is ``solve``'s qbar) and ``sim_corpus.sha256``, through the
+corpus's 3 solver-target reports.  Solver changes have rewritten each of
+them before.  The others never move with the solver: the two
+``policies_*.csv`` files (per-state best pairs and SPC actions, no
+``solve``) and the 7 ``sim_*.json`` files.
+
+The ``sim_*.json`` files are ``coding.run(cfg).to_dict()`` reports written
+by ``sim_report``.  Their configurations (``SIM_RUNS``) reach paths the CLI
+simulation does not: long binary blocks, a noisy observation channel,
+epsilon >= 1, a ternary action with a zero-probability cell, encoder
+failures with every state present, and a codebook larger than one decoder
+chunk.
 
 ``sim_corpus.sha256`` is the hash that ``tests/sim_corpus.py`` prints over
-its 27 reports; it was written before the simulator's draws became raw
-words compared with integer thresholds.
+its 27 reports.
 
 Every ``codedpc ...`` line in the README's fenced blocks must also exit 0.
 Runs are shared: a README command whose resolved settings equal a golden

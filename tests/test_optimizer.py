@@ -242,7 +242,8 @@ def test_boundary_mix_of_a_straddling_pair_is_feasible(identity, data, level):
     # solve's blend offers the one mix that the linear interpolation of the
     # excesses puts on the boundary, with no fallback: the gap is convex in
     # qbar at a fixed state marginal, so that mix is feasible up to
-    # rounding, and FEASIBILITY_TOL must absorb the rounding of the kernel
+    # rounding, which stays within FEASIBILITY_TOL; a mix that rounds outside
+    # does not enter solve's pool
     pair, gamma, inv_stages = data.draw(straddling_pairs(identity))
     kernel = _InfoKernel(gamma, inv_stages)
     assume(kernel.perfect == identity)
@@ -833,6 +834,32 @@ class TestSolve:
         blind = ObservationChannel(np.full((2, 2), 0.5))
         with pytest.raises(ConvergenceError, match="no feasible point") as err:
             solve(prior, blind, payoff, min_slack=0.1)
+        assert err.value.result is None
+
+    def test_empty_pool_at_the_bracket_raises_without_result(self, monkeypatch):
+        # No candidate is feasible: min_slack exceeds the uniform input's
+        # information, and constant-x2 points have gap 0.  Each maximizer
+        # that is feasible within FEASIBILITY_TOL is reported 5e-10 bits
+        # outside: that ends the doubling, which classifies by the tolerance,
+        # but the pool takes exactly feasible points only.  The bracket then
+        # collapses with the pool still empty.
+        gamma = np.array([[0.999, 0.001], [0.5, 0.5]])
+        mean_row = gamma.mean(axis=0)
+        uniform_info = (gamma * np.log2(gamma)).sum(axis=1).mean() - mean_row @ np.log2(mean_row)
+        min_slack = uniform_info + 0.005
+        x2_step = optimizer._x2_step
+
+        def just_outside(*args):
+            q, gap, *rest = x2_step(*args)
+            if gap + min_slack <= FEASIBILITY_TOL:
+                gap = 5e-10 - min_slack
+            return (q, gap, *rest)
+
+        monkeypatch.setattr(optimizer, "_x2_step", just_outside)
+        prior = StatePrior(np.array([0.5, 0.5]))
+        payoff = PayoffTable(np.random.default_rng(0).normal(size=(2, 2, 2)))
+        with pytest.raises(ConvergenceError, match="no feasible point") as err:
+            solve(prior, ObservationChannel(gamma), payoff, min_slack=min_slack)
         assert err.value.result is None
 
     def test_non_convergence_raises_with_best_iterate(self, monkeypatch):

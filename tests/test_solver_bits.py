@@ -36,7 +36,8 @@ The two budget exits lower the solver's fixed budgets, ``_OUTER_STEPS`` and
 
 The collapsed multiplier bracket is reached by the 3-step inner budget.
 The one exit neither file reaches is ``ConvergenceError`` without a result
-(no feasible point at all); ``test_optimizer.py`` covers it.
+(no feasible point at all), at the multiplier cap or at the bracket;
+``test_optimizer.py`` covers both.
 
 A new algorithm cannot keep the bits, so it must instead meet the four
 conditions of ``interval_violations`` at every corpus solve, against the
@@ -224,15 +225,29 @@ def test_solver_exits_match_golden():
 
 
 def test_certified_payoff_is_at_most_its_dual_bound():
-    # A point up to FEASIBILITY_TOL outside the constraint can pay more than
-    # the optimum, and than the bound; the blind channel's did, by 5.3e-6 at
-    # multiplier 2**14.  A certified result may exceed its bound by rounding
-    # only.
+    # Every returned point is exactly feasible, so a certified result may
+    # exceed its bound by rounding only.  A point up to FEASIBILITY_TOL
+    # outside the constraint could pay more than the optimum, and than the
+    # bound: the blind channel's did, by 5.3e-6 at multiplier 2**14, when
+    # the pool took such points.
     from solver_corpus import corpus_bits
 
     for label, record in {**corpus_bits(), **exit_point_bits()}.items():
         pay, bound = (float.fromhex(record[k]) for k in ("payoff", "dual_bound"))
         assert not record["certified"] or pay <= bound + 1e-12 * max(1.0, abs(bound)), label
+
+
+def test_certified_returns_are_exactly_feasible():
+    # solve's pool takes only points whose gap plus min_slack, as the solver
+    # computes it, is at most 0, so each certified record's slack is at
+    # least its case's min_slack, with no tolerance.
+    from solver_corpus import corpus, corpus_bits
+
+    records = {**corpus_bits(), **exit_point_bits()}
+    for label, _, kwargs in (*corpus(), *exit_cases()):
+        record = records[label]
+        slack = float.fromhex(record["slack"])
+        assert not record["certified"] or slack >= kwargs.get("min_slack", 0.0), label
 
 
 def test_sweep_takes_fewer_inner_solves_than_a_creeping_search():
